@@ -3,17 +3,16 @@
  * Serial-vs-parallel smoke benchmark of the deterministic parallel
  * execution layer (DESIGN.md §9): times the Monte Carlo yield
  * analysis, the QAP multi-start taboo search, the SPLASH suite
- * simulation, and the streamed energy-ledger build (whole-file load
- * on one thread vs sharded TraceReader fan-out on the configured
- * pool) on a pool of one and on the configured pool, verifies the
- * parallel results are bit-identical to the serial ones, and writes
- * BENCH_parallel.json (schema in bench/bench_json.hh) so the perf
- * trajectory accumulates run over run.  The streaming record's
- * workItems is the epoch-cell (message) count, so messages/sec for
- * either path is workItems / *Seconds.  The journal_overhead record
- * pins the decision journal's cost contract: disabled-path overhead
- * ~0 and an enabled-path cost per epoch, with bit-identical journal
- * bytes across pool sizes.
+ * simulation, and the energy-ledger build (loadTrace + in-memory
+ * reader vs the sharded file) on a pool of one and on the configured
+ * pool, verifies the parallel results are bit-identical to the serial
+ * ones, and writes BENCH_parallel.json (schema in bench/bench_json.hh)
+ * so the perf trajectory accumulates run over run.  The streaming
+ * record's workItems is the epoch-cell (message) count, so
+ * messages/sec for either side is workItems / *Seconds.  The
+ * journal_overhead record pins the decision journal's cost contract:
+ * disabled-path overhead ~0 and an enabled-path cost per epoch, with
+ * bit-identical journal bytes across pool sizes.
  *
  * Scale knobs: MNOC_THREADS sets the parallel pool; the suite
  * section honors MNOC_BENCH_CORES / MNOC_BENCH_OPS but defaults to a
@@ -238,13 +237,14 @@ sameLedger(const core::EnergyLedger &a, const core::EnergyLedger &b)
 /**
  * The streaming section: build one deterministic epoch-carrying trace,
  * write it both as a single v3 file and as a sharded directory, then
- * race the whole-file path (loadTrace + in-memory ledger build, the
- * pre-streaming pipeline) against the streamed path (TraceReader shard
- * fan-out across the parallel pool).  workItems is the total epoch-
- * cell count, so messages/sec falls out of the record directly.
+ * race loadTrace + the ledger build over the in-memory reader on the
+ * serial pool against the same build over the sharded directory, its
+ * shards fanned across the parallel pool.  workItems is the total
+ * epoch-cell count, so messages/sec falls out of the record directly.
  */
 bench::ParallelRecord
-benchStreamedLedger(ThreadPool &parallel, const std::string &scratch)
+benchStreamedLedger(ThreadPool &serial, ThreadPool &parallel,
+                    const std::string &scratch)
 {
     using Clock = std::chrono::steady_clock;
     constexpr int kNodes = 64;
@@ -315,8 +315,9 @@ benchStreamedLedger(ThreadPool &parallel, const std::string &scratch)
 
     auto t0 = Clock::now();
     auto whole = sim::loadTrace(file);
-    auto serial_ledger =
-        designer.model().buildLedger(design, whole);
+    sim::TraceReader memory(whole);
+    auto serial_ledger = designer.model().buildLedger(
+        design, memory, nullptr, &serial);
     auto t1 = Clock::now();
 
     auto t2 = Clock::now();
@@ -335,10 +336,10 @@ benchStreamedLedger(ThreadPool &parallel, const std::string &scratch)
     std::cout << "  streamed ledger: "
               << static_cast<long long>(
                      cells / record.serialSeconds)
-              << " msgs/s whole-file, "
+              << " msgs/s loaded, "
               << static_cast<long long>(
                      cells / record.parallelSeconds)
-              << " msgs/s streamed\n";
+              << " msgs/s sharded\n";
     return record;
 }
 
@@ -647,7 +648,7 @@ main()
     records.push_back(benchSuite(serial, parallel, scratch));
     printRecord(records.back());
     std::filesystem::create_directories(scratch);
-    records.push_back(benchStreamedLedger(parallel, scratch));
+    records.push_back(benchStreamedLedger(serial, parallel, scratch));
     printRecord(records.back());
     records.push_back(benchAdaptiveEpochStep(serial, parallel,
                                              scratch));

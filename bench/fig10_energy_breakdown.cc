@@ -15,6 +15,7 @@
 #include "common/table.hh"
 #include "core/energy_ledger.hh"
 #include "harness.hh"
+#include "sim/trace_stream.hh"
 
 using namespace mnoc;
 
@@ -80,7 +81,8 @@ main()
     auto ledgerPower = [&](const core::MnocDesign &design,
                            const sim::Trace &trace,
                            const std::vector<int> &map) {
-        auto ledger = designer.buildLedger(design, trace, map);
+        sim::TraceReader reader(trace);
+        auto ledger = designer.model().buildLedger(design, reader, &map);
         for (int s = 0; s < ledger.numSources(); ++s) {
             for (int m = 0; m < ledger.numModes(); ++m) {
                 double tx = 0.0;

@@ -12,9 +12,10 @@
  * energies are bit-identical to a naive per-message walk.
  *
  * Two consumers:
- *  - accrue() charges a message into an EnergyLedger cell (the
- *    whole-file and streamed builds in MnocPowerModel::buildLedger,
- *    and the adaptive controller's epoch-by-epoch attribution);
+ *  - accrue() charges a message into an EnergyLedger cell (the one
+ *    ledger build, MnocPowerModel::buildLedger, whatever source its
+ *    reader serves, and the adaptive controller's epoch-by-epoch
+ *    attribution);
  *  - quote() prices the same message without a ledger, which is how
  *    the adaptive controller scores candidate designs against a
  *    traffic window before deciding whether switching pays.

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "common/log.hh"
-#include "common/trace_span.hh"
 #include "core/energy_ledger.hh"
 #include "optics/link_budget.hh"
 #include "sim/trace_stream.hh"
@@ -281,37 +280,8 @@ Designer::evaluate(const MnocDesign &design,
                    const sim::Trace &thread_trace,
                    const std::vector<int> &thread_to_core) const
 {
-    sim::Trace mapped = sim::mapTrace(thread_trace, thread_to_core);
-    return model_.evaluate(design, mapped);
-}
-
-EnergyLedger
-Designer::buildLedger(const MnocDesign &design,
-                      const sim::Trace &thread_trace,
-                      const std::vector<int> &thread_to_core) const
-{
-    sim::Trace mapped = sim::mapTrace(thread_trace, thread_to_core);
-    return model_.buildLedger(design, mapped);
-}
-
-EnergyLedger
-Designer::buildLedgerStreamed(
-    const MnocDesign &design, const std::string &trace_path,
-    const std::vector<int> &thread_to_core, ThreadPool *pool) const
-{
-    TraceSpan span("buildLedgerStreamed", "power");
-    sim::TraceReader reader(trace_path);
-    sim::checkCoreMapping(thread_to_core, reader.header().numNodes);
-    return model_.buildLedger(design, reader, &thread_to_core, pool);
-}
-
-PowerBreakdown
-Designer::evaluateStreamed(
-    const MnocDesign &design, const std::string &trace_path,
-    const std::vector<int> &thread_to_core, ThreadPool *pool) const
-{
-    return buildLedgerStreamed(design, trace_path, thread_to_core,
-                               pool)
+    sim::TraceReader reader(thread_trace);
+    return model_.buildLedger(design, reader, &thread_to_core)
         .averagePower();
 }
 

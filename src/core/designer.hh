@@ -178,40 +178,11 @@ class Designer
 
     /**
      * Average power of @p design over @p thread_trace run under
-     * @p thread_to_core.
+     * @p thread_to_core (a permutation; fatal otherwise).
      */
     PowerBreakdown evaluate(const MnocDesign &design,
                             const sim::Trace &thread_trace,
                             const std::vector<int> &thread_to_core) const;
-
-    /**
-     * Energy-attribution ledger of @p design over @p thread_trace
-     * run under @p thread_to_core (core/energy_ledger.hh); the
-     * per-cell view behind evaluate()'s averages.
-     */
-    EnergyLedger buildLedger(
-        const MnocDesign &design, const sim::Trace &thread_trace,
-        const std::vector<int> &thread_to_core) const;
-
-    /**
-     * Streamed equivalent of buildLedger(): attribute the trace at
-     * @p trace_path (single file or sharded directory) batch by
-     * batch under @p thread_to_core, fanning epoch shards across
-     * @p pool (the global pool when null).  Bit-identical to loading
-     * the trace and calling buildLedger(), with peak memory bounded
-     * by one epoch per worker instead of the whole trace.
-     */
-    EnergyLedger buildLedgerStreamed(
-        const MnocDesign &design, const std::string &trace_path,
-        const std::vector<int> &thread_to_core,
-        ThreadPool *pool = nullptr) const;
-
-    /** Streamed equivalent of evaluate(): the streamed ledger's
-     *  average power, without materializing the trace. */
-    PowerBreakdown evaluateStreamed(
-        const MnocDesign &design, const std::string &trace_path,
-        const std::vector<int> &thread_to_core,
-        ThreadPool *pool = nullptr) const;
 
     const MnocPowerModel &model() const { return model_; }
     const optics::OpticalCrossbar &crossbar() const { return crossbar_; }

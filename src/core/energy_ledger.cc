@@ -3,6 +3,7 @@
 #include "common/log.hh"
 #include "common/metrics.hh"
 #include "common/thread_pool.hh"
+#include "common/trace_span.hh"
 #include "core/accrual.hh"
 #include "sim/trace_stream.hh"
 
@@ -191,56 +192,23 @@ MnocPowerModel::recordLedgerMetrics(const EnergyLedger &ledger) const
 
 EnergyLedger
 MnocPowerModel::buildLedger(const MnocDesign &design,
-                            const sim::Trace &trace) const
-{
-    int n = crossbar_.numNodes();
-    fatalIf(static_cast<int>(trace.flits.rows()) != n ||
-                static_cast<int>(trace.flits.cols()) != n,
-            "trace size mismatch");
-    fatalIf(trace.totalTicks == 0, "trace has zero duration");
-
-    double duration =
-        static_cast<double>(trace.totalTicks) / params_.net.clockHz;
-
-    // An epoch-free trace (MNOC_LEDGER was off at capture, or a
-    // version-2 file) attributes the whole run to a single epoch, so
-    // every consumer handles both trace kinds uniformly.
-    std::size_t num_epochs =
-        trace.epochs.empty() ? 1 : trace.epochs.epochs.size();
-    EnergyLedger ledger(n, design.topology.numModes, num_epochs,
-                        duration);
-    ledger.epochMsgs_ = trace.epochs.messagesPerEpoch;
-
-    AccrualPlan plan(design, params_, crossbar_.params(), n);
-    if (trace.epochs.empty()) {
-        for (int s = 0; s < n; ++s)
-            for (int d = 0; d < n; ++d)
-                plan.accrue(ledger, s, d, trace.flits(s, d), 0);
-    } else {
-        for (std::size_t e = 0; e < num_epochs; ++e)
-            for (const noc::EpochCell &cell : trace.epochs.epochs[e])
-                plan.accrue(ledger, cell.src, cell.dst, cell.flits,
-                            e);
-    }
-
-    attachLosses(design, ledger, nullptr);
-    recordLedgerMetrics(ledger);
-    return ledger;
-}
-
-EnergyLedger
-MnocPowerModel::buildLedger(const MnocDesign &design,
                             sim::TraceReader &reader,
                             const std::vector<int> *thread_to_core,
                             ThreadPool *pool) const
 {
+    TraceSpan span("buildLedger", "power");
     int n = crossbar_.numNodes();
     const sim::TraceHeader &header = reader.header();
     fatalIf(header.numNodes != n, "trace size mismatch");
     fatalIf(header.totalTicks == 0, "trace has zero duration");
+    if (thread_to_core)
+        sim::checkCoreMapping(*thread_to_core, n);
 
     double duration = static_cast<double>(header.totalTicks) /
                       params_.net.clockHz;
+    // An epoch-free trace (MNOC_LEDGER was off at capture, or a
+    // version-2 file) attributes the whole run to a single epoch, so
+    // every consumer handles both trace kinds uniformly.
     std::size_t num_epochs =
         header.numEpochs == 0 ? 1 : header.numEpochs;
     EnergyLedger ledger(n, design.topology.numModes, num_epochs,
@@ -251,9 +219,9 @@ MnocPowerModel::buildLedger(const MnocDesign &design,
     if (header.numEpochs == 0) {
         // Epoch-free trace: fold the streamed messages into a dense
         // (mapped) flit matrix first, then accrue in (src, dst)
-        // order.  Integer folds are exact in any order, and the
-        // accrual then visits cells exactly as the whole-file path
-        // does, so the ledger is bit-identical to it.
+        // order.  Integer folds are exact in any order, so the
+        // accrual's association order is fixed whatever source or
+        // batch size the reader serves.
         CountMatrix flits(static_cast<std::size_t>(n),
                           static_cast<std::size_t>(n), 0);
         std::vector<sim::TraceMessage> batch;

@@ -13,11 +13,12 @@
  * never drift apart.
  *
  * Determinism: the ledger is a pure function of (design, trace) and
- * contains no order-dependent folds.  The streamed build fans epoch
- * shards across the thread pool, but every epoch accrues only into
- * its own (source, mode, epoch) cells -- disjoint slots -- so its
- * CSV/JSON renderings are byte-identical at any MNOC_THREADS, and
- * identical to the whole-file build.
+ * contains no order-dependent folds.  The build fans epoch shards
+ * across the thread pool, but every epoch accrues only into its own
+ * (source, mode, epoch) cells -- disjoint slots -- so its CSV/JSON
+ * renderings are byte-identical at any MNOC_THREADS and whichever
+ * source (file, sharded directory, in-memory trace) the reader
+ * serves.
  */
 
 #ifndef MNOC_CORE_ENERGY_LEDGER_HH

@@ -4,6 +4,7 @@
 #include "common/units.hh"
 #include "core/energy_ledger.hh"
 #include "optics/alpha_optimizer.hh"
+#include "sim/trace_stream.hh"
 
 namespace mnoc::core {
 
@@ -113,7 +114,8 @@ PowerBreakdown
 MnocPowerModel::evaluate(const MnocDesign &design,
                          const sim::Trace &trace) const
 {
-    return buildLedger(design, trace).averagePower();
+    sim::TraceReader reader(trace);
+    return buildLedger(design, reader).averagePower();
 }
 
 } // namespace mnoc::core

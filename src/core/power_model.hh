@@ -127,30 +127,25 @@ class MnocPowerModel
         DecibelLoss design_margin = DecibelLoss(0.0)) const;
 
     /**
-     * Average power over the traced interval.  Implemented as the
-     * total over the energy-attribution ledger, so the summary and
-     * the per-cell attribution can never disagree.
+     * Average power over the traced interval: the ledger build over
+     * an in-memory reader, averaged, so the summary and the per-cell
+     * attribution can never disagree.
      */
     PowerBreakdown evaluate(const MnocDesign &design,
                             const sim::Trace &trace) const;
 
     /**
-     * Attribute every message of @p trace to a (source, mode, epoch)
-     * energy cell and compute per-(source, mode) optical loss
-     * breakdowns (core/energy_ledger.hh).  Traces without epoch
-     * buckets get a single epoch spanning the run.
-     */
-    EnergyLedger buildLedger(const MnocDesign &design,
-                             const sim::Trace &trace) const;
-
-    /**
-     * Streamed ledger build: attribute a trace pulled batch by batch
-     * from @p reader without ever materializing it, optionally
-     * re-expressed in core coordinates under @p thread_to_core (an
-     * already-validated permutation).  Epoch shards fan out across
-     * @p pool (the global pool when null) into disjoint ledger cells,
-     * so the result is bit-identical to the whole-file build at any
-     * thread count, while peak memory stays one epoch per worker.
+     * The ledger build: attribute every message pulled from
+     * @p reader -- a trace file, a sharded directory or an in-memory
+     * Trace -- to a (source, mode, epoch) energy cell and compute
+     * per-(source, mode) optical loss breakdowns
+     * (core/energy_ledger.hh).  Traces without epoch buckets get a
+     * single epoch spanning the run.  @p thread_to_core, when given,
+     * must be a permutation (fatal otherwise); every message is
+     * re-expressed in core coordinates under it.  Epoch shards fan
+     * out across @p pool (the global pool when null) into disjoint
+     * ledger cells, so the result is bit-identical at any thread
+     * count while peak memory stays one epoch per worker.
      */
     EnergyLedger buildLedger(
         const MnocDesign &design, sim::TraceReader &reader,
@@ -161,7 +156,7 @@ class MnocPowerModel
      * Fill @p ledger's per-(source, mode) loss breakdowns from
      * @p design's splitter chains, fanning the chain walks across
      * @p pool (disjoint slots; the global pool when null).  The
-     * ledger builds call this themselves; the adaptive controller
+     * ledger build calls this itself; the adaptive controller
      * calls it to re-attribute losses under the design it finished
      * the run with.
      */

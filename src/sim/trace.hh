@@ -15,7 +15,10 @@
  * These whole-file helpers are a thin layer over the streaming
  * reader/writer in sim/trace_stream.hh; consumers that must stay
  * bounded in memory pull epoch and message batches from a
- * TraceReader directly instead of materializing a Trace.
+ * TraceReader directly instead of materializing a Trace.  A Trace
+ * already in memory is served through the same interface
+ * (TraceReader(const Trace &)), so the ledger build has one input
+ * type for all three sources.
  *
  * loadTrace() is strict: a truncated or garbled record is a fatal
  * error naming the file, line, record kind, and byte offset, never a
@@ -82,7 +85,8 @@ Trace loadTrace(const std::string &path);
 /**
  * Validate that @p thread_to_core is a permutation of [0, @p n);
  * fatal otherwise.  Two threads on one core would silently merge
- * traffic rows, which is never a valid QAP assignment.
+ * traffic rows, which is never a valid QAP assignment.  mapTrace()
+ * and the ledger build run it on every mapping they are given.
  */
 void checkCoreMapping(const std::vector<int> &thread_to_core, int n);
 

@@ -6,6 +6,7 @@
 
 #include "common/log.hh"
 #include "common/metrics.hh"
+#include "sim/trace.hh"
 
 namespace mnoc::sim {
 
@@ -93,6 +94,23 @@ TraceReader::TraceReader(const std::string &path) : path_(path)
     else
         openSingleFile();
     MetricsRegistry::global().counter("trace.stream_opens").add();
+}
+
+TraceReader::TraceReader(const Trace &trace) : trace_(&trace)
+{
+    std::size_t n = trace.flits.rows();
+    fatalIf(trace.flits.cols() != n || trace.packets.rows() != n ||
+                trace.packets.cols() != n,
+            "trace packet and flit matrices must be square and agree");
+    header_.version = trace.epochs.empty() ? 2 : 3;
+    header_.workloadName = trace.workloadName;
+    header_.networkName = trace.networkName;
+    header_.numNodes = static_cast<int>(n);
+    header_.totalTicks = trace.totalTicks;
+    header_.manifest = trace.manifest;
+    header_.numEpochs = trace.epochs.epochs.size();
+    if (header_.version >= 3)
+        header_.messagesPerEpoch = trace.epochs.messagesPerEpoch;
 }
 
 TraceReader::~TraceReader() = default;
@@ -339,33 +357,35 @@ TraceReader::parseEpochBlock(LineScanner &scanner, int num_nodes,
     }
 }
 
+std::unique_ptr<LineScanner>
+TraceReader::openShard(std::size_t shard) const
+{
+    auto scanner = std::make_unique<LineScanner>(shardFiles_[shard]);
+    auto &sc = *scanner;
+    if (!sc.next())
+        sc.failTruncated("shard-header", "empty shard file");
+    std::istringstream head(sc.line());
+    std::string magic;
+    int version = 0;
+    std::size_t first = 0;
+    head >> magic >> version >> first;
+    if (head.fail() || magic != "mnoc-shard" || version != 1)
+        sc.fail("shard-header",
+                "unrecognized shard header: " + sc.line());
+    if (first != shardRanges_[shard].firstEpoch)
+        sc.fail("shard-header",
+                "shard declares first epoch " + std::to_string(first) +
+                    ", index expects " +
+                    std::to_string(shardRanges_[shard].firstEpoch));
+    return scanner;
+}
+
 bool
 TraceReader::advanceEpochShard()
 {
     while (cursorShard_ < shardFiles_.size()) {
         if (!shardScanner_) {
-            shardScanner_ = std::make_unique<LineScanner>(
-                shardFiles_[cursorShard_]);
-            auto &sc = *shardScanner_;
-            if (!sc.next())
-                sc.failTruncated("shard-header",
-                                 "empty shard file");
-            std::istringstream head(sc.line());
-            std::string magic;
-            int version = 0;
-            std::size_t first = 0;
-            head >> magic >> version >> first;
-            if (head.fail() || magic != "mnoc-shard" || version != 1)
-                sc.fail("shard-header",
-                        "unrecognized shard header: " + sc.line());
-            if (first != shardRanges_[cursorShard_].firstEpoch)
-                sc.fail("shard-header",
-                        "shard declares first epoch " +
-                            std::to_string(first) +
-                            ", index expects " +
-                            std::to_string(
-                                shardRanges_[cursorShard_]
-                                    .firstEpoch));
+            shardScanner_ = openShard(cursorShard_);
             cursorEpoch_ = 0;
         }
         if (cursorEpoch_ < shardRanges_[cursorShard_].count)
@@ -384,7 +404,9 @@ TraceReader::nextEpoch(std::vector<noc::EpochCell> &cells)
 {
     if (epochsYielded_ >= header_.numEpochs)
         return false;
-    if (sharded()) {
+    if (trace_) {
+        cells = trace_->epochs.epochs[epochsYielded_];
+    } else if (sharded()) {
         panicIf(!advanceEpochShard(),
                 "shard cursor exhausted before declared epochs");
         parseEpochBlock(*shardScanner_, header_.numNodes, cells);
@@ -403,6 +425,20 @@ TraceReader::nextMessages(std::vector<TraceMessage> &batch,
     panicIf(epochsYielded_ < header_.numEpochs,
             "trace epochs must be drained before messages");
     batch.clear();
+    if (trace_) {
+        auto n = static_cast<std::size_t>(header_.numNodes);
+        for (; batch.size() < max && tripletCursor_ < n * n;
+             ++tripletCursor_) {
+            std::size_t s = tripletCursor_ / n;
+            std::size_t d = tripletCursor_ % n;
+            std::uint64_t packets = trace_->packets(s, d);
+            std::uint64_t flits = trace_->flits(s, d);
+            if (packets != 0 || flits != 0)
+                batch.push_back({static_cast<int>(s),
+                                 static_cast<int>(d), packets, flits});
+        }
+        return batch.size();
+    }
     if (sharded() && !scanner_) {
         scanner_ = std::make_unique<LineScanner>(tripletFile_);
         auto &sc = *scanner_;
@@ -459,6 +495,8 @@ TraceReader::numShards() const
 {
     if (sharded())
         return shardFiles_.size();
+    if (trace_)
+        return header_.numEpochs;
     return header_.numEpochs > 0 ? 1 : 0;
 }
 
@@ -468,6 +506,8 @@ TraceReader::shardRange(std::size_t shard) const
     panicIf(shard >= numShards(), "shard index out of range");
     if (sharded())
         return shardRanges_[shard];
+    if (trace_)
+        return ShardRange{shard, 1};
     return ShardRange{0, header_.numEpochs};
 }
 
@@ -479,28 +519,15 @@ TraceReader::readShard(
         &sink) const
 {
     panicIf(shard >= numShards(), "shard index out of range");
+    if (trace_) {
+        sink(shard, std::vector<noc::EpochCell>(
+                        trace_->epochs.epochs[shard]));
+        return;
+    }
     ShardRange range = shardRange(shard);
     std::unique_ptr<LineScanner> scanner;
     if (sharded()) {
-        scanner =
-            std::make_unique<LineScanner>(shardFiles_[shard]);
-        auto &sc = *scanner;
-        if (!sc.next())
-            sc.failTruncated("shard-header", "empty shard file");
-        std::istringstream head(sc.line());
-        std::string magic;
-        int version = 0;
-        std::size_t first = 0;
-        head >> magic >> version >> first;
-        if (head.fail() || magic != "mnoc-shard" || version != 1)
-            sc.fail("shard-header",
-                    "unrecognized shard header: " + sc.line());
-        if (first != range.firstEpoch)
-            sc.fail("shard-header",
-                    "shard declares first epoch " +
-                        std::to_string(first) +
-                        ", index expects " +
-                        std::to_string(range.firstEpoch));
+        scanner = openShard(shard);
     } else {
         scanner = std::make_unique<LineScanner>(
             path_, epochsOffset_, epochsLineno_);

@@ -5,16 +5,18 @@
  *
  * Whole-file loadTrace()/saveTrace() (sim/trace.hh) are re-layered on
  * top of this layer; consumers that must stay bounded in memory --
- * the streamed ledger build, `mnocpt stats/report/faults`, and the
- * bench harness -- pull epoch and message batches directly instead of
- * materializing a Trace.  Two layouts are supported:
+ * the ledger build, `mnocpt stats/report/faults`, and the bench
+ * harness -- pull epoch and message batches directly instead of
+ * materializing a Trace.  A TraceReader has three sources:
  *
  *  - single-file traces ("mnoc-trace 1|2|3"), parsed line by line
- *    with a one-line lookahead, and
+ *    with a one-line lookahead,
  *  - the sharded streaming layout ("mnoc-trace-shards 1"): a
  *    directory holding an index file, epoch shard files (contiguous
  *    epoch ranges), and a triplet file, so epoch shards can be parsed
- *    and consumed in parallel by independent pool tasks.
+ *    and consumed in parallel by independent pool tasks, and
+ *  - an in-memory Trace, served through the same pull interface, so
+ *    the one ledger build prices loaded and captured traces alike.
  *
  * The strict-diagnostics contract of the whole-file parser is
  * preserved verbatim: every malformed or truncated record is a fatal
@@ -40,6 +42,8 @@
 #include "noc/network.hh"
 
 namespace mnoc::sim {
+
+struct Trace;
 
 /** One sparse traffic record: the triplet-section row of the trace
  *  formats, and the unit of a streamed message batch. */
@@ -131,7 +135,7 @@ class LineScanner
 };
 
 /**
- * Pull-based reader over a single-file or sharded trace.
+ * Pull-based reader over a single-file, sharded or in-memory trace.
  *
  * Construction parses the header (through the manifest and the
  * epochs-block header); nextEpoch() then yields epoch cell lists in
@@ -143,13 +147,22 @@ class LineScanner
  * describe the epoch partition and readShard() parses one shard on
  * the calling thread with an independently opened stream, so pool
  * tasks can consume disjoint shards concurrently.  Single-file
- * traces expose their whole epoch block as shard 0.
+ * traces expose their whole epoch block as shard 0; an in-memory
+ * trace exposes one shard per epoch.
  */
 class TraceReader
 {
   public:
     /** Open @p path: a trace file, or a sharded trace directory. */
     explicit TraceReader(const std::string &path);
+
+    /**
+     * Serve @p trace from memory.  The header is the one saveTrace()
+     * would write (version 3 when the trace carries epochs, else 2),
+     * and messages come in saveTrace()'s row-major, skip-zero triplet
+     * order.  @p trace must outlive the reader.
+     */
+    explicit TraceReader(const Trace &trace);
     ~TraceReader();
 
     TraceReader(const TraceReader &) = delete;
@@ -177,7 +190,8 @@ class TraceReader
                              std::size_t max);
 
     /** Epoch-shard count: the parallel grain.  1 for a single-file
-     *  trace with epochs, 0 for an epoch-free trace. */
+     *  trace with epochs, one per epoch in memory, 0 for an
+     *  epoch-free trace. */
     std::size_t numShards() const;
 
     /** Epochs [first, first + count) held by @p shard. */
@@ -215,6 +229,9 @@ class TraceReader
     /** Parse one "epoch <c>" block from @p scanner. */
     static void parseEpochBlock(LineScanner &scanner, int num_nodes,
                                 std::vector<noc::EpochCell> &cells);
+    /** Open shard @p shard's file, its header checked against the
+     *  index. */
+    std::unique_ptr<LineScanner> openShard(std::size_t shard) const;
     /** Advance the sequential cursor to the next epoch source. */
     bool advanceEpochShard();
 
@@ -237,6 +254,11 @@ class TraceReader
     std::size_t cursorEpoch_ = 0;
     std::unique_ptr<LineScanner> shardScanner_;
     std::size_t epochsYielded_ = 0;
+
+    /** In-memory source; null when reading a file or directory. */
+    const Trace *trace_ = nullptr;
+    /** Row-major (src, dst) position of the in-memory triplet walk. */
+    std::size_t tripletCursor_ = 0;
 };
 
 /**

@@ -75,7 +75,7 @@ MNOC_TRACE_SPANS="$DIR/spans.json" "$MNOCPT" evaluate \
     --design "$DIR/t.design" --trace "$DIR/t.trace" > /dev/null
 "$MNOCPT" profile --spans "$DIR/spans.json" \
     --csv "$DIR/profile.csv" | grep -q "inclusive"
-grep -q "buildLedgerStreamed" "$DIR/profile.csv"
+grep -q "buildLedger" "$DIR/profile.csv"
 
 # Suppressed warnings surface in stats even when silenced.
 "$MNOCPT" stats --trace "$DIR/t.trace" \
@@ -104,6 +104,22 @@ cmp -s "$DIR/faults/mnoc_fault_events.csv" \
     "$DIR/faults2/mnoc_fault_events.csv"
 cmp -s "$DIR/faults/mnoc_reliability.csv" \
     "$DIR/faults2/mnoc_reliability.csv"
+
+# One replay engine: `faults` and `adapt` with their defaults write
+# the same series as the MNOC_FAULTS / MNOC_ADAPT report sections.
+"$MNOCPT" faults --design "$DIR/t.design" --trace "$DIR/e.trace" \
+    --map "$DIR/t.map" --seed 7 --dir "$DIR/faults_7" > /dev/null
+MNOC_FAULTS=1 MNOC_FAULT_SEED=7 "$MNOCPT" report \
+    --design "$DIR/t.design" --trace "$DIR/e.trace" --map "$DIR/t.map" \
+    --dir "$DIR/report_f7" > /dev/null
+cmp "$DIR/faults_7/mnoc_reliability.csv" \
+    "$DIR/report_f7/mnoc_reliability.csv"
+"$MNOCPT" adapt --design "$DIR/t.design" --trace "$DIR/e.trace" \
+    --map "$DIR/t.map" --dir "$DIR/adapt_a" > /dev/null
+MNOC_ADAPT=1 "$MNOCPT" report --design "$DIR/t.design" \
+    --trace "$DIR/e.trace" --map "$DIR/t.map" --dir "$DIR/report_a" \
+    > /dev/null
+cmp "$DIR/adapt_a/mnoc_adaptive.csv" "$DIR/report_a/mnoc_adaptive.csv"
 
 # Garbage fault knobs must stop the run, naming the knob.
 if MNOC_FAULTS=2 "$MNOCPT" report --design "$DIR/t.design" \
@@ -147,6 +163,27 @@ grep -q "frobnicate" "$DIR/err_verb.txt"
 if "$MNOCPT" design --modes 2 2>/dev/null; then exit 1; fi
 if "$MNOCPT" yield --design "$DIR/t.design" --trials xyz 2>/dev/null
 then exit 1; fi
+
+# Negative counts and windows, signed or oversized seeds, and repeated
+# options must fail, naming the option.
+# expect_bad_option <option> <mnocpt arguments...>
+expect_bad_option() {
+    option=$1
+    shift
+    if "$MNOCPT" "$@" 2>"$DIR/err_option.txt"; then exit 1; fi
+    grep -q -- "$option" "$DIR/err_option.txt"
+}
+expect_bad_option --window adapt --design "$DIR/t.design" \
+    --trace "$DIR/e.trace" --window -1 --dir "$DIR/bad_adapt"
+expect_bad_option --iterations map --trace "$DIR/t.trace" \
+    --iterations -5 --out "$DIR/bad.map"
+expect_bad_option --seed faults --design "$DIR/t.design" \
+    --trace "$DIR/e.trace" --seed -1 --dir "$DIR/bad_faults"
+expect_bad_option --vseed faults --design "$DIR/t.design" \
+    --trace "$DIR/e.trace" --vseed 18446744073709551616 \
+    --dir "$DIR/bad_faults"
+expect_bad_option --dir report --design "$DIR/t.design" \
+    --trace "$DIR/e.trace" --dir "$DIR/bad_a" --dir "$DIR/bad_b"
 
 # A missing trace fails with the path in the diagnostic.
 if "$MNOCPT" evaluate --design "$DIR/t.design" \

@@ -235,7 +235,7 @@ TEST(Adaptive, ControllerAdaptsToThePhaseChange)
     sim::saveTrace(file, trace);
     auto mapping = identityMapping(kNodes);
 
-    sim::TraceReader static_reader(file);
+    sim::TraceReader static_reader(trace);
     ThreadPool pool(2);
     auto static_ledger = fx.designer.model().buildLedger(
         design, static_reader, &mapping, &pool);

@@ -23,6 +23,7 @@
 #include "qap/multi_start.hh"
 #include "runtime/degradation_controller.hh"
 #include "runtime/fault_timeline.hh"
+#include "sim/trace_stream.hh"
 
 namespace {
 
@@ -303,8 +304,9 @@ TEST(Determinism, LedgerAndSeriesAreBitIdenticalAcrossPoolSizes)
         std::mutex dump_mutex;
         std::string dump;
         pool.parallelFor(8, [&](long long i) {
+            sim::TraceReader reader(trace);
             auto ledger =
-                fx.designer.model().buildLedger(design, trace);
+                fx.designer.model().buildLedger(design, reader);
             if (i == 0) {
                 std::lock_guard<std::mutex> lock(dump_mutex);
                 dump = render(ledger);

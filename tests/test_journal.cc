@@ -391,7 +391,7 @@ spliceJournalBytes(int threads)
     sim::saveTrace(file, trace);
 
     ThreadPool pool(threads);
-    sim::TraceReader static_reader(file);
+    sim::TraceReader static_reader(trace);
     auto static_ledger = fx.designer.model().buildLedger(
         design, static_reader, nullptr, &pool);
 

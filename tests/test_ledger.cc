@@ -12,6 +12,7 @@
 #include "common/metrics.hh"
 #include "core/builders.hh"
 #include "core/energy_ledger.hh"
+#include "sim/trace_stream.hh"
 
 namespace {
 
@@ -43,6 +44,14 @@ struct LedgerFixture
                     t.flits(s, d) = flits_per_pair;
                 }
         return t;
+    }
+
+    /** The ledger build over an in-memory reader of @p trace. */
+    EnergyLedger
+    ledger(const MnocDesign &design, const sim::Trace &trace) const
+    {
+        sim::TraceReader reader(trace);
+        return model.buildLedger(design, reader);
     }
 };
 
@@ -77,7 +86,7 @@ TEST(EnergyLedger, AveragePowerMatchesEvaluate)
         GlobalPowerTopology::singleMode(16));
     auto trace = f.uniformTrace();
     auto direct = f.model.evaluate(design, trace);
-    auto ledger = f.model.buildLedger(design, trace);
+    auto ledger = f.ledger(design, trace);
     auto averaged = ledger.averagePower();
     EXPECT_DOUBLE_EQ(averaged.source, direct.source);
     EXPECT_DOUBLE_EQ(averaged.oe, direct.oe);
@@ -93,7 +102,7 @@ TEST(EnergyLedger, EpochFreeTraceGetsOneSyntheticEpoch)
     LedgerFixture f;
     auto design = f.model.designUniform(
         GlobalPowerTopology::singleMode(16));
-    auto ledger = f.model.buildLedger(design, f.uniformTrace());
+    auto ledger = f.ledger(design, f.uniformTrace());
     EXPECT_EQ(ledger.numEpochs(), 1u);
     EXPECT_EQ(ledger.messagesPerEpoch(), 0u);
     EXPECT_EQ(ledger.numSources(), 16);
@@ -127,8 +136,8 @@ TEST(EnergyLedger, EpochedAttributionMatchesAggregate)
     }
     epoched.epochs.epochs = {first, second};
 
-    auto base = f.model.buildLedger(design, plain);
-    auto split = f.model.buildLedger(design, epoched);
+    auto base = f.ledger(design, plain);
+    auto split = f.ledger(design, epoched);
     ASSERT_EQ(split.numEpochs(), 2u);
     EXPECT_EQ(split.messagesPerEpoch(), 512u);
     EXPECT_NEAR(split.totalEnergy(), base.totalEnergy(),
@@ -155,7 +164,7 @@ TEST(EnergyLedger, SourceEpochPowerCoversAttributedEnergy)
     LedgerFixture f;
     auto design = f.model.designUniform(
         GlobalPowerTopology::singleMode(16));
-    auto ledger = f.model.buildLedger(design, f.uniformTrace());
+    auto ledger = f.ledger(design, f.uniformTrace());
     FlowMatrix heat = ledger.sourceEpochPower();
     ASSERT_EQ(heat.rows(), ledger.numEpochs());
     ASSERT_EQ(heat.cols(), 16u);
@@ -170,7 +179,7 @@ TEST(EnergyLedger, IndexValidationPanics)
     LedgerFixture f;
     auto design = f.model.designUniform(
         GlobalPowerTopology::singleMode(16));
-    auto ledger = f.model.buildLedger(design, f.uniformTrace());
+    auto ledger = f.ledger(design, f.uniformTrace());
     EXPECT_THROW(ledger.cell(-1, 0, 0), PanicError);
     EXPECT_THROW(ledger.cell(16, 0, 0), PanicError);
     EXPECT_THROW(ledger.cell(0, 1, 0), PanicError);
@@ -187,7 +196,7 @@ TEST(EnergyLedger, BuildLeavesMetricsTrail)
     LedgerFixture f;
     auto design = f.model.designUniform(
         GlobalPowerTopology::singleMode(16));
-    f.model.buildLedger(design, f.uniformTrace());
+    f.ledger(design, f.uniformTrace());
     auto &metrics = MetricsRegistry::global();
     EXPECT_EQ(metrics.counter("ledger.builds").value(), 1u);
     auto flits = metrics.series("ledger.epoch_flits").values();

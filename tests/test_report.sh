@@ -1,11 +1,13 @@
 #!/bin/sh
-# Golden-file test for `mnocpt report`: rendering the pinned 256-node
-# trace fixture must reproduce the committed artifacts byte-for-byte.
-# The report stamps its outputs with the *trace's* embedded manifest
-# (gitSha pinned to "0000000" in the fixture), so the bytes are
-# stable across commits; any drift is a deliberate format change and
-# needs regenerated goldens (re-run this pipeline and copy the
-# artifacts into tests/data/golden_report/).
+# Golden-file test for `mnocpt report`, `faults` and `adapt`:
+# rendering the pinned 256-node trace fixture, and replaying the
+# pinned 16-core epoch fixture, must reproduce the committed artifacts
+# byte-for-byte.  Every artifact is stamped with the *trace's*
+# embedded manifest (gitSha pinned to "0000000" in the fixtures), so
+# the bytes are stable across commits; any drift is a deliberate
+# format change and needs regenerated goldens (re-run this pipeline
+# and copy the artifacts into tests/data/golden_report/ and
+# tests/data/golden_replay/).
 #
 # Usage: test_report.sh <mnocpt-binary> <tests/data-dir>
 set -eu
@@ -22,15 +24,43 @@ trap 'rm -rf "$DIR"' EXIT
     --trace "$DATA/golden_trace_256.trace" \
     --dir "$DIR/out" > /dev/null
 
+# Runtime replays of the pinned 16-core epoch fixture: `faults`,
+# `adapt`, and the report with both runtime sections.  The knobs they
+# read are cleared so the defaults are what gets pinned.
+unset MNOC_FAULTS MNOC_ADAPT MNOC_FAULT_SEED MNOC_ADAPT_WINDOW
+EPOCHS="$DATA/golden_epoch_16.trace"
+"$MNOCPT" design --trace "$EPOCHS" --modes 2 --assign comm \
+    --out "$DIR/e.design" > /dev/null
+"$MNOCPT" faults --design "$DIR/e.design" --trace "$EPOCHS" --seed 7 \
+    --dir "$DIR/faults" > /dev/null
+"$MNOCPT" adapt --design "$DIR/e.design" --trace "$EPOCHS" \
+    --dir "$DIR/adapt" > /dev/null
+MNOC_FAULTS=1 MNOC_ADAPT=1 "$MNOCPT" report --design "$DIR/e.design" \
+    --trace "$EPOCHS" --dir "$DIR/replay" > /dev/null
+
 status=0
-for name in mnoc_report.md mnoc_power.csv mnoc_epochs.csv \
-            mnoc_source_power.pgm; do
-    if ! cmp -s "$DIR/out/$name" "$DATA/golden_report/$name"; then
-        echo "test_report: FAIL: $name differs from golden" >&2
-        status=1
-    fi
-done
+# expect_same <output-dir> <golden-dir> <artifact>...
+expect_same() {
+    out=$1
+    golden=$2
+    shift 2
+    for name in "$@"; do
+        if ! cmp -s "$out/$name" "$golden/$name"; then
+            echo "test_report: FAIL: $golden/$name differs" >&2
+            status=1
+        fi
+    done
+}
+expect_same "$DIR/out" "$DATA/golden_report" mnoc_report.md \
+    mnoc_power.csv mnoc_epochs.csv mnoc_source_power.pgm
+expect_same "$DIR/faults" "$DATA/golden_replay/faults" \
+    mnoc_fault_events.csv mnoc_reliability.csv
+expect_same "$DIR/adapt" "$DATA/golden_replay/adapt" \
+    mnoc_adaptive.csv mnoc_adaptive_actions.csv
+expect_same "$DIR/replay" "$DATA/golden_replay/report" mnoc_report.md \
+    mnoc_power.csv mnoc_epochs.csv mnoc_source_power.pgm \
+    mnoc_reliability.csv mnoc_adaptive.csv
 if [ "$status" -ne 0 ]; then
     exit 1
 fi
-echo "test_report: PASS (report artifacts byte-identical)"
+echo "test_report: PASS (report and replay artifacts byte-identical)"

@@ -1,12 +1,15 @@
 /**
  * @file
  * Tests of the streaming trace layer (sim/trace_stream.hh): the
- * streamed ledger build must be bit-identical to the whole-file
- * build at every pool size, the sharded layout must round-trip
- * through loadTrace(), the incremental TraceShardWriter must emit
- * the same bytes as the batch writer, a truncated shard must fail
- * naming the record kind and byte offset, and the recorder's epoch
- * sink must see exactly the epochs the in-memory path accumulates.
+ * ledger build must match a serial reference fold cell for cell from
+ * every reader source (in memory, single file, sharded directory) at
+ * every pool size, the in-memory reader must serve what a reader over
+ * the saved file does, the build must reject a non-permutation map,
+ * the sharded layout must round-trip through loadTrace(), the
+ * incremental TraceShardWriter must emit the same bytes as the batch
+ * writer, a truncated shard must fail naming the record kind and byte
+ * offset, and the recorder's epoch sink must see exactly the epochs
+ * the in-memory path accumulates.
  */
 
 #include <gtest/gtest.h>
@@ -19,8 +22,10 @@
 #include <vector>
 
 #include "common/log.hh"
+#include "common/manifest.hh"
 #include "common/prng.hh"
 #include "common/thread_pool.hh"
+#include "core/accrual.hh"
 #include "core/builders.hh"
 #include "core/energy_ledger.hh"
 #include "noc/network.hh"
@@ -34,7 +39,7 @@ using namespace mnoc;
 using namespace mnoc::core;
 
 /** Bit-exact cell-by-cell ledger comparison (no tolerance: the
- *  streamed build promises identity, not closeness). */
+ *  build promises identity, not closeness). */
 void
 expectSameLedger(const EnergyLedger &a, const EnergyLedger &b)
 {
@@ -42,9 +47,10 @@ expectSameLedger(const EnergyLedger &a, const EnergyLedger &b)
     ASSERT_EQ(a.numModes(), b.numModes());
     ASSERT_EQ(a.numEpochs(), b.numEpochs());
     ASSERT_EQ(a.durationSeconds(), b.durationSeconds());
-    ASSERT_EQ(a.messagesPerEpoch(), b.messagesPerEpoch());
     for (int s = 0; s < a.numSources(); ++s) {
         for (int m = 0; m < a.numModes(); ++m) {
+            ASSERT_EQ(a.loss(s, m).injected, b.loss(s, m).injected);
+            ASSERT_EQ(a.loss(s, m).delivered, b.loss(s, m).delivered);
             for (std::size_t e = 0; e < a.numEpochs(); ++e) {
                 const auto &x = a.cell(s, m, e);
                 const auto &y = b.cell(s, m, e);
@@ -130,56 +136,198 @@ slurp(const std::string &path)
     return out.str();
 }
 
-TEST(TraceStream, StreamedLedgerMatchesWholeFileOnGoldenFixture)
+/**
+ * Reference attribution with no reader and no pool in the loop: a
+ * serial fold of every epoch cell (every (src, dst) pair for an
+ * epoch-free trace) through the accrual plan, then the loss walk.
+ */
+EnergyLedger
+referenceLedger(const MnocPowerModel &model, const MnocDesign &design,
+                const sim::Trace &trace)
 {
-    const std::string path =
-        std::string(MNOC_TEST_DATA_DIR) + "/golden_trace_256.trace";
-    auto whole = sim::loadTrace(path);
+    int n = static_cast<int>(trace.flits.rows());
+    std::size_t epochs =
+        trace.epochs.empty() ? 1 : trace.epochs.epochs.size();
+    EnergyLedger ledger(n, design.topology.numModes, epochs,
+                        static_cast<double>(trace.totalTicks) /
+                            model.params().net.clockHz);
+    AccrualPlan plan(design, model.params(), model.crossbar().params(),
+                     n);
+    if (trace.epochs.empty()) {
+        for (int s = 0; s < n; ++s)
+            for (int d = 0; d < n; ++d)
+                plan.accrue(ledger, s, d, trace.flits(s, d), 0);
+    } else {
+        for (std::size_t e = 0; e < epochs; ++e)
+            for (const noc::EpochCell &cell : trace.epochs.epochs[e])
+                plan.accrue(ledger, cell.src, cell.dst, cell.flits, e);
+    }
+    model.attachLosses(design, ledger);
+    return ledger;
+}
 
-    optics::SerpentineLayout layout(256, Meters(0.08));
+/** Build @p trace's ledger from every reader source -- in memory, a
+ *  single file, a sharded directory -- at pools of 1, 2 and 8, and
+ *  require each to match the serial reference bit for bit. */
+void
+expectEverySourceMatchesReference(const sim::Trace &trace,
+                                  Meters waveguide,
+                                  const std::string &stem)
+{
+    int n = static_cast<int>(trace.flits.rows());
+    optics::SerpentineLayout layout(n, waveguide);
     optics::DeviceParams params;
     optics::OpticalCrossbar xbar(layout, params);
     MnocPowerModel model(xbar, PowerParams{});
-    auto design =
-        model.designUniform(distanceBasedTopology(256, 2));
+    auto design = model.designUniform(distanceBasedTopology(n, 2));
 
-    auto reference = model.buildLedger(design, whole);
-    auto mapping = identityMapping(256);
-    for (int threads : {1, 2, 8}) {
-        ThreadPool pool(threads);
-        sim::TraceReader reader(path);
-        auto streamed =
-            model.buildLedger(design, reader, &mapping, &pool);
-        expectSameLedger(reference, streamed);
-    }
-}
-
-TEST(TraceStream, StreamedEpochLedgerMatchesAtAnyPoolSize)
-{
-    auto trace = epochTrace();
-    std::string file = scratchPath("stream_epochs.trace");
-    std::string dir = scratchPath("stream_epochs.mshards");
+    std::string file = scratchPath(stem + ".trace");
+    std::string dir = scratchPath(stem + ".mshards");
     std::filesystem::remove_all(dir);
     sim::saveTrace(file, trace);
     sim::saveShardedTrace(dir, trace, 4);
 
+    auto reference = referenceLedger(model, design, trace);
+    auto mapping = identityMapping(n);
+    for (int threads : {1, 2, 8}) {
+        ThreadPool pool(threads);
+        sim::TraceReader memory(trace);
+        sim::TraceReader single(file);
+        sim::TraceReader sharded(dir);
+        for (sim::TraceReader *reader : {&memory, &single, &sharded}) {
+            SCOPED_TRACE("pool " + std::to_string(threads) +
+                         ", source version " +
+                         std::to_string(reader->header().version));
+            auto ledger =
+                model.buildLedger(design, *reader, &mapping, &pool);
+            expectSameLedger(reference, ledger);
+            EXPECT_EQ(ledger.messagesPerEpoch(),
+                      reader->header().messagesPerEpoch);
+        }
+    }
+}
+
+TEST(TraceStream, LedgerMatchesReferenceOnGoldenFixture)
+{
+    expectEverySourceMatchesReference(
+        sim::loadTrace(std::string(MNOC_TEST_DATA_DIR) +
+                       "/golden_trace_256.trace"),
+        Meters(0.08), "stream_golden");
+}
+
+TEST(TraceStream, EpochLedgerMatchesReferenceAtAnyPoolSize)
+{
+    expectEverySourceMatchesReference(epochTrace(), Meters(0.05),
+                                      "stream_epochs");
+}
+
+/** Every epoch @p reader yields, in order. */
+std::vector<std::vector<noc::EpochCell>>
+drainEpochs(sim::TraceReader &reader)
+{
+    std::vector<std::vector<noc::EpochCell>> epochs;
+    std::vector<noc::EpochCell> cells;
+    while (reader.nextEpoch(cells))
+        epochs.push_back(cells);
+    return epochs;
+}
+
+/** Every message @p reader yields, pulled in small batches. */
+std::vector<sim::TraceMessage>
+drainMessages(sim::TraceReader &reader)
+{
+    std::vector<sim::TraceMessage> messages;
+    std::vector<sim::TraceMessage> batch;
+    while (reader.nextMessages(batch, 7) > 0)
+        messages.insert(messages.end(), batch.begin(), batch.end());
+    return messages;
+}
+
+void
+expectSameCells(const std::vector<noc::EpochCell> &a,
+                const std::vector<noc::EpochCell> &b)
+{
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        EXPECT_EQ(a[i].src, b[i].src);
+        EXPECT_EQ(a[i].dst, b[i].dst);
+        EXPECT_EQ(a[i].packets, b[i].packets);
+        EXPECT_EQ(a[i].flits, b[i].flits);
+    }
+}
+
+TEST(TraceStream, InMemoryReaderServesWhatTheSavedFileDoes)
+{
+    auto epoched = epochTrace(10, 6);
+    auto plain = epoched;
+    plain.epochs = {};
+    for (const sim::Trace *trace : {&epoched, &plain}) {
+        std::string file = scratchPath("memory_roundtrip.trace");
+        sim::saveTrace(file, *trace);
+        sim::TraceReader memory(*trace);
+        sim::TraceReader saved(file);
+
+        const auto &a = memory.header();
+        const auto &b = saved.header();
+        EXPECT_EQ(a.version, b.version);
+        EXPECT_EQ(a.workloadName, b.workloadName);
+        EXPECT_EQ(a.networkName, b.networkName);
+        EXPECT_EQ(a.numNodes, b.numNodes);
+        EXPECT_EQ(a.totalTicks, b.totalTicks);
+        EXPECT_EQ(manifestJson(a.manifest), manifestJson(b.manifest));
+        EXPECT_EQ(a.numEpochs, b.numEpochs);
+        EXPECT_EQ(a.messagesPerEpoch, b.messagesPerEpoch);
+
+        // Shard by shard, the in-memory reader covers every epoch
+        // once, in the order the file holds them.
+        std::vector<std::vector<noc::EpochCell>> sharded(a.numEpochs);
+        for (std::size_t s = 0; s < memory.numShards(); ++s)
+            memory.readShard(s, [&](std::size_t epoch,
+                                    std::vector<noc::EpochCell> &&cells) {
+                sharded[epoch] = std::move(cells);
+            });
+        auto expected = drainEpochs(saved);
+        auto pulled = drainEpochs(memory);
+        ASSERT_EQ(pulled.size(), expected.size());
+        for (std::size_t e = 0; e < expected.size(); ++e) {
+            expectSameCells(pulled[e], expected[e]);
+            expectSameCells(sharded[e], expected[e]);
+        }
+
+        auto want = drainMessages(saved);
+        auto got = drainMessages(memory);
+        ASSERT_EQ(got.size(), want.size());
+        ASSERT_FALSE(want.empty());
+        for (std::size_t i = 0; i < want.size(); ++i) {
+            EXPECT_EQ(got[i].src, want[i].src);
+            EXPECT_EQ(got[i].dst, want[i].dst);
+            EXPECT_EQ(got[i].packets, want[i].packets);
+            EXPECT_EQ(got[i].flits, want[i].flits);
+        }
+    }
+}
+
+TEST(TraceStream, BuildRejectsANonPermutationMap)
+{
+    auto trace = epochTrace(4, 6);
     optics::SerpentineLayout layout(16, Meters(0.05));
     optics::DeviceParams params;
     optics::OpticalCrossbar xbar(layout, params);
     MnocPowerModel model(xbar, PowerParams{});
     auto design = model.designUniform(distanceBasedTopology(16, 2));
 
-    auto reference = model.buildLedger(design, trace);
-    ASSERT_EQ(reference.numEpochs(), trace.epochs.epochs.size());
+    // Threads 3 and 5 both land on core 5.
     auto mapping = identityMapping(16);
-    for (const std::string &source : {file, dir}) {
-        for (int threads : {1, 2, 8}) {
-            ThreadPool pool(threads);
-            sim::TraceReader reader(source);
-            auto streamed =
-                model.buildLedger(design, reader, &mapping, &pool);
-            expectSameLedger(reference, streamed);
-        }
+    mapping[3] = 5;
+    sim::TraceReader reader(trace);
+    try {
+        auto ledger = model.buildLedger(design, reader, &mapping);
+        FAIL() << "ledger build accepted a non-permutation map over "
+               << ledger.numEpochs() << " epochs";
+    } catch (const FatalError &error) {
+        std::string what = error.what();
+        EXPECT_NE(what.find("core 5 is used twice"), std::string::npos)
+            << what;
     }
 }
 

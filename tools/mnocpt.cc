@@ -41,8 +41,10 @@
  * The report/faults/stats/evaluate verbs pull the trace through the
  * streaming reader (sim/trace_stream.hh), so they run in bounded
  * memory on radix-1024 and radix-4096 captures; sharded traces fan
- * their epoch shards across the MNOC_THREADS pool, bit-identical to
- * the single-threaded whole-file path.
+ * their epoch shards across the MNOC_THREADS pool, bit-identical at
+ * any pool size.  The replay verbs (evaluate, faults, adapt, report)
+ * share one setup, and report's MNOC_FAULTS/MNOC_ADAPT sections run
+ * the very fault and adaptive replays of `faults` and `adapt`.
  *
  * Examples:
  *   mnocpt simulate --benchmark water_s --cores 64 --out ws.trace
@@ -68,6 +70,7 @@
  */
 
 #include <array>
+#include <cctype>
 #include <cerrno>
 #include <climits>
 #include <cmath>
@@ -79,6 +82,7 @@
 #include <iostream>
 #include <map>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -122,7 +126,8 @@ class Args
             fatalIf(key.size() < 3 || key.substr(0, 2) != "--",
                     "expected --option, got: " + key);
             fatalIf(i + 1 >= argc, "missing value for " + key);
-            values_[key.substr(2)] = argv[++i];
+            bool fresh = values_.emplace(key.substr(2), argv[++i]).second;
+            fatalIf(!fresh, "option " + key + " given more than once");
         }
     }
 
@@ -163,6 +168,35 @@ class Args
                 "option --" + key + " needs an integer, got: " +
                     it->second);
         return static_cast<int>(value);
+    }
+
+    /** Non-negative integer option: a count or a window. */
+    int
+    getCount(const std::string &key, int fallback) const
+    {
+        int value = getInt(key, fallback);
+        fatalIf(value < 0, "option --" + key +
+                               " must be non-negative, got: " +
+                               std::to_string(value));
+        return value;
+    }
+
+    /** Unsigned 64-bit option (a seed): digits only, full range. */
+    std::uint64_t
+    getU64(const std::string &key, std::uint64_t fallback) const
+    {
+        if (!has(key))
+            return fallback;
+        std::string text = get(key);
+        errno = 0;
+        char *end = nullptr;
+        unsigned long long value = std::strtoull(text.c_str(), &end, 10);
+        // strtoull accepts a sign (and wraps "-1"); a seed is digits.
+        fatalIf(!std::isdigit(static_cast<unsigned char>(text[0])) ||
+                    errno != 0 || *end != '\0',
+                "option --" + key +
+                    " needs an unsigned 64-bit integer, got: " + text);
+        return static_cast<std::uint64_t>(value);
     }
 
     double
@@ -286,7 +320,7 @@ int
 cmdSimulate(const Args &args)
 {
     std::string benchmark = args.get("benchmark");
-    int cores = args.getInt("cores", 64);
+    int cores = args.getCount("cores", 64);
     std::string out = args.get("out");
 
     Context ctx(cores);
@@ -296,7 +330,7 @@ cmdSimulate(const Args &args)
     sim::SimConfig config;
     config.numCores = cores;
     workloads::WorkloadScale scale;
-    scale.opsPerThread = args.getInt("ops", 4000);
+    scale.opsPerThread = args.getCount("ops", 4000);
     auto workload = workloads::makeWorkload(benchmark, scale);
 
     // An --out ending in .mshards streams sealed epochs straight into
@@ -305,7 +339,7 @@ cmdSimulate(const Args &args)
     // count and manifest) is written after the run completes.
     std::unique_ptr<sim::TraceShardWriter> shards;
     if (wantsShardedTrace(out)) {
-        int epochs_per_shard = args.getInt("epochs-per-shard", 256);
+        int epochs_per_shard = args.getCount("epochs-per-shard", 256);
         fatalIf(epochs_per_shard < 1,
                 "--epochs-per-shard must be positive");
         shards = std::make_unique<sim::TraceShardWriter>(
@@ -319,7 +353,7 @@ cmdSimulate(const Args &args)
     }
 
     auto result = sim::runSimulation(config, network, *workload,
-                                     args.getInt("seed", 1));
+                                     args.getU64("seed", 1));
     auto trace = sim::toTrace(result);
     if (shards)
         shards->finish(trace.totalTicks, trace.packets, trace.flits,
@@ -341,7 +375,7 @@ cmdMap(const Args &args)
     Context ctx(cores);
 
     core::MappingParams params;
-    params.tabooIterations = args.getInt("iterations", 20000);
+    params.tabooIterations = args.getCount("iterations", 20000);
     auto result = ctx.designer.map(toFlowMatrix(trace.flits),
                                    core::MappingMethod::Taboo, params);
 
@@ -367,8 +401,8 @@ resilienceOptions(const Args &args)
     core::ResilienceParams out;
     out.variation =
         faults::VariationSpec{}.scaled(args.getDouble("vtol", 1.0));
-    out.trials = args.getInt("trials", 200);
-    out.seed = static_cast<std::uint64_t>(args.getInt("vseed", 1));
+    out.trials = args.getCount("trials", 200);
+    out.seed = args.getU64("vseed", 1);
     out.marginStep = DecibelLoss(args.getDouble("margin-step", 0.5));
     out.maxMargin = DecibelLoss(args.getDouble("max-margin", 6.0));
     out.criteria.requiredMargin =
@@ -408,9 +442,7 @@ cmdYield(const Args &args)
     Context ctx(cores);
 
     core::ResilienceParams options = resilienceOptions(args);
-    if (args.has("seed"))
-        options.seed =
-            static_cast<std::uint64_t>(args.getInt("seed", 1));
+    options.seed = args.getU64("seed", options.seed);
     auto report = faults::analyzeYield(
         ctx.layout, ctx.crossbar.params(), design.sources,
         options.variation, options.trials, options.seed,
@@ -492,7 +524,7 @@ cmdDesign(const Args &args)
     FlowMatrix flow = toFlowMatrix(mapped.flits);
 
     core::DesignSpec spec;
-    spec.numModes = args.getInt("modes", 2);
+    spec.numModes = args.getCount("modes", 2);
     std::string assign = args.get("assign", "distance");
     if (assign == "comm") {
         spec.assignment = core::Assignment::CommAware;
@@ -540,18 +572,61 @@ cmdDesign(const Args &args)
     return 0;
 }
 
+/**
+ * The setup of the trace-replay verbs (evaluate, faults, adapt,
+ * report): --design, --map (or identity), a reader on --trace, and
+ * the --dir/--prefix output base.  Artifacts and the journal header
+ * are stamped with the *trace's* manifest, not this invocation's, so
+ * re-rendering a stored trace is byte-stable at any pool size.
+ */
+struct Replay
+{
+    explicit Replay(const Args &args)
+        : design(core::loadDesign(args.get("design"))),
+          cores(design.topology.numNodes), ctx(cores),
+          mapping(args.has("map") ? loadMapping(args.get("map"), cores)
+                                  : identity(cores)),
+          tracePath(args.get("trace")), reader(tracePath),
+          header(reader.header()), stamp(manifestJson(header.manifest)),
+          dir(args.get("dir", ".")), prefix(args.get("prefix", "mnoc_"))
+    {
+        if (journalEnabled())
+            Journal::global().setManifest(stamp);
+    }
+
+    /** The deployed design's ledger: one pass over the trace, epoch
+     *  shards fanned across the MNOC_THREADS pool. */
+    core::EnergyLedger
+    staticLedger()
+    {
+        return ctx.designer.model().buildLedger(design, reader, &mapping);
+    }
+
+    /** Create --dir and return "<dir>/<prefix>", the artifacts' base. */
+    std::string
+    outputBase() const
+    {
+        std::filesystem::create_directories(dir);
+        return dir + "/" + prefix;
+    }
+
+    core::MnocDesign design;
+    int cores;
+    Context ctx;
+    std::vector<int> mapping;
+    std::string tracePath;
+    sim::TraceReader reader;
+    const sim::TraceHeader &header;
+    std::string stamp;
+    std::string dir;
+    std::string prefix;
+};
+
 int
 cmdEvaluate(const Args &args)
 {
-    auto design = core::loadDesign(args.get("design"));
-    int cores = design.topology.numNodes;
-    Context ctx(cores);
-
-    auto mapping = args.has("map")
-                       ? loadMapping(args.get("map"), cores)
-                       : identity(cores);
-    auto breakdown = ctx.designer.evaluateStreamed(
-        design, args.get("trace"), mapping);
+    Replay replay(args);
+    auto breakdown = replay.staticLedger().averagePower();
 
     TextTable table;
     table.addRow({"component", "power (W)"});
@@ -602,16 +677,47 @@ sci(double value)
     return os.str();
 }
 
-/** One as-fabricated draw for the runtime controller to degrade
- *  from; --vtol 0 (the default for `faults`) gives the identity
- *  draw, i.e. a nominal die. */
-faults::DeviceVariation
-drawBaseVariation(const Context &ctx, int cores, double vtol,
-                  std::uint64_t vseed)
+/** The `faults` flags --seed, --fault-scale, --vtol (sigma scale of
+ *  the as-fabricated draw; 0 is a nominal die), --vseed and
+ *  --link-margin.  Their defaults, with the seed from
+ *  MNOC_FAULT_SEED, are what the MNOC_FAULTS=1 report runs. */
+struct FaultOptions
 {
-    Prng prng(vseed);
-    return faults::drawVariation(faults::VariationSpec{}.scaled(vtol),
-                                 ctx.crossbar.params(), cores, prng);
+    std::uint64_t seed = 1;
+    double scale = 1.0;
+    double vtol = 0.0;
+    std::uint64_t vseed = 1;
+    DecibelLoss linkMargin{0.0};
+};
+
+/** A fault replay's seeded schedule and the controller's record. */
+struct FaultReplay
+{
+    runtime::FaultTimeline timeline;
+    runtime::DegradationLog log;
+};
+
+/** Replay the trace's epochs under a seeded runtime fault timeline
+ *  with the graceful-degradation controller, charging its
+ *  reconfiguration energy into @p ledger. */
+FaultReplay
+replayFaults(const Replay &replay, core::EnergyLedger &ledger,
+             const FaultOptions &options)
+{
+    runtime::FaultTimeline timeline(
+        runtime::FaultTimelineSpec{}.scaled(options.scale), replay.cores,
+        replay.design.topology.numModes, ledger.numEpochs(),
+        options.seed);
+    Prng prng(options.vseed);
+    auto variation = faults::drawVariation(
+        faults::VariationSpec{}.scaled(options.vtol),
+        replay.ctx.crossbar.params(), replay.cores, prng);
+    runtime::DegradationPolicy policy;
+    policy.requiredMargin = options.linkMargin;
+    auto log = runtime::runDegradationController(
+        replay.ctx.layout, replay.design, variation, timeline, policy,
+        &ledger);
+    return {std::move(timeline), std::move(log)};
 }
 
 /** Per-epoch reliability time series: margins around the rule table,
@@ -646,44 +752,17 @@ writeReliabilityCsv(const std::string &path, const std::string &stamp,
 int
 cmdFaults(const Args &args)
 {
-    auto design = core::loadDesign(args.get("design"));
-    int cores = design.topology.numNodes;
-    Context ctx(cores);
+    Replay replay(args);
+    FaultOptions options;
+    options.seed =
+        args.has("seed") ? args.getU64("seed", 1) : faultSeed();
+    options.scale = args.getDouble("fault-scale", options.scale);
+    options.vtol = args.getDouble("vtol", options.vtol);
+    options.vseed = args.getU64("vseed", options.vseed);
+    options.linkMargin = DecibelLoss(args.getDouble("link-margin", 0.0));
 
-    auto mapping = args.has("map")
-                       ? loadMapping(args.get("map"), cores)
-                       : identity(cores);
-    // Streamed attribution: the trace is pulled epoch by epoch, never
-    // materialized, so fault replays scale to radix-4096 captures.
-    sim::TraceReader reader(args.get("trace"));
-    sim::checkCoreMapping(mapping, reader.header().numNodes);
-    auto ledger =
-        ctx.designer.model().buildLedger(design, reader, &mapping);
-    const RunManifest trace_manifest = reader.header().manifest;
-    // Journal bytes must not depend on the rendering process's pool
-    // size, so the header is stamped with the trace's manifest, the
-    // same provenance the CSV artifacts carry.
-    if (journalEnabled())
-        Journal::global().setManifest(manifestJson(trace_manifest));
-
-    std::uint64_t seed =
-        args.has("seed")
-            ? static_cast<std::uint64_t>(args.getInt("seed", 1))
-            : faultSeed();
-    auto spec = runtime::FaultTimelineSpec{}.scaled(
-        args.getDouble("fault-scale", 1.0));
-    runtime::FaultTimeline timeline(spec, cores,
-                                    design.topology.numModes,
-                                    ledger.numEpochs(), seed);
-    auto variation = drawBaseVariation(
-        ctx, cores, args.getDouble("vtol", 0.0),
-        static_cast<std::uint64_t>(args.getInt("vseed", 1)));
-
-    runtime::DegradationPolicy policy;
-    policy.requiredMargin =
-        DecibelLoss(args.getDouble("link-margin", 0.0));
-    auto log = runtime::runDegradationController(
-        ctx.layout, design, variation, timeline, policy, &ledger);
+    auto ledger = replay.staticLedger();
+    auto [timeline, log] = replayFaults(replay, ledger, options);
 
     double worst_before = 1e9, worst_after = 1e9;
     for (const auto &epoch : log.epochs) {
@@ -698,7 +777,7 @@ cmdFaults(const Args &args)
     table.addRow({"epochs", std::to_string(log.epochs.size())});
     table.addRow(
         {"fault events", std::to_string(timeline.events().size())});
-    table.addRow({"fault seed", std::to_string(seed)});
+    table.addRow({"fault seed", std::to_string(options.seed)});
     table.addRow({"trims", std::to_string(log.countActions(
                                ActionKind::Trim))});
     table.addRow({"relaxes", std::to_string(log.countActions(
@@ -719,16 +798,11 @@ cmdFaults(const Args &args)
                   sci(log.totalReconfigEnergy)});
     table.print(std::cout);
 
-    std::string dir = args.get("dir", ".");
-    std::filesystem::create_directories(dir);
-    std::string prefix = args.get("prefix", "mnoc_");
-    std::string base = dir + "/" + prefix;
-    std::string stamp = manifestJson(trace_manifest);
-
+    std::string base = replay.outputBase();
     std::string events_csv = base + "fault_events.csv";
     {
         CsvWriter csv(events_csv);
-        csv.writeRow({"# " + stamp});
+        csv.writeRow({"# " + replay.stamp});
         csv.writeRow({"kind", "start_epoch", "end_epoch", "node",
                       "mode", "magnitude"});
         for (const auto &event : timeline.events()) {
@@ -744,7 +818,7 @@ cmdFaults(const Args &args)
     }
 
     std::string reliability_csv = base + "reliability.csv";
-    writeReliabilityCsv(reliability_csv, stamp, ledger, log);
+    writeReliabilityCsv(reliability_csv, replay.stamp, ledger, log);
 
     std::cout << "fault log written to " << events_csv
               << ", reliability series to " << reliability_csv
@@ -766,6 +840,33 @@ adaptivePolicy(const core::MnocDesign &design)
     policy.candidateSpec.assignment = core::Assignment::CommAware;
     policy.candidateSpec.weights = core::WeightSource::DesignFlow;
     return policy;
+}
+
+/** An adaptive replay's run record and its reconciliation. */
+struct AdaptiveReplay
+{
+    runtime::AdaptiveLog log;
+    runtime::AdaptiveComparison comparison;
+};
+
+/** Replay the trace's epochs again, under the traffic-driven adaptive
+ *  controller with @p policy, accruing into a ledger of its own, and
+ *  reconcile that against @p static_ledger. */
+AdaptiveReplay
+replayAdaptive(const Replay &replay, const core::EnergyLedger &static_ledger,
+               const runtime::AdaptivePolicy &policy)
+{
+    sim::TraceReader reader(replay.tracePath);
+    core::EnergyLedger adaptive_ledger(
+        replay.cores, replay.design.topology.numModes,
+        static_ledger.numEpochs(), static_ledger.durationSeconds());
+    AdaptiveReplay out;
+    out.log = runtime::runAdaptiveController(
+        replay.ctx.designer, replay.design, policy, reader,
+        &replay.mapping, &adaptive_ledger);
+    out.comparison = runtime::reconcileAdaptive(
+        static_ledger, adaptive_ledger, out.log);
+    return out;
 }
 
 /** Per-epoch adaptive time series: active candidate, actions fired,
@@ -795,54 +896,30 @@ writeAdaptiveCsv(const std::string &path, const std::string &stamp,
 int
 cmdAdapt(const Args &args)
 {
-    auto design = core::loadDesign(args.get("design"));
-    int cores = design.topology.numNodes;
-    Context ctx(cores);
-
-    auto mapping = args.has("map")
-                       ? loadMapping(args.get("map"), cores)
-                       : identity(cores);
-
-    // Pass 1 -- static baseline: the deployed design accrues the
-    // whole trace, exactly as `report` would attribute it.
-    sim::TraceReader static_reader(args.get("trace"));
-    sim::checkCoreMapping(mapping, static_reader.header().numNodes);
-    auto static_ledger = ctx.designer.model().buildLedger(
-        design, static_reader, &mapping);
-    const RunManifest trace_manifest =
-        static_reader.header().manifest;
-    // Same rule as the CSV artifacts: stamp the journal with the
-    // trace's manifest so its bytes are thread-count-invariant.
-    if (journalEnabled())
-        Journal::global().setManifest(manifestJson(trace_manifest));
-
-    runtime::AdaptivePolicy policy = adaptivePolicy(design);
+    Replay replay(args);
+    runtime::AdaptivePolicy policy = adaptivePolicy(replay.design);
     policy.phaseChangeThreshold = args.getDouble(
         "phase-threshold", policy.phaseChangeThreshold);
     if (args.has("window"))
         policy.trafficWindow =
-            static_cast<std::size_t>(args.getInt("window", 4));
+            static_cast<std::size_t>(args.getCount("window", 4));
     policy.switchGainThreshold =
         args.getDouble("gain-threshold", policy.switchGainThreshold);
     policy.epochsToSwitch =
-        args.getInt("switch-epochs", policy.epochsToSwitch);
+        args.getCount("switch-epochs", policy.epochsToSwitch);
     policy.maxCandidates =
-        args.getInt("max-candidates", policy.maxCandidates);
+        args.getCount("max-candidates", policy.maxCandidates);
     policy.switchEnergyPerSource = args.getDouble(
         "switch-energy", policy.switchEnergyPerSource);
     policy.candidateMargin =
         DecibelLoss(args.getDouble("margin", 0.0));
 
-    // Pass 2 -- the adaptive run, accruing into its own ledger.
-    sim::TraceReader reader(args.get("trace"));
-    core::EnergyLedger adaptive_ledger(
-        cores, design.topology.numModes, static_ledger.numEpochs(),
-        static_ledger.durationSeconds());
-    auto log = runtime::runAdaptiveController(
-        ctx.designer, design, policy, reader, &mapping,
-        &adaptive_ledger);
-    auto comparison = runtime::reconcileAdaptive(
-        static_ledger, adaptive_ledger, log);
+    // Pass 1 -- static baseline: the deployed design accrues the
+    // whole trace, exactly as `report` would attribute it.  Pass 2 --
+    // the adaptive run.
+    auto static_ledger = replay.staticLedger();
+    auto [log, comparison] =
+        replayAdaptive(replay, static_ledger, policy);
 
     using runtime::AdaptiveActionKind;
     TextTable table;
@@ -882,19 +959,14 @@ cmdAdapt(const Args &args)
                                      3)});
     table.print(std::cout);
 
-    std::string dir = args.get("dir", ".");
-    std::filesystem::create_directories(dir);
-    std::string prefix = args.get("prefix", "mnoc_");
-    std::string base = dir + "/" + prefix;
-    std::string stamp = manifestJson(trace_manifest);
-
+    std::string base = replay.outputBase();
     std::string adaptive_csv = base + "adaptive.csv";
-    writeAdaptiveCsv(adaptive_csv, stamp, log);
+    writeAdaptiveCsv(adaptive_csv, replay.stamp, log);
 
     std::string actions_csv = base + "adaptive_actions.csv";
     {
         CsvWriter csv(actions_csv);
-        csv.writeRow({"# " + stamp});
+        csv.writeRow({"# " + replay.stamp});
         csv.writeRow(
             {"epoch", "kind", "design", "gain", "energy_cost_j"});
         for (const auto &action : log.actions) {
@@ -916,78 +988,31 @@ cmdAdapt(const Args &args)
 int
 cmdReport(const Args &args)
 {
-    auto design = core::loadDesign(args.get("design"));
-    int cores = design.topology.numNodes;
-    Context ctx(cores);
+    Replay replay(args);
+    auto ledger = replay.staticLedger();
 
-    auto mapping = args.has("map")
-                       ? loadMapping(args.get("map"), cores)
-                       : identity(cores);
-    // Streamed attribution: epoch shards fan out across the
-    // MNOC_THREADS pool; the rendered bytes are identical to the
-    // whole-file path at any thread count.
-    sim::TraceReader reader(args.get("trace"));
-    const sim::TraceHeader &trace_header = reader.header();
-    sim::checkCoreMapping(mapping, trace_header.numNodes);
-    if (journalEnabled())
-        Journal::global().setManifest(
-            manifestJson(trace_header.manifest));
-    auto ledger =
-        ctx.designer.model().buildLedger(design, reader, &mapping);
-
-    // MNOC_FAULTS=1 replays the epochs under the default fault
-    // timeline (seeded by MNOC_FAULT_SEED) before the averages are
-    // taken, so the report's power numbers include the charged
-    // reconfiguration energy.  Off by default: the unfaulted report
-    // stays byte-identical.
-    bool faults_on = faultsEnabled();
-    runtime::DegradationLog deg_log;
-    std::size_t fault_events = 0;
-    std::uint64_t fault_seed_used = 0;
-    if (faults_on) {
-        fault_seed_used = faultSeed();
-        runtime::FaultTimeline timeline(
-            runtime::FaultTimelineSpec{}, cores,
-            design.topology.numModes, ledger.numEpochs(),
-            fault_seed_used);
-        fault_events = timeline.events().size();
-        auto variation = drawBaseVariation(ctx, cores, 0.0, 1);
-        deg_log = runtime::runDegradationController(
-            ctx.layout, design, variation, timeline,
-            runtime::DegradationPolicy{}, &ledger);
-    }
+    // MNOC_FAULTS=1 runs the `faults` replay with its defaults before
+    // the averages are taken, so the report's power numbers include
+    // the charged reconfiguration energy.  Off by default: the
+    // unfaulted report stays byte-identical.
+    std::optional<FaultReplay> fault_run;
+    if (faultsEnabled())
+        fault_run = replayFaults(replay, ledger, FaultOptions{faultSeed()});
     auto power = ledger.averagePower();
 
-    // MNOC_ADAPT=1 replays the epochs a second time under the
-    // traffic-driven adaptive controller and adds a static-vs-
-    // adaptive comparison section.  Off by default: the static
-    // report stays byte-identical.
-    bool adapt_on = adaptEnabled();
-    runtime::AdaptiveLog adapt_log;
-    runtime::AdaptiveComparison adapt_cmp;
-    if (adapt_on) {
-        runtime::AdaptivePolicy policy = adaptivePolicy(design);
-        sim::TraceReader adapt_reader(args.get("trace"));
-        core::EnergyLedger adaptive_ledger(
-            cores, design.topology.numModes, ledger.numEpochs(),
-            ledger.durationSeconds());
-        adapt_log = runtime::runAdaptiveController(
-            ctx.designer, design, policy, adapt_reader, &mapping,
-            &adaptive_ledger);
-        adapt_cmp = runtime::reconcileAdaptive(ledger,
-                                               adaptive_ledger,
-                                               adapt_log);
-    }
+    // MNOC_ADAPT=1 runs the `adapt` replay with its defaults and adds
+    // a static-vs-adaptive comparison section.  Off by default: the
+    // static report stays byte-identical.
+    std::optional<AdaptiveReplay> adapt_run;
+    if (adaptEnabled())
+        adapt_run = replayAdaptive(replay, ledger,
+                                   adaptivePolicy(replay.design));
 
-    std::string dir = args.get("dir", ".");
-    std::filesystem::create_directories(dir);
-    std::string prefix = args.get("prefix", "mnoc_");
-    std::string base = dir + "/" + prefix;
-    // Stamp artifacts with the *trace's* embedded manifest: the
-    // report describes that captured run, not this invocation, and
-    // the stamp stays stable when the same trace is re-rendered.
-    std::string stamp = manifestJson(trace_header.manifest);
-
+    std::string base = replay.outputBase();
+    const std::string &prefix = replay.prefix;
+    const std::string &stamp = replay.stamp;
+    const sim::TraceHeader &trace_header = replay.header;
+    int cores = replay.cores;
     int modes = ledger.numModes();
     std::size_t num_epochs = ledger.numEpochs();
 
@@ -1104,13 +1129,14 @@ cmdReport(const Args &args)
 
     // Per-epoch reliability time series (faulted runs only).
     std::string reliability_csv = base + "reliability.csv";
-    if (faults_on)
-        writeReliabilityCsv(reliability_csv, stamp, ledger, deg_log);
+    if (fault_run)
+        writeReliabilityCsv(reliability_csv, stamp, ledger,
+                            fault_run->log);
 
     // Per-epoch adaptive time series (MNOC_ADAPT=1 runs only).
     std::string adaptive_csv = base + "adaptive.csv";
-    if (adapt_on)
-        writeAdaptiveCsv(adaptive_csv, stamp, adapt_log);
+    if (adapt_run)
+        writeAdaptiveCsv(adaptive_csv, stamp, adapt_run->log);
 
     // Markdown summary.
     std::string report_md = base + "report.md";
@@ -1139,7 +1165,7 @@ cmdReport(const Args &args)
         out << "| QD LED source | " << sci(power.source) << " |\n";
         out << "| O/E conversion | " << sci(power.oe) << " |\n";
         out << "| electrical | " << sci(power.electrical) << " |\n";
-        if (faults_on)
+        if (fault_run)
             out << "| reconfiguration | " << sci(power.reconfig)
                 << " |\n";
         out << "| total | " << sci(power.total()) << " |\n\n";
@@ -1163,8 +1189,9 @@ cmdReport(const Args &args)
         out << "| delivered | " << sci(optical.delivered) << " |\n";
         out << "| residual | " << sci(optical.residual) << " |\n\n";
 
-        if (faults_on) {
+        if (fault_run) {
             using runtime::ActionKind;
+            const auto &deg_log = fault_run->log;
             double worst_after = 1e9;
             for (const auto &epoch : deg_log.epochs)
                 worst_after = std::min(worst_after,
@@ -1172,11 +1199,12 @@ cmdReport(const Args &args)
             out << "## Reliability (MNOC_FAULTS=1)\n\n";
             out << "Epochs replayed under the runtime fault "
                    "timeline (seed "
-                << fault_seed_used
+                << fault_run->timeline.seed()
                 << ") with the graceful-degradation controller.\n\n";
             out << "| metric | value |\n";
             out << "|---|---|\n";
-            out << "| fault events | " << fault_events << " |\n";
+            out << "| fault events | "
+                << fault_run->timeline.events().size() << " |\n";
             out << "| trims | "
                 << deg_log.countActions(ActionKind::Trim) << " |\n";
             out << "| relaxes | "
@@ -1198,8 +1226,9 @@ cmdReport(const Args &args)
                 << sci(deg_log.totalReconfigEnergy) << " |\n\n";
         }
 
-        if (adapt_on) {
+        if (adapt_run) {
             using runtime::AdaptiveActionKind;
+            const auto &[adapt_log, adapt_cmp] = *adapt_run;
             out << "## Adaptive runtime (MNOC_ADAPT=1)\n\n";
             out << "Epochs replayed under the traffic-driven "
                    "mode-re-selection controller ("
@@ -1252,10 +1281,10 @@ cmdReport(const Args &args)
             << "epochs.csv\n";
         out << "- (epoch, source) power heatmap: " << prefix
             << "source_power.pgm\n";
-        if (faults_on)
+        if (fault_run)
             out << "- per-epoch reliability series: " << prefix
                 << "reliability.csv\n";
-        if (adapt_on)
+        if (adapt_run)
             out << "- per-epoch adaptive series: " << prefix
                 << "adaptive.csv\n";
         writer.close();
@@ -1264,9 +1293,9 @@ cmdReport(const Args &args)
     std::cout << "report written to " << report_md << " (+ "
               << prefix << "power.csv, " << prefix << "epochs.csv, "
               << prefix << "source_power.pgm";
-    if (faults_on)
+    if (fault_run)
         std::cout << ", " << prefix << "reliability.csv";
-    if (adapt_on)
+    if (adapt_run)
         std::cout << ", " << prefix << "adaptive.csv";
     std::cout << ")\n";
     return 0;
@@ -1285,7 +1314,7 @@ cmdProfile(const Args &args)
     auto events = parseSpanJson(buffer.str(), path);
     auto rows = profileSpans(std::move(events));
 
-    int top = args.getInt("top", 0);
+    int top = args.getCount("top", 0);
     std::size_t limit = rows.size();
     if (top > 0 && static_cast<std::size_t>(top) < limit)
         limit = static_cast<std::size_t>(top);
