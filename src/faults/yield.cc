@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/log.hh"
 #include "common/metrics.hh"
@@ -31,6 +32,7 @@ runDraw(const optics::SerpentineLayout &layout,
 {
     int n = static_cast<int>(sources.size());
     WattPower pmin = variation.params.pminAtTap();
+    DecibelLoss required = criteria.requiredMargin - DecibelLoss(1e-9);
 
     DrawRecord record;
     record.marginFailuresByMode.assign(
@@ -56,29 +58,45 @@ runDraw(const optics::SerpentineLayout &layout,
                 design.modePower[m] * variation.ledOutputScale[s],
                 variation.splitterScale[s]));
 
-        auto report = optics::validateReceivedPowers(
-            received, design.modeOfDest, s, pmin,
-            criteria.requiredMargin, criteria.maxLeak);
-
-        outcome.worstMargin =
-            std::min(outcome.worstMargin, report.worstReachableMargin);
-        outcome.worstLeak =
-            std::max(outcome.worstLeak, report.worstUnreachableLeak);
-        for (const auto &link : report.links) {
-            if (link.reachable) {
-                outcome.worstBitErrorRate = std::max(
-                    outcome.worstBitErrorRate, link.bitErrorRate);
-                if (link.margin <
-                    criteria.requiredMargin - DecibelLoss(1e-9)) {
-                    ++outcome.marginFailures;
-                    ++record.marginFailuresByMode[link.mode];
+        auto modes = optics::summarizeReceivedPowers(
+            received, design.modeOfDest, s, pmin);
+        DecibelLoss margin{1e9};
+        DecibelLoss leak{-1e9};
+        WattPower weakest{std::numeric_limits<double>::infinity()};
+        for (int m = 0; m < source_modes; ++m) {
+            const optics::ModeBudget &budget = modes[m];
+            margin = std::min(margin, budget.worstMargin);
+            leak = std::max(leak, budget.worstLeak);
+            weakest = std::min(weakest, budget.worstReceived);
+            // Only a mode whose extreme link fails can hold failing
+            // links; count those one by one.
+            if (budget.worstMargin >= required &&
+                budget.worstLeak <= criteria.maxLeak)
+                continue;
+            for (int d = 0; d < n; ++d) {
+                if (d == s)
+                    continue;
+                DecibelLoss link = optics::linkMargin(received[m][d], pmin);
+                if (design.modeOfDest[d] <= m) {
+                    if (link < required) {
+                        ++outcome.marginFailures;
+                        ++record.marginFailuresByMode[m];
+                    }
+                } else if (link > criteria.maxLeak) {
+                    ++outcome.leakFailures;
+                    ++record.leakFailuresByMode[m];
                 }
-            } else if (link.margin > criteria.maxLeak) {
-                ++outcome.leakFailures;
-                ++record.leakFailuresByMode[link.mode];
             }
         }
-        outcome.pass = outcome.pass && report.ok;
+        // BER falls with received power: the weakest reachable link
+        // carries the source's worst BER.
+        outcome.worstBitErrorRate = std::max(
+            outcome.worstBitErrorRate,
+            optics::linkBitErrorRate(weakest, pmin));
+        outcome.worstMargin = std::min(outcome.worstMargin, margin);
+        outcome.worstLeak = std::max(outcome.worstLeak, leak);
+        outcome.pass = outcome.pass && margin >= required &&
+                       leak <= criteria.maxLeak;
     }
     return record;
 }

@@ -91,6 +91,53 @@ BudgetReport validateReceivedPowers(
     DecibelLoss max_leak = unconstrainedLeak);
 
 /**
+ * Margin of one link relative to @p pmin: 10 log10(received / pmin),
+ * or -1e9 dB when the tap sees no light.  The one conversion shared by
+ * the full report and the summary kernel, so both agree bit for bit.
+ */
+DecibelLoss linkMargin(double received, WattPower pmin);
+
+/** Worst-case summary of one drive mode's links. */
+struct ModeBudget
+{
+    /** Smallest received power over the mode's reachable
+     *  destinations (+inf when the mode reaches none). */
+    WattPower worstReceived{std::numeric_limits<double>::infinity()};
+    /** linkMargin() of worstReceived; 1e9 dB when the mode reaches
+     *  no destination. */
+    DecibelLoss worstMargin{1e9};
+    /** Largest linkMargin() over the mode's unreachable
+     *  destinations; -1e9 dB when there are none. */
+    DecibelLoss worstLeak{-1e9};
+};
+
+/**
+ * Summary kernel of validateReceivedPowers(): for each mode, the
+ * worst reachable and the loudest unreachable link of one source,
+ * without the per-link BER or the links vector.  Only the extreme
+ * received powers are converted to dB (log is monotone), so
+ * out[m].worstMargin folded with min over modes is bit-equal to the
+ * report's worstReachableMargin, and the same holds for the leak.
+ *
+ * Arguments as for validateReceivedPowers(); out.size() is the mode
+ * count.
+ */
+std::vector<ModeBudget> summarizeReceivedPowers(
+    const std::vector<std::vector<double>> &received_per_mode,
+    const std::vector<int> &mode_of_dest, int source, WattPower pmin);
+
+/**
+ * The worst failing mode of a summarized source: the first mode, in
+ * mode order, whose worstMargin is below @p threshold and strictly
+ * below every earlier failing mode's; -1 when none fails.  This is
+ * the mode of the first link, in validateReceivedPowers()'s
+ * (mode, destination) order, that attains the smallest failing
+ * margin.
+ */
+int worstFailingMode(const std::vector<ModeBudget> &modes,
+                     DecibelLoss threshold);
+
+/**
  * Validate a complete multi-mode design for one source.
  *
  * @param chain Waveguide power model of the source.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <string>
+#include <utility>
 
 #include "common/journal.hh"
 #include "common/log.hh"
@@ -133,9 +134,10 @@ runDegradationController(const optics::SerpentineLayout &layout,
         mode_origin[static_cast<std::size_t>(m)] = m;
     std::vector<DecibelLoss> trims(static_cast<std::size_t>(n),
                                    DecibelLoss(0.0));
-    std::vector<std::uint32_t> prev_dead(
-        static_cast<std::size_t>(n), 0u);
+    // The fault state of the epoch being run; the loop exchanges it
+    // for the previous epoch's.  No mode is dead before epoch 0.
     RuntimeFaultState state;
+    state.deadModes.assign(static_cast<std::size_t>(n), 0u);
     // One hysteresis gate per source: a relax must be re-earned by
     // *that* source after any of its own unhealthy epochs or
     // dead-mode liveness changes.  A single die-wide counter here
@@ -151,7 +153,7 @@ runDegradationController(const optics::SerpentineLayout &layout,
     // Worst-case budget of one source under the epoch's fault state:
     // rebuild its chain with the runtime skews folded into the base
     // variation, replay every current mode's received powers, and
-    // fold them through the shared link-budget accounting.  Pure
+    // fold them through the link-budget summary kernel.  Pure
     // function of (state, topo, mode_origin, trims) -- safe to fan
     // out over disjoint slots.
     auto evaluate_source = [&](int s) {
@@ -188,29 +190,28 @@ runDegradationController(const optics::SerpentineLayout &layout,
                 chain.evaluate(source.chain, injected, scale));
         }
 
-        auto report = optics::validateReceivedPowers(
-            received, topo.local(s).modeOfDest, s, pmin,
-            policy.requiredMargin, optics::unconstrainedLeak);
+        auto modes = optics::summarizeReceivedPowers(
+            received, topo.local(s).modeOfDest, s, pmin);
         SourceHealth out;
-        out.worstMargin = report.worstReachableMargin;
-        DecibelLoss worst_fail{1e9};
-        for (const auto &link : report.links) {
-            if (link.reachable &&
-                link.margin < policy.requiredMargin - kEps &&
-                link.margin < worst_fail) {
-                worst_fail = link.margin;
-                out.worstFailingMode = link.mode;
-            }
-        }
+        for (const optics::ModeBudget &budget : modes)
+            out.worstMargin =
+                std::min(out.worstMargin, budget.worstMargin);
+        out.worstFailingMode = optics::worstFailingMode(
+            modes, policy.requiredMargin - kEps);
         health[slot] = out;
     };
 
+    // The evaluation tally is serial and counts the same sources at
+    // any pool size.
+    Counter &evaluations = metrics.counter("runtime.source_evaluations");
     auto evaluate_all = [&] {
+        evaluations.add(static_cast<std::uint64_t>(n));
         workers.parallelFor(n, [&](long long s) {
             evaluate_source(static_cast<int>(s));
         });
     };
     auto evaluate_subset = [&](const std::vector<int> &dirty) {
+        evaluations.add(static_cast<std::uint64_t>(dirty.size()));
         workers.parallelFor(
             static_cast<long long>(dirty.size()),
             [&](long long i) {
@@ -261,7 +262,8 @@ runDegradationController(const optics::SerpentineLayout &layout,
         orig_modes + 8;
 
     for (std::size_t e = 0; e < num_epochs; ++e) {
-        state = timeline.stateAt(e);
+        RuntimeFaultState prev =
+            std::exchange(state, timeline.stateAt(e));
         timeline.journalFirings(e);
         std::size_t first_action = log.actions.size();
 
@@ -314,9 +316,9 @@ runDegradationController(const optics::SerpentineLayout &layout,
         for (int s = 0; s < n; ++s) {
             auto slot = static_cast<std::size_t>(s);
             std::uint32_t newly =
-                state.deadModes[slot] & ~prev_dead[slot];
+                state.deadModes[slot] & ~prev.deadModes[slot];
             std::uint32_t recovered =
-                prev_dead[slot] & ~state.deadModes[slot];
+                prev.deadModes[slot] & ~state.deadModes[slot];
             for (int m = 0; m < orig_modes; ++m) {
                 auto bit = 1u << static_cast<unsigned>(m);
                 if ((newly & bit) != 0u)
@@ -332,10 +334,28 @@ runDegradationController(const optics::SerpentineLayout &layout,
             // that source is relaxed.
             if ((newly | recovered) != 0u)
                 relax_gates[slot].reset();
-            prev_dead[slot] = state.deadModes[slot];
         }
 
-        evaluate_all();
+        // health[] carries over from the previous epoch, where it
+        // matched (state, topo, trims) when the epoch closed; only
+        // the sources whose fault inputs moved since are stale.  The
+        // receiver skew and the splitter aging reach every source's
+        // budget, so a change in either re-evaluates the whole die
+        // (as a collapse already did when it fired).
+        if (e == 0 || state.receiverSkew != prev.receiverSkew ||
+            state.splitterAgeScale != prev.splitterAgeScale) {
+            evaluate_all();
+        } else {
+            std::vector<int> dirty;
+            for (int s = 0; s < n; ++s) {
+                auto slot = static_cast<std::size_t>(s);
+                if (state.thermalSkew[slot] != prev.thermalSkew[slot] ||
+                    state.ledScale[slot] != prev.ledScale[slot] ||
+                    state.deadModes[slot] != prev.deadModes[slot])
+                    dirty.push_back(s);
+            }
+            evaluate_subset(dirty);
+        }
         DecibelLoss before = worst_margin();
 
         // Hysteresis: relax one trim step on a source only after a

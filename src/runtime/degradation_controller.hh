@@ -2,11 +2,12 @@
  * @file
  * Epoch-boundary graceful-degradation controller.
  *
- * At every ledger epoch boundary the controller recomputes each
- * source's worst-case link margin through the link-budget model
- * (optics/link_budget.hh) under the epoch's composed fault state,
- * then applies a rule table until the run-time margin requirement
- * holds again:
+ * At every ledger epoch boundary the controller brings each
+ * source's worst-case link margin up to date under the epoch's
+ * composed fault state -- re-evaluating, through the link-budget
+ * summary kernel (optics/link_budget.hh), only the sources whose
+ * fault inputs changed since the previous epoch -- then applies a
+ * rule table until the run-time margin requirement holds again:
  *
  *   1. fail over dead drive modes to their parent (the next-higher
  *      mode: mode sets are nested, so the parent's power superset

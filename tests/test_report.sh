@@ -33,6 +33,12 @@ EPOCHS="$DATA/golden_epoch_16.trace"
     --out "$DIR/e.design" > /dev/null
 "$MNOCPT" faults --design "$DIR/e.design" --trace "$EPOCHS" --seed 7 \
     --dir "$DIR/faults" > /dev/null
+# A stressed replay that fires every non-collapse rule (128 trims, a
+# relax, 3 failovers, 2 restores), so the controller's carried-over
+# health and rule loop are pinned too.
+"$MNOCPT" faults --design "$DIR/e.design" --trace "$EPOCHS" --seed 7 \
+    --fault-scale 16 --vtol 1 --link-margin 2 \
+    --dir "$DIR/faults_stress" > /dev/null
 "$MNOCPT" adapt --design "$DIR/e.design" --trace "$EPOCHS" \
     --dir "$DIR/adapt" > /dev/null
 MNOC_FAULTS=1 MNOC_ADAPT=1 "$MNOCPT" report --design "$DIR/e.design" \
@@ -54,6 +60,8 @@ expect_same() {
 expect_same "$DIR/out" "$DATA/golden_report" mnoc_report.md \
     mnoc_power.csv mnoc_epochs.csv mnoc_source_power.pgm
 expect_same "$DIR/faults" "$DATA/golden_replay/faults" \
+    mnoc_fault_events.csv mnoc_reliability.csv
+expect_same "$DIR/faults_stress" "$DATA/golden_replay/faults_stress" \
     mnoc_fault_events.csv mnoc_reliability.csv
 expect_same "$DIR/adapt" "$DATA/golden_replay/adapt" \
     mnoc_adaptive.csv mnoc_adaptive_actions.csv

@@ -17,6 +17,8 @@
 #include "core/designer.hh"
 #include "core/energy_ledger.hh"
 #include "faults/variation.hh"
+#include "optics/link_budget.hh"
+#include "optics/splitter_chain.hh"
 #include "runtime/degradation_controller.hh"
 #include "runtime/fault_timeline.hh"
 
@@ -499,6 +501,126 @@ TEST(Controller, RestoredSourceMustReearnItsRelaxStreak)
                   8 + static_cast<std::size_t>(
                           policy.healthyEpochsToRelax) -
                       1);
+    }
+}
+
+/** Die-wide worst margin of @p design under @p state, from scratch:
+ *  a fresh chain per source, dead modes rerouted to the next live
+ *  mode, and the full link-budget report.  No trims: the policies
+ *  that use it never fire one. */
+DecibelLoss
+fromScratchWorstMargin(const RuntimeFixture &fx,
+                       const core::MnocDesign &design,
+                       const faults::DeviceVariation &variation,
+                       const RuntimeFaultState &state)
+{
+    int n = RuntimeFixture::kNodes;
+    int num_modes = design.topology.numModes;
+    DecibelLoss worst{1e9};
+    for (int s = 0; s < n; ++s) {
+        auto slot = static_cast<std::size_t>(s);
+        auto params = variation.params.perturbed(
+            DecibelLoss(0.0), state.thermalSkew[slot], DecibelLoss(0.0),
+            state.receiverSkew.toAttenuation().value());
+        optics::SplitterChain chain(fx.layout, params, s);
+        std::vector<double> scale(static_cast<std::size_t>(n));
+        for (std::size_t j = 0; j < scale.size(); ++j)
+            scale[j] =
+                variation.splitterScale[slot][j] * state.splitterAgeScale[j];
+        const auto &source = design.sources[slot];
+        double output_scale =
+            state.ledScale[slot] * variation.ledOutputScale[slot];
+        std::vector<std::vector<double>> received;
+        for (int k = 0; k < num_modes; ++k) {
+            int drive = k;
+            while (drive < num_modes - 1 &&
+                   ((state.deadModes[slot] >> drive) & 1u) != 0u)
+                ++drive;
+            received.push_back(chain.evaluate(
+                source.chain,
+                source.modePower[static_cast<std::size_t>(drive)] *
+                    output_scale,
+                scale));
+        }
+        auto report = optics::validateReceivedPowers(
+            received, design.topology.local(s).modeOfDest, s,
+            params.pminAtTap());
+        worst = std::min(worst, report.worstReachableMargin);
+    }
+    return worst;
+}
+
+TEST(Controller, CarriedHealthMatchesFromScratchBudgets)
+{
+    // The controller re-evaluates only the sources whose fault
+    // inputs changed since the previous epoch.  Each fault kind
+    // starts and ends mid-run in its own window, on a varied die; a
+    // missed invalidation leaves marginBefore stale at a boundary.
+    RuntimeFixture fx;
+    auto design = fx.twoModeDesign(DecibelLoss(0.5));
+    Prng prng(5);
+    auto variation = faults::drawVariation(
+        faults::VariationSpec{}, fx.params, RuntimeFixture::kNodes, prng);
+
+    // Under-drive one source's mode 0 by 3 dB: its mode-0 links are
+    // then the die-wide worst, so its per-source faults -- a mode-0
+    // outage included, which reroutes to the stronger mode 1 -- all
+    // move the die-wide minimum.
+    constexpr int target = 3;
+    auto &weak = design.sources[static_cast<std::size_t>(target)];
+    weak.modePower[0] = weak.modePower[0] * 0.5;
+
+    auto event = [](FaultKind kind, std::size_t start, std::size_t end,
+                    int node, double magnitude) {
+        FaultEvent out;
+        out.kind = kind;
+        out.startEpoch = start;
+        out.endEpoch = end;
+        out.node = node;
+        out.magnitude = magnitude;
+        return out;
+    };
+    std::vector<FaultEvent> events = {
+        // A three-epoch thermal ramp peaks at its middle epoch (2).
+        event(FaultKind::ThermalDrift, 1, 4, target, 2.0),
+        event(FaultKind::LaserDroop, 5, 7, target, 0.4),
+        event(FaultKind::SplitterAging, 8, 10, target + 1, -0.6),
+        event(FaultKind::ReceiverDrift, 11, 13, -1, 1.5),
+        event(FaultKind::DeadMode, 14, 16, target, 0.0),
+    };
+    events.back().mode = 0;
+    constexpr std::size_t kEpochs = 18;
+    FaultTimeline timeline(events, RuntimeFixture::kNodes, 2, kEpochs);
+
+    DegradationPolicy policy;
+    policy.requiredMargin = DecibelLoss(-100.0);
+    for (int threads : {1, 3}) {
+        ThreadPool pool(threads);
+        auto log = runDegradationController(fx.layout, design, variation,
+                                            timeline, policy, nullptr,
+                                            &pool);
+        EXPECT_EQ(log.countActions(ActionKind::Trim), 0);
+        EXPECT_EQ(log.countActions(ActionKind::Relax), 0);
+        EXPECT_EQ(log.countActions(ActionKind::Collapse), 0);
+        ASSERT_EQ(log.epochs.size(), kEpochs);
+        for (std::size_t e = 0; e < kEpochs; ++e) {
+            DecibelLoss expected = fromScratchWorstMargin(
+                fx, design, variation, timeline.stateAt(e));
+            EXPECT_EQ(log.epochs[e].marginBefore.dB(), expected.dB())
+                << "epoch " << e << " at " << threads << " threads";
+        }
+    }
+
+    // Each fault boundary, one kind at a time, moves the reference,
+    // so the comparison above would catch a stale margin at each.
+    for (std::size_t e : {2, 3, 5, 7, 8, 10, 11, 13, 14, 16}) {
+        EXPECT_NE(fromScratchWorstMargin(fx, design, variation,
+                                         timeline.stateAt(e))
+                      .dB(),
+                  fromScratchWorstMargin(fx, design, variation,
+                                         timeline.stateAt(e - 1))
+                      .dB())
+            << "epoch " << e;
     }
 }
 
