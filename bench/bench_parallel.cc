@@ -29,6 +29,7 @@
 
 #include "bench_json.hh"
 #include "common/journal.hh"
+#include "common/knobs.hh"
 #include "common/manifest.hh"
 #include "common/prng.hh"
 #include "common/thread_pool.hh"
@@ -635,8 +636,7 @@ main()
     ThreadPool serial(1);
     ThreadPool parallel(threads);
 
-    const char *env_dir = std::getenv("MNOC_BENCH_DIR");
-    std::string out_dir = env_dir != nullptr ? env_dir : "bench_out";
+    std::string out_dir = readKnob("MNOC_BENCH_DIR").text;
     std::filesystem::create_directories(out_dir);
     std::string scratch = out_dir + "/parallel_scratch";
 

@@ -1,40 +1,22 @@
 #include "harness.hh"
 
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
 
 #include "common/io.hh"
+#include "common/knobs.hh"
 #include "common/log.hh"
 #include "common/metrics.hh"
 #include "common/trace_span.hh"
 
 namespace mnoc::bench {
 
-namespace {
-
-int
-envInt(const char *name, int fallback)
-{
-    const char *value = std::getenv(name);
-    return value ? std::atoi(value) : fallback;
-}
-
-std::string
-envString(const char *name, const std::string &fallback)
-{
-    const char *value = std::getenv(name);
-    return value ? std::string(value) : fallback;
-}
-
-} // namespace
-
 Harness::Harness()
 {
-    numCores_ = envInt("MNOC_BENCH_CORES", 256);
-    opsPerThread_ = envInt("MNOC_BENCH_OPS", 4000);
-    outDir_ = envString("MNOC_BENCH_DIR", "bench_out");
+    numCores_ = static_cast<int>(readKnob("MNOC_BENCH_CORES").number);
+    opsPerThread_ = static_cast<int>(readKnob("MNOC_BENCH_OPS").number);
+    outDir_ = readKnob("MNOC_BENCH_DIR").text;
     std::filesystem::create_directories(outDir_);
     std::filesystem::create_directories(outDir_ + "/cache");
 

@@ -9,8 +9,8 @@
 
 #include "common/io.hh"
 #include "common/json.hh"
+#include "common/knobs.hh"
 #include "common/log.hh"
-#include "common/metrics.hh"
 
 namespace mnoc {
 
@@ -19,19 +19,10 @@ namespace {
 constexpr char kHeaderMagic[8] = {'M', 'N', 'O', 'C', 'J', 'R', 'N', 'L'};
 constexpr char kEndMagic[8] = {'M', 'N', 'O', 'C', 'J', 'E', 'N', 'D'};
 
-/** Raw MNOC_JOURNAL value ("" when unset). */
-std::string
-envValue()
-{
-    const char *value = std::getenv("MNOC_JOURNAL");
-    return value != nullptr ? std::string(value) : std::string();
-}
-
 std::atomic<bool> &
 enabledFlag()
 {
-    static std::atomic<bool> flag(
-        parsePathKnob(envValue().c_str(), "MNOC_JOURNAL").enabled);
+    static std::atomic<bool> flag(readKnob("MNOC_JOURNAL").enabled);
     return flag;
 }
 
@@ -243,10 +234,10 @@ Journal::global()
 std::string
 Journal::exportPath()
 {
-    PathKnob knob = parsePathKnob(envValue().c_str(), "MNOC_JOURNAL");
+    KnobValue knob = readKnob("MNOC_JOURNAL");
     if (!knob.enabled)
         return "";
-    return knob.path.empty() ? "mnoc_journal.mjrn" : knob.path;
+    return knob.text.empty() ? "mnoc_journal.mjrn" : knob.text;
 }
 
 void

@@ -1,0 +1,87 @@
+/**
+ * @file
+ * The knob registry: one table row per MNOC_* environment variable
+ * and the one strict reader every environment read goes through.
+ *
+ * A knob's class decides provenance: currentManifest() stamps the
+ * result-class knobs that are set, and never the execution or
+ * observability ones, so artifact bytes do not depend on them.
+ *
+ * readKnob() parses on every call (hot paths cache the result), so a
+ * re-read after setenv() sees the new value.  A malformed value is a
+ * fatal error naming the knob and the value: a mistyped knob must
+ * stop the run, not quietly reconfigure it.
+ */
+
+#ifndef MNOC_COMMON_KNOBS_HH
+#define MNOC_COMMON_KNOBS_HH
+
+#include <span>
+#include <string>
+
+namespace mnoc {
+
+/** How a knob's value is parsed.  Null or empty text is always
+ *  "unset" and yields the default. */
+enum class KnobKind
+{
+    Bool,          ///< "0" off, "1" on
+    PathFlag,      ///< "0" off, "1" on, other text: on, export path
+    PositiveCount, ///< decimal integer in [1, 2^63 - 1]
+    ThreadCount,   ///< decimal integer in [1, 4096]
+    LogLevel,      ///< quiet | warn | info
+    BenchInt,      ///< decimal integer that fits an int
+    Directory,     ///< any path
+};
+
+/** What a knob may change. */
+enum class KnobClass
+{
+    Result,        ///< artifact contents: stamped into manifests
+    Execution,     ///< how a run executes (pool size, output dir)
+    Observability, ///< what a run reports about itself
+};
+
+/** One row of the knob table. */
+struct KnobSpec
+{
+    const char *name;
+    /** The default as README documents it; parsed for the counted
+     *  kinds, LogLevel and Directory. */
+    const char *fallback;
+    KnobKind kind;
+    KnobClass klass;
+    const char *doc;
+};
+
+/** The knob table, one row per MNOC_* variable, in stamping order. */
+std::span<const KnobSpec> knobTable();
+
+/** A parsed knob value, with the default applied. */
+struct KnobValue
+{
+    std::string raw;      ///< the value verbatim ("" when unset)
+    bool enabled = false; ///< Bool, PathFlag: on
+    /** The counted kinds and LogLevel (its enum value); an unset
+     *  ThreadCount reads 0 and ThreadPool applies the hardware
+     *  default. */
+    long long number = 0;
+    std::string text; ///< PathFlag export path ("" for "1"); Directory
+
+    /** The variable holds a non-empty value. */
+    bool set() const { return !raw.empty(); }
+};
+
+/** Strictly parse @p text (null when unset) as knob @p name; panics
+ *  on a name that is not in the table. */
+KnobValue parseKnob(const char *name, const char *text);
+
+/** parseKnob() on the environment's value of @p name.  The first
+ *  call also warns about every set MNOC_* variable that is not in
+ *  the table, so a mistyped name does not silently leave a feature
+ *  off. */
+KnobValue readKnob(const char *name);
+
+} // namespace mnoc
+
+#endif // MNOC_COMMON_KNOBS_HH

@@ -12,20 +12,22 @@
 
 #include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <iostream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 
+#include "common/knobs.hh"
+
 namespace mnoc {
 
 /**
  * Verbosity threshold for the non-fatal log helpers, from the
- * MNOC_LOG_LEVEL environment variable: "quiet" silences warn() and
+ * MNOC_LOG_LEVEL knob (common/knobs.hh): "quiet" silences warn() and
  * inform(), "warn" silences only inform(), "info" (the default)
  * prints both; any other value is a fatal configuration error.
- * fatal()/panic() are never suppressed.
+ * fatal()/panic() are never suppressed.  The enum values are the
+ * knob's parsed number.
  */
 enum class LogLevel
 {
@@ -34,39 +36,13 @@ enum class LogLevel
     Info = 2,
 };
 
-[[noreturn]] inline void fatal(const std::string &msg);
-
-/**
- * Strict parser for MNOC_LOG_LEVEL-style knobs: "quiet", "warn" and
- * "info" map to their levels, unset/empty means the Info default,
- * and anything else is a fatal configuration error naming the knob
- * (a typo like "qiuet" must not silently re-enable warnings).
- * Pure function, exposed for the knob tests.
- */
-inline LogLevel
-parseLogLevelKnob(const char *text, const std::string &knob)
-{
-    std::string raw = text != nullptr ? text : "";
-    if (raw.empty() || raw == "info")
-        return LogLevel::Info;
-    if (raw == "quiet")
-        return LogLevel::Quiet;
-    if (raw == "warn")
-        return LogLevel::Warn;
-    fatal(knob + " must be quiet, warn, or info, got '" + raw +
-          "'");
-}
-
 namespace log_detail {
 
 inline std::atomic<int> &
 levelFlag()
 {
-    static std::atomic<int> level = [] {
-        return static_cast<int>(
-            parseLogLevelKnob(std::getenv("MNOC_LOG_LEVEL"),
-                              "MNOC_LOG_LEVEL"));
-    }();
+    static std::atomic<int> level(
+        static_cast<int>(readKnob("MNOC_LOG_LEVEL").number));
     return level;
 }
 

@@ -1,9 +1,10 @@
 #include "common/manifest.hh"
 
-#include <cstdlib>
+#include <charconv>
 #include <sstream>
 
 #include "common/json.hh"
+#include "common/knobs.hh"
 #include "common/thread_pool.hh"
 
 #ifndef MNOC_GIT_SHA
@@ -13,14 +14,6 @@
 namespace mnoc {
 
 namespace {
-
-/** Environment knobs worth recording, in the order they are
- *  emitted. */
-constexpr const char *kKnobs[] = {
-    "MNOC_THREADS",     "MNOC_METRICS",   "MNOC_TRACE_SPANS",
-    "MNOC_BENCH_CORES", "MNOC_BENCH_OPS", "MNOC_BENCH_DIR",
-    "MNOC_FAULTS",      "MNOC_FAULT_SEED",
-};
 
 bool
 needsEncoding(char ch)
@@ -39,6 +32,22 @@ hexValue(char ch)
     if (ch >= 'A' && ch <= 'F')
         return ch - 'A' + 10;
     return -1;
+}
+
+/** Whole-token non-negative decimal parse of @p text into @p out (no
+ *  sign, no whitespace, no overflow); @p out is untouched on
+ *  failure. */
+template <typename T>
+bool
+parseWhole(const std::string &text, T &out)
+{
+    T value{};
+    const char *end = text.data() + text.size();
+    auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    if (ec != std::errc() || ptr != end || text[0] == '-')
+        return false;
+    out = value;
+    return true;
 }
 
 } // namespace
@@ -74,10 +83,12 @@ currentManifest(std::uint64_t seed, const std::string &config_digest)
     manifest.gitSha = MNOC_GIT_SHA;
     manifest.threads = ThreadPool::configuredThreads();
     manifest.configDigest = config_digest;
-    for (const char *knob : kKnobs) {
-        const char *value = std::getenv(knob);
-        if (value != nullptr)
-            manifest.env.emplace_back(knob, value);
+    for (const KnobSpec &spec : knobTable()) {
+        if (spec.klass != KnobClass::Result)
+            continue;
+        KnobValue knob = readKnob(spec.name);
+        if (knob.set())
+            manifest.env.emplace_back(spec.name, knob.raw);
     }
     return manifest;
 }
@@ -138,22 +149,22 @@ manifestLines(const RunManifest &manifest)
     return lines;
 }
 
-void
+bool
 setManifestField(RunManifest &manifest, const std::string &key,
                  const std::string &a, const std::string &b)
 {
     if (key == "seed")
-        manifest.seed = std::strtoull(a.c_str(), nullptr, 10);
-    else if (key == "git")
+        return parseWhole(a, manifest.seed);
+    if (key == "threads")
+        return parseWhole(a, manifest.threads);
+    if (key == "git")
         manifest.gitSha = decodeManifestValue(a);
-    else if (key == "threads")
-        manifest.threads =
-            static_cast<int>(std::strtol(a.c_str(), nullptr, 10));
     else if (key == "config")
         manifest.configDigest = decodeManifestValue(a);
     else if (key == "env")
         manifest.env.emplace_back(a, decodeManifestValue(b));
     // Unknown keys are skipped so newer writers stay readable.
+    return true;
 }
 
 bool
@@ -168,8 +179,7 @@ parseManifestEntry(const std::string &line, RunManifest &manifest)
     std::string extra;
     if (in >> extra)
         return false;
-    setManifestField(manifest, key, a, b);
-    return true;
+    return setManifestField(manifest, key, a, b);
 }
 
 std::string

@@ -4,8 +4,10 @@
  * tree writes (trace files, design files, BENCH_*.json), recording
  * enough to re-run the exact experiment from the artifact alone --
  * the seed, the git revision of the build, the thread-pool size, the
- * MNOC_* environment knobs in effect, and a digest of the
- * configuration that produced the artifact.
+ * result-class knobs that are set (common/knobs.hh), and a digest of
+ * the configuration that produced the artifact.  Execution and
+ * observability knobs are never stamped, so artifact bytes do not
+ * depend on them.
  *
  * Two serializations exist:
  *   - a line/token text block ("manifest <n>" + n entries) embedded
@@ -38,7 +40,7 @@ struct RunManifest
     int threads = 0;
     /** Caller-supplied digest of the producing configuration. */
     std::string configDigest;
-    /** MNOC_* environment knobs that were set, as (name, value). */
+    /** Result-class knobs that were set, as (name, value). */
     std::vector<std::pair<std::string, std::string>> env;
 };
 
@@ -50,7 +52,8 @@ std::string hexDigest(std::uint64_t value);
 
 /**
  * The manifest of the current process: compiled-in git SHA, the
- * configured thread count, and every MNOC_* knob currently set.
+ * configured thread count, and the result-class knobs that are set,
+ * in knob-table order.
  */
 RunManifest currentManifest(std::uint64_t seed = 0,
                             const std::string &config_digest = "");
@@ -73,11 +76,14 @@ std::vector<std::string> manifestLines(const RunManifest &manifest);
  * of the line; for "env" entries @p a is the knob name and @p b its
  * encoded value, otherwise @p a is the encoded value and @p b is
  * ignored.  Unknown keys are ignored (forward compatibility).
+ * Returns false when a `seed` value is not a whole unsigned 64-bit
+ * number or a `threads` value not a whole non-negative int.
  */
-void setManifestField(RunManifest &manifest, const std::string &key,
+bool setManifestField(RunManifest &manifest, const std::string &key,
                       const std::string &a, const std::string &b);
 
-/** Parse one "key value..." line; false on a malformed line. */
+/** Parse one "key value..." line; false on a malformed line or
+ *  value. */
 bool parseManifestEntry(const std::string &line,
                         RunManifest &manifest);
 

@@ -1,12 +1,11 @@
 #include "common/metrics.hh"
 
-#include <cctype>
 #include <cstdlib>
-#include <cstring>
 #include <limits>
 
 #include "common/io.hh"
 #include "common/json.hh"
+#include "common/knobs.hh"
 #include "common/log.hh"
 #include "common/manifest.hh"
 
@@ -14,19 +13,10 @@ namespace mnoc {
 
 namespace {
 
-/** Raw MNOC_METRICS value ("" when unset). */
-std::string
-envValue()
-{
-    const char *value = std::getenv("MNOC_METRICS");
-    return value != nullptr ? std::string(value) : std::string();
-}
-
 std::atomic<bool> &
 enabledFlag()
 {
-    static std::atomic<bool> flag(
-        parsePathKnob(envValue().c_str(), "MNOC_METRICS").enabled);
+    static std::atomic<bool> flag(readKnob("MNOC_METRICS").enabled);
     return flag;
 }
 
@@ -35,8 +25,7 @@ std::atomic<int> next_shard_slot{0};
 std::atomic<bool> &
 ledgerFlag()
 {
-    static std::atomic<bool> flag(parseBoolKnob(
-        std::getenv("MNOC_LEDGER"), "MNOC_LEDGER"));
+    static std::atomic<bool> flag(readKnob("MNOC_LEDGER").enabled);
     return flag;
 }
 
@@ -218,99 +207,41 @@ setLedgerEnabled(bool on)
     ledgerFlag().store(on, std::memory_order_relaxed);
 }
 
-bool
-parseBoolKnob(const char *text, const char *knob)
-{
-    if (text == nullptr || *text == '\0' ||
-        std::strcmp(text, "0") == 0)
-        return false;
-    fatalIf(std::strcmp(text, "1") != 0,
-            std::string(knob) + " must be 0 or 1, got '" + text +
-                "'");
-    return true;
-}
-
-PathKnob
-parsePathKnob(const char *text, const char *knob)
-{
-    if (text == nullptr || *text == '\0' ||
-        std::strcmp(text, "0") == 0)
-        return {};
-    if (std::strcmp(text, "1") == 0)
-        return {true, ""};
-
-    std::string value(text);
-    std::string lowered;
-    for (char c : value)
-        lowered += static_cast<char>(std::tolower(
-            static_cast<unsigned char>(c)));
-    bool flagish = lowered == "true" || lowered == "false" ||
-                   lowered == "yes" || lowered == "no" ||
-                   lowered == "on" || lowered == "off";
-    bool all_digits = true;
-    for (char c : value)
-        all_digits = all_digits && c >= '0' && c <= '9';
-    fatalIf(flagish || all_digits,
-            std::string(knob) + " must be 0, 1 or an export path, "
-                                "got '" +
-                value + "'");
-    return {true, value};
-}
-
-std::uint64_t
-parsePositiveCount(const char *text, const char *knob,
-                   std::uint64_t fallback)
-{
-    if (text == nullptr || *text == '\0')
-        return fallback;
-    char *end = nullptr;
-    long long parsed = std::strtoll(text, &end, 10);
-    fatalIf(end == text || *end != '\0' || parsed < 1,
-            std::string(knob) +
-                " must be a positive integer, got '" + text + "'");
-    return static_cast<std::uint64_t>(parsed);
-}
-
 std::uint64_t
 ledgerEpochMessages()
 {
-    static std::uint64_t cached =
-        parsePositiveCount(std::getenv("MNOC_EPOCH_MSGS"),
-                           "MNOC_EPOCH_MSGS", 1024);
+    static auto cached = static_cast<std::uint64_t>(
+        readKnob("MNOC_EPOCH_MSGS").number);
     return cached;
 }
 
 bool
 faultsEnabled()
 {
-    static bool cached =
-        parseBoolKnob(std::getenv("MNOC_FAULTS"), "MNOC_FAULTS");
+    static bool cached = readKnob("MNOC_FAULTS").enabled;
     return cached;
 }
 
 std::uint64_t
 faultSeed()
 {
-    static std::uint64_t cached =
-        parsePositiveCount(std::getenv("MNOC_FAULT_SEED"),
-                           "MNOC_FAULT_SEED", 1);
+    static auto cached = static_cast<std::uint64_t>(
+        readKnob("MNOC_FAULT_SEED").number);
     return cached;
 }
 
 bool
 adaptEnabled()
 {
-    static bool cached =
-        parseBoolKnob(std::getenv("MNOC_ADAPT"), "MNOC_ADAPT");
+    static bool cached = readKnob("MNOC_ADAPT").enabled;
     return cached;
 }
 
 std::uint64_t
 adaptWindow()
 {
-    static std::uint64_t cached =
-        parsePositiveCount(std::getenv("MNOC_ADAPT_WINDOW"),
-                           "MNOC_ADAPT_WINDOW", 32);
+    static auto cached = static_cast<std::uint64_t>(
+        readKnob("MNOC_ADAPT_WINDOW").number);
     return cached;
 }
 
@@ -335,7 +266,7 @@ MetricsRegistry::setEnabled(bool on)
 std::string
 MetricsRegistry::exportPath()
 {
-    return parsePathKnob(envValue().c_str(), "MNOC_METRICS").path;
+    return readKnob("MNOC_METRICS").text;
 }
 
 Counter &

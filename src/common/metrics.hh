@@ -179,71 +179,31 @@ class Series
 };
 
 /** True when the energy-attribution ledger should be collected
- *  (MNOC_LEDGER unset/empty/"0" disables; overridable in tests). */
+ *  (MNOC_LEDGER; overridable in tests).  The knob accessors below
+ *  read common/knobs.hh once and cache the value. */
 bool ledgerEnabled();
 
 /** Force ledger collection on/off, overriding MNOC_LEDGER. */
 void setLedgerEnabled(bool on);
 
-/** Messages per attribution epoch (MNOC_EPOCH_MSGS, default 1024;
- *  values < 1 are a fatal configuration error). */
+/** Messages per attribution epoch (MNOC_EPOCH_MSGS, default 1024). */
 std::uint64_t ledgerEpochMessages();
 
-/**
- * Strict parser behind the counted environment knobs
- * (MNOC_EPOCH_MSGS, MNOC_FAULT_SEED): null or empty @p text yields
- * @p fallback; anything else must parse entirely as a positive
- * integer, or the call fatals naming @p knob and the offending
- * value.  Silent fallback on garbage is deliberately not offered --
- * a mistyped knob must stop the run, not quietly reconfigure it.
- */
-std::uint64_t parsePositiveCount(const char *text, const char *knob,
-                                 std::uint64_t fallback);
-
-/**
- * Strict parser behind the boolean environment knobs (MNOC_LEDGER,
- * MNOC_FAULTS): null, "" and "0" are off, "1" is on, and any other
- * value fatals naming @p knob -- a mistyped knob must stop the
- * run, not silently flip a feature.
- */
-bool parseBoolKnob(const char *text, const char *knob);
-
-/** Parsed value of a path-or-flag knob (MNOC_METRICS,
- *  MNOC_TRACE_SPANS). */
-struct PathKnob
-{
-    bool enabled = false;
-    std::string path; ///< export path ("" when the value was "1")
-};
-
-/**
- * Strict parser behind the path-or-flag environment knobs: null,
- * "" and "0" disable, "1" enables without an export path, and any
- * other value enables with that value as the export path -- except
- * values that are clearly a mistyped flag rather than a path
- * (true/false/yes/no/on/off in any case, or all-digit strings),
- * which fatal naming @p knob.
- */
-PathKnob parsePathKnob(const char *text, const char *knob);
-
 /** True when the runtime fault-injection engine should run
- *  (MNOC_FAULTS: unset, empty or "0" disables, "1" enables; any
- *  other value is a fatal configuration error). */
+ *  (MNOC_FAULTS). */
 bool faultsEnabled();
 
-/** Seed of the runtime fault timeline (MNOC_FAULT_SEED, default 1;
- *  garbage, zero or negative values are a fatal error). */
+/** Seed of the runtime fault timeline (MNOC_FAULT_SEED, default
+ *  1). */
 std::uint64_t faultSeed();
 
 /** True when the traffic-adaptive controller should fold its
- *  static-vs-adaptive comparison into `mnocpt report` (MNOC_ADAPT:
- *  unset, empty or "0" disables, "1" enables; any other value is a
- *  fatal configuration error). */
+ *  static-vs-adaptive comparison into `mnocpt report`
+ *  (MNOC_ADAPT). */
 bool adaptEnabled();
 
 /** Trailing traffic window of the adaptive controller, in epochs
- *  (MNOC_ADAPT_WINDOW, default 32; garbage, zero or negative values
- *  are a fatal error). */
+ *  (MNOC_ADAPT_WINDOW, default 32). */
 std::uint64_t adaptWindow();
 
 /**

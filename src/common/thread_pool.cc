@@ -1,10 +1,10 @@
 #include "common/thread_pool.hh"
 
 #include <algorithm>
-#include <cstdlib>
 #include <exception>
 #include <string>
 
+#include "common/knobs.hh"
 #include "common/log.hh"
 
 namespace mnoc {
@@ -120,29 +120,12 @@ ThreadPool::global()
 int
 ThreadPool::configuredThreads()
 {
+    KnobValue knob = readKnob("MNOC_THREADS");
+    if (knob.set())
+        return static_cast<int>(knob.number);
     int hardware =
         static_cast<int>(std::thread::hardware_concurrency());
-    if (hardware < 1)
-        hardware = 1;
-    return parseThreads(std::getenv("MNOC_THREADS"), hardware);
-}
-
-int
-ThreadPool::parseThreads(const char *text, int fallback)
-{
-    if (text == nullptr || *text == '\0')
-        return fallback;
-    char *end = nullptr;
-    long value = std::strtol(text, &end, 10);
-    // A mistyped override must stop the run: silently falling back
-    // would run at a different thread count than the user asked
-    // for, and nobody would notice until the provenance manifests
-    // disagree.
-    fatalIf(end == text || *end != '\0' || value < 1 ||
-                value > 4096,
-            "MNOC_THREADS must be an integer in [1, 4096], got '" +
-                std::string(text) + "'");
-    return static_cast<int>(value);
+    return hardware < 1 ? 1 : hardware;
 }
 
 } // namespace mnoc

@@ -94,14 +94,10 @@ class ThreadPool
      *  use. */
     static ThreadPool &global();
 
-    /** MNOC_THREADS when set to a valid count, else the hardware
-     *  concurrency (at least 1). */
+    /** MNOC_THREADS when set, else the hardware concurrency (at
+     *  least 1).  A malformed MNOC_THREADS is fatal: silently
+     *  falling back would run at a thread count nobody asked for. */
     static int configuredThreads();
-
-    /** Parse a thread-count override; returns @p fallback on null
-     *  or empty text and fatals (naming the offending value) on
-     *  garbage, zero, negative or out-of-range input. */
-    static int parseThreads(const char *text, int fallback);
 
   private:
     void workerLoop();

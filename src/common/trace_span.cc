@@ -9,27 +9,18 @@
 
 #include "common/io.hh"
 #include "common/json.hh"
+#include "common/knobs.hh"
 #include "common/log.hh"
-#include "common/metrics.hh"
 
 namespace mnoc {
 
 namespace {
 
-/** Raw MNOC_TRACE_SPANS value ("" when unset). */
-std::string
-envValue()
-{
-    const char *value = std::getenv("MNOC_TRACE_SPANS");
-    return value != nullptr ? std::string(value) : std::string();
-}
-
 std::atomic<bool> &
 enabledFlag()
 {
     static std::atomic<bool> flag(
-        parsePathKnob(envValue().c_str(), "MNOC_TRACE_SPANS")
-            .enabled);
+        readKnob("MNOC_TRACE_SPANS").enabled);
     return flag;
 }
 
@@ -84,11 +75,10 @@ SpanRecorder::setEnabled(bool on)
 std::string
 SpanRecorder::exportPath()
 {
-    PathKnob knob =
-        parsePathKnob(envValue().c_str(), "MNOC_TRACE_SPANS");
+    KnobValue knob = readKnob("MNOC_TRACE_SPANS");
     if (!knob.enabled)
         return "";
-    return knob.path.empty() ? "mnoc_spans.json" : knob.path;
+    return knob.text.empty() ? "mnoc_spans.json" : knob.text;
 }
 
 std::uint64_t

@@ -404,7 +404,9 @@ loadDesignReport(const std::string &path)
                 std::string b;
                 if (key == "env")
                     b = parser.token("manifest env value");
-                setManifestField(manifest, key, a, b);
+                if (!setManifestField(manifest, key, a, b))
+                    parser.fail("manifest " + key,
+                                "malformed value '" + a + "'");
             }
             report.manifest = manifest;
         } else {

@@ -53,7 +53,8 @@ struct Trace
 };
 
 /** Extract the trace from a simulation result, stamping the current
- *  run manifest (seed, git SHA, MNOC_* knobs, config digest). */
+ *  run manifest (seed, git SHA, result-class knobs, config
+ *  digest). */
 Trace toTrace(const SimulationResult &result);
 
 /**

@@ -127,6 +127,63 @@ if MNOC_FAULTS=2 "$MNOCPT" report --design "$DIR/t.design" \
     2>"$DIR/err_knob.txt"; then exit 1; fi
 grep -q "MNOC_FAULTS" "$DIR/err_knob.txt"
 
+# Overflowing counts are fatal too (never clamped to 2^63 - 1), and
+# so is a bench integer with trailing garbage.
+if MNOC_ADAPT_WINDOW=99999999999999999999 "$MNOCPT" adapt \
+    --design "$DIR/t.design" --trace "$DIR/e.trace" \
+    --dir "$DIR/adapt_bad" 2>"$DIR/err_window.txt"; then exit 1; fi
+grep -q "MNOC_ADAPT_WINDOW" "$DIR/err_window.txt"
+if MNOC_BENCH_CORES=12x "$MNOCPT" simulate --benchmark water_s \
+    --cores 16 --ops 100 --out "$DIR/bad_cores.trace" \
+    2>"$DIR/err_cores.txt"; then exit 1; fi
+grep -q "MNOC_BENCH_CORES" "$DIR/err_cores.txt"
+
+# A mistyped knob name is not silently ignored: the run warns,
+# naming the variable.
+MNOC_FAULT=1 "$MNOCPT" report --design "$DIR/t.design" \
+    --trace "$DIR/e.trace" --dir "$DIR/report_typo" \
+    2>"$DIR/err_typo.txt" > /dev/null
+grep -q "unknown knob MNOC_FAULT " "$DIR/err_typo.txt"
+
+# Artifact identity: a fresh trace, design and report depend only on
+# their inputs, not on the observability knobs, and across pool sizes
+# only the manifest's `threads` entry (and the report's echo of the
+# trace manifest) differs.
+# identity_run <tag> [VAR=value...]
+identity_run() {
+    tag=$1
+    shift
+    mkdir -p "$DIR/id_$tag"
+    env "$@" MNOC_LEDGER=1 "$MNOCPT" simulate --benchmark water_s \
+        --cores 16 --ops 400 --out "$DIR/id_$tag/t.trace" > /dev/null
+    env "$@" "$MNOCPT" design --trace "$DIR/id_$tag/t.trace" \
+        --modes 2 --assign comm --out "$DIR/id_$tag/t.design" \
+        > /dev/null
+    env "$@" "$MNOCPT" report --design "$DIR/id_$tag/t.design" \
+        --trace "$DIR/id_$tag/t.trace" --dir "$DIR/id_$tag/report" \
+        > /dev/null
+}
+identity_run off MNOC_THREADS=2 MNOC_TRACE_SPANS=0 MNOC_METRICS=0
+identity_run on MNOC_THREADS=2 MNOC_TRACE_SPANS="$DIR/id_spans.json" \
+    MNOC_METRICS=1
+cmp "$DIR/id_off/t.trace" "$DIR/id_on/t.trace"
+cmp "$DIR/id_off/t.design" "$DIR/id_on/t.design"
+diff -r "$DIR/id_off/report" "$DIR/id_on/report"
+identity_run t1 MNOC_THREADS=1
+identity_run t4 MNOC_THREADS=4
+for name in t.trace t.design; do
+    diff "$DIR/id_t1/$name" "$DIR/id_t4/$name" \
+        | grep '^[<>]' > "$DIR/id_diff.txt" || true
+    printf '< threads 1\n> threads 4\n' | cmp - "$DIR/id_diff.txt"
+done
+for name in $(ls "$DIR/id_t1/report"); do
+    for t in t1 t4; do
+        LC_ALL=C sed 's/threads"*: [0-9]*/threads/' \
+            "$DIR/id_$t/report/$name" > "$DIR/id_$t.norm"
+    done
+    cmp "$DIR/id_t1.norm" "$DIR/id_t4.norm"
+done
+
 # Flight recorder: an adaptive replay under MNOC_JOURNAL records an
 # epoch-anchored decision journal whose bytes are stamped with the
 # trace's manifest and therefore do not depend on the pool size;

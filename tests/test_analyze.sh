@@ -63,6 +63,7 @@ bad_discarded_journal.cc:10: \[discarded-result\]
 bad_unclosed_writer.cc:10: \[unclosed-writer\]
 bad_unclosed_journal.cc:10: \[unclosed-writer\]
 bad_raw_ofstream.cc:9: \[raw-ofstream\]
+bad_raw_getenv.cc:9: \[raw-getenv\]
 bad_layering.cc:1: \[layering\]
 ring.hh:4: \[include-cycle\]
 EOF
@@ -85,7 +86,7 @@ assert doc["version"] == "2.1.0", "version must be 2.1.0"
 assert "sarif-schema-2.1.0" in doc["$schema"], "schema URI"
 run = doc["runs"][0]
 rules = {r["id"] for r in run["tool"]["driver"]["rules"]}
-assert len(rules) == 10, "rule catalog incomplete"
+assert len(rules) == 11, "rule catalog incomplete"
 results = run["results"]
 assert results, "fixture run must produce results"
 for result in results:

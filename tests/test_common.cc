@@ -9,11 +9,14 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
+#include <string>
 #include <type_traits>
 
 #include "common/csv.hh"
 #include "common/io.hh"
+#include "common/knobs.hh"
 #include "common/log.hh"
 #include "common/matrix.hh"
 #include "common/metrics.hh"
@@ -389,77 +392,96 @@ TEST(Table, AlignsAndUnderlinesHeader)
     EXPECT_EQ(TextTable::num(1.23456, 2), "1.23");
 }
 
+/** A count-kind knob's parsed value. */
+long long
+knobNumber(const char *name, const char *text)
+{
+    return parseKnob(name, text).number;
+}
+
+/** Expect parseKnob(@p name, @p bad) to fatal naming the knob and
+ *  the value. */
+void
+expectKnobRejects(const char *name, const char *bad)
+{
+    try {
+        parseKnob(name, bad);
+        FAIL() << name << " accepted '" << bad << "'";
+    } catch (const FatalError &err) {
+        EXPECT_NE(std::string(err.what()).find(name), std::string::npos)
+            << err.what();
+        EXPECT_NE(std::string(err.what()).find(bad), std::string::npos)
+            << err.what();
+    }
+}
+
 TEST(Knobs, ParsePositiveCountFallsBackOnlyWhenUnset)
 {
-    EXPECT_EQ(parsePositiveCount(nullptr, "MNOC_EPOCH_MSGS", 1024),
-              1024u);
-    EXPECT_EQ(parsePositiveCount("", "MNOC_EPOCH_MSGS", 1024),
-              1024u);
-    EXPECT_EQ(parsePositiveCount("1", "MNOC_EPOCH_MSGS", 1024), 1u);
-    EXPECT_EQ(parsePositiveCount("65536", "MNOC_FAULT_SEED", 1),
-              65536u);
+    EXPECT_EQ(knobNumber("MNOC_EPOCH_MSGS", nullptr), 1024);
+    EXPECT_EQ(knobNumber("MNOC_EPOCH_MSGS", ""), 1024);
+    EXPECT_EQ(knobNumber("MNOC_EPOCH_MSGS", "1"), 1);
+    EXPECT_EQ(knobNumber("MNOC_FAULT_SEED", "65536"), 65536);
 }
 
 TEST(Knobs, ParsePositiveCountFatalsOnGarbageNamingTheKnob)
 {
     // A mistyped knob must stop the run, not quietly fall back.
-    for (const char *bad : {"banana", "0", "-3", "12abc", "1.5", " 7x"}) {
-        try {
-            parsePositiveCount(bad, "MNOC_EPOCH_MSGS", 1024);
-            FAIL() << "accepted '" << bad << "'";
-        } catch (const FatalError &err) {
-            EXPECT_NE(std::string(err.what()).find(
-                          "MNOC_EPOCH_MSGS"),
-                      std::string::npos);
-            EXPECT_NE(std::string(err.what()).find(bad),
-                      std::string::npos);
-        }
+    for (const char *bad : {"banana", "0", "-3", "12abc", "1.5", " 7x"})
+        expectKnobRejects("MNOC_EPOCH_MSGS", bad);
+    expectKnobRejects("MNOC_FAULT_SEED", "0");
+}
+
+TEST(Knobs, PositiveCountsRejectOverflow)
+{
+    // A count that does not fit must stop the run, not run clamped
+    // to 2^63 - 1.
+    for (const KnobSpec &spec : knobTable())
+        if (spec.kind == KnobKind::PositiveCount)
+            expectKnobRejects(spec.name, "99999999999999999999");
+}
+
+TEST(Knobs, BenchIntegersAreWholeTokens)
+{
+    // The bench knobs share the strict whole-token contract ("12x"
+    // is not 12), and empty means unset, as for every knob.
+    for (const char *name : {"MNOC_BENCH_CORES", "MNOC_BENCH_OPS"}) {
+        for (const char *bad : {"12x", "abc", "99999999999"})
+            expectKnobRejects(name, bad);
+        EXPECT_FALSE(parseKnob(name, "").set());
     }
-    try {
-        parsePositiveCount("0", "MNOC_FAULT_SEED", 1);
-        FAIL() << "accepted zero seed";
-    } catch (const FatalError &err) {
-        EXPECT_NE(std::string(err.what()).find("MNOC_FAULT_SEED"),
-                  std::string::npos);
-    }
+    EXPECT_EQ(knobNumber("MNOC_BENCH_CORES", ""), 256);
+    EXPECT_EQ(knobNumber("MNOC_BENCH_OPS", nullptr), 4000);
+    EXPECT_EQ(knobNumber("MNOC_BENCH_CORES", "64"), 64);
+    EXPECT_EQ(parseKnob("MNOC_BENCH_DIR", nullptr).text, "bench_out");
+    EXPECT_EQ(parseKnob("MNOC_BENCH_DIR", "out/x").text, "out/x");
 }
 
 TEST(Knobs, ParseBoolKnobAcceptsOnlyZeroAndOne)
 {
-    EXPECT_FALSE(parseBoolKnob(nullptr, "MNOC_LEDGER"));
-    EXPECT_FALSE(parseBoolKnob("", "MNOC_LEDGER"));
-    EXPECT_FALSE(parseBoolKnob("0", "MNOC_LEDGER"));
-    EXPECT_TRUE(parseBoolKnob("1", "MNOC_LEDGER"));
+    EXPECT_FALSE(parseKnob("MNOC_LEDGER", nullptr).enabled);
+    EXPECT_FALSE(parseKnob("MNOC_LEDGER", "").enabled);
+    EXPECT_FALSE(parseKnob("MNOC_LEDGER", "0").enabled);
+    EXPECT_TRUE(parseKnob("MNOC_LEDGER", "1").enabled);
 
     // Garbage must stop the run, naming the knob and the value --
     // the parity contract with MNOC_THREADS/MNOC_FAULTS.
-    for (const char *bad : {"2", "yes", "true", "on", "banana"}) {
-        try {
-            parseBoolKnob(bad, "MNOC_LEDGER");
-            FAIL() << "accepted '" << bad << "'";
-        } catch (const FatalError &err) {
-            EXPECT_NE(std::string(err.what()).find("MNOC_LEDGER"),
-                      std::string::npos);
-            EXPECT_NE(std::string(err.what()).find(bad),
-                      std::string::npos);
-        }
-    }
+    for (const char *bad : {"2", "yes", "true", "on", "banana"})
+        expectKnobRejects("MNOC_LEDGER", bad);
 }
 
 TEST(Knobs, ParsePathKnobSplitsFlagFromExportPath)
 {
-    EXPECT_FALSE(parsePathKnob(nullptr, "MNOC_METRICS").enabled);
-    EXPECT_FALSE(parsePathKnob("", "MNOC_METRICS").enabled);
-    EXPECT_FALSE(parsePathKnob("0", "MNOC_METRICS").enabled);
+    EXPECT_FALSE(parseKnob("MNOC_METRICS", nullptr).enabled);
+    EXPECT_FALSE(parseKnob("MNOC_METRICS", "").enabled);
+    EXPECT_FALSE(parseKnob("MNOC_METRICS", "0").enabled);
 
-    PathKnob on = parsePathKnob("1", "MNOC_METRICS");
+    KnobValue on = parseKnob("MNOC_METRICS", "1");
     EXPECT_TRUE(on.enabled);
-    EXPECT_TRUE(on.path.empty());
+    EXPECT_TRUE(on.text.empty());
 
-    PathKnob path = parsePathKnob("out/metrics.json",
-                                  "MNOC_TRACE_SPANS");
+    KnobValue path = parseKnob("MNOC_TRACE_SPANS", "out/metrics.json");
     EXPECT_TRUE(path.enabled);
-    EXPECT_EQ(path.path, "out/metrics.json");
+    EXPECT_EQ(path.text, "out/metrics.json");
 }
 
 TEST(Knobs, ParsePathKnobFatalsOnMistypedFlags)
@@ -467,17 +489,8 @@ TEST(Knobs, ParsePathKnobFatalsOnMistypedFlags)
     // Values that are clearly an attempt at a boolean (or a count)
     // must not be silently taken as file names.
     for (const char *bad :
-         {"true", "FALSE", "yes", "No", "ON", "off", "2", "01"}) {
-        try {
-            parsePathKnob(bad, "MNOC_METRICS");
-            FAIL() << "accepted '" << bad << "'";
-        } catch (const FatalError &err) {
-            EXPECT_NE(std::string(err.what()).find("MNOC_METRICS"),
-                      std::string::npos);
-            EXPECT_NE(std::string(err.what()).find(bad),
-                      std::string::npos);
-        }
-    }
+         {"true", "FALSE", "yes", "No", "ON", "off", "2", "01"})
+        expectKnobRejects("MNOC_METRICS", bad);
 }
 
 TEST(Knobs, FaultKnobsDefaultOffWithSeedOne)
@@ -501,60 +514,44 @@ TEST(Knobs, AdaptKnobsAreStrictFromDayOne)
     // MNOC_ADAPT shares the 0/1 contract, MNOC_ADAPT_WINDOW the
     // positive-count contract; both must fatal on garbage naming the
     // knob and the value rather than fall back to a default.
-    for (const char *bad : {"2", "yes", "on", "banana"}) {
-        try {
-            parseBoolKnob(bad, "MNOC_ADAPT");
-            FAIL() << "accepted '" << bad << "'";
-        } catch (const FatalError &err) {
-            EXPECT_NE(std::string(err.what()).find("MNOC_ADAPT"),
-                      std::string::npos);
-            EXPECT_NE(std::string(err.what()).find(bad),
-                      std::string::npos);
-        }
-    }
-    for (const char *bad : {"0", "-4", "8.5", "wide", "16x"}) {
-        try {
-            parsePositiveCount(bad, "MNOC_ADAPT_WINDOW", 32);
-            FAIL() << "accepted '" << bad << "'";
-        } catch (const FatalError &err) {
-            EXPECT_NE(std::string(err.what()).find(
-                          "MNOC_ADAPT_WINDOW"),
-                      std::string::npos);
-            EXPECT_NE(std::string(err.what()).find(bad),
-                      std::string::npos);
-        }
-    }
-    EXPECT_EQ(parsePositiveCount("16", "MNOC_ADAPT_WINDOW", 32),
-              16u);
+    for (const char *bad : {"2", "yes", "on", "banana"})
+        expectKnobRejects("MNOC_ADAPT", bad);
+    for (const char *bad : {"0", "-4", "8.5", "wide", "16x"})
+        expectKnobRejects("MNOC_ADAPT_WINDOW", bad);
+    EXPECT_EQ(knobNumber("MNOC_ADAPT_WINDOW", "16"), 16);
 }
 
 TEST(Knobs, ParseLogLevelKnobIsStrict)
 {
-    EXPECT_EQ(parseLogLevelKnob(nullptr, "MNOC_LOG_LEVEL"),
-              LogLevel::Info);
-    EXPECT_EQ(parseLogLevelKnob("", "MNOC_LOG_LEVEL"),
-              LogLevel::Info);
-    EXPECT_EQ(parseLogLevelKnob("info", "MNOC_LOG_LEVEL"),
-              LogLevel::Info);
-    EXPECT_EQ(parseLogLevelKnob("warn", "MNOC_LOG_LEVEL"),
-              LogLevel::Warn);
-    EXPECT_EQ(parseLogLevelKnob("quiet", "MNOC_LOG_LEVEL"),
-              LogLevel::Quiet);
+    auto level = [](const char *text) {
+        return static_cast<LogLevel>(
+            knobNumber("MNOC_LOG_LEVEL", text));
+    };
+    EXPECT_EQ(level(nullptr), LogLevel::Info);
+    EXPECT_EQ(level(""), LogLevel::Info);
+    EXPECT_EQ(level("info"), LogLevel::Info);
+    EXPECT_EQ(level("warn"), LogLevel::Warn);
+    EXPECT_EQ(level("quiet"), LogLevel::Quiet);
 
     // A typo like "qiuet" must not silently re-enable warnings, and
     // the casing is part of the contract.
-    for (const char *bad : {"qiuet", "INFO", "verbose", "2", "Warn"}) {
-        try {
-            parseLogLevelKnob(bad, "MNOC_LOG_LEVEL");
-            FAIL() << "accepted '" << bad << "'";
-        } catch (const FatalError &err) {
-            EXPECT_NE(std::string(err.what()).find(
-                          "MNOC_LOG_LEVEL"),
-                      std::string::npos);
-            EXPECT_NE(std::string(err.what()).find(bad),
-                      std::string::npos);
-        }
+    for (const char *bad : {"qiuet", "INFO", "verbose", "2", "Warn"})
+        expectKnobRejects("MNOC_LOG_LEVEL", bad);
+}
+
+TEST(Knobs, TableHoldsEachKnobOnceWithAClass)
+{
+    std::set<std::string> names;
+    int result_knobs = 0;
+    for (const KnobSpec &spec : knobTable()) {
+        EXPECT_EQ(std::string(spec.name).rfind("MNOC_", 0), 0u);
+        EXPECT_TRUE(names.insert(spec.name).second) << spec.name;
+        EXPECT_NE(std::string(spec.doc), "");
+        result_knobs += spec.klass == KnobClass::Result ? 1 : 0;
     }
+    EXPECT_EQ(names.size(), 14u);
+    EXPECT_EQ(result_knobs, 8);
+    EXPECT_THROW(parseKnob("MNOC_NO_SUCH_KNOB", "1"), PanicError);
 }
 
 } // namespace

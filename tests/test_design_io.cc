@@ -7,6 +7,8 @@
 
 #include <cstdio>
 #include <fstream>
+#include <string>
+#include <tuple>
 
 #include "common/log.hh"
 #include "core/builders.hh"
@@ -146,6 +148,45 @@ TEST(DesignIo, ManifestTrailerRoundTrips)
     EXPECT_FALSE(loadDesignReport(bare).manifest.has_value());
     std::remove(path.c_str());
     std::remove(bare.c_str());
+}
+
+TEST(DesignIo, ManifestTrailerRejectsMalformedSeedAndThreads)
+{
+    // The design trailer shares the trace manifest's whole-token
+    // seed/threads parse; a bad value fails naming the field.
+    IoFixture f;
+    std::string path = testing::TempDir() + "mnoc_design_badman.txt";
+    RunManifest manifest;
+    manifest.seed = 77;
+    manifest.threads = 5;
+    saveDesign(path, f.sample(), nullptr, &manifest);
+    std::ifstream in(path);
+    std::string content((std::istreambuf_iterator<char>(in)),
+                        std::istreambuf_iterator<char>());
+    in.close();
+
+    for (auto [good, bad, field] :
+         {std::tuple{"\nseed 77\n", "\nseed 1x\n", "manifest seed"},
+          std::tuple{"\nthreads 5\n", "\nthreads -9z\n",
+                     "manifest threads"}}) {
+        std::string patched = content;
+        std::size_t at = patched.find(good);
+        ASSERT_NE(at, std::string::npos) << good;
+        patched.replace(at, std::string(good).size(), bad);
+        {
+            std::ofstream out(path);
+            out << patched;
+        }
+        try {
+            loadDesignReport(path);
+            FAIL() << "loaded a manifest with '" << bad << "'";
+        } catch (const FatalError &error) {
+            EXPECT_NE(std::string(error.what()).find(field),
+                      std::string::npos)
+                << error.what();
+        }
+    }
+    std::remove(path.c_str());
 }
 
 TEST(DesignIo, DriveTableMatchesDesign)

@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/json.hh"
@@ -308,6 +310,10 @@ TEST(ManifestTest, ParseRejectsMalformedEntries)
     EXPECT_FALSE(parseManifestEntry("seed", manifest));
     EXPECT_FALSE(parseManifestEntry("env MNOC_THREADS", manifest));
     EXPECT_FALSE(parseManifestEntry("seed 1 2", manifest));
+    EXPECT_FALSE(parseManifestEntry("seed 1x", manifest));
+    EXPECT_FALSE(parseManifestEntry("seed -1", manifest));
+    EXPECT_FALSE(parseManifestEntry("threads -9z", manifest));
+    EXPECT_FALSE(parseManifestEntry("threads -1", manifest));
     // Unknown keys parse (forward compatibility) but change nothing.
     EXPECT_TRUE(parseManifestEntry("future value", manifest));
     EXPECT_EQ(manifest.seed, 0u);
@@ -329,6 +335,24 @@ TEST(ManifestTest, CurrentManifestRecordsProcessState)
     EXPECT_EQ(manifest.configDigest, "digest");
     EXPECT_FALSE(manifest.gitSha.empty());
     EXPECT_GE(manifest.threads, 1);
+}
+
+TEST(ManifestTest, CurrentManifestStampsOnlySetResultKnobs)
+{
+    // Result knobs are stamped in table order; execution and
+    // observability knobs never reach an artifact's bytes.
+    setenv("MNOC_ADAPT_WINDOW", "16", 1);
+    setenv("MNOC_LEDGER", "1", 1);
+    setenv("MNOC_BENCH_DIR", "elsewhere", 1);
+    setenv("MNOC_JOURNAL", "0", 1);
+    RunManifest manifest = currentManifest();
+    unsetenv("MNOC_ADAPT_WINDOW");
+    unsetenv("MNOC_LEDGER");
+    unsetenv("MNOC_BENCH_DIR");
+    unsetenv("MNOC_JOURNAL");
+    std::vector<std::pair<std::string, std::string>> expected = {
+        {"MNOC_LEDGER", "1"}, {"MNOC_ADAPT_WINDOW", "16"}};
+    EXPECT_EQ(manifest.env, expected);
 }
 
 TEST(ManifestTest, JsonFormIsEscapedAndComplete)

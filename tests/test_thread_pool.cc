@@ -16,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/knobs.hh"
 #include "common/log.hh"
 #include "common/thread_pool.hh"
 
@@ -159,23 +160,30 @@ TEST(ThreadPool, WorkersActuallyRunConcurrently)
 
 TEST(ThreadPool, ParseThreadsAcceptsCountsRejectsGarbage)
 {
-    EXPECT_EQ(ThreadPool::parseThreads("8", 2), 8);
-    EXPECT_EQ(ThreadPool::parseThreads("1", 2), 1);
-    // Unset and empty fall back; anything else must be valid -- a
-    // mistyped override is a fatal configuration error, never a
-    // silent fallback to a different thread count.
-    EXPECT_EQ(ThreadPool::parseThreads(nullptr, 3), 3);
-    EXPECT_EQ(ThreadPool::parseThreads("", 3), 3);
-    EXPECT_THROW(ThreadPool::parseThreads("0", 3), FatalError);
-    EXPECT_THROW(ThreadPool::parseThreads("-4", 3), FatalError);
-    EXPECT_THROW(ThreadPool::parseThreads("abc", 3), FatalError);
-    EXPECT_THROW(ThreadPool::parseThreads("4x", 3), FatalError);
-    EXPECT_THROW(ThreadPool::parseThreads("999999", 3), FatalError);
+    auto threads = [](const char *text) {
+        return parseKnob("MNOC_THREADS", text).number;
+    };
+    EXPECT_EQ(threads("8"), 8);
+    EXPECT_EQ(threads("1"), 1);
+    // Unset and empty fall back (to the hardware concurrency, in
+    // configuredThreads); anything else must be valid -- a mistyped
+    // override is a fatal configuration error, never a silent
+    // fallback to a different thread count.
+    EXPECT_FALSE(parseKnob("MNOC_THREADS", nullptr).set());
+    EXPECT_FALSE(parseKnob("MNOC_THREADS", "").set());
+    EXPECT_THROW(threads("0"), FatalError);
+    EXPECT_THROW(threads("-4"), FatalError);
+    EXPECT_THROW(threads("abc"), FatalError);
+    EXPECT_THROW(threads("4x"), FatalError);
+    EXPECT_THROW(threads("999999"), FatalError);
+    EXPECT_THROW(threads("99999999999999999999"), FatalError);
     try {
-        ThreadPool::parseThreads("banana", 3);
+        threads("banana");
         FAIL() << "garbage thread count must throw";
     } catch (const FatalError &error) {
         EXPECT_NE(std::string(error.what()).find("banana"),
+                  std::string::npos);
+        EXPECT_NE(std::string(error.what()).find("MNOC_THREADS"),
                   std::string::npos);
     }
 }

@@ -224,6 +224,30 @@ TEST(Trace, LoadRejectsTruncatedManifest)
         7, "truncated manifest");
 }
 
+TEST(Trace, LoadRejectsMalformedManifestSeedAndThreads)
+{
+    // Manifest seed/threads entries are whole-token parses: a prefix
+    // number followed by garbage, or an overflow, is a diagnostic
+    // naming the entry's byte offset, not a silently truncated value.
+    std::string head = "mnoc-trace 2\nw\nn\n2 10\nmanifest 1\n";
+    for (const char *entry : {"seed 1x\n", "threads -9z\n",
+                              "seed 18446744073709551616\n"}) {
+        std::string path = writeFixture("mnoc_trace_mbad.txt",
+                                        head + entry + "0 1 4 8\n");
+        try {
+            loadTrace(path);
+            FAIL() << "loadTrace accepted '" << entry << "'";
+        } catch (const FatalError &error) {
+            std::string what = error.what();
+            EXPECT_NE(what.find("manifest-entry record at byte " +
+                                std::to_string(head.size())),
+                      std::string::npos)
+                << what;
+        }
+        std::remove(path.c_str());
+    }
+}
+
 Trace
 sampleTraceWithEpochs()
 {

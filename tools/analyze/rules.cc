@@ -57,6 +57,8 @@ const std::vector<RuleInfo> kCatalog = {
      "modules include each other in a cycle"},
     {"layering", "layering", "error",
      "include points up the layer order"},
+    {"raw-getenv", "determinism", "error",
+     "environment read bypasses the knob table in common/knobs"},
     {"raw-ofstream", "error-handling", "warning",
      "raw std::ofstream bypasses the FileWriter choke point"},
     {"raw-thread", "determinism", "error",
@@ -203,6 +205,7 @@ class FileChecker
         checkWallClock();
         checkUnseededRng();
         checkRawThread();
+        checkRawGetenv();
         checkRawOfstream();
         checkSharedPrng();
         checkDiscardedResult();
@@ -407,6 +410,26 @@ class FileChecker
                         "common/thread_pool.hh; raw threads break "
                         "the deterministic-parallelism contract "
                         "(DESIGN.md §9)");
+        }
+    }
+
+    void
+    checkRawGetenv()
+    {
+        if (category_ == "tests" ||
+            pathIsOneOf({"src/common/knobs.cc"}))
+            return;
+        for (std::size_t i = 0; i + 1 < toks_.size(); ++i) {
+            std::string callee = lastSegment(toks_[i].text);
+            if (toks_[i].kind == TokKind::Identifier &&
+                (callee == "getenv" || callee == "secure_getenv") &&
+                isPunct(toks_[i + 1], '('))
+                add(toks_[i].line, "raw-getenv",
+                    "'" + toks_[i].text +
+                        "' reads the environment outside the knob "
+                        "table; use readKnob() from common/knobs.hh "
+                        "so the value is strictly parsed, classified "
+                        "and stamped");
         }
     }
 

@@ -7,7 +7,9 @@
  *   determinism     parallel == serial bit-exactness of designs,
  *                   ledgers and reports at any MNOC_THREADS
  *                   (DESIGN.md §9): unordered-iteration, wall-clock,
- *                   unseeded-rng, shared-prng, raw-thread
+ *                   unseeded-rng, shared-prng, raw-thread; and every
+ *                   environment read goes through the knob table,
+ *                   so result knobs are stamped: raw-getenv
  *   layering        the directed dependency order of the tree
  *                   (include_graph.hh): layering, include-cycle
  *   error-handling  fallible I/O must not fail silently:

@@ -10,12 +10,12 @@ docs overhaul relies on:
                  fragment must match a heading in the target page
                  (GitHub slug rules: lowercase, punctuation dropped,
                  spaces to dashes).
-  knob-table     the README environment-knob table and the code agree
-                 in both directions: every `MNOC_*` variable the code
-                 reads (via getenv / envInt) has a README row, and
-                 every README row names a variable the code actually
-                 reads.  The manifest's recorded-knob list must be a
-                 subset of the documented knobs.
+  knob-table     the README environment-knob table and the knob
+                 table in src/common/knobs.cc (the one place the code
+                 reads MNOC_* variables) agree in both directions:
+                 every table row has a README row with the same
+                 default and class, and every README row names a
+                 knob in the table.
   orphan-doc     every page under docs/ is reachable by following
                  relative links from README.md and DESIGN.md, so no
                  page can silently fall out of the documentation
@@ -44,19 +44,17 @@ DOC_DIRS = ("docs",)
 # Roots of the reachability walk for the orphan-doc rule.
 LINK_ROOTS = ("README.md", "DESIGN.md")
 
-# Directories scanned for MNOC_* environment reads.
-CODE_DIRS = ("src", "tools", "bench", "examples")
-
-# MNOC_* identifiers that are not environment knobs: the compile-time
-# git stamp and the header-guard namespace.
-KNOB_EXCLUDE_RE = re.compile(r"^MNOC_GIT_SHA$|_HH$")
+# The knob table: every MNOC_* variable the code reads.
+KNOB_TABLE = Path("src") / "common" / "knobs.cc"
 
 MD_LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
-GETENV_RE = re.compile(r"getenv\(\"(MNOC_[A-Z_]+)\"\)")
-ENVINT_RE = re.compile(r"envInt\(\"(MNOC_[A-Z_]+)\"")
-README_ROW_RE = re.compile(r"^\|\s*`(MNOC_[A-Z_]+)`\s*\|")
+# One KnobSpec row: {"NAME", "default", KnobKind::K, KnobClass::C, ...
+KNOB_ROW_RE = re.compile(r"\{\s*\"(MNOC_[A-Z_]+)\",\s*\"([^\"]*)\",\s*"
+                         r"KnobKind::\w+,\s*KnobClass::(\w+),")
+# One README row: | `NAME` | default | class | effect |
+README_ROW_RE = re.compile(
+    r"^\|\s*`(MNOC_[A-Z_]+)`\s*\|([^|]*)\|([^|]*)\|")
 HEADING_RE = re.compile(r"^#{1,6}\s+(.*)$")
-KNOB_ARRAY_RE = re.compile(r"\"(MNOC_[A-Z_]+)\"")
 
 
 def github_slug(heading: str) -> str:
@@ -131,67 +129,52 @@ def check_links(root: Path, findings: list[str]) -> dict[Path, set]:
     return graph
 
 
-def code_knobs(root: Path) -> dict[str, str]:
-    """Every MNOC_* env variable the code reads, with one site."""
-    knobs: dict[str, str] = {}
-    for sub in CODE_DIRS:
-        for ext in ("*.cc", "*.hh", "*.cpp"):
-            for path in sorted((root / sub).rglob(ext)):
-                if "fixtures" in path.parts:
-                    continue
-                text = path.read_text(encoding="utf-8",
-                                      errors="replace")
-                for regex in (GETENV_RE, ENVINT_RE):
-                    for match in regex.finditer(text):
-                        name = match.group(1)
-                        if not KNOB_EXCLUDE_RE.search(name):
-                            knobs.setdefault(
-                                name, str(path.relative_to(root)))
-    return knobs
+def table_knobs(root: Path) -> dict[str, tuple[str, str]]:
+    """The knob table's rows: name -> (default, class)."""
+    text = (root / KNOB_TABLE).read_text(encoding="utf-8")
+    return {name: (default, klass.lower())
+            for name, default, klass in KNOB_ROW_RE.findall(text)}
 
 
-def readme_knobs(root: Path) -> dict[str, int]:
-    rows: dict[str, int] = {}
+def readme_knobs(root: Path) -> dict[str, tuple[int, str, str]]:
+    """README knob rows: name -> (line, default, class)."""
+    rows: dict[str, tuple[int, str, str]] = {}
     readme = root / "README.md"
     for lineno, line in enumerate(
             readme.read_text(encoding="utf-8").splitlines(), 1):
         match = README_ROW_RE.match(line)
         if match:
-            rows.setdefault(match.group(1), lineno)
+            default = match.group(2).strip().strip("`")
+            rows.setdefault(match.group(1),
+                            (lineno, default, match.group(3).strip()))
     return rows
 
 
-def manifest_knobs(root: Path) -> list[str]:
-    """The recorded-knob array in src/common/manifest.cc."""
-    source = root / "src" / "common" / "manifest.cc"
-    text = source.read_text(encoding="utf-8")
-    match = re.search(r"kKnobs\[\]\s*=\s*\{(.*?)\}", text, re.S)
-    if not match:
-        return []
-    return KNOB_ARRAY_RE.findall(match.group(1))
-
-
 def check_knobs(root: Path, findings: list[str]) -> None:
-    in_code = code_knobs(root)
+    in_table = table_knobs(root)
     in_readme = readme_knobs(root)
-    for name, site in sorted(in_code.items()):
+    if not in_table:
+        findings.append(f"{KNOB_TABLE}:1: [knob-table] no knob rows "
+                        f"found")
+    for name, (default, klass) in sorted(in_table.items()):
         if name not in in_readme:
             findings.append(
-                f"README.md:1: [knob-table] {name} is read by "
-                f"{site} but has no row in the environment-knob "
+                f"README.md:1: [knob-table] {name} is in "
+                f"{KNOB_TABLE} but has no row in the environment-knob "
                 f"table")
-    for name, lineno in sorted(in_readme.items()):
-        if name not in in_code:
+            continue
+        lineno, readme_default, readme_class = in_readme[name]
+        if (readme_default, readme_class) != (default, klass):
             findings.append(
                 f"README.md:{lineno}: [knob-table] {name} is "
-                f"documented but nothing under "
-                f"{'/'.join(CODE_DIRS)} reads it")
-    for name in manifest_knobs(root):
-        if name not in in_readme:
+                f"documented as default '{readme_default}', class "
+                f"'{readme_class}' but {KNOB_TABLE} says '{default}', "
+                f"'{klass}'")
+    for name, (lineno, _, _) in sorted(in_readme.items()):
+        if name not in in_table:
             findings.append(
-                f"src/common/manifest.cc:1: [knob-table] manifest "
-                f"records {name} but the README table does not "
-                f"document it")
+                f"README.md:{lineno}: [knob-table] {name} is "
+                f"documented but is not in {KNOB_TABLE}")
 
 
 def check_orphans(root: Path, graph: dict[Path, set],
