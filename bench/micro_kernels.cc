@@ -2,11 +2,15 @@
  * @file
  * google-benchmark microbenchmarks of the library's inner kernels:
  * splitter-chain design, alpha optimization, QAP delta evaluation,
- * channel booking, cache lookups, and the disabled-path cost of the
- * metrics/span instrumentation (must stay a branch, not a syscall).
+ * channel booking, cache lookups, the disabled-path cost of the
+ * metrics/span instrumentation (must stay a branch, not a syscall),
+ * and the trace reader's record parse.
  */
 
 #include <benchmark/benchmark.h>
+
+#include <filesystem>
+#include <vector>
 
 #include "common/metrics.hh"
 #include "common/prng.hh"
@@ -21,6 +25,8 @@
 #include "runtime/degradation_controller.hh"
 #include "runtime/fault_timeline.hh"
 #include "sim/cache.hh"
+#include "sim/trace.hh"
+#include "sim/trace_stream.hh"
 
 using namespace mnoc;
 
@@ -223,6 +229,88 @@ BM_DegradationController(benchmark::State &state)
     }
 }
 BENCHMARK(BM_DegradationController)->Arg(64);
+
+/** Write a 256-node, 64-epoch trace (4096 messages an epoch, the
+ *  pipeline benchmark's epoch size) under the temp dir; its path. */
+std::string
+writeDrainTrace()
+{
+    constexpr int kNodes = 256;
+    constexpr std::size_t kEpochs = 64;
+    constexpr std::uint64_t kMessages = 4096;
+    sim::Trace trace;
+    trace.workloadName = "micro_drain";
+    trace.networkName = "mNoC";
+    trace.totalTicks = 1000000;
+    trace.packets = CountMatrix(kNodes, kNodes, 0);
+    trace.flits = CountMatrix(kNodes, kNodes, 0);
+    trace.epochs.messagesPerEpoch = kMessages;
+    Prng rng(9);
+    CountMatrix packets(kNodes, kNodes, 0);
+    CountMatrix flits(kNodes, kNodes, 0);
+    for (std::size_t e = 0; e < kEpochs; ++e) {
+        packets.fill(0);
+        flits.fill(0);
+        for (std::uint64_t m = 0; m < kMessages; ++m) {
+            auto src = static_cast<std::size_t>(rng.below(kNodes));
+            auto dst = static_cast<std::size_t>(rng.below(kNodes));
+            packets(src, dst) += 1;
+            flits(src, dst) += 1 + rng.below(5);
+        }
+        // Row-major walk: cells come out sorted by (src, dst).
+        std::vector<noc::EpochCell> cells;
+        for (int s = 0; s < kNodes; ++s) {
+            for (int d = 0; d < kNodes; ++d) {
+                if (packets(s, d) == 0)
+                    continue;
+                cells.push_back({s, d, packets(s, d), flits(s, d)});
+                trace.packets(s, d) += packets(s, d);
+                trace.flits(s, d) += flits(s, d);
+            }
+        }
+        trace.epochs.epochs.push_back(std::move(cells));
+    }
+    auto path = std::filesystem::temp_directory_path() /
+                "mnoc_micro_drain.trace";
+    sim::saveTrace(path.string(), trace);
+    return path.string();
+}
+
+/** The drain kernel's trace file, written once and removed at exit. */
+struct DrainTrace
+{
+    DrainTrace() = default;
+    ~DrainTrace()
+    {
+        std::error_code ignored; // a leftover temp file is harmless
+        std::filesystem::remove(path, ignored);
+    }
+    DrainTrace(const DrainTrace &) = delete;
+    DrainTrace &operator=(const DrainTrace &) = delete;
+
+    std::string path = writeDrainTrace();
+};
+
+/** Stream every epoch cell and triplet of a saved trace through
+ *  TraceReader: the record parse each replay pass pays per line. */
+void
+BM_TraceReaderDrain(benchmark::State &state)
+{
+    static const DrainTrace fixture;
+    std::vector<noc::EpochCell> cells;
+    std::vector<sim::TraceMessage> batch;
+    std::size_t records = 0;
+    for (auto _ : state) {
+        sim::TraceReader reader(fixture.path);
+        while (reader.nextEpoch(cells))
+            records += cells.size();
+        while (reader.nextMessages(batch, sim::kMessageBatch) > 0)
+            records += batch.size();
+        benchmark::DoNotOptimize(records);
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(records));
+}
+BENCHMARK(BM_TraceReaderDrain)->Unit(benchmark::kMillisecond);
 
 } // namespace
 

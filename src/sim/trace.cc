@@ -52,8 +52,8 @@ saveTrace(const std::string &path, const Trace &trace)
         for (const auto &cells : trace.epochs.epochs) {
             out << "epoch " << cells.size() << "\n";
             for (const noc::EpochCell &cell : cells)
-                out << cell.src << " " << cell.dst << " "
-                    << cell.packets << " " << cell.flits << "\n";
+                writeCountRecord(out, cell.src, cell.dst, cell.packets,
+                                 cell.flits);
         }
     }
     // Sparse triplets: src dst packets flits.
@@ -61,8 +61,8 @@ saveTrace(const std::string &path, const Trace &trace)
         for (int d = 0; d < n; ++d) {
             if (trace.packets(s, d) == 0 && trace.flits(s, d) == 0)
                 continue;
-            out << s << " " << d << " " << trace.packets(s, d) << " "
-                << trace.flits(s, d) << "\n";
+            writeCountRecord(out, s, d, trace.packets(s, d),
+                             trace.flits(s, d));
         }
     }
     // A full disk or revoked permissions surface here, not as a
@@ -117,12 +117,13 @@ mapEpochCells(const std::vector<noc::EpochCell> &cells,
         mapped.push_back(cell);
     }
     // Re-canonicalize: the permutation scrambles (src, dst) order,
-    // and downstream byte-identity depends on it.
-    std::sort(mapped.begin(), mapped.end(),
-              [](const noc::EpochCell &a, const noc::EpochCell &b) {
-                  return std::tie(a.src, a.dst) <
-                         std::tie(b.src, b.dst);
-              });
+    // and downstream byte-identity depends on it.  Keys are unique,
+    // so an identity or order-preserving map needs no sort.
+    auto by_endpoints = [](const noc::EpochCell &a, const noc::EpochCell &b) {
+        return std::tie(a.src, a.dst) < std::tie(b.src, b.dst);
+    };
+    if (!std::is_sorted(mapped.begin(), mapped.end(), by_endpoints))
+        std::sort(mapped.begin(), mapped.end(), by_endpoints);
     return mapped;
 }
 

@@ -1,8 +1,10 @@
 #include "sim/trace_stream.hh"
 
-#include <algorithm>
+#include <charconv>
 #include <filesystem>
 #include <sstream>
+#include <string_view>
+#include <utility>
 
 #include "common/log.hh"
 #include "common/metrics.hh"
@@ -43,7 +45,175 @@ shardFileName(std::size_t index)
     return name.str();
 }
 
+/**
+ * Field cursor over one trace record, enforcing the lexical rules of
+ * docs/TRACE_FORMAT.md on every record kind: a number is unsigned
+ * decimal digits that fit the target type (no sign, no fraction, no
+ * overflow), fields are separated by exactly one space (0x20), and
+ * nothing -- not even a CR -- may follow the last field (done()).
+ * Each read returns false on a violation, so a record parses as one
+ * short-circuit chain:
+ *
+ *     FieldCursor f(line);
+ *     if (!(f.number(src) && f.number(dst) && f.done()))
+ *         fail(...);
+ */
+class FieldCursor
+{
+  public:
+    explicit FieldCursor(std::string_view line) : rest_(line) {}
+
+    /** Next field as an unsigned decimal that fits @p T. */
+    template <typename T>
+    bool number(T &value)
+    {
+        if (!separator())
+            return false;
+        const char *begin = rest_.data();
+        std::uint64_t parsed = 0;
+        auto [stop, ec] = std::from_chars(begin, begin + rest_.size(), parsed);
+        if (ec != std::errc() || !std::in_range<T>(parsed))
+            return false;
+        rest_.remove_prefix(static_cast<std::size_t>(stop - begin));
+        value = static_cast<T>(parsed);
+        return true;
+    }
+
+    /** Next field as a token: one or more bytes above 0x20, so no
+     *  blank or control byte (keywords and shard file names). */
+    bool word(std::string_view &value)
+    {
+        if (!separator())
+            return false;
+        std::size_t len = 0;
+        while (len < rest_.size() &&
+               static_cast<unsigned char>(rest_[len]) > 0x20)
+            ++len;
+        if (len == 0)
+            return false;
+        value = rest_.substr(0, len);
+        rest_.remove_prefix(len);
+        return true;
+    }
+
+    /** Next field is exactly @p expected. */
+    bool keyword(std::string_view expected)
+    {
+        std::string_view token;
+        return word(token) && token == expected;
+    }
+
+    /** True once the whole line has been consumed. */
+    bool done() const { return rest_.empty(); }
+
+  private:
+    /** Every field but the first is preceded by exactly one space. */
+    bool separator()
+    {
+        if (first_) {
+            first_ = false;
+            return true;
+        }
+        if (rest_.empty() || rest_.front() != ' ')
+            return false;
+        rest_.remove_prefix(1);
+        return true;
+    }
+
+    std::string_view rest_;
+    bool first_ = true;
+};
+
+/** The "<magic> <version>" header record of a trace, index or
+ *  triplet file; fatal unless the version lies in [@p lo, @p hi]. */
+int
+parseFileHeader(LineScanner &sc, std::string_view magic, int lo, int hi)
+{
+    if (!sc.next())
+        sc.failTruncated("header", "empty trace file");
+    FieldCursor f(sc.line());
+    int version = 0;
+    bool ok = f.keyword(magic) && f.number(version) && f.done();
+    if (!ok || version < lo || version > hi)
+        sc.fail("header", "unrecognized trace file header: " + sc.line());
+    return version;
+}
+
+/** The workload, network and dimensions records. */
+void
+parseIdentity(LineScanner &sc, TraceHeader &header)
+{
+    if (!sc.next())
+        sc.failTruncated("workload", "missing workload name");
+    header.workloadName = sc.line();
+    if (!sc.next())
+        sc.failTruncated("network", "missing network name");
+    header.networkName = sc.line();
+
+    if (!sc.next())
+        sc.failTruncated("dimensions", "missing trace dimensions");
+    FieldCursor f(sc.line());
+    bool ok = f.number(header.numNodes) && f.number(header.totalTicks) &&
+              f.done();
+    if (!ok || header.numNodes <= 0)
+        sc.fail("dimensions", "malformed trace dimensions: " + sc.line());
+}
+
+/** The "manifest <k>" record and its k entries. */
+void
+parseManifestBlock(LineScanner &sc, RunManifest &manifest)
+{
+    if (!sc.next())
+        sc.failTruncated("manifest-header", "missing manifest block");
+    FieldCursor f(sc.line());
+    std::size_t count = 0;
+    if (!(f.keyword("manifest") && f.number(count) && f.done()))
+        sc.fail("manifest-header",
+                "expected 'manifest <n>', got: " + sc.line());
+    for (std::size_t i = 0; i < count; ++i) {
+        if (!sc.next())
+            sc.failTruncated("manifest-entry", "truncated manifest block");
+        if (!parseManifestEntry(sc.line(), manifest))
+            sc.fail("manifest-entry",
+                    "malformed manifest entry: " + sc.line());
+    }
+}
+
+/** The "epochs <n> <msgs>" record. */
+void
+parseEpochsHeader(LineScanner &sc, TraceHeader &header)
+{
+    if (!sc.next())
+        sc.failTruncated("epochs-header", "missing epochs block");
+    FieldCursor f(sc.line());
+    if (!(f.keyword("epochs") && f.number(header.numEpochs) &&
+          f.number(header.messagesPerEpoch) && f.done()))
+        sc.fail("epochs-header",
+                "expected 'epochs <n> <msgs>', got: " + sc.line());
+}
+
 } // namespace
+
+void
+writeCountRecord(std::ostream &out, std::int64_t src, std::int64_t dst,
+                 std::uint64_t packets, std::uint64_t flits)
+{
+    // Four 20-digit fields, three spaces and the newline.  Each
+    // field is bounded one byte short of the buffer, so its
+    // separator always lands inside it.
+    char line[88];
+    char *const last = line + sizeof line - 1;
+    char *p = line;
+    auto field = [&](auto value, char separator) {
+        p = std::to_chars(p, last, value).ptr;
+        *p++ = separator;
+    };
+    field(src, ' ');
+    field(dst, ' ');
+    field(packets, ' ');
+    field(flits, '\n');
+    out.write(line, p - line);
+}
 
 LineScanner::LineScanner(const std::string &path) : path_(path)
 {
@@ -120,70 +290,13 @@ TraceReader::openSingleFile()
 {
     scanner_ = std::make_unique<LineScanner>(path_);
     auto &sc = *scanner_;
-    if (!sc.next())
-        sc.failTruncated("header", "empty trace file");
-    std::string magic;
-    int version = 0;
-    {
-        std::istringstream header(sc.line());
-        header >> magic >> version;
-        if (header.fail() || magic != "mnoc-trace" || version < 1 ||
-            version > 3)
-            sc.fail("header",
-                    "unrecognized trace file header: " + sc.line());
-    }
-    header_.version = version;
+    header_.version = parseFileHeader(sc, "mnoc-trace", 1, 3);
+    parseIdentity(sc, header_);
+    if (header_.version >= 2)
+        parseManifestBlock(sc, header_.manifest);
 
-    if (!sc.next())
-        sc.failTruncated("workload", "missing workload name");
-    header_.workloadName = sc.line();
-    if (!sc.next())
-        sc.failTruncated("network", "missing network name");
-    header_.networkName = sc.line();
-
-    if (!sc.next())
-        sc.failTruncated("dimensions", "missing trace dimensions");
-    {
-        std::istringstream dims(sc.line());
-        dims >> header_.numNodes >> header_.totalTicks;
-        if (dims.fail() || header_.numNodes <= 0)
-            sc.fail("dimensions",
-                    "malformed trace dimensions: " + sc.line());
-    }
-
-    if (version >= 2) {
-        if (!sc.next())
-            sc.failTruncated("manifest-header",
-                             "missing manifest block");
-        std::istringstream head(sc.line());
-        std::string keyword;
-        std::size_t count = 0;
-        head >> keyword >> count;
-        if (head.fail() || keyword != "manifest")
-            sc.fail("manifest-header",
-                    "expected 'manifest <n>', got: " + sc.line());
-        for (std::size_t i = 0; i < count; ++i) {
-            if (!sc.next())
-                sc.failTruncated("manifest-entry",
-                                 "truncated manifest block");
-            if (!parseManifestEntry(sc.line(), header_.manifest))
-                sc.fail("manifest-entry",
-                        "malformed manifest entry: " + sc.line());
-        }
-    }
-
-    if (version >= 3) {
-        if (!sc.next())
-            sc.failTruncated("epochs-header",
-                             "missing epochs block");
-        std::istringstream head(sc.line());
-        std::string keyword;
-        head >> keyword >> header_.numEpochs >>
-            header_.messagesPerEpoch;
-        if (head.fail() || keyword != "epochs")
-            sc.fail("epochs-header",
-                    "expected 'epochs <n> <msgs>', got: " +
-                        sc.line());
+    if (header_.version >= 3) {
+        parseEpochsHeader(sc, header_);
         // Shard 0 of a single-file trace starts right here.
         epochsOffset_ = sc.lineOffset() + sc.line().size() + 1;
         epochsLineno_ = sc.lineno();
@@ -203,78 +316,18 @@ TraceReader::openSharded()
             "not a sharded trace directory (missing " +
                 std::string(kIndexFile) + "): " + path_);
     LineScanner sc(index_path);
-    if (!sc.next())
-        sc.failTruncated("header", "empty trace file");
-    std::string magic;
-    int version = 0;
-    {
-        std::istringstream header(sc.line());
-        header >> magic >> version;
-        if (header.fail() || magic != "mnoc-trace-shards" ||
-            version != 1)
-            sc.fail("header",
-                    "unrecognized trace file header: " + sc.line());
-    }
+    parseFileHeader(sc, "mnoc-trace-shards", 1, 1);
     header_.version = kShardedVersion;
-
-    if (!sc.next())
-        sc.failTruncated("workload", "missing workload name");
-    header_.workloadName = sc.line();
-    if (!sc.next())
-        sc.failTruncated("network", "missing network name");
-    header_.networkName = sc.line();
-
-    if (!sc.next())
-        sc.failTruncated("dimensions", "missing trace dimensions");
-    {
-        std::istringstream dims(sc.line());
-        dims >> header_.numNodes >> header_.totalTicks;
-        if (dims.fail() || header_.numNodes <= 0)
-            sc.fail("dimensions",
-                    "malformed trace dimensions: " + sc.line());
-    }
-
-    if (!sc.next())
-        sc.failTruncated("manifest-header", "missing manifest block");
-    {
-        std::istringstream head(sc.line());
-        std::string keyword;
-        std::size_t count = 0;
-        head >> keyword >> count;
-        if (head.fail() || keyword != "manifest")
-            sc.fail("manifest-header",
-                    "expected 'manifest <n>', got: " + sc.line());
-        for (std::size_t i = 0; i < count; ++i) {
-            if (!sc.next())
-                sc.failTruncated("manifest-entry",
-                                 "truncated manifest block");
-            if (!parseManifestEntry(sc.line(), header_.manifest))
-                sc.fail("manifest-entry",
-                        "malformed manifest entry: " + sc.line());
-        }
-    }
-
-    if (!sc.next())
-        sc.failTruncated("epochs-header", "missing epochs block");
-    {
-        std::istringstream head(sc.line());
-        std::string keyword;
-        head >> keyword >> header_.numEpochs >>
-            header_.messagesPerEpoch;
-        if (head.fail() || keyword != "epochs")
-            sc.fail("epochs-header",
-                    "expected 'epochs <n> <msgs>', got: " +
-                        sc.line());
-    }
+    parseIdentity(sc, header_);
+    parseManifestBlock(sc, header_.manifest);
+    parseEpochsHeader(sc, header_);
 
     if (!sc.next())
         sc.failTruncated("shards-header", "missing shards block");
     std::size_t num_shards = 0;
     {
-        std::istringstream head(sc.line());
-        std::string keyword;
-        head >> keyword >> num_shards;
-        if (head.fail() || keyword != "shards")
+        FieldCursor f(sc.line());
+        if (!(f.keyword("shards") && f.number(num_shards) && f.done()))
             sc.fail("shards-header",
                     "expected 'shards <n>', got: " + sc.line());
     }
@@ -283,11 +336,13 @@ TraceReader::openSharded()
         if (!sc.next())
             sc.failTruncated("shard-entry",
                              "truncated shard list");
-        std::istringstream entry(sc.line());
-        std::string keyword, file;
+        FieldCursor f(sc.line());
+        std::string_view file;
         ShardRange range;
-        entry >> keyword >> file >> range.firstEpoch >> range.count;
-        if (entry.fail() || keyword != "shard" || range.count == 0)
+        bool ok = f.keyword("shard") && f.word(file) &&
+                  f.number(range.firstEpoch) && f.number(range.count) &&
+                  f.done();
+        if (!ok || range.count == 0)
             sc.fail("shard-entry",
                     "expected 'shard <file> <first> <count>', "
                     "got: " + sc.line());
@@ -296,7 +351,7 @@ TraceReader::openSharded()
                     "shard ranges must tile the epochs in order: " +
                         sc.line());
         covered += range.count;
-        shardFiles_.push_back(path_ + "/" + file);
+        shardFiles_.push_back(path_ + "/" + std::string(file));
         shardRanges_.push_back(range);
     }
     if (covered != header_.numEpochs)
@@ -308,13 +363,12 @@ TraceReader::openSharded()
     if (!sc.next())
         sc.failTruncated("triplets-entry", "missing triplets entry");
     {
-        std::istringstream entry(sc.line());
-        std::string keyword, file;
-        entry >> keyword >> file;
-        if (entry.fail() || keyword != "triplets")
+        FieldCursor f(sc.line());
+        std::string_view file;
+        if (!(f.keyword("triplets") && f.word(file) && f.done()))
             sc.fail("triplets-entry",
                     "expected 'triplets <file>', got: " + sc.line());
-        tripletFile_ = path_ + "/" + file;
+        tripletFile_ = path_ + "/" + std::string(file);
     }
     fatalIf(sc.bad(), "I/O error reading trace file: " + index_path);
 }
@@ -326,11 +380,9 @@ TraceReader::parseEpochBlock(LineScanner &scanner, int num_nodes,
     if (!scanner.next())
         scanner.failTruncated("epoch-header",
                               "truncated epochs block");
-    std::istringstream epoch_head(scanner.line());
-    std::string epoch_keyword;
+    FieldCursor head(scanner.line());
     std::size_t cell_count = 0;
-    epoch_head >> epoch_keyword >> cell_count;
-    if (epoch_head.fail() || epoch_keyword != "epoch")
+    if (!(head.keyword("epoch") && head.number(cell_count) && head.done()))
         scanner.fail("epoch-header",
                      "expected 'epoch <cells>', got: " +
                          scanner.line());
@@ -340,16 +392,14 @@ TraceReader::parseEpochBlock(LineScanner &scanner, int num_nodes,
         if (!scanner.next())
             scanner.failTruncated("epoch-cell",
                                   "truncated epoch cell list");
-        std::istringstream cell_line(scanner.line());
+        FieldCursor f(scanner.line());
         noc::EpochCell cell;
-        cell_line >> cell.src >> cell.dst >> cell.packets >>
-            cell.flits;
-        if (cell_line.fail())
+        if (!(f.number(cell.src) && f.number(cell.dst) &&
+              f.number(cell.packets) && f.number(cell.flits) && f.done()))
             scanner.fail("epoch-cell",
                          "malformed epoch cell (expected 'src "
                          "dst packets flits'): " + scanner.line());
-        if (cell.src < 0 || cell.src >= num_nodes || cell.dst < 0 ||
-            cell.dst >= num_nodes)
+        if (cell.src >= num_nodes || cell.dst >= num_nodes)
             scanner.fail("epoch-cell",
                          "epoch cell endpoint out of range: " +
                              scanner.line());
@@ -364,12 +414,12 @@ TraceReader::openShard(std::size_t shard) const
     auto &sc = *scanner;
     if (!sc.next())
         sc.failTruncated("shard-header", "empty shard file");
-    std::istringstream head(sc.line());
-    std::string magic;
+    FieldCursor f(sc.line());
     int version = 0;
     std::size_t first = 0;
-    head >> magic >> version >> first;
-    if (head.fail() || magic != "mnoc-shard" || version != 1)
+    bool ok = f.keyword("mnoc-shard") && f.number(version) &&
+              f.number(first) && f.done();
+    if (!ok || version != 1)
         sc.fail("shard-header",
                 "unrecognized shard header: " + sc.line());
     if (first != shardRanges_[shard].firstEpoch)
@@ -441,17 +491,8 @@ TraceReader::nextMessages(std::vector<TraceMessage> &batch,
     }
     if (sharded() && !scanner_) {
         scanner_ = std::make_unique<LineScanner>(tripletFile_);
-        auto &sc = *scanner_;
-        if (!sc.next())
-            sc.failTruncated("header", "empty trace file");
-        std::istringstream head(sc.line());
-        std::string magic;
-        int version = 0;
-        head >> magic >> version;
-        if (head.fail() || magic != "mnoc-triplets" || version != 1)
-            sc.fail("header",
-                    "unrecognized trace file header: " + sc.line());
-        pending_ = sc.next();
+        parseFileHeader(*scanner_, "mnoc-triplets", 1, 1);
+        pending_ = scanner_->next();
     } else if (!sharded() && header_.version >= 3 &&
                epochsYielded_ == header_.numEpochs && !pending_ &&
                !tripletsStarted_) {
@@ -466,19 +507,17 @@ TraceReader::nextMessages(std::vector<TraceMessage> &batch,
     tripletsStarted_ = true;
     auto &sc = *scanner_;
     while (batch.size() < max && pending_) {
-        std::istringstream triplet(sc.line());
+        FieldCursor f(sc.line());
         TraceMessage msg;
-        triplet >> msg.src >> msg.dst >> msg.packets >> msg.flits;
-        if (triplet.fail())
+        if (!(f.number(msg.src) && f.number(msg.dst) &&
+              f.number(msg.packets) && f.number(msg.flits)))
             sc.fail("triplet",
                     "malformed trace triplet (expected 'src dst "
                     "packets flits'): " + sc.line());
-        std::string extra;
-        if (triplet >> extra)
+        if (!f.done())
             sc.fail("triplet",
                     "trailing garbage after triplet: " + sc.line());
-        if (msg.src < 0 || msg.src >= header_.numNodes ||
-            msg.dst < 0 || msg.dst >= header_.numNodes)
+        if (msg.src >= header_.numNodes || msg.dst >= header_.numNodes)
             sc.fail("triplet",
                     "trace endpoint out of range: " + sc.line());
         batch.push_back(msg);
@@ -613,8 +652,7 @@ TraceShardWriter::appendEpoch(
         fatalIf(cell.src < 0 || cell.src >= numNodes_ ||
                     cell.dst < 0 || cell.dst >= numNodes_,
                 "epoch cell endpoint out of range");
-        out << cell.src << " " << cell.dst << " " << cell.packets
-            << " " << cell.flits << "\n";
+        writeCountRecord(out, cell.src, cell.dst, cell.packets, cell.flits);
     }
     ++shardCounts_.back();
     ++numEpochs_;
@@ -646,8 +684,7 @@ TraceShardWriter::finish(noc::Tick total_ticks,
             for (std::size_t d = 0; d < n; ++d) {
                 if (packets(s, d) == 0 && flits(s, d) == 0)
                     continue;
-                out << s << " " << d << " " << packets(s, d) << " "
-                    << flits(s, d) << "\n";
+                writeCountRecord(out, s, d, packets(s, d), flits(s, d));
             }
         }
         writer.close();

@@ -85,6 +85,14 @@ constexpr int kShardedVersion = 4;
 constexpr std::size_t kMessageBatch = 4096;
 
 /**
+ * Write one "<src> <dst> <packets> <flits>" line -- the epoch-cell
+ * and triplet record of every trace format -- formatted with
+ * std::to_chars into one buffer and handed to @p out in one write.
+ */
+void writeCountRecord(std::ostream &out, std::int64_t src, std::int64_t dst,
+                      std::uint64_t packets, std::uint64_t flits);
+
+/**
  * Line scanner with the byte-offset bookkeeping the strict trace
  * diagnostics are built on.  next() advances one line; lineOffset()
  * is where the current line starts (the end-of-file offset once

@@ -248,6 +248,15 @@ if "$MNOCPT" evaluate --design "$DIR/t.design" \
 then exit 1; fi
 grep -q "no_such.trace" "$DIR/err_trace.txt"
 
+# A signed count in a trace record is fatal (it used to wrap to
+# 2^64 - 1), naming the record kind and its byte offset.
+sed '13s/.*/0 1 -1 5/' "$(dirname "$0")/data/golden_epoch_16.trace" \
+    > "$DIR/signed.trace"
+if "$MNOCPT" report --design "$DIR/t.design" --trace "$DIR/signed.trace" \
+    --dir "$DIR/report_signed" 2>"$DIR/err_signed.txt"
+then exit 1; fi
+grep -q "epoch-cell record at byte 141" "$DIR/err_signed.txt"
+
 # An unreadable design (a directory, here) fails with the path.
 mkdir -p "$DIR/not_a_file.design"
 if "$MNOCPT" budget --design "$DIR/not_a_file.design" \

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -502,6 +503,75 @@ TEST(Trace, GoldenFileRoundTripsAndMaps)
     EXPECT_TRUE(restored.packets == loaded.packets);
     EXPECT_TRUE(restored.flits == loaded.flits);
     EXPECT_EQ(restored.manifest.seed, 42u);
+}
+
+/** Replace 1-based line @p line of @p body with @p text; returns
+ *  the damaged body and stores the line's byte offset. */
+std::string
+replaceLine(const std::string &body, int line, const std::string &text,
+            std::size_t &offset)
+{
+    offset = 0;
+    for (int l = 1; l < line; ++l)
+        offset = body.find('\n', offset) + 1;
+    std::size_t end = body.find('\n', offset);
+    return body.substr(0, offset) + text + body.substr(end);
+}
+
+TEST(Trace, LoadRejectsEveryLexicalViolation)
+{
+    // Regression: the stream-extraction parser accepted signs,
+    // fractions, trailing tokens, tabs and doubled spaces (a "-1"
+    // packet count wrapped to 2^64 - 1).  Every number is unsigned
+    // decimal, fields are one space apart and nothing follows the
+    // last field, on every record kind.  Each case damages one line
+    // of the 16-node fixture and expects a diagnostic naming that
+    // line, its record kind and its byte offset.
+    std::string golden = fileBytes(std::string(MNOC_TEST_DATA_DIR) +
+                                   "/golden_epoch_16.trace");
+    ASSERT_FALSE(golden.empty());
+    auto expectRejected = [&](int line, const std::string &kind,
+                              const std::string &text) {
+        SCOPED_TRACE(text);
+        std::size_t offset = 0;
+        std::string body = replaceLine(golden, line, text, offset);
+        std::string path = writeFixture("mnoc_trace_lexical.txt", body);
+        std::string needle = kind + " record at byte " +
+                             std::to_string(offset) + "]";
+        expectLoadFailure(path, line, needle);
+        return offset;
+    };
+    expectRejected(1, "header", "mnoc-trace 3 x");
+    expectRejected(1, "header", "mnoc-trace  3");
+    expectRejected(4, "dimensions", "2 10 junk");
+    expectRejected(4, "dimensions", "16\t14564");
+    expectRejected(4, "dimensions", "-16 14564");
+    expectRejected(5, "manifest-header", "manifest 5 x");
+    expectRejected(11, "epochs-header", "epochs 1 8 x");
+    expectRejected(11, "epochs-header", "epochs 12 200\r");
+    expectRejected(12, "epoch-header", "epoch 1 y");
+    expectRejected(12, "epoch-header", "epoch  84");
+    // The fixture's first epoch cell starts at byte 141, the offset
+    // tests/cli_smoke.sh expects `mnocpt report` to name.
+    EXPECT_EQ(expectRejected(13, "epoch-cell", "0 1 -1 5"), 141u);
+    expectRejected(13, "epoch-cell", "0 1 3 5 junk");
+    expectRejected(13, "epoch-cell", "0 1 3 5.9");
+    expectRejected(13, "epoch-cell", "+0 1 3 5");
+    expectRejected(13, "epoch-cell", "0  1 3 5");
+    expectRejected(13, "epoch-cell", "0\t1 3 5");
+    expectRejected(13, "epoch-cell", "0 1 3 5 ");
+    expectRejected(13, "epoch-cell", "0 1 3 5\r");
+    expectRejected(13, "epoch-cell", "0 1 3 18446744073709551616");
+    expectRejected(13, "epoch-cell", "0 4294967297 3 5");
+    // The last line is a triplet.
+    int last =
+        static_cast<int>(std::count(golden.begin(), golden.end(), '\n'));
+    expectRejected(last, "triplet", "15 14 -2 3");
+    expectRejected(last, "triplet", "15 14 29 45 junk");
+    expectRejected(last, "triplet", "15  14 29 45");
+    expectRejected(last, "triplet", "15\t14 29 45");
+    expectRejected(last, "triplet", "+15 14 29 45");
+    expectRejected(last, "triplet", "15 14 29 45\r");
 }
 
 } // namespace

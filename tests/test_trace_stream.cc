@@ -433,6 +433,82 @@ TEST(TraceStream, TruncatedShardNamesRecordKindAndByteOffset)
     }
 }
 
+/** Rewrite line @p line (1-based) of @p path to @p text; returns the
+ *  byte offset where that line starts. */
+std::size_t
+damageLine(const std::string &path, int line, const std::string &text)
+{
+    std::string body = slurp(path);
+    std::size_t offset = 0;
+    for (int l = 1; l < line; ++l)
+        offset = body.find('\n', offset) + 1;
+    std::size_t end = body.find('\n', offset);
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << body.substr(0, offset) << text << body.substr(end);
+    return offset;
+}
+
+/** Expect @p run to fail naming @p file and "<kind> record at byte
+ *  <offset>". */
+template <typename Run>
+void
+expectRecordFailure(Run run, const std::string &file, const std::string &kind,
+                    std::size_t offset)
+{
+    try {
+        run();
+        FAIL() << "accepted a damaged " << kind << " record";
+    } catch (const FatalError &error) {
+        std::string what = error.what();
+        EXPECT_NE(what.find(file), std::string::npos) << what;
+        EXPECT_NE(what.find(kind + " record at byte " +
+                            std::to_string(offset) + "]"),
+                  std::string::npos)
+            << what;
+    }
+}
+
+TEST(TraceStream, ShardedReaderRejectsEveryLexicalViolation)
+{
+    // The sharded layout goes through the same field cursor: a
+    // signed, fractional, padded or trailing-token record in the
+    // triplet file or an epoch shard is fatal, naming the damaged
+    // file (not the index) and the record's byte offset, both on the
+    // sequential path and through readShard().
+    auto trace = epochTrace(4, 6);
+    std::string dir = scratchPath("lexical.mshards");
+    std::string shard = dir + "/epochs-000000.mshard";
+    std::string triplets = dir + "/triplets.mshard";
+    auto load = [&] {
+        sim::loadTrace(dir); // mnoc-analyze-ok(discarded-result)
+    };
+    auto drainShard = [&] {
+        sim::TraceReader reader(dir);
+        reader.readShard(0, [](std::size_t, auto &&) {});
+    };
+    auto expectRejected = [&](const std::string &text) {
+        SCOPED_TRACE(text);
+        std::filesystem::remove_all(dir);
+        sim::saveShardedTrace(dir, trace, 4);
+        // Line 2 of the triplet file is its first triplet; the epochs
+        // still parse, so the load reaches it.
+        std::size_t offset = damageLine(triplets, 2, text);
+        expectRecordFailure(load, triplets, "triplet", offset);
+        // Line 3 of an epoch shard is its first epoch cell.
+        offset = damageLine(shard, 3, text);
+        expectRecordFailure(load, shard, "epoch-cell", offset);
+        expectRecordFailure(drainShard, shard, "epoch-cell", offset);
+    };
+    expectRejected("0 1 -1 5");
+    expectRejected("15 14 -2 3");
+    expectRejected("0 1 3 5 junk");
+    expectRejected("0 1 3 5.9");
+    expectRejected("+0 1 3 5");
+    expectRejected("0  1 3 5");
+    expectRejected("0\t1 3 5");
+    expectRejected("0 1 3 5\r");
+}
+
 TEST(TraceStream, ZeroEpochV3TraceKeepsItsTripletSection)
 {
     // Regression: nextMessages() used to gate its v3 lookahead on
