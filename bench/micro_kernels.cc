@@ -2,9 +2,9 @@
  * @file
  * google-benchmark microbenchmarks of the library's inner kernels:
  * splitter-chain design, alpha optimization, QAP delta evaluation,
- * channel booking, cache lookups, the disabled-path cost of the
- * metrics/span instrumentation (must stay a branch, not a syscall),
- * and the trace reader's record parse.
+ * channel booking, cache lookups, directory entries, the
+ * disabled-path cost of the metrics/span instrumentation (must stay a
+ * branch, not a syscall), and the trace reader's record parse.
  */
 
 #include <benchmark/benchmark.h>
@@ -25,6 +25,8 @@
 #include "runtime/degradation_controller.hh"
 #include "runtime/fault_timeline.hh"
 #include "sim/cache.hh"
+#include "sim/directory.hh"
+#include "sim/memop.hh"
 #include "sim/trace.hh"
 #include "sim/trace_stream.hh"
 
@@ -106,10 +108,14 @@ BM_ChannelBook(benchmark::State &state)
 }
 BENCHMARK(BM_ChannelBook);
 
+/** Cache::lookup at the L1 (32 KB, 4-way) and L2 (512 KB, 8-way)
+ *  geometries of MemoryParams; the args are KB and ways. */
 void
 BM_CacheLookup(benchmark::State &state)
 {
-    sim::Cache cache(sim::CacheGeometry{32 * 1024, 4});
+    sim::Cache cache(sim::CacheGeometry{
+        static_cast<std::uint32_t>(state.range(0)) * 1024,
+        static_cast<std::uint32_t>(state.range(1))});
     Prng rng(2);
     for (int i = 0; i < 400; ++i)
         cache.insert(rng.below(1 << 16), sim::LineState::Shared);
@@ -119,7 +125,32 @@ BM_CacheLookup(benchmark::State &state)
         line = (line + 97) % (1 << 16);
     }
 }
-BENCHMARK(BM_CacheLookup);
+BENCHMARK(BM_CacheLookup)->Args({32, 4})->Args({512, 8});
+
+/** Directory::entry creating 1 M lines spread over 256 homes, then
+ *  entry() on each again, as the simulator's misses and upgrades do;
+ *  one iteration is both passes. */
+void
+BM_DirectoryEntry(benchmark::State &state)
+{
+    constexpr int kCores = 256;
+    constexpr std::uint64_t kLines = 1 << 20;
+    std::vector<std::uint64_t> lines(kLines);
+    for (std::uint64_t i = 0; i < kLines; ++i)
+        lines[i] = sim::lineOf(sim::placedAddr(
+            static_cast<int>(i % kCores), (i / kCores) << sim::lineShift));
+    for (auto _ : state) {
+        sim::Directory dir(kCores);
+        for (std::uint64_t line : lines)
+            dir.entry(line).sharers().add(static_cast<int>(line % 7));
+        for (std::uint64_t line : lines)
+            benchmark::DoNotOptimize(dir.entry(line).state());
+        benchmark::DoNotOptimize(dir.numEntries());
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(2 * kLines));
+}
+BENCHMARK(BM_DirectoryEntry)->Unit(benchmark::kMillisecond);
 
 /** Counter::add with collection off: the before/after check of the
  *  "off = zero overhead" contract (one relaxed load + branch). */

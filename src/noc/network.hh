@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -83,7 +82,8 @@ class TrafficRecorder
 {
   public:
     explicit TrafficRecorder(int num_nodes)
-        : packets_(num_nodes, num_nodes, 0),
+        : numNodes_(static_cast<std::size_t>(num_nodes)),
+          packets_(num_nodes, num_nodes, 0),
           flits_(num_nodes, num_nodes, 0)
     {}
 
@@ -93,6 +93,10 @@ class TrafficRecorder
     enableEpochs(std::uint64_t messages_per_epoch)
     {
         epochs_.messagesPerEpoch = messages_per_epoch;
+        std::size_t cells = messages_per_epoch ? numNodes_ * numNodes_ : 0;
+        slot_.assign(cells, 0);
+        touched_.assign((cells + 63) / 64, 0);
+        touchedWords_.assign((touched_.size() + 63) / 64, 0);
     }
 
     /**
@@ -119,9 +123,20 @@ class TrafficRecorder
             static_cast<std::uint64_t>(packet.flits);
         if (epochs_.messagesPerEpoch == 0)
             return;
-        auto &cell = current_[{packet.src, packet.dst}];
-        cell.first += 1;
-        cell.second += static_cast<std::uint64_t>(packet.flits);
+        std::size_t index =
+            static_cast<std::size_t>(packet.src) * numNodes_ +
+            static_cast<std::size_t>(packet.dst);
+        std::uint64_t bit = 1ULL << (index & 63);
+        std::uint64_t &word = touched_[index >> 6];
+        if (!(word & bit)) {
+            word |= bit;
+            touchedWords_[index >> 12] |= 1ULL << ((index >> 6) & 63);
+            slot_[index] = static_cast<std::uint32_t>(current_.size());
+            current_.push_back(EpochCell{packet.src, packet.dst, 0, 0});
+        }
+        EpochCell &cell = current_[slot_[index]];
+        cell.packets += 1;
+        cell.flits += static_cast<std::uint64_t>(packet.flits);
         if (++messages_in_epoch_ == epochs_.messagesPerEpoch)
             sealEpoch();
     }
@@ -151,13 +166,26 @@ class TrafficRecorder
     void
     sealEpoch()
     {
+        // Walking the touched bitmap in index order, through its
+        // nonzero words only, emits the cells sorted by (src, dst) and
+        // clears it for the next epoch.
         std::vector<EpochCell> cells;
         cells.reserve(current_.size());
-        // std::map iterates in key order, so the sealed epoch is
-        // already sorted by (src, dst).
-        for (const auto &[key, counts] : current_)
-            cells.push_back(EpochCell{key.first, key.second,
-                                      counts.first, counts.second});
+        for (std::size_t si = 0; si < touchedWords_.size(); ++si) {
+            std::uint64_t words = touchedWords_[si];
+            touchedWords_[si] = 0;
+            for (; words; words &= words - 1) {
+                std::size_t wi = si * 64 +
+                    static_cast<std::size_t>(__builtin_ctzll(words));
+                std::uint64_t word = touched_[wi];
+                touched_[wi] = 0;
+                for (; word; word &= word - 1) {
+                    std::size_t index = wi * 64 +
+                        static_cast<std::size_t>(__builtin_ctzll(word));
+                    cells.push_back(current_[slot_[index]]);
+                }
+            }
+        }
         if (epochSink_)
             epochSink_(std::move(cells));
         else
@@ -166,13 +194,20 @@ class TrafficRecorder
         messages_in_epoch_ = 0;
     }
 
+    std::size_t numNodes_;
     CountMatrix packets_;
     CountMatrix flits_;
     EpochTraffic epochs_;
     std::function<void(std::vector<EpochCell> &&)> epochSink_;
-    std::map<std::pair<int, int>,
-             std::pair<std::uint64_t, std::uint64_t>>
-        current_;
+    /** The open epoch's cells, in first-touch order. */
+    std::vector<EpochCell> current_;
+    /** Per (src, dst), row-major: the cell's index in current_, valid
+     *  where its touched_ bit is set. */
+    std::vector<std::uint32_t> slot_;
+    /** One bit per (src, dst), row-major: touched this epoch. */
+    std::vector<std::uint64_t> touched_;
+    /** One bit per word of touched_: that word is nonzero. */
+    std::vector<std::uint64_t> touchedWords_;
     std::uint64_t messages_in_epoch_ = 0;
 };
 

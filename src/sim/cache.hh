@@ -53,7 +53,9 @@ struct Eviction
 
 /**
  * One level of private cache.  All operations are keyed by cache-line
- * index (addr >> lineShift).
+ * index (addr >> lineShift).  The set count must be a power of two;
+ * a line's set is its low index bits.  Replacement picks the set's
+ * first invalid way, else its least recently used one.
  */
 class Cache
 {
@@ -92,19 +94,28 @@ class Cache
     const CacheGeometry &geometry() const { return geometry_; }
 
   private:
-    struct Entry
-    {
-        std::uint64_t line = 0;
-        LineState state = LineState::Shared;
-        std::uint64_t lastUse = 0;
-        bool valid = false;
-    };
+    /** Index of the way holding @p line in the set at @p base, or
+     *  ways_ when absent. */
+    std::uint32_t findWay(std::size_t base, std::uint64_t line) const;
 
-    std::uint32_t setIndex(std::uint64_t line) const;
+    /** Index in sets_ of the set @p line maps to. */
+    std::size_t
+    setBase(std::uint64_t line) const
+    {
+        return static_cast<std::size_t>(line & setMask_) * 2 * ways_;
+    }
 
     CacheGeometry geometry_;
-    std::uint32_t numSets_;
-    std::vector<Entry> entries_; // numSets_ * associativity
+    std::uint32_t ways_;
+    std::uint64_t setMask_ = 0; // numSets - 1, a power of two less one
+    /**
+     * Per set, ways_ tags and then ways_ stamps.  A tag is line + 1,
+     * 0 when the way is invalid, so an 8-way set's tags fill one
+     * 64-byte host cache line and its stamps the next.  A stamp is
+     * the use counter at the way's last use shifted left by two, with
+     * the line's state in the low two bits; 0 when invalid.
+     */
+    std::vector<std::uint64_t> sets_;
     std::uint64_t useCounter_ = 0;
 };
 

@@ -103,8 +103,9 @@ CoherenceController::handleMiss(int core, std::uint64_t line, bool write,
                                 Tick now)
 {
     int home = homeCoreOf(line << lineShift);
-    DirEntry &e = directory_.entry(line);
-    panicIf(e.sharers.contains(core),
+    DirEntry e = directory_.entry(line);
+    SharerSpan sharers = e.sharers();
+    panicIf(sharers.contains(core),
             "missing core is still registered as a sharer");
 
     // Request travels to the home directory.
@@ -116,7 +117,7 @@ CoherenceController::handleMiss(int core, std::uint64_t line, bool write,
 
     if (write) {
         ++stats_.getx;
-        switch (e.state) {
+        switch (e.state()) {
           case DirState::Invalid:
             ++stats_.memoryFetches;
             data_at = send(home, core, PacketClass::Data,
@@ -125,7 +126,7 @@ CoherenceController::handleMiss(int core, std::uint64_t line, bool write,
           case DirState::Shared: {
             // Invalidate every sharer; data comes from memory.
             acks_at = std::max(
-                acks_at, invalidateSharers(e.sharers.members(), -1,
+                acks_at, invalidateSharers(sharers.members(), -1,
                                            home, core, line, t_dir));
             ++stats_.memoryFetches;
             data_at = send(home, core, PacketClass::Data,
@@ -134,7 +135,7 @@ CoherenceController::handleMiss(int core, std::uint64_t line, bool write,
           }
           case DirState::Owned:
           case DirState::Modified: {
-            int owner = e.owner;
+            int owner = e.owner();
             // Forward-invalidate the owner, who supplies the data.
             Tick fwd_at = send(home, owner, PacketClass::Control, t_dir);
             invalidateAt(owner, line);
@@ -144,24 +145,24 @@ CoherenceController::handleMiss(int core, std::uint64_t line, bool write,
                            fwd_at + params_.l2Cycles);
             // Plain sharers (Owned state) are invalidated too.
             acks_at = std::max(
-                acks_at, invalidateSharers(e.sharers.members(), owner,
+                acks_at, invalidateSharers(sharers.members(), owner,
                                            home, core, line, t_dir));
             break;
           }
         }
-        e.state = DirState::Modified;
-        e.owner = core;
-        e.sharers.clear();
-        e.sharers.add(core);
+        e.setState(DirState::Modified);
+        e.setOwner(core);
+        sharers.clear();
+        sharers.add(core);
         fill(core, line, LineState::Modified, std::max(data_at, acks_at));
     } else {
         ++stats_.gets;
-        switch (e.state) {
+        switch (e.state()) {
           case DirState::Invalid:
             ++stats_.memoryFetches;
             data_at = send(home, core, PacketClass::Data,
                            t_dir + params_.memCycles);
-            e.state = DirState::Shared;
+            e.setState(DirState::Shared);
             break;
           case DirState::Shared:
             ++stats_.memoryFetches;
@@ -170,13 +171,13 @@ CoherenceController::handleMiss(int core, std::uint64_t line, bool write,
             break;
           case DirState::Owned:
           case DirState::Modified: {
-            int owner = e.owner;
+            int owner = e.owner();
             Tick fwd_at = send(home, owner, PacketClass::Control, t_dir);
             ++stats_.cacheToCache;
             data_at = send(owner, core, PacketClass::Data,
                            fwd_at + params_.l2Cycles);
-            if (e.state == DirState::Modified) {
-                e.state = DirState::Owned;
+            if (e.state() == DirState::Modified) {
+                e.setState(DirState::Owned);
                 bool ok = l2_[owner].setState(line, LineState::Owned);
                 panicIf(!ok, "owner lost its line");
                 l1_[owner].setState(line, LineState::Owned);
@@ -184,7 +185,7 @@ CoherenceController::handleMiss(int core, std::uint64_t line, bool write,
             break;
           }
         }
-        e.sharers.add(core);
+        sharers.add(core);
         fill(core, line, LineState::Shared, data_at);
     }
 
@@ -198,15 +199,16 @@ CoherenceController::handleUpgrade(int core, std::uint64_t line,
 {
     ++stats_.upgrades;
     int home = homeCoreOf(line << lineShift);
-    DirEntry &e = directory_.entry(line);
-    panicIf(!e.sharers.contains(core),
+    DirEntry e = directory_.entry(line);
+    SharerSpan sharers = e.sharers();
+    panicIf(!sharers.contains(core),
             "upgrading core is not a registered sharer");
     // Directory-Modified with this core as owner happens when sharer
     // evictions collapsed an Owned line: the cache still holds Owned and
     // must still request exclusivity, but nobody needs invalidating.
-    panicIf(e.state == DirState::Invalid,
+    panicIf(e.state() == DirState::Invalid,
             "upgrade on a directory-Invalid line");
-    panicIf(e.state == DirState::Modified && e.owner != core,
+    panicIf(e.state() == DirState::Modified && e.owner() != core,
             "upgrade on a line Modified elsewhere");
 
     Tick t_dir = send(core, home, PacketClass::Control, now) +
@@ -215,15 +217,15 @@ CoherenceController::handleUpgrade(int core, std::uint64_t line,
 
     // Invalidate every other cached copy (including a foreign owner;
     // the upgrader's copy is current because owners forward on reads).
-    done = std::max(done, invalidateSharers(e.sharers.members(), core,
+    done = std::max(done, invalidateSharers(sharers.members(), core,
                                             home, core, line, t_dir));
     // Home acknowledges the new ownership.
     done = std::max(done, send(home, core, PacketClass::Control, t_dir));
 
-    e.state = DirState::Modified;
-    e.owner = core;
-    e.sharers.clear();
-    e.sharers.add(core);
+    e.setState(DirState::Modified);
+    e.setOwner(core);
+    sharers.clear();
+    sharers.add(core);
 
     bool ok = l2_[core].setState(line, LineState::Modified);
     panicIf(!ok, "upgrading core lost its L2 line");
@@ -249,28 +251,31 @@ void
 CoherenceController::evictFromDirectory(int core, std::uint64_t line,
                                         LineState state, Tick now)
 {
-    DirEntry &e = directory_.entry(line);
-    panicIf(!e.sharers.contains(core),
+    // Lookup only: the victim is cached, so its line exists, and no
+    // table grows under the caller's view of the missing line.
+    DirEntry e = directory_.at(line);
+    SharerSpan sharers = e.sharers();
+    panicIf(!sharers.contains(core),
             "evicting core is not a registered sharer");
-    e.sharers.remove(core);
+    sharers.remove(core);
 
     if (isDirty(state)) {
-        panicIf(e.owner != core, "dirty line evicted by a non-owner");
+        panicIf(e.owner() != core, "dirty line evicted by a non-owner");
         // Writeback to the home's memory; does not block the core.
         int home = homeCoreOf(line << lineShift);
         send(core, home, PacketClass::Data, now);
         ++stats_.writebacks;
-        e.owner = -1;
-        e.state = e.sharers.empty() ? DirState::Invalid
-                                    : DirState::Shared;
+        e.setOwner(-1);
+        e.setState(sharers.empty() ? DirState::Invalid
+                                   : DirState::Shared);
     } else {
-        if (e.sharers.empty()) {
-            e.state = DirState::Invalid;
-            e.owner = -1;
-        } else if (e.state == DirState::Owned &&
-                   e.sharers.count() == 1) {
+        if (sharers.empty()) {
+            e.setState(DirState::Invalid);
+            e.setOwner(-1);
+        } else if (e.state() == DirState::Owned &&
+                   sharers.count() == 1) {
             // Only the owner remains.
-            e.state = DirState::Modified;
+            e.setState(DirState::Modified);
         }
     }
     directory_.checkInvariants(line);

@@ -9,31 +9,43 @@
 #define MNOC_SIM_DIRECTORY_HH
 
 #include <cstdint>
-#include <unordered_map>
+#include <optional>
+#include <type_traits>
 #include <vector>
 
 #include "common/log.hh"
 
 namespace mnoc::sim {
 
-/** Compact bitset over core indices. */
-class SharerSet
+/** Number of 64-bit words a sharer bitset over @p num_cores needs. */
+inline std::size_t
+sharerWords(int num_cores)
+{
+    return (static_cast<std::size_t>(num_cores) + 63) / 64;
+}
+
+/**
+ * Bitset over core indices, viewed in place over caller-owned words
+ * (a directory slab row or a SharerSet).  @p Word is std::uint64_t
+ * for a mutable view and const std::uint64_t for a read-only one.
+ */
+template <class Word>
+class BasicSharerSpan
 {
   public:
-    explicit SharerSet(int num_cores = 0)
-        : numCores_(num_cores),
-          words_((static_cast<std::size_t>(num_cores) + 63) / 64, 0)
+    BasicSharerSpan(Word *words, int num_cores)
+        : words_(words), numCores_(num_cores)
     {}
 
     void
-    add(int core)
+    add(int core) const
     {
         check(core);
         words_[core >> 6] |= 1ULL << (core & 63);
     }
 
     void
-    remove(int core)
+    remove(int core) const
     {
         check(core);
         words_[core >> 6] &= ~(1ULL << (core & 63));
@@ -50,18 +62,25 @@ class SharerSet
     count() const
     {
         int total = 0;
-        for (std::uint64_t w : words_)
-            total += __builtin_popcountll(w);
+        for (std::size_t wi = 0; wi < numWords(); ++wi)
+            total += __builtin_popcountll(words_[wi]);
         return total;
     }
 
-    bool empty() const { return count() == 0; }
+    bool
+    empty() const
+    {
+        for (std::size_t wi = 0; wi < numWords(); ++wi)
+            if (words_[wi] != 0)
+                return false;
+        return true;
+    }
 
     void
-    clear()
+    clear() const
     {
-        for (std::uint64_t &w : words_)
-            w = 0;
+        for (std::size_t wi = 0; wi < numWords(); ++wi)
+            words_[wi] = 0;
     }
 
     /** All set core indices, ascending. */
@@ -69,7 +88,7 @@ class SharerSet
     members() const
     {
         std::vector<int> out;
-        for (std::size_t wi = 0; wi < words_.size(); ++wi) {
+        for (std::size_t wi = 0; wi < numWords(); ++wi) {
             std::uint64_t w = words_[wi];
             while (w) {
                 int bit = __builtin_ctzll(w);
@@ -81,12 +100,41 @@ class SharerSet
     }
 
   private:
+    std::size_t numWords() const { return sharerWords(numCores_); }
+
     void
     check(int core) const
     {
         panicIf(core < 0 || core >= numCores_,
                 "sharer core index out of range");
     }
+
+    Word *words_;
+    int numCores_;
+};
+
+using SharerSpan = BasicSharerSpan<std::uint64_t>;
+using ConstSharerSpan = BasicSharerSpan<const std::uint64_t>;
+
+/** Compact owning bitset over core indices. */
+class SharerSet
+{
+  public:
+    explicit SharerSet(int num_cores = 0)
+        : numCores_(num_cores), words_(sharerWords(num_cores), 0)
+    {}
+
+    void add(int core) { span().add(core); }
+    void remove(int core) { span().remove(core); }
+    bool contains(int core) const { return view().contains(core); }
+    int count() const { return view().count(); }
+    bool empty() const { return view().empty(); }
+    void clear() { span().clear(); }
+    std::vector<int> members() const { return view().members(); }
+
+  private:
+    SharerSpan span() { return {words_.data(), numCores_}; }
+    ConstSharerSpan view() const { return {words_.data(), numCores_}; }
 
     int numCores_;
     std::vector<std::uint64_t> words_;
@@ -101,50 +149,90 @@ enum class DirState : std::uint8_t
     Modified, ///< single dirty owner
 };
 
-/** Directory entry for one cache line. */
-struct DirEntry
+/**
+ * One line's directory entry, viewed in place in its home's table:
+ * the packed {state, owner} word and the line's sharer row of the
+ * slab.  @p Const selects a read-only view.  A view stays valid until
+ * the next Directory::entry() that creates a line in the same home.
+ */
+template <bool Const>
+class BasicDirEntry
 {
-    DirState state = DirState::Invalid;
-    int owner = -1;
-    SharerSet sharers;
+    using Word = std::conditional_t<Const, const std::uint64_t,
+                                    std::uint64_t>;
+    using Meta = std::conditional_t<Const, const std::uint32_t,
+                                    std::uint32_t>;
 
-    explicit DirEntry(int num_cores = 0) : sharers(num_cores) {}
+  public:
+    BasicDirEntry(Meta *meta, Word *sharers, int num_cores)
+        : meta_(meta), sharers_(sharers), numCores_(num_cores)
+    {}
+
+    DirState state() const { return static_cast<DirState>(*meta_ & 3u); }
+
+    /** Owning core, or -1 when the line has no owner. */
+    int owner() const { return static_cast<int>(*meta_ >> 2) - 1; }
+
+    void
+    setState(DirState state) const
+    {
+        *meta_ = (*meta_ & ~3u) | static_cast<std::uint32_t>(state);
+    }
+
+    void
+    setOwner(int core) const
+    {
+        *meta_ = (static_cast<std::uint32_t>(core + 1) << 2) |
+                 (*meta_ & 3u);
+    }
+
+    BasicSharerSpan<Word>
+    sharers() const
+    {
+        return {sharers_, numCores_};
+    }
+
+  private:
+    Meta *meta_;
+    Word *sharers_;
+    int numCores_;
 };
 
+using DirEntry = BasicDirEntry<false>;
+using ConstDirEntry = BasicDirEntry<true>;
+
 /**
- * The full distributed directory.  Entries live in one map; the home
- * core of a line (for network purposes) is derived from the address by
- * the coherence controller.
+ * The full distributed directory: one open-addressed table per home
+ * (the owner field of the line's address), keyed by line index with
+ * linear probing.  A slot holds the line's key, its packed {state,
+ * owner} word, and its row of a sharer slab sized by the core count;
+ * no line owns a heap allocation.  Lines are never erased: a line
+ * whose copies are all gone stays, Invalid.
  *
- * The map is deliberately lookup-only: no API iterates it, so its
- * unspecified iteration order can never reach stats or serialization
- * (the mnoc-analyze unordered-iteration rule keeps it that way; any
- * future traversal must go through a sorted view).
+ * The tables are lookup-only: no API iterates them, so their slot
+ * order can never reach stats or serialization (any future traversal
+ * must go through a sorted view).
  */
 class Directory
 {
   public:
-    explicit Directory(int num_cores) : numCores_(num_cores) {}
+    explicit Directory(int num_cores);
 
-    /** Fetch or create the entry for @p line. */
-    DirEntry &
-    entry(std::uint64_t line)
-    {
-        auto it = map_.find(line);
-        if (it == map_.end())
-            it = map_.emplace(line, DirEntry(numCores_)).first;
-        return it->second;
-    }
+    /**
+     * Fetch or create the entry for @p line.  Creating a line may
+     * grow its home's table, which invalidates every view into that
+     * home.
+     */
+    DirEntry entry(std::uint64_t line);
+
+    /** Entry of a line that must already exist; panics otherwise.
+     *  Never grows a table, so views held by the caller survive. */
+    DirEntry at(std::uint64_t line);
 
     /** Entry lookup without creation (for tests/invariant checks). */
-    const DirEntry *
-    find(std::uint64_t line) const
-    {
-        auto it = map_.find(line);
-        return it == map_.end() ? nullptr : &it->second;
-    }
+    std::optional<ConstDirEntry> find(std::uint64_t line) const;
 
-    std::size_t numEntries() const { return map_.size(); }
+    std::size_t numEntries() const { return numEntries_; }
     int numCores() const { return numCores_; }
 
     /**
@@ -154,8 +242,33 @@ class Directory
     void checkInvariants(std::uint64_t line) const;
 
   private:
+    /** One home's table; capacity is zero or a power of two. */
+    struct Table
+    {
+        std::vector<std::uint64_t> keys; ///< line + 1; 0 = empty
+        std::vector<std::uint32_t> meta; ///< owner+1 << 2 | state
+        std::vector<std::uint64_t> sharers; ///< words_ per slot
+        std::size_t size = 0;
+        int shift = 64; ///< 64 - log2(capacity)
+    };
+
+    static constexpr std::size_t kNotFound = ~std::size_t(0);
+
+    /** Index of @p line's home in tables_. */
+    std::size_t homeIndex(std::uint64_t line) const;
+
+    /** Slot holding @p line, or the empty slot that would. */
+    std::size_t probe(const Table &table, std::uint64_t line) const;
+    /** Slot holding @p line, or kNotFound. */
+    std::size_t slotOf(const Table &table, std::uint64_t line) const;
+    /** Double @p table's capacity, rehashing every line. */
+    void grow(Table &table);
+    DirEntry view(Table &table, std::size_t slot);
+
     int numCores_;
-    std::unordered_map<std::uint64_t, DirEntry> map_;
+    std::size_t words_;
+    std::size_t numEntries_ = 0;
+    std::vector<Table> tables_;
 };
 
 } // namespace mnoc::sim

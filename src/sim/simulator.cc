@@ -1,6 +1,7 @@
 #include "sim/simulator.hh"
 
 #include <deque>
+#include <optional>
 #include <queue>
 #include <utility>
 #include <vector>
@@ -63,6 +64,11 @@ runSimulation(const SimConfig &config, noc::Network &network,
         }
     }
 
+    // Phases as child spans of the run: setup (caches, directory,
+    // workload reset), the event loop, and the drain that seals the
+    // last epoch and assembles the result.
+    std::optional<TraceSpan> phase;
+    phase.emplace("simulate.setup", "sim");
     network.reset();
     noc::TrafficRecorder recorder(n);
     // Epoch bucketing feeds the energy-attribution ledger; one
@@ -87,6 +93,7 @@ runSimulation(const SimConfig &config, noc::Network &network,
     coherence.setHomeMap(thread_to_core);
     workload.reset(n, seed);
 
+    phase.emplace("simulate.events", "sim");
     // Min-heap of (next ready tick, thread).
     using Event = std::pair<noc::Tick, int>;
     std::priority_queue<Event, std::vector<Event>, std::greater<>> queue;
@@ -130,6 +137,7 @@ runSimulation(const SimConfig &config, noc::Network &network,
         queue.emplace(ready, thread);
     }
 
+    phase.emplace("simulate.drain", "sim");
     SimulationResult result;
     result.totalTicks = last_tick;
     result.packets = recorder.packets();
@@ -147,6 +155,7 @@ runSimulation(const SimConfig &config, noc::Network &network,
     if (journalEnabled() && !config.epochSink)
         for (std::size_t e = 0; e < result.epochs.epochs.size(); ++e)
             journalEpochBoundary(e, result.epochs.epochs[e]);
+    phase.reset();
 
     // Deterministic observability: pure tallies of the (already
     // deterministic) run, safe under any thread interleaving.
@@ -154,6 +163,8 @@ runSimulation(const SimConfig &config, noc::Network &network,
     metrics.counter("sim.runs").add();
     metrics.counter("sim.ops").add(result.coherence.accesses);
     metrics.counter("sim.packets").add(result.coherence.packetsSent);
+    metrics.counter("sim.directory_lines")
+        .add(coherence.directory().numEntries());
     metrics
         .histogram("sim.avg_packet_latency_cycles",
                    {1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 1000.0})

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <tuple>
+#include <utility>
 
 #include "common/io.hh"
 #include "common/log.hh"
@@ -12,20 +13,20 @@
 namespace mnoc::sim {
 
 Trace
-toTrace(const SimulationResult &result)
+toTrace(SimulationResult result)
 {
     Trace t;
-    t.workloadName = result.workloadName;
-    t.networkName = result.networkName;
-    t.totalTicks = result.totalTicks;
-    t.packets = result.packets;
-    t.flits = result.flits;
     t.manifest = currentManifest(
         result.seed,
         hexDigest(fnv1a64(result.workloadName + "|" +
                           result.networkName + "|" +
                           std::to_string(result.packets.rows()))));
-    t.epochs = result.epochs;
+    t.workloadName = std::move(result.workloadName);
+    t.networkName = std::move(result.networkName);
+    t.totalTicks = result.totalTicks;
+    t.packets = std::move(result.packets);
+    t.flits = std::move(result.flits);
+    t.epochs = std::move(result.epochs);
     return t;
 }
 

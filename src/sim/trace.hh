@@ -54,8 +54,9 @@ struct Trace
 
 /** Extract the trace from a simulation result, stamping the current
  *  run manifest (seed, git SHA, result-class knobs, config
- *  digest). */
-Trace toTrace(const SimulationResult &result);
+ *  digest).  Pass an rvalue to move the matrices and epochs in
+ *  instead of copying them. */
+Trace toTrace(SimulationResult result);
 
 /**
  * Write @p trace to @p path in a line-oriented text format.

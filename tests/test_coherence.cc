@@ -56,10 +56,10 @@ TEST(Coherence, ColdReadInstallsShared)
     ASSERT_TRUE(state.has_value());
     EXPECT_EQ(*state, LineState::Shared);
 
-    const DirEntry *e = f.coh.directory().find(f.lineId(1, 5));
-    ASSERT_NE(e, nullptr);
-    EXPECT_EQ(e->state, DirState::Shared);
-    EXPECT_TRUE(e->sharers.contains(0));
+    auto e = f.coh.directory().find(f.lineId(1, 5));
+    ASSERT_TRUE(e.has_value());
+    EXPECT_EQ(e->state(), DirState::Shared);
+    EXPECT_TRUE(e->sharers().contains(0));
     EXPECT_EQ(f.coh.stats().gets, 1u);
     EXPECT_EQ(f.coh.stats().memoryFetches, 1u);
     // Request to home 1 plus data back: two packets.
@@ -93,9 +93,9 @@ TEST(Coherence, WriteMissInstallsModified)
     f.coh.access(0, CohFixture::writeOf(1, 5), 0);
     EXPECT_EQ(*f.coh.cacheState(0, f.lineId(1, 5)),
               LineState::Modified);
-    const DirEntry *e = f.coh.directory().find(f.lineId(1, 5));
-    EXPECT_EQ(e->state, DirState::Modified);
-    EXPECT_EQ(e->owner, 0);
+    auto e = f.coh.directory().find(f.lineId(1, 5));
+    EXPECT_EQ(e->state(), DirState::Modified);
+    EXPECT_EQ(e->owner(), 0);
     EXPECT_EQ(f.coh.stats().getx, 1u);
 }
 
@@ -109,10 +109,10 @@ TEST(Coherence, ReadFromModifiedForwardsAndDowngrades)
     EXPECT_EQ(f.coh.stats().cacheToCache, c2c_before + 1);
     EXPECT_EQ(*f.coh.cacheState(0, f.lineId(3, 7)), LineState::Owned);
     EXPECT_EQ(*f.coh.cacheState(1, f.lineId(3, 7)), LineState::Shared);
-    const DirEntry *e = f.coh.directory().find(f.lineId(3, 7));
-    EXPECT_EQ(e->state, DirState::Owned);
-    EXPECT_EQ(e->owner, 0);
-    EXPECT_EQ(e->sharers.count(), 2);
+    auto e = f.coh.directory().find(f.lineId(3, 7));
+    EXPECT_EQ(e->state(), DirState::Owned);
+    EXPECT_EQ(e->owner(), 0);
+    EXPECT_EQ(e->sharers().count(), 2);
     // The data came from the owner, not memory.
     EXPECT_EQ(f.coh.stats().memoryFetches, 1u); // only the initial GETX
 }
@@ -132,10 +132,10 @@ TEST(Coherence, WriteInvalidatesAllSharers)
     EXPECT_FALSE(f.coh.cacheState(3, f.lineId(2, 4)).has_value());
     EXPECT_EQ(*f.coh.cacheState(1, f.lineId(2, 4)),
               LineState::Modified);
-    const DirEntry *e = f.coh.directory().find(f.lineId(2, 4));
-    EXPECT_EQ(e->state, DirState::Modified);
-    EXPECT_EQ(e->owner, 1);
-    EXPECT_EQ(e->sharers.count(), 1);
+    auto e = f.coh.directory().find(f.lineId(2, 4));
+    EXPECT_EQ(e->state(), DirState::Modified);
+    EXPECT_EQ(e->owner(), 1);
+    EXPECT_EQ(e->sharers().count(), 1);
 }
 
 TEST(Coherence, UpgradeOnOwnSharedLineCountsUpgrade)
@@ -158,8 +158,8 @@ TEST(Coherence, WriteToModifiedLineElsewhereTransfersOwnership)
     EXPECT_FALSE(f.coh.cacheState(0, f.lineId(2, 8)).has_value());
     EXPECT_EQ(*f.coh.cacheState(3, f.lineId(2, 8)),
               LineState::Modified);
-    const DirEntry *e = f.coh.directory().find(f.lineId(2, 8));
-    EXPECT_EQ(e->owner, 3);
+    auto e = f.coh.directory().find(f.lineId(2, 8));
+    EXPECT_EQ(e->owner(), 3);
     EXPECT_EQ(f.coh.stats().cacheToCache, 1u);
 }
 
@@ -183,12 +183,12 @@ TEST(Coherence, DirtyEvictionWritesBack)
     for (std::uint64_t i = 0; i < 16; ++i) {
         std::uint64_t line =
             lineOf(placedAddr(1, i << lineShift));
-        const DirEntry *e = coh.directory().find(line);
-        ASSERT_NE(e, nullptr);
+        auto e = coh.directory().find(line);
+        ASSERT_TRUE(e.has_value());
         if (!coh.cacheState(0, line).has_value())
-            EXPECT_EQ(e->state, DirState::Invalid);
+            EXPECT_EQ(e->state(), DirState::Invalid);
         else
-            EXPECT_EQ(e->state, DirState::Modified);
+            EXPECT_EQ(e->state(), DirState::Modified);
     }
 }
 

@@ -1,12 +1,17 @@
 /**
  * @file
- * Tests of the SWMR mNoC crossbar latency model and the shared channel
- * contention model.
+ * Tests of the SWMR mNoC crossbar latency model, the shared channel
+ * contention model, and the traffic recorder's epoch accumulator.
  */
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <utility>
+#include <vector>
+
 #include "common/log.hh"
+#include "common/prng.hh"
 #include "noc/channel.hh"
 #include "noc/mnoc_network.hh"
 
@@ -163,6 +168,55 @@ TEST(NetworkConfig, OpticalCyclesMatchesTableTwo)
     // Anything short still costs one cycle (O/E + E/O).
     EXPECT_EQ(config.opticalCycles(Meters(0.0001)), 1);
     EXPECT_EQ(config.opticalCycles(Meters(0.10)), 5);
+}
+
+/**
+ * The epoch accumulator against the one it replaced, a per-epoch
+ * std::map keyed by (src, dst): same windows, same cells, same
+ * (src, dst) order.  70 nodes put the touched bitmap's row ends off
+ * 64-bit word boundaries.
+ */
+TEST(TrafficRecorder, EpochsMatchOrderedMapAccumulator)
+{
+    constexpr int kNodes = 70;
+    constexpr std::uint64_t kMsgsPerEpoch = 257;
+    TrafficRecorder recorder(kNodes);
+    recorder.enableEpochs(kMsgsPerEpoch);
+
+    using Key = std::pair<int, int>;
+    std::vector<std::map<Key, std::pair<std::uint64_t, std::uint64_t>>>
+        want(1);
+    Prng rng(23);
+    for (std::uint64_t i = 0; i < 20 * kMsgsPerEpoch + 100; ++i) {
+        Packet packet;
+        // A hot corner plus uniform traffic: cells repeat in-epoch.
+        int span = rng.below(2) ? 5 : kNodes;
+        packet.src = static_cast<int>(rng.below(span));
+        packet.dst = static_cast<int>(rng.below(span));
+        packet.flits = 1 + static_cast<int>(rng.below(5));
+        recorder.record(packet);
+        auto &cell = want.back()[{packet.src, packet.dst}];
+        cell.first += 1;
+        cell.second += static_cast<std::uint64_t>(packet.flits);
+        if ((i + 1) % kMsgsPerEpoch == 0)
+            want.emplace_back();
+    }
+
+    EpochTraffic got = recorder.takeEpochs();
+    ASSERT_EQ(got.epochs.size(), want.size());
+    for (std::size_t e = 0; e < want.size(); ++e) {
+        ASSERT_EQ(got.epochs[e].size(), want[e].size()) << "epoch " << e;
+        std::size_t i = 0;
+        for (const auto &[key, counts] : want[e]) {
+            const EpochCell &cell = got.epochs[e][i++];
+            EXPECT_EQ(cell.src, key.first);
+            EXPECT_EQ(cell.dst, key.second);
+            EXPECT_EQ(cell.packets, counts.first);
+            EXPECT_EQ(cell.flits, counts.second);
+        }
+    }
+    // The recorder is left empty: a second take has no epochs.
+    EXPECT_TRUE(recorder.takeEpochs().empty());
 }
 
 } // namespace

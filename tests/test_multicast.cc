@@ -79,10 +79,10 @@ TEST(Multicast, StateOutcomesMatchUnicast)
         coh.access(5, McFixture::op(2, 9, false), 200);
         coh.access(3, McFixture::op(2, 9, true), 300);
 
-        const DirEntry *e = coh.directory().find(line);
-        ASSERT_NE(e, nullptr);
-        EXPECT_EQ(e->state, DirState::Modified);
-        EXPECT_EQ(e->owner, 3);
+        auto e = coh.directory().find(line);
+        ASSERT_TRUE(e.has_value());
+        EXPECT_EQ(e->state(), DirState::Modified);
+        EXPECT_EQ(e->owner(), 3);
         EXPECT_FALSE(coh.cacheState(1, line).has_value());
         EXPECT_FALSE(coh.cacheState(5, line).has_value());
         EXPECT_EQ(*coh.cacheState(3, line), LineState::Modified);

@@ -63,24 +63,24 @@ stressRun(bool multicast, std::uint64_t seed, int ops)
         for (std::uint64_t idx = 0; idx < 24; ++idx) {
             std::uint64_t line =
                 lineOf(placedAddr(owner, idx << lineShift));
-            const DirEntry *e = coh.directory().find(line);
+            auto e = coh.directory().find(line);
             for (int core = 0; core < StressRig::n; ++core) {
                 auto state = coh.cacheState(core, line);
                 if (!state.has_value())
                     continue;
-                ASSERT_NE(e, nullptr);
-                EXPECT_TRUE(e->sharers.contains(core))
+                ASSERT_TRUE(e.has_value());
+                EXPECT_TRUE(e->sharers().contains(core))
                     << "core " << core << " caches an unregistered "
                     << "line";
                 if (isDirty(*state)) {
-                    EXPECT_EQ(e->owner, core);
-                    EXPECT_TRUE(e->state == DirState::Owned ||
-                                e->state == DirState::Modified);
+                    EXPECT_EQ(e->owner(), core);
+                    EXPECT_TRUE(e->state() == DirState::Owned ||
+                                e->state() == DirState::Modified);
                 }
             }
-            if (e != nullptr && e->state != DirState::Invalid) {
+            if (e && e->state() != DirState::Invalid) {
                 // Every registered sharer actually caches the line.
-                for (int core : e->sharers.members())
+                for (int core : e->sharers().members())
                     EXPECT_TRUE(
                         coh.cacheState(core, line).has_value())
                         << "stale sharer " << core;

@@ -85,6 +85,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/csv.hh"
@@ -354,15 +355,15 @@ cmdSimulate(const Args &args)
 
     auto result = sim::runSimulation(config, network, *workload,
                                      args.getU64("seed", 1));
-    auto trace = sim::toTrace(result);
+    sim::CoherenceStats stats = result.coherence;
+    auto trace = sim::toTrace(std::move(result));
     if (shards)
         shards->finish(trace.totalTicks, trace.packets, trace.flits,
                        trace.manifest);
     else
         sim::saveTrace(out, trace);
-    std::cout << benchmark << ": " << result.coherence.accesses
-              << " ops, " << result.coherence.packetsSent
-              << " packets, " << result.totalTicks
+    std::cout << benchmark << ": " << stats.accesses << " ops, "
+              << stats.packetsSent << " packets, " << trace.totalTicks
               << " cycles -> " << out << "\n";
     return 0;
 }
