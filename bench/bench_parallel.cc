@@ -3,11 +3,11 @@
  * Serial-vs-parallel smoke benchmark of the deterministic parallel
  * execution layer (DESIGN.md §9): times the Monte Carlo yield
  * analysis, the QAP multi-start taboo search, the SPLASH suite
- * simulation, and the energy-ledger build (loadTrace + in-memory
- * reader vs the sharded file) on a pool of one and on the configured
- * pool, verifies the parallel results are bit-identical to the serial
- * ones, and writes BENCH_parallel.json (schema in bench/bench_json.hh)
- * so the perf trajectory accumulates run over run.  The streaming
+ * simulation, and the energy-ledger build over a trace file on a
+ * pool of one and on the configured pool, verifies the parallel
+ * results are bit-identical to the serial ones, and writes
+ * BENCH_parallel.json (schema in bench/bench_json.hh) so the perf
+ * trajectory accumulates run over run.  The ledger
  * record's workItems is the epoch-cell (message) count, so
  * messages/sec for either side is workItems / *Seconds.  The
  * journal_overhead record pins the decision journal's cost contract:
@@ -236,22 +236,21 @@ sameLedger(const core::EnergyLedger &a, const core::EnergyLedger &b)
 }
 
 /**
- * The streaming section: build one deterministic epoch-carrying trace,
- * write it both as a single v3 file and as a sharded directory, then
- * race loadTrace + the ledger build over the in-memory reader on the
- * serial pool against the same build over the sharded directory, its
- * shards fanned across the parallel pool.  workItems is the total
- * epoch-cell count, so messages/sec falls out of the record directly.
+ * The ledger section: build one deterministic epoch-carrying trace,
+ * save it, then time the ledger build streamed from the file on the
+ * serial pool and on the parallel pool.  Epochs accrue in order on
+ * the calling thread; the loss walks fan across the pool, so the two
+ * ledgers must be bit-identical.  workItems is the total epoch-cell
+ * count, so messages/sec falls out of the record directly.
  */
 bench::ParallelRecord
-benchStreamedLedger(ThreadPool &serial, ThreadPool &parallel,
+benchLedgerBuild(ThreadPool &serial, ThreadPool &parallel,
                     const std::string &scratch)
 {
     using Clock = std::chrono::steady_clock;
     constexpr int kNodes = 64;
     constexpr std::size_t kEpochs = 4096;
     constexpr std::uint64_t kMsgsPerEpoch = 128;
-    constexpr std::size_t kEpochsPerShard = 64;
     constexpr std::uint64_t kSeed = 23;
 
     optics::SerpentineLayout layout(kNodes, Meters(0.08));
@@ -309,38 +308,35 @@ benchStreamedLedger(ThreadPool &serial, ThreadPool &parallel,
         trace.epochs.epochs.push_back(std::move(cells));
     }
 
-    std::string file = scratch + "/stream.trace";
-    std::string dir = scratch + "/stream.mshards";
+    std::string file = scratch + "/ledger.trace";
     sim::saveTrace(file, trace);
-    sim::saveShardedTrace(dir, trace, kEpochsPerShard);
 
     auto t0 = Clock::now();
-    auto whole = sim::loadTrace(file);
-    sim::TraceReader memory(whole);
+    sim::TraceReader serial_reader(file);
     auto serial_ledger = designer.model().buildLedger(
-        design, memory, nullptr, &serial);
+        design, serial_reader, nullptr, &serial);
     auto t1 = Clock::now();
 
     auto t2 = Clock::now();
-    sim::TraceReader reader(dir);
-    auto streamed_ledger = designer.model().buildLedger(
-        design, reader, nullptr, &parallel);
+    sim::TraceReader parallel_reader(file);
+    auto parallel_ledger = designer.model().buildLedger(
+        design, parallel_reader, nullptr, &parallel);
     auto t3 = Clock::now();
 
     bench::ParallelRecord record;
-    record.name = "streamed_ledger_build";
+    record.name = "ledger_build";
     record.workItems = total_cells;
     record.serialSeconds = seconds(t0, t1);
     record.parallelSeconds = seconds(t2, t3);
-    record.bitIdentical = sameLedger(serial_ledger, streamed_ledger);
+    record.bitIdentical = sameLedger(serial_ledger, parallel_ledger);
     double cells = static_cast<double>(total_cells);
-    std::cout << "  streamed ledger: "
+    std::cout << "  ledger build: "
               << static_cast<long long>(
                      cells / record.serialSeconds)
-              << " msgs/s loaded, "
+              << " msgs/s serial, "
               << static_cast<long long>(
                      cells / record.parallelSeconds)
-              << " msgs/s sharded\n";
+              << " msgs/s parallel\n";
     return record;
 }
 
@@ -648,7 +644,7 @@ main()
     records.push_back(benchSuite(serial, parallel, scratch));
     printRecord(records.back());
     std::filesystem::create_directories(scratch);
-    records.push_back(benchStreamedLedger(serial, parallel, scratch));
+    records.push_back(benchLedgerBuild(serial, parallel, scratch));
     printRecord(records.back());
     records.push_back(benchAdaptiveEpochStep(serial, parallel,
                                              scratch));

@@ -5,7 +5,6 @@
 
 #include "common/json.hh"
 #include "common/knobs.hh"
-#include "common/thread_pool.hh"
 
 #ifndef MNOC_GIT_SHA
 #define MNOC_GIT_SHA "unknown"
@@ -81,7 +80,6 @@ currentManifest(std::uint64_t seed, const std::string &config_digest)
     RunManifest manifest;
     manifest.seed = seed;
     manifest.gitSha = MNOC_GIT_SHA;
-    manifest.threads = ThreadPool::configuredThreads();
     manifest.configDigest = config_digest;
     for (const KnobSpec &spec : knobTable()) {
         if (spec.klass != KnobClass::Result)
@@ -140,7 +138,6 @@ manifestLines(const RunManifest &manifest)
     std::vector<std::string> lines;
     lines.push_back("seed " + std::to_string(manifest.seed));
     lines.push_back("git " + encodeManifestValue(manifest.gitSha));
-    lines.push_back("threads " + std::to_string(manifest.threads));
     lines.push_back("config " +
                     encodeManifestValue(manifest.configDigest));
     for (const auto &[name, value] : manifest.env)
@@ -155,15 +152,15 @@ setManifestField(RunManifest &manifest, const std::string &key,
 {
     if (key == "seed")
         return parseWhole(a, manifest.seed);
-    if (key == "threads")
-        return parseWhole(a, manifest.threads);
     if (key == "git")
         manifest.gitSha = decodeManifestValue(a);
     else if (key == "config")
         manifest.configDigest = decodeManifestValue(a);
     else if (key == "env")
         manifest.env.emplace_back(a, decodeManifestValue(b));
-    // Unknown keys are skipped so newer writers stay readable.
+    // Unknown keys -- the `threads` entry older builds wrote among
+    // them -- are skipped, so old artifacts and newer writers both
+    // stay readable.
     return true;
 }
 
@@ -187,7 +184,6 @@ manifestJson(const RunManifest &manifest)
 {
     std::string out = "{\"seed\": " + std::to_string(manifest.seed);
     out += ", \"git\": \"" + escapeJson(manifest.gitSha) + "\"";
-    out += ", \"threads\": " + std::to_string(manifest.threads);
     out += ", \"config\": \"" + escapeJson(manifest.configDigest) +
            "\"";
     out += ", \"env\": {";

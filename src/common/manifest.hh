@@ -3,11 +3,11 @@
  * Run manifests: the provenance block embedded in every artifact the
  * tree writes (trace files, design files, BENCH_*.json), recording
  * enough to re-run the exact experiment from the artifact alone --
- * the seed, the git revision of the build, the thread-pool size, the
- * result-class knobs that are set (common/knobs.hh), and a digest of
- * the configuration that produced the artifact.  Execution and
- * observability knobs are never stamped, so artifact bytes do not
- * depend on them.
+ * the seed, the git revision of the build, the result-class knobs
+ * that are set (common/knobs.hh), and a digest of the configuration
+ * that produced the artifact.  Execution and observability knobs --
+ * the thread-pool size among them -- are never stamped, so artifact
+ * bytes do not depend on them.
  *
  * Two serializations exist:
  *   - a line/token text block ("manifest <n>" + n entries) embedded
@@ -36,8 +36,6 @@ struct RunManifest
     /** Git revision the binary was built from ("unknown" outside a
      *  checkout). */
     std::string gitSha;
-    /** Worker-pool size in effect (ThreadPool::configuredThreads). */
-    int threads = 0;
     /** Caller-supplied digest of the producing configuration. */
     std::string configDigest;
     /** Result-class knobs that were set, as (name, value). */
@@ -51,9 +49,8 @@ std::uint64_t fnv1a64(const std::string &text);
 std::string hexDigest(std::uint64_t value);
 
 /**
- * The manifest of the current process: compiled-in git SHA, the
- * configured thread count, and the result-class knobs that are set,
- * in knob-table order.
+ * The manifest of the current process: compiled-in git SHA and the
+ * result-class knobs that are set, in knob-table order.
  */
 RunManifest currentManifest(std::uint64_t seed = 0,
                             const std::string &config_digest = "");
@@ -66,7 +63,7 @@ std::string decodeManifestValue(const std::string &text);
 
 /**
  * The text-block body: one "key value" (or "env name value") line
- * per entry, in fixed order (seed, git, threads, config, env...).
+ * per entry, in fixed order (seed, git, config, env...).
  * The block header is "manifest <lines.size()>".
  */
 std::vector<std::string> manifestLines(const RunManifest &manifest);
@@ -75,9 +72,9 @@ std::vector<std::string> manifestLines(const RunManifest &manifest);
  * Apply one parsed entry to @p manifest.  @p key is the first token
  * of the line; for "env" entries @p a is the knob name and @p b its
  * encoded value, otherwise @p a is the encoded value and @p b is
- * ignored.  Unknown keys are ignored (forward compatibility).
- * Returns false when a `seed` value is not a whole unsigned 64-bit
- * number or a `threads` value not a whole non-negative int.
+ * ignored.  Unknown keys are ignored (forward compatibility), and so
+ * is the `threads` entry older builds wrote.  Returns false when a
+ * `seed` value is not a whole unsigned 64-bit number.
  */
 bool setManifestField(RunManifest &manifest, const std::string &key,
                       const std::string &a, const std::string &b);

@@ -197,6 +197,10 @@ MnocPowerModel::buildLedger(const MnocDesign &design,
                             ThreadPool *pool) const
 {
     TraceSpan span("buildLedger", "power");
+    // The build consumes the reader's cursor: on a drained reader it
+    // would silently price nothing.
+    panicIf(reader.consumed(),
+            "buildLedger needs an unread trace reader: " + reader.path());
     int n = crossbar_.numNodes();
     const sim::TraceHeader &header = reader.header();
     fatalIf(header.numNodes != n, "trace size mismatch");
@@ -206,9 +210,9 @@ MnocPowerModel::buildLedger(const MnocDesign &design,
 
     double duration = static_cast<double>(header.totalTicks) /
                       params_.net.clockHz;
-    // An epoch-free trace (MNOC_LEDGER was off at capture, or a
-    // version-2 file) attributes the whole run to a single epoch, so
-    // every consumer handles both trace kinds uniformly.
+    // An epoch-free trace (MNOC_LEDGER was off at capture) attributes
+    // the whole run to a single epoch, so every consumer handles both
+    // trace kinds uniformly.
     std::size_t num_epochs =
         header.numEpochs == 0 ? 1 : header.numEpochs;
     EnergyLedger ledger(n, design.topology.numModes, num_epochs,
@@ -216,6 +220,13 @@ MnocPowerModel::buildLedger(const MnocDesign &design,
     ledger.epochMsgs_ = header.messagesPerEpoch;
 
     AccrualPlan plan(design, params_, crossbar_.params(), n);
+    std::vector<noc::EpochCell> cells;
+    for (std::size_t epoch = 0; reader.nextEpoch(cells); ++epoch) {
+        if (thread_to_core)
+            cells = sim::mapEpochCells(cells, *thread_to_core);
+        for (const noc::EpochCell &cell : cells)
+            plan.accrue(ledger, cell.src, cell.dst, cell.flits, epoch);
+    }
     if (header.numEpochs == 0) {
         // Epoch-free trace: fold the streamed messages into a dense
         // (mapped) flit matrix first, then accrue in (src, dst)
@@ -245,26 +256,6 @@ MnocPowerModel::buildLedger(const MnocDesign &design,
                             flits(static_cast<std::size_t>(s),
                                   static_cast<std::size_t>(d)),
                             0);
-    } else {
-        // Epoch shards are disjoint epoch ranges and every epoch
-        // touches only its own (source, mode, epoch) cells, so
-        // fanning the shard parses across the pool accrues into
-        // disjoint slots -- bit-identical at any MNOC_THREADS.
-        ThreadPool &workers = pool ? *pool : ThreadPool::global();
-        auto shards = static_cast<long long>(reader.numShards());
-        workers.parallelFor(shards, [&](long long shard) {
-            reader.readShard(
-                static_cast<std::size_t>(shard),
-                [&](std::size_t epoch,
-                    std::vector<noc::EpochCell> &&cells) {
-                    if (thread_to_core)
-                        cells = sim::mapEpochCells(cells,
-                                                   *thread_to_core);
-                    for (const noc::EpochCell &cell : cells)
-                        plan.accrue(ledger, cell.src, cell.dst,
-                                    cell.flits, epoch);
-                });
-        });
     }
 
     attachLosses(design, ledger, pool);

@@ -13,12 +13,11 @@
  * never drift apart.
  *
  * Determinism: the ledger is a pure function of (design, trace) and
- * contains no order-dependent folds.  The build fans epoch shards
- * across the thread pool, but every epoch accrues only into its own
- * (source, mode, epoch) cells -- disjoint slots -- so its CSV/JSON
- * renderings are byte-identical at any MNOC_THREADS and whichever
- * source (file, sharded directory, in-memory trace) the reader
- * serves.
+ * contains no order-dependent folds.  The build accrues epochs in
+ * epoch order, and the loss walks it fans across the thread pool
+ * write disjoint slots, so its CSV/JSON renderings are
+ * byte-identical at any MNOC_THREADS and whichever source (file or
+ * in-memory trace) the reader serves.
  */
 
 #ifndef MNOC_CORE_ENERGY_LEDGER_HH

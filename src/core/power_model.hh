@@ -136,16 +136,18 @@ class MnocPowerModel
 
     /**
      * The ledger build: attribute every message pulled from
-     * @p reader -- a trace file, a sharded directory or an in-memory
-     * Trace -- to a (source, mode, epoch) energy cell and compute
-     * per-(source, mode) optical loss breakdowns
-     * (core/energy_ledger.hh).  Traces without epoch buckets get a
-     * single epoch spanning the run.  @p thread_to_core, when given,
-     * must be a permutation (fatal otherwise); every message is
-     * re-expressed in core coordinates under it.  Epoch shards fan
-     * out across @p pool (the global pool when null) into disjoint
-     * ledger cells, so the result is bit-identical at any thread
-     * count while peak memory stays one epoch per worker.
+     * @p reader -- a trace file or an in-memory Trace -- to a
+     * (source, mode, epoch) energy cell, one epoch at a time in
+     * epoch order, and compute per-(source, mode) optical loss
+     * breakdowns (core/energy_ledger.hh).  Traces without epoch
+     * buckets get a single epoch spanning the run.
+     * @p thread_to_core, when given, must be a permutation (fatal
+     * otherwise); every message is re-expressed in core coordinates
+     * under it.  The loss walks fan out across @p pool (the global
+     * pool when null) into disjoint slots, so the result is
+     * bit-identical at any thread count while peak memory stays one
+     * epoch.  The build consumes @p reader's cursor; a reader that
+     * has already been read from is a panic.
      */
     EnergyLedger buildLedger(
         const MnocDesign &design, sim::TraceReader &reader,

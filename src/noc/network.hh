@@ -100,7 +100,7 @@ class TrafficRecorder
     }
 
     /**
-     * Stream sealed epochs into @p sink (e.g. a TraceShardWriter)
+     * Stream sealed epochs into @p sink (e.g. a TraceWriter)
      * instead of accumulating them in memory, so a capture's peak
      * memory no longer grows with run length.  Cells arrive sorted by
      * (src, dst), exactly as takeEpochs() would have stored them.

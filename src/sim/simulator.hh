@@ -40,7 +40,7 @@ struct SimConfig
     /**
      * When set (and the ledger is enabled), sealed attribution
      * epochs are streamed into this sink as the run produces them --
-     * e.g. straight into a TraceShardWriter -- instead of
+     * e.g. straight into a TraceWriter -- instead of
      * accumulating in SimulationResult::epochs, so capture memory
      * stays bounded on arbitrarily long runs.  Cells arrive sorted
      * by (src, dst); the result's epoch list is then empty.

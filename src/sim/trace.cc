@@ -4,7 +4,6 @@
 #include <tuple>
 #include <utility>
 
-#include "common/io.hh"
 #include "common/log.hh"
 #include "common/metrics.hh"
 #include "common/trace_span.hh"
@@ -28,64 +27,6 @@ toTrace(SimulationResult result)
     t.flits = std::move(result.flits);
     t.epochs = std::move(result.epochs);
     return t;
-}
-
-void
-saveTrace(const std::string &path, const Trace &trace)
-{
-    TraceSpan span("saveTrace", "io");
-    FileWriter writer(path);
-    auto &out = writer.stream();
-    int n = static_cast<int>(trace.packets.rows());
-    // Epoch-free traces stay on version 2, byte-identical to what
-    // earlier builds wrote (the golden fixture pins this).
-    int version = trace.epochs.empty() ? 2 : 3;
-    out << "mnoc-trace " << version << "\n";
-    out << trace.workloadName << "\n" << trace.networkName << "\n";
-    out << n << " " << trace.totalTicks << "\n";
-    auto lines = manifestLines(trace.manifest);
-    out << "manifest " << lines.size() << "\n";
-    for (const auto &line : lines)
-        out << line << "\n";
-    if (version >= 3) {
-        out << "epochs " << trace.epochs.epochs.size() << " "
-            << trace.epochs.messagesPerEpoch << "\n";
-        for (const auto &cells : trace.epochs.epochs) {
-            out << "epoch " << cells.size() << "\n";
-            for (const noc::EpochCell &cell : cells)
-                writeCountRecord(out, cell.src, cell.dst, cell.packets,
-                                 cell.flits);
-        }
-    }
-    // Sparse triplets: src dst packets flits.
-    for (int s = 0; s < n; ++s) {
-        for (int d = 0; d < n; ++d) {
-            if (trace.packets(s, d) == 0 && trace.flits(s, d) == 0)
-                continue;
-            writeCountRecord(out, s, d, trace.packets(s, d),
-                             trace.flits(s, d));
-        }
-    }
-    // A full disk or revoked permissions surface here, not as a
-    // silently truncated trace on the next load.
-    writer.close();
-    MetricsRegistry::global().counter("trace.saves").add();
-}
-
-void
-saveShardedTrace(const std::string &dir, const Trace &trace,
-                 std::size_t epochs_per_shard)
-{
-    TraceSpan span("saveShardedTrace", "io");
-    int n = static_cast<int>(trace.packets.rows());
-    TraceShardWriter writer(dir, trace.workloadName,
-                            trace.networkName, n,
-                            trace.epochs.messagesPerEpoch,
-                            epochs_per_shard);
-    for (const auto &cells : trace.epochs.epochs)
-        writer.appendEpoch(cells);
-    writer.finish(trace.totalTicks, trace.packets, trace.flits,
-                  trace.manifest);
 }
 
 void

@@ -3,14 +3,10 @@
  * Saving and loading captured communication traces, so expensive
  * simulations can be reused across tools.
  *
- * The on-disk formats -- single-file "mnoc-trace 1|2|3" and the
- * sharded streaming layout "mnoc-trace-shards 1" -- are specified
- * normatively, byte by byte, in docs/TRACE_FORMAT.md; this header
- * only summarizes them.  Version 2 files carry a manifest block;
- * version 3 (written only when the trace carries epoch buckets for
- * the energy-attribution ledger, so ledger-free traces stay
- * byte-identical to version 2) inserts an epochs block between the
- * manifest and the sparse triplets.
+ * The on-disk format, "mnoc-trace 3", is specified normatively,
+ * byte by byte, in docs/TRACE_FORMAT.md: identity and dimensions, a
+ * manifest block, an epochs block (empty -- "epochs 0 0" -- when the
+ * trace carries no epoch buckets), and the sparse triplets.
  *
  * These whole-file helpers are a thin layer over the streaming
  * reader/writer in sim/trace_stream.hh; consumers that must stay
@@ -18,7 +14,7 @@
  * TraceReader directly instead of materializing a Trace.  A Trace
  * already in memory is served through the same interface
  * (TraceReader(const Trace &)), so the ledger build has one input
- * type for all three sources.
+ * type for both sources.
  *
  * loadTrace() is strict: a truncated or garbled record is a fatal
  * error naming the file, line, record kind, and byte offset, never a
@@ -59,25 +55,15 @@ struct Trace
 Trace toTrace(SimulationResult result);
 
 /**
- * Write @p trace to @p path in a line-oriented text format.
+ * Write @p trace to @p path in the line-oriented text format (the
+ * same bytes a TraceWriter fed the same trace writes).
  * @throws FatalError when the file cannot be written or the stream
  *         reports an error after flushing (disk full, permissions).
  */
 void saveTrace(const std::string &path, const Trace &trace);
 
 /**
- * Write @p trace to @p dir in the sharded streaming layout
- * (docs/TRACE_FORMAT.md): an index file, epoch shard files of
- * @p epochs_per_shard epochs each, and a triplet file.  Sharded
- * traces load through loadTrace()/TraceReader like single files, and
- * their epoch shards can be consumed in parallel.
- */
-void saveShardedTrace(const std::string &dir, const Trace &trace,
-                      std::size_t epochs_per_shard = 256);
-
-/**
- * Read a trace previously written by saveTrace() -- or a sharded
- * trace directory written by saveShardedTrace()/TraceShardWriter.
+ * Read a trace previously written by saveTrace() or TraceWriter.
  * @throws FatalError on malformed input, with the offending file and
  *         line in the message; clean end-of-file is the only
  *         accepted termination.

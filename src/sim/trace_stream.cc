@@ -2,20 +2,62 @@
 
 #include <charconv>
 #include <filesystem>
-#include <sstream>
+#include <fstream>
 #include <string_view>
 #include <utility>
 
 #include "common/log.hh"
 #include "common/metrics.hh"
+#include "common/trace_span.hh"
 #include "sim/trace.hh"
 
 namespace mnoc::sim {
 
-namespace {
+/**
+ * Line scanner with the byte-offset bookkeeping the strict trace
+ * diagnostics are built on.  next() advances one line; lineOffset()
+ * is where the current line starts (the end-of-file offset once
+ * next() has returned false), which is exactly what a "<kind> record
+ * at byte N" message must report for malformed and truncated records
+ * respectively.
+ */
+class LineScanner
+{
+  public:
+    /** Open @p path; fatal (naming the path) when that fails or
+     *  @p path is a directory. */
+    explicit LineScanner(const std::string &path);
 
-/** Index file of a sharded trace directory. */
-const char *const kIndexFile = "index.mtrace";
+    /** Advance to the next line; false at end of file. */
+    bool next();
+
+    const std::string &line() const { return line_; }
+    const std::string &path() const { return path_; }
+
+    /** Fatal "path:line: why [kind record at byte N]" for the
+     *  current line. */
+    [[noreturn]] void fail(const std::string &kind,
+                           const std::string &why) const;
+
+    /** Same, for a truncation discovered when next() hit end of
+     *  file: reports the line after the last one parsed and the
+     *  end-of-file byte offset. */
+    [[noreturn]] void failTruncated(const std::string &kind,
+                                    const std::string &why) const;
+
+    /** True when the underlying stream reported an I/O error. */
+    bool bad() const { return in_.bad(); }
+
+  private:
+    std::string path_;
+    std::ifstream in_;
+    std::string line_;
+    int lineno_ = 0;
+    std::size_t lineOffset_ = 0;
+    std::size_t offset_ = 0;
+};
+
+namespace {
 
 /**
  * "path:line: why [kind record at byte N]" fatal for the strict
@@ -30,19 +72,6 @@ parseFail(const std::string &path, int line, std::size_t offset,
 {
     fatal(path + ":" + std::to_string(line) + ": " + why + " [" +
           kind + " record at byte " + std::to_string(offset) + "]");
-}
-
-/** Shard file name for the shard starting at epoch @p first. */
-std::string
-shardFileName(std::size_t index)
-{
-    std::ostringstream name;
-    name << "epochs-";
-    std::string digits = std::to_string(index);
-    for (std::size_t i = digits.size(); i < 6; ++i)
-        name << '0';
-    name << digits << ".mshard";
-    return name.str();
 }
 
 /**
@@ -79,28 +108,14 @@ class FieldCursor
         return true;
     }
 
-    /** Next field as a token: one or more bytes above 0x20, so no
-     *  blank or control byte (keywords and shard file names). */
-    bool word(std::string_view &value)
-    {
-        if (!separator())
-            return false;
-        std::size_t len = 0;
-        while (len < rest_.size() &&
-               static_cast<unsigned char>(rest_[len]) > 0x20)
-            ++len;
-        if (len == 0)
-            return false;
-        value = rest_.substr(0, len);
-        rest_.remove_prefix(len);
-        return true;
-    }
-
-    /** Next field is exactly @p expected. */
+    /** Next field is exactly @p expected.  A longer token fails on
+     *  the separator or done() check that follows it. */
     bool keyword(std::string_view expected)
     {
-        std::string_view token;
-        return word(token) && token == expected;
+        if (!separator() || !rest_.starts_with(expected))
+            return false;
+        rest_.remove_prefix(expected.size());
+        return true;
     }
 
     /** True once the whole line has been consumed. */
@@ -124,25 +139,24 @@ class FieldCursor
     bool first_ = true;
 };
 
-/** The "<magic> <version>" header record of a trace, index or
- *  triplet file; fatal unless the version lies in [@p lo, @p hi]. */
-int
-parseFileHeader(LineScanner &sc, std::string_view magic, int lo, int hi)
+
+/**
+ * The header records, from "mnoc-trace 3" through the epochs-header.
+ * Any other version -- 1 and 2 included -- is an unrecognized header
+ * at byte 0.
+ */
+void
+parseHeader(LineScanner &sc, TraceHeader &header)
 {
     if (!sc.next())
         sc.failTruncated("header", "empty trace file");
-    FieldCursor f(sc.line());
-    int version = 0;
-    bool ok = f.keyword(magic) && f.number(version) && f.done();
-    if (!ok || version < lo || version > hi)
-        sc.fail("header", "unrecognized trace file header: " + sc.line());
-    return version;
-}
+    {
+        FieldCursor f(sc.line());
+        if (!(f.keyword("mnoc-trace") && f.keyword("3") && f.done()))
+            sc.fail("header",
+                    "unrecognized trace file header: " + sc.line());
+    }
 
-/** The workload, network and dimensions records. */
-void
-parseIdentity(LineScanner &sc, TraceHeader &header)
-{
     if (!sc.next())
         sc.failTruncated("workload", "missing workload name");
     header.workloadName = sc.line();
@@ -152,37 +166,32 @@ parseIdentity(LineScanner &sc, TraceHeader &header)
 
     if (!sc.next())
         sc.failTruncated("dimensions", "missing trace dimensions");
-    FieldCursor f(sc.line());
-    bool ok = f.number(header.numNodes) && f.number(header.totalTicks) &&
-              f.done();
-    if (!ok || header.numNodes <= 0)
-        sc.fail("dimensions", "malformed trace dimensions: " + sc.line());
-}
+    {
+        FieldCursor f(sc.line());
+        bool ok = f.number(header.numNodes) &&
+                  f.number(header.totalTicks) && f.done();
+        if (!ok || header.numNodes <= 0)
+            sc.fail("dimensions",
+                    "malformed trace dimensions: " + sc.line());
+    }
 
-/** The "manifest <k>" record and its k entries. */
-void
-parseManifestBlock(LineScanner &sc, RunManifest &manifest)
-{
     if (!sc.next())
         sc.failTruncated("manifest-header", "missing manifest block");
-    FieldCursor f(sc.line());
     std::size_t count = 0;
-    if (!(f.keyword("manifest") && f.number(count) && f.done()))
-        sc.fail("manifest-header",
-                "expected 'manifest <n>', got: " + sc.line());
+    {
+        FieldCursor f(sc.line());
+        if (!(f.keyword("manifest") && f.number(count) && f.done()))
+            sc.fail("manifest-header",
+                    "expected 'manifest <n>', got: " + sc.line());
+    }
     for (std::size_t i = 0; i < count; ++i) {
         if (!sc.next())
             sc.failTruncated("manifest-entry", "truncated manifest block");
-        if (!parseManifestEntry(sc.line(), manifest))
+        if (!parseManifestEntry(sc.line(), header.manifest))
             sc.fail("manifest-entry",
                     "malformed manifest entry: " + sc.line());
     }
-}
 
-/** The "epochs <n> <msgs>" record. */
-void
-parseEpochsHeader(LineScanner &sc, TraceHeader &header)
-{
     if (!sc.next())
         sc.failTruncated("epochs-header", "missing epochs block");
     FieldCursor f(sc.line());
@@ -192,8 +201,83 @@ parseEpochsHeader(LineScanner &sc, TraceHeader &header)
                 "expected 'epochs <n> <msgs>', got: " + sc.line());
 }
 
-} // namespace
+/** Parse one "epoch <c>" block from @p sc into @p cells. */
+void
+parseEpochBlock(LineScanner &sc, int num_nodes,
+                std::vector<noc::EpochCell> &cells)
+{
+    if (!sc.next())
+        sc.failTruncated("epoch-header", "truncated epochs block");
+    FieldCursor head(sc.line());
+    std::size_t cell_count = 0;
+    if (!(head.keyword("epoch") && head.number(cell_count) && head.done()))
+        sc.fail("epoch-header",
+                "expected 'epoch <cells>', got: " + sc.line());
+    cells.clear();
+    cells.reserve(cell_count);
+    for (std::size_t c = 0; c < cell_count; ++c) {
+        if (!sc.next())
+            sc.failTruncated("epoch-cell", "truncated epoch cell list");
+        FieldCursor f(sc.line());
+        noc::EpochCell cell;
+        if (!(f.number(cell.src) && f.number(cell.dst) &&
+              f.number(cell.packets) && f.number(cell.flits) && f.done()))
+            sc.fail("epoch-cell",
+                    "malformed epoch cell (expected 'src dst packets "
+                    "flits'): " + sc.line());
+        if (cell.src >= num_nodes || cell.dst >= num_nodes)
+            sc.fail("epoch-cell",
+                    "epoch cell endpoint out of range: " + sc.line());
+        cells.push_back(cell);
+    }
+}
 
+/** The header saveTrace() writes for @p trace. */
+TraceHeader
+headerOf(const Trace &trace)
+{
+    std::size_t n = trace.flits.rows();
+    fatalIf(trace.flits.cols() != n || trace.packets.rows() != n ||
+                trace.packets.cols() != n,
+            "trace packet and flit matrices must be square and agree");
+    TraceHeader header;
+    header.workloadName = trace.workloadName;
+    header.networkName = trace.networkName;
+    header.numNodes = static_cast<int>(n);
+    header.totalTicks = trace.totalTicks;
+    header.manifest = trace.manifest;
+    header.numEpochs = trace.epochs.epochs.size();
+    if (header.numEpochs > 0)
+        header.messagesPerEpoch = trace.epochs.messagesPerEpoch;
+    return header;
+}
+
+/*
+ * The record writers.  saveTrace() and TraceWriter both write through
+ * these, so every record of the format is formatted in one place.
+ */
+
+/** The header records, from "mnoc-trace 3" through the
+ *  epochs-header. */
+void
+writeHeader(std::ostream &out, const TraceHeader &header)
+{
+    out << "mnoc-trace 3\n";
+    out << header.workloadName << "\n" << header.networkName << "\n";
+    out << header.numNodes << " " << header.totalTicks << "\n";
+    auto lines = manifestLines(header.manifest);
+    out << "manifest " << lines.size() << "\n";
+    for (const auto &line : lines)
+        out << line << "\n";
+    out << "epochs " << header.numEpochs << " "
+        << header.messagesPerEpoch << "\n";
+}
+
+/**
+ * Write one "<src> <dst> <packets> <flits>" line -- the epoch-cell
+ * and triplet record -- formatted with std::to_chars into one buffer
+ * and handed to @p out in one write.
+ */
 void
 writeCountRecord(std::ostream &out, std::int64_t src, std::int64_t dst,
                  std::uint64_t packets, std::uint64_t flits)
@@ -215,21 +299,53 @@ writeCountRecord(std::ostream &out, std::int64_t src, std::int64_t dst,
     out.write(line, p - line);
 }
 
-LineScanner::LineScanner(const std::string &path) : path_(path)
+/** One "epoch <c>" block. */
+void
+writeEpoch(std::ostream &out, const std::vector<noc::EpochCell> &cells,
+           int num_nodes)
 {
-    in_.open(path);
-    fatalIf(!in_.is_open(), "cannot open trace file: " + path);
+    out << "epoch " << cells.size() << "\n";
+    for (const noc::EpochCell &cell : cells) {
+        // Branch first: fatalIf would build its message per cell.
+        if (cell.src < 0 || cell.src >= num_nodes || cell.dst < 0 ||
+            cell.dst >= num_nodes)
+            fatal("epoch cell endpoint out of range");
+        writeCountRecord(out, cell.src, cell.dst, cell.packets,
+                         cell.flits);
+    }
 }
 
-LineScanner::LineScanner(const std::string &path, std::size_t offset,
-                         int lineno)
-    : path_(path), lineno_(lineno), lineOffset_(offset),
-      offset_(offset)
+/** The sparse triplet section: row-major, all-zero pairs skipped. */
+void
+writeTriplets(std::ostream &out, const CountMatrix &packets,
+              const CountMatrix &flits)
 {
+    std::size_t n = packets.rows();
+    fatalIf(packets.cols() != n || flits.rows() != n ||
+                flits.cols() != n,
+            "message matrix size mismatch");
+    for (std::size_t s = 0; s < n; ++s) {
+        for (std::size_t d = 0; d < n; ++d) {
+            if (packets(s, d) == 0 && flits(s, d) == 0)
+                continue;
+            writeCountRecord(out, static_cast<std::int64_t>(s),
+                             static_cast<std::int64_t>(d), packets(s, d),
+                             flits(s, d));
+        }
+    }
+}
+
+} // namespace
+
+LineScanner::LineScanner(const std::string &path) : path_(path)
+{
+    // An ifstream opens a directory without complaint and then reads
+    // nothing, which would surface as a misleading truncated header.
+    std::error_code ec;
+    fatalIf(std::filesystem::is_directory(path, ec),
+            "is a directory, not a trace file: " + path);
     in_.open(path);
     fatalIf(!in_.is_open(), "cannot open trace file: " + path);
-    in_.seekg(static_cast<std::streamoff>(offset));
-    fatalIf(in_.fail(), "cannot seek in trace file: " + path);
 }
 
 bool
@@ -257,213 +373,28 @@ LineScanner::failTruncated(const std::string &kind,
     parseFail(path_, lineno_ + 1, lineOffset_, kind, why);
 }
 
-TraceReader::TraceReader(const std::string &path) : path_(path)
+TraceReader::TraceReader(const std::string &path)
+    : path_(path), scanner_(std::make_unique<LineScanner>(path))
 {
-    if (std::filesystem::is_directory(path))
-        openSharded();
-    else
-        openSingleFile();
+    parseHeader(*scanner_, header_);
     MetricsRegistry::global().counter("trace.stream_opens").add();
 }
 
-TraceReader::TraceReader(const Trace &trace) : trace_(&trace)
-{
-    std::size_t n = trace.flits.rows();
-    fatalIf(trace.flits.cols() != n || trace.packets.rows() != n ||
-                trace.packets.cols() != n,
-            "trace packet and flit matrices must be square and agree");
-    header_.version = trace.epochs.empty() ? 2 : 3;
-    header_.workloadName = trace.workloadName;
-    header_.networkName = trace.networkName;
-    header_.numNodes = static_cast<int>(n);
-    header_.totalTicks = trace.totalTicks;
-    header_.manifest = trace.manifest;
-    header_.numEpochs = trace.epochs.epochs.size();
-    if (header_.version >= 3)
-        header_.messagesPerEpoch = trace.epochs.messagesPerEpoch;
-}
+TraceReader::TraceReader(const Trace &trace)
+    : header_(headerOf(trace)), trace_(&trace)
+{}
 
 TraceReader::~TraceReader() = default;
-
-void
-TraceReader::openSingleFile()
-{
-    scanner_ = std::make_unique<LineScanner>(path_);
-    auto &sc = *scanner_;
-    header_.version = parseFileHeader(sc, "mnoc-trace", 1, 3);
-    parseIdentity(sc, header_);
-    if (header_.version >= 2)
-        parseManifestBlock(sc, header_.manifest);
-
-    if (header_.version >= 3) {
-        parseEpochsHeader(sc, header_);
-        // Shard 0 of a single-file trace starts right here.
-        epochsOffset_ = sc.lineOffset() + sc.line().size() + 1;
-        epochsLineno_ = sc.lineno();
-        pending_ = false;
-    } else {
-        // No epoch block: the next line (if any) is the first
-        // triplet; keep it as lookahead for nextMessages().
-        pending_ = sc.next();
-    }
-}
-
-void
-TraceReader::openSharded()
-{
-    std::string index_path = path_ + "/" + kIndexFile;
-    fatalIf(!std::filesystem::exists(index_path),
-            "not a sharded trace directory (missing " +
-                std::string(kIndexFile) + "): " + path_);
-    LineScanner sc(index_path);
-    parseFileHeader(sc, "mnoc-trace-shards", 1, 1);
-    header_.version = kShardedVersion;
-    parseIdentity(sc, header_);
-    parseManifestBlock(sc, header_.manifest);
-    parseEpochsHeader(sc, header_);
-
-    if (!sc.next())
-        sc.failTruncated("shards-header", "missing shards block");
-    std::size_t num_shards = 0;
-    {
-        FieldCursor f(sc.line());
-        if (!(f.keyword("shards") && f.number(num_shards) && f.done()))
-            sc.fail("shards-header",
-                    "expected 'shards <n>', got: " + sc.line());
-    }
-    std::size_t covered = 0;
-    for (std::size_t s = 0; s < num_shards; ++s) {
-        if (!sc.next())
-            sc.failTruncated("shard-entry",
-                             "truncated shard list");
-        FieldCursor f(sc.line());
-        std::string_view file;
-        ShardRange range;
-        bool ok = f.keyword("shard") && f.word(file) &&
-                  f.number(range.firstEpoch) && f.number(range.count) &&
-                  f.done();
-        if (!ok || range.count == 0)
-            sc.fail("shard-entry",
-                    "expected 'shard <file> <first> <count>', "
-                    "got: " + sc.line());
-        if (range.firstEpoch != covered)
-            sc.fail("shard-entry",
-                    "shard ranges must tile the epochs in order: " +
-                        sc.line());
-        covered += range.count;
-        shardFiles_.push_back(path_ + "/" + std::string(file));
-        shardRanges_.push_back(range);
-    }
-    if (covered != header_.numEpochs)
-        sc.fail("shards-header",
-                "shard ranges cover " + std::to_string(covered) +
-                    " epochs, index declares " +
-                    std::to_string(header_.numEpochs));
-
-    if (!sc.next())
-        sc.failTruncated("triplets-entry", "missing triplets entry");
-    {
-        FieldCursor f(sc.line());
-        std::string_view file;
-        if (!(f.keyword("triplets") && f.word(file) && f.done()))
-            sc.fail("triplets-entry",
-                    "expected 'triplets <file>', got: " + sc.line());
-        tripletFile_ = path_ + "/" + std::string(file);
-    }
-    fatalIf(sc.bad(), "I/O error reading trace file: " + index_path);
-}
-
-void
-TraceReader::parseEpochBlock(LineScanner &scanner, int num_nodes,
-                             std::vector<noc::EpochCell> &cells)
-{
-    if (!scanner.next())
-        scanner.failTruncated("epoch-header",
-                              "truncated epochs block");
-    FieldCursor head(scanner.line());
-    std::size_t cell_count = 0;
-    if (!(head.keyword("epoch") && head.number(cell_count) && head.done()))
-        scanner.fail("epoch-header",
-                     "expected 'epoch <cells>', got: " +
-                         scanner.line());
-    cells.clear();
-    cells.reserve(cell_count);
-    for (std::size_t c = 0; c < cell_count; ++c) {
-        if (!scanner.next())
-            scanner.failTruncated("epoch-cell",
-                                  "truncated epoch cell list");
-        FieldCursor f(scanner.line());
-        noc::EpochCell cell;
-        if (!(f.number(cell.src) && f.number(cell.dst) &&
-              f.number(cell.packets) && f.number(cell.flits) && f.done()))
-            scanner.fail("epoch-cell",
-                         "malformed epoch cell (expected 'src "
-                         "dst packets flits'): " + scanner.line());
-        if (cell.src >= num_nodes || cell.dst >= num_nodes)
-            scanner.fail("epoch-cell",
-                         "epoch cell endpoint out of range: " +
-                             scanner.line());
-        cells.push_back(cell);
-    }
-}
-
-std::unique_ptr<LineScanner>
-TraceReader::openShard(std::size_t shard) const
-{
-    auto scanner = std::make_unique<LineScanner>(shardFiles_[shard]);
-    auto &sc = *scanner;
-    if (!sc.next())
-        sc.failTruncated("shard-header", "empty shard file");
-    FieldCursor f(sc.line());
-    int version = 0;
-    std::size_t first = 0;
-    bool ok = f.keyword("mnoc-shard") && f.number(version) &&
-              f.number(first) && f.done();
-    if (!ok || version != 1)
-        sc.fail("shard-header",
-                "unrecognized shard header: " + sc.line());
-    if (first != shardRanges_[shard].firstEpoch)
-        sc.fail("shard-header",
-                "shard declares first epoch " + std::to_string(first) +
-                    ", index expects " +
-                    std::to_string(shardRanges_[shard].firstEpoch));
-    return scanner;
-}
-
-bool
-TraceReader::advanceEpochShard()
-{
-    while (cursorShard_ < shardFiles_.size()) {
-        if (!shardScanner_) {
-            shardScanner_ = openShard(cursorShard_);
-            cursorEpoch_ = 0;
-        }
-        if (cursorEpoch_ < shardRanges_[cursorShard_].count)
-            return true;
-        fatalIf(shardScanner_->bad(),
-                "I/O error reading trace file: " +
-                    shardFiles_[cursorShard_]);
-        shardScanner_.reset();
-        ++cursorShard_;
-    }
-    return false;
-}
 
 bool
 TraceReader::nextEpoch(std::vector<noc::EpochCell> &cells)
 {
     if (epochsYielded_ >= header_.numEpochs)
         return false;
-    if (trace_) {
+    if (trace_)
         cells = trace_->epochs.epochs[epochsYielded_];
-    } else if (sharded()) {
-        panicIf(!advanceEpochShard(),
-                "shard cursor exhausted before declared epochs");
-        parseEpochBlock(*shardScanner_, header_.numNodes, cells);
-        ++cursorEpoch_;
-    } else {
+    else
         parseEpochBlock(*scanner_, header_.numNodes, cells);
-    }
     ++epochsYielded_;
     return true;
 }
@@ -476,6 +407,7 @@ TraceReader::nextMessages(std::vector<TraceMessage> &batch,
             "trace epochs must be drained before messages");
     batch.clear();
     if (trace_) {
+        tripletsStarted_ = true;
         auto n = static_cast<std::size_t>(header_.numNodes);
         for (; batch.size() < max && tripletCursor_ < n * n;
              ++tripletCursor_) {
@@ -489,23 +421,12 @@ TraceReader::nextMessages(std::vector<TraceMessage> &batch,
         }
         return batch.size();
     }
-    if (sharded() && !scanner_) {
-        scanner_ = std::make_unique<LineScanner>(tripletFile_);
-        parseFileHeader(*scanner_, "mnoc-triplets", 1, 1);
-        pending_ = scanner_->next();
-    } else if (!sharded() && header_.version >= 3 &&
-               epochsYielded_ == header_.numEpochs && !pending_ &&
-               !tripletsStarted_) {
-        // A v3+ single-file trace always carries an epoch block,
-        // even a zero-epoch one ("epochs 0 ..."), and openSingleFile
-        // leaves no lookahead for it; pull the first triplet line
-        // here.  Gating on numEpochs > 0 instead of the version
-        // silently dropped the whole triplet section of zero-epoch
-        // v3 captures.
-        pending_ = scanner_->next();
-    }
-    tripletsStarted_ = true;
     auto &sc = *scanner_;
+    if (!tripletsStarted_) {
+        // The epochs block ends where the triplet section begins.
+        tripletsStarted_ = true;
+        pending_ = sc.next();
+    }
     while (batch.size() < max && pending_) {
         FieldCursor f(sc.line());
         TraceMessage msg;
@@ -527,56 +448,6 @@ TraceReader::nextMessages(std::vector<TraceMessage> &batch,
         fatalIf(sc.bad(),
                 "I/O error reading trace file: " + sc.path());
     return batch.size();
-}
-
-std::size_t
-TraceReader::numShards() const
-{
-    if (sharded())
-        return shardFiles_.size();
-    if (trace_)
-        return header_.numEpochs;
-    return header_.numEpochs > 0 ? 1 : 0;
-}
-
-TraceReader::ShardRange
-TraceReader::shardRange(std::size_t shard) const
-{
-    panicIf(shard >= numShards(), "shard index out of range");
-    if (sharded())
-        return shardRanges_[shard];
-    if (trace_)
-        return ShardRange{shard, 1};
-    return ShardRange{0, header_.numEpochs};
-}
-
-void
-TraceReader::readShard(
-    std::size_t shard,
-    const std::function<void(std::size_t epoch,
-                             std::vector<noc::EpochCell> &&cells)>
-        &sink) const
-{
-    panicIf(shard >= numShards(), "shard index out of range");
-    if (trace_) {
-        sink(shard, std::vector<noc::EpochCell>(
-                        trace_->epochs.epochs[shard]));
-        return;
-    }
-    ShardRange range = shardRange(shard);
-    std::unique_ptr<LineScanner> scanner;
-    if (sharded()) {
-        scanner = openShard(shard);
-    } else {
-        scanner = std::make_unique<LineScanner>(
-            path_, epochsOffset_, epochsLineno_);
-    }
-    std::vector<noc::EpochCell> cells;
-    for (std::size_t e = 0; e < range.count; ++e) {
-        parseEpochBlock(*scanner, header_.numNodes, cells);
-        sink(range.firstEpoch + e, std::move(cells));
-        cells = {};
-    }
 }
 
 void
@@ -603,111 +474,88 @@ TraceReader::readMessageMatrix(CountMatrix &packets,
     }
 }
 
-TraceShardWriter::TraceShardWriter(const std::string &dir,
-                                   std::string workload,
-                                   std::string network,
-                                   int num_nodes,
-                                   std::uint64_t messages_per_epoch,
-                                   std::size_t epochs_per_shard)
-    : dir_(dir), workload_(std::move(workload)),
-      network_(std::move(network)), numNodes_(num_nodes),
-      messagesPerEpoch_(messages_per_epoch),
-      epochsPerShard_(epochs_per_shard)
+void
+saveTrace(const std::string &path, const Trace &trace)
 {
-    fatalIf(num_nodes <= 0, "shard writer needs a positive node "
-                            "count");
-    fatalIf(epochs_per_shard == 0,
-            "shard writer needs a positive epochs-per-shard");
+    TraceSpan span("saveTrace", "io");
+    TraceHeader header = headerOf(trace);
+    FileWriter writer(path);
+    auto &out = writer.stream();
+    writeHeader(out, header);
+    for (const auto &cells : trace.epochs.epochs)
+        writeEpoch(out, cells, header.numNodes);
+    writeTriplets(out, trace.packets, trace.flits);
+    // A full disk or revoked permissions surface here, not as a
+    // silently truncated trace on the next load.
+    writer.close();
+    MetricsRegistry::global().counter("trace.saves").add();
+}
+
+TraceWriter::TraceWriter(std::string path, std::string workload,
+                         std::string network, int num_nodes,
+                         std::uint64_t messages_per_epoch)
+    : path_(std::move(path)), spoolPath_(path_ + ".spool")
+{
+    fatalIf(num_nodes <= 0, "trace writer needs a positive node count");
+    header_.workloadName = std::move(workload);
+    header_.networkName = std::move(network);
+    header_.numNodes = num_nodes;
+    header_.messagesPerEpoch = messages_per_epoch;
+    spool_ = std::make_unique<FileWriter>(spoolPath_);
+}
+
+TraceWriter::~TraceWriter()
+{
+    // A writer abandoned before (or part way through) finish() must
+    // not leave its spool behind; error_code keeps this noexcept.
+    spool_.reset();
     std::error_code ec;
-    std::filesystem::create_directories(dir_, ec);
-    fatalIf(static_cast<bool>(ec),
-            "cannot create trace shard directory: " + dir_);
-}
-
-TraceShardWriter::~TraceShardWriter() = default;
-
-void
-TraceShardWriter::rollShard()
-{
-    if (shard_)
-        shard_->close();
-    std::string file = shardFileName(shardFiles_.size());
-    shardFiles_.push_back(file);
-    shardFirstEpoch_.push_back(numEpochs_);
-    shardCounts_.push_back(0);
-    shard_ = std::make_unique<FileWriter>(dir_ + "/" + file);
-    shard_->stream() << "mnoc-shard 1 " << numEpochs_ << "\n";
+    std::filesystem::remove(spoolPath_, ec);
 }
 
 void
-TraceShardWriter::appendEpoch(
-    const std::vector<noc::EpochCell> &cells)
+TraceWriter::appendEpoch(const std::vector<noc::EpochCell> &cells)
 {
     panicIf(finished_, "appendEpoch after finish");
-    if (!shard_ || shardCounts_.back() == epochsPerShard_)
-        rollShard();
-    auto &out = shard_->stream();
-    out << "epoch " << cells.size() << "\n";
-    for (const noc::EpochCell &cell : cells) {
-        fatalIf(cell.src < 0 || cell.src >= numNodes_ ||
-                    cell.dst < 0 || cell.dst >= numNodes_,
-                "epoch cell endpoint out of range");
-        writeCountRecord(out, cell.src, cell.dst, cell.packets, cell.flits);
-    }
-    ++shardCounts_.back();
-    ++numEpochs_;
+    writeEpoch(spool_->stream(), cells, header_.numNodes);
+    ++header_.numEpochs;
 }
 
 void
-TraceShardWriter::finish(noc::Tick total_ticks,
-                         const CountMatrix &packets,
-                         const CountMatrix &flits,
-                         const RunManifest &manifest)
+TraceWriter::finish(noc::Tick total_ticks, const CountMatrix &packets,
+                    const CountMatrix &flits,
+                    const RunManifest &manifest)
 {
+    TraceSpan span("saveTrace", "io");
     panicIf(finished_, "finish called twice");
     finished_ = true;
-    if (shard_) {
-        shard_->close();
-        shard_.reset();
-    }
-    auto n = static_cast<std::size_t>(numNodes_);
-    fatalIf(packets.rows() != n || packets.cols() != n ||
-                flits.rows() != n || flits.cols() != n,
-            "message matrix size mismatch");
+    spool_->close();
+    spool_.reset();
+    header_.totalTicks = total_ticks;
+    header_.manifest = manifest;
+    if (header_.numEpochs == 0)
+        header_.messagesPerEpoch = 0;
 
-    const std::string triplet_file = "triplets.mshard";
-    {
-        FileWriter writer(dir_ + "/" + triplet_file);
-        auto &out = writer.stream();
-        out << "mnoc-triplets 1\n";
-        for (std::size_t s = 0; s < n; ++s) {
-            for (std::size_t d = 0; d < n; ++d) {
-                if (packets(s, d) == 0 && flits(s, d) == 0)
-                    continue;
-                writeCountRecord(out, s, d, packets(s, d), flits(s, d));
-            }
-        }
-        writer.close();
-    }
-
-    FileWriter writer(dir_ + "/" + kIndexFile);
+    FileWriter writer(path_);
     auto &out = writer.stream();
-    out << "mnoc-trace-shards 1\n";
-    out << workload_ << "\n" << network_ << "\n";
-    out << numNodes_ << " " << total_ticks << "\n";
-    auto lines = manifestLines(manifest);
-    out << "manifest " << lines.size() << "\n";
-    for (const auto &line : lines)
-        out << line << "\n";
-    out << "epochs " << numEpochs_ << " " << messagesPerEpoch_
-        << "\n";
-    out << "shards " << shardFiles_.size() << "\n";
-    for (std::size_t s = 0; s < shardFiles_.size(); ++s)
-        out << "shard " << shardFiles_[s] << " "
-            << shardFirstEpoch_[s] << " " << shardCounts_[s] << "\n";
-    out << "triplets " << triplet_file << "\n";
+    writeHeader(out, header_);
+    // Streaming an empty buffer would set failbit on out, so an
+    // epoch-free spool is skipped rather than copied.
+    if (header_.numEpochs > 0) {
+        std::ifstream spool(spoolPath_, std::ios::binary);
+        fatalIf(!spool.is_open(),
+                "cannot reopen trace spool: " + spoolPath_);
+        out << spool.rdbuf();
+        fatalIf(spool.bad(), "I/O error reading trace spool: " +
+                                 spoolPath_);
+    }
+    writeTriplets(out, packets, flits);
     writer.close();
-    MetricsRegistry::global().counter("trace.shard_saves").add();
+    std::error_code ec;
+    std::filesystem::remove(spoolPath_, ec);
+    fatalIf(static_cast<bool>(ec),
+            "cannot remove trace spool: " + spoolPath_);
+    MetricsRegistry::global().counter("trace.saves").add();
 }
 
 } // namespace mnoc::sim

@@ -69,7 +69,6 @@ twoPhaseTrace(std::size_t neighbor, std::size_t long_haul)
     t.flits = CountMatrix(kNodes, kNodes, 0);
     t.manifest.seed = 7;
     t.manifest.gitSha = "0000000";
-    t.manifest.threads = 1;
     t.epochs.messagesPerEpoch = kNodes * 2;
     for (std::size_t e = 0; e < neighbor + long_haul; ++e) {
         auto cells = e < neighbor ? neighborEpoch() : longHaulEpoch();

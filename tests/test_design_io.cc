@@ -8,9 +8,9 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
-#include <tuple>
 
 #include "common/log.hh"
+#include "common/manifest.hh"
 #include "core/builders.hh"
 #include "core/design_io.hh"
 
@@ -128,7 +128,6 @@ TEST(DesignIo, ManifestTrailerRoundTrips)
     RunManifest manifest;
     manifest.seed = 77;
     manifest.gitSha = "beef001";
-    manifest.threads = 5;
     manifest.configDigest = "0011223344556677";
     manifest.env.emplace_back("MNOC_THREADS", "5");
     saveDesign(path, f.sample(), nullptr, &manifest);
@@ -137,7 +136,6 @@ TEST(DesignIo, ManifestTrailerRoundTrips)
     ASSERT_TRUE(report.manifest.has_value());
     EXPECT_EQ(report.manifest->seed, 77u);
     EXPECT_EQ(report.manifest->gitSha, "beef001");
-    EXPECT_EQ(report.manifest->threads, 5);
     EXPECT_EQ(report.manifest->configDigest, "0011223344556677");
     EXPECT_EQ(report.manifest->env, manifest.env);
     EXPECT_FALSE(report.resilience.has_value());
@@ -150,42 +148,67 @@ TEST(DesignIo, ManifestTrailerRoundTrips)
     std::remove(bare.c_str());
 }
 
-TEST(DesignIo, ManifestTrailerRejectsMalformedSeedAndThreads)
+TEST(DesignIo, ManifestTrailerRejectsMalformedSeed)
 {
     // The design trailer shares the trace manifest's whole-token
-    // seed/threads parse; a bad value fails naming the field.
+    // seed parse; a bad value fails naming the field.
     IoFixture f;
     std::string path = testing::TempDir() + "mnoc_design_badman.txt";
     RunManifest manifest;
     manifest.seed = 77;
-    manifest.threads = 5;
     saveDesign(path, f.sample(), nullptr, &manifest);
     std::ifstream in(path);
     std::string content((std::istreambuf_iterator<char>(in)),
                         std::istreambuf_iterator<char>());
     in.close();
 
-    for (auto [good, bad, field] :
-         {std::tuple{"\nseed 77\n", "\nseed 1x\n", "manifest seed"},
-          std::tuple{"\nthreads 5\n", "\nthreads -9z\n",
-                     "manifest threads"}}) {
-        std::string patched = content;
-        std::size_t at = patched.find(good);
-        ASSERT_NE(at, std::string::npos) << good;
-        patched.replace(at, std::string(good).size(), bad);
-        {
-            std::ofstream out(path);
-            out << patched;
-        }
-        try {
-            loadDesignReport(path);
-            FAIL() << "loaded a manifest with '" << bad << "'";
-        } catch (const FatalError &error) {
-            EXPECT_NE(std::string(error.what()).find(field),
-                      std::string::npos)
-                << error.what();
-        }
+    std::string patched = content;
+    std::size_t at = patched.find("\nseed 77\n");
+    ASSERT_NE(at, std::string::npos);
+    patched.replace(at, 9, "\nseed 1x\n");
+    {
+        std::ofstream out(path);
+        out << patched;
     }
+    try {
+        loadDesignReport(path);
+        FAIL() << "loaded a manifest with 'seed 1x'";
+    } catch (const FatalError &error) {
+        EXPECT_NE(std::string(error.what()).find("manifest seed"),
+                  std::string::npos)
+            << error.what();
+    }
+    std::remove(path.c_str());
+}
+
+TEST(DesignIo, LegacyManifestThreadsEntryStillLoads)
+{
+    // Older builds stamped the pool size as a `threads` entry; such
+    // a design still loads, the entry skipped as an unknown key.
+    IoFixture f;
+    std::string path = testing::TempDir() + "mnoc_design_legacy.txt";
+    RunManifest manifest;
+    manifest.seed = 77;
+    saveDesign(path, f.sample(), nullptr, &manifest);
+    std::ifstream in(path);
+    std::string content((std::istreambuf_iterator<char>(in)),
+                        std::istreambuf_iterator<char>());
+    in.close();
+
+    std::size_t count = manifestLines(manifest).size();
+    std::string header = "manifest " + std::to_string(count) + "\n";
+    std::size_t at = content.find(header);
+    ASSERT_NE(at, std::string::npos);
+    content.replace(at, header.size(),
+                    "manifest " + std::to_string(count + 1) +
+                        "\nthreads 4\n");
+    {
+        std::ofstream out(path);
+        out << content;
+    }
+    DesignReport report = loadDesignReport(path);
+    ASSERT_TRUE(report.manifest.has_value());
+    EXPECT_EQ(manifestJson(*report.manifest), manifestJson(manifest));
     std::remove(path.c_str());
 }
 

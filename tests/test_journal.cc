@@ -313,7 +313,6 @@ spliceTrace256()
     t.flits = CountMatrix(kFixtureNodes, kFixtureNodes, 0);
     t.manifest.seed = 9;
     t.manifest.gitSha = "0000000";
-    t.manifest.threads = 4;
     t.manifest.configDigest = "feedfacefeedface";
     t.manifest.env.emplace_back("MNOC_THREADS", "4");
     t.epochs.messagesPerEpoch = 2 * kFixtureNodes;

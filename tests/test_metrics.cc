@@ -288,7 +288,6 @@ TEST(ManifestTest, LinesRoundTripThroughParse)
     RunManifest original;
     original.seed = 12345;
     original.gitSha = "abc1234";
-    original.threads = 8;
     original.configDigest = "deadbeefdeadbeef";
     original.env.emplace_back("MNOC_THREADS", "8");
     original.env.emplace_back("MNOC_BENCH_DIR", "out dir");
@@ -298,7 +297,6 @@ TEST(ManifestTest, LinesRoundTripThroughParse)
         EXPECT_TRUE(parseManifestEntry(line, parsed)) << line;
     EXPECT_EQ(parsed.seed, original.seed);
     EXPECT_EQ(parsed.gitSha, original.gitSha);
-    EXPECT_EQ(parsed.threads, original.threads);
     EXPECT_EQ(parsed.configDigest, original.configDigest);
     EXPECT_EQ(parsed.env, original.env);
 }
@@ -312,11 +310,14 @@ TEST(ManifestTest, ParseRejectsMalformedEntries)
     EXPECT_FALSE(parseManifestEntry("seed 1 2", manifest));
     EXPECT_FALSE(parseManifestEntry("seed 1x", manifest));
     EXPECT_FALSE(parseManifestEntry("seed -1", manifest));
-    EXPECT_FALSE(parseManifestEntry("threads -9z", manifest));
-    EXPECT_FALSE(parseManifestEntry("threads -1", manifest));
-    // Unknown keys parse (forward compatibility) but change nothing.
+    // Unknown keys parse (forward compatibility) but change nothing;
+    // so does the `threads` entry older builds wrote, whatever its
+    // value.
     EXPECT_TRUE(parseManifestEntry("future value", manifest));
+    EXPECT_TRUE(parseManifestEntry("threads 4", manifest));
+    EXPECT_TRUE(parseManifestEntry("threads -9z", manifest));
     EXPECT_EQ(manifest.seed, 0u);
+    EXPECT_EQ(manifestJson(manifest), manifestJson(RunManifest{}));
 }
 
 TEST(ManifestTest, DigestIsStable)
@@ -334,7 +335,6 @@ TEST(ManifestTest, CurrentManifestRecordsProcessState)
     EXPECT_EQ(manifest.seed, 7u);
     EXPECT_EQ(manifest.configDigest, "digest");
     EXPECT_FALSE(manifest.gitSha.empty());
-    EXPECT_GE(manifest.threads, 1);
 }
 
 TEST(ManifestTest, CurrentManifestStampsOnlySetResultKnobs)
@@ -360,13 +360,13 @@ TEST(ManifestTest, JsonFormIsEscapedAndComplete)
     RunManifest manifest;
     manifest.seed = 3;
     manifest.gitSha = "g\"it";
-    manifest.threads = 2;
     manifest.env.emplace_back("MNOC_BENCH_DIR", "a\\b");
     std::string json = manifestJson(manifest);
     EXPECT_NE(json.find("\"seed\": 3"), std::string::npos);
     EXPECT_NE(json.find("g\\\"it"), std::string::npos);
     EXPECT_NE(json.find("a\\\\b"), std::string::npos);
-    EXPECT_NE(json.find("\"threads\": 2"), std::string::npos);
+    // The pool size is an execution setting, never stamped.
+    EXPECT_EQ(json.find("threads"), std::string::npos);
 }
 
 } // namespace

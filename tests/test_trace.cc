@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 
 #include "common/log.hh"
@@ -143,7 +144,6 @@ TEST(Trace, ManifestRoundTripsThroughSaveLoad)
     Trace t = sampleTrace();
     t.manifest.seed = 99;
     t.manifest.gitSha = "cafe123";
-    t.manifest.threads = 3;
     t.manifest.configDigest = "0123456789abcdef";
     t.manifest.env.emplace_back("MNOC_THREADS", "3");
     t.manifest.env.emplace_back("MNOC_BENCH_DIR", "out dir");
@@ -153,7 +153,6 @@ TEST(Trace, ManifestRoundTripsThroughSaveLoad)
     Trace loaded = loadTrace(path);
     EXPECT_EQ(loaded.manifest.seed, 99u);
     EXPECT_EQ(loaded.manifest.gitSha, "cafe123");
-    EXPECT_EQ(loaded.manifest.threads, 3);
     EXPECT_EQ(loaded.manifest.configDigest, "0123456789abcdef");
     EXPECT_EQ(loaded.manifest.env, t.manifest.env);
 
@@ -164,17 +163,41 @@ TEST(Trace, ManifestRoundTripsThroughSaveLoad)
     std::remove(path.c_str());
 }
 
-TEST(Trace, LoadStillReadsVersionOneFiles)
+TEST(Trace, LoadRejectsVersionsOneAndTwo)
 {
+    // Version 3 is the only format: the older headers are rejected at
+    // byte 0, before any of their records is read.
+    expectLoadFailure(
+        writeFixture("mnoc_trace_v1.txt",
+                     "mnoc-trace 1\nlegacy\nmNoC\n2 100\n0 1 4 8\n"),
+        1, "unrecognized trace file header: mnoc-trace 1 [header "
+           "record at byte 0]");
+    expectLoadFailure(
+        writeFixture("mnoc_trace_v2.txt",
+                     "mnoc-trace 2\nw\nn\n2 10\nmanifest 0\n0 1 4 8\n"),
+        1, "unrecognized trace file header: mnoc-trace 2 [header "
+           "record at byte 0]");
+}
+
+TEST(Trace, LegacyManifestThreadsEntryIsSkipped)
+{
+    // Older builds stamped the pool size as a `threads` entry; such a
+    // trace still loads, the entry skipped as an unknown key, and is
+    // written back without it.
     std::string path = writeFixture(
-        "mnoc_trace_v1.txt",
-        "mnoc-trace 1\nlegacy\nmNoC\n2 100\n0 1 4 8\n");
+        "mnoc_trace_threads.txt",
+        "mnoc-trace 3\nw\nn\n2 10\nmanifest 2\nseed 5\nthreads 4\n"
+        "epochs 0 0\n0 1 4 8\n");
     Trace t = loadTrace(path);
-    EXPECT_EQ(t.workloadName, "legacy");
-    EXPECT_EQ(t.packets(0, 1), 4u);
+    EXPECT_EQ(t.manifest.seed, 5u);
     EXPECT_EQ(t.flits(0, 1), 8u);
-    // v1 predates manifests: the loaded one is the default.
-    EXPECT_EQ(t.manifest.gitSha, "");
+    EXPECT_EQ(manifestJson(t.manifest).find("threads"), std::string::npos);
+    saveTrace(path, t);
+    std::ifstream in(path);
+    std::string body((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+    EXPECT_EQ(body.find("threads"), std::string::npos) << body;
+    in.close();
     std::remove(path.c_str());
 }
 
@@ -184,57 +207,57 @@ TEST(Trace, LoadRejectsTruncatedTriplet)
     // as clean EOF; it must fail and name the offending line.
     expectLoadFailure(
         writeFixture("mnoc_trace_short.txt",
-                     "mnoc-trace 2\nw\nn\n2 10\nmanifest 0\n"
-                     "0 1 4 8\n1 0 2\n"),
-        7, "malformed trace triplet");
+                     "mnoc-trace 3\nw\nn\n2 10\nmanifest 0\n"
+                     "epochs 0 0\n0 1 4 8\n1 0 2\n"),
+        8, "malformed trace triplet");
 }
 
 TEST(Trace, LoadRejectsNonNumericTriplet)
 {
     expectLoadFailure(
         writeFixture("mnoc_trace_alpha.txt",
-                     "mnoc-trace 2\nw\nn\n2 10\nmanifest 0\n"
-                     "0 one 4 8\n"),
-        6, "malformed trace triplet");
+                     "mnoc-trace 3\nw\nn\n2 10\nmanifest 0\n"
+                     "epochs 0 0\n0 one 4 8\n"),
+        7, "malformed trace triplet");
 }
 
 TEST(Trace, LoadRejectsTrailingGarbageOnTriplet)
 {
     expectLoadFailure(
         writeFixture("mnoc_trace_extra.txt",
-                     "mnoc-trace 2\nw\nn\n2 10\nmanifest 0\n"
-                     "0 1 4 8 junk\n"),
-        6, "trailing garbage");
+                     "mnoc-trace 3\nw\nn\n2 10\nmanifest 0\n"
+                     "epochs 0 0\n0 1 4 8 junk\n"),
+        7, "trailing garbage");
 }
 
 TEST(Trace, LoadRejectsOutOfRangeEndpoint)
 {
     expectLoadFailure(
         writeFixture("mnoc_trace_range.txt",
-                     "mnoc-trace 2\nw\nn\n2 10\nmanifest 0\n"
-                     "0 5 4 8\n"),
-        6, "out of range");
+                     "mnoc-trace 3\nw\nn\n2 10\nmanifest 0\n"
+                     "epochs 0 0\n0 5 4 8\n"),
+        7, "out of range");
 }
 
 TEST(Trace, LoadRejectsTruncatedManifest)
 {
     expectLoadFailure(
         writeFixture("mnoc_trace_mtrunc.txt",
-                     "mnoc-trace 2\nw\nn\n2 10\nmanifest 3\n"
+                     "mnoc-trace 3\nw\nn\n2 10\nmanifest 3\n"
                      "seed 1\n"),
         7, "truncated manifest");
 }
 
-TEST(Trace, LoadRejectsMalformedManifestSeedAndThreads)
+TEST(Trace, LoadRejectsMalformedManifestSeed)
 {
-    // Manifest seed/threads entries are whole-token parses: a prefix
-    // number followed by garbage, or an overflow, is a diagnostic
-    // naming the entry's byte offset, not a silently truncated value.
-    std::string head = "mnoc-trace 2\nw\nn\n2 10\nmanifest 1\n";
-    for (const char *entry : {"seed 1x\n", "threads -9z\n",
-                              "seed 18446744073709551616\n"}) {
-        std::string path = writeFixture("mnoc_trace_mbad.txt",
-                                        head + entry + "0 1 4 8\n");
+    // The manifest seed entry is a whole-token parse: a prefix number
+    // followed by garbage, or an overflow, is a diagnostic naming the
+    // entry's byte offset, not a silently truncated value.
+    std::string head = "mnoc-trace 3\nw\nn\n2 10\nmanifest 1\n";
+    for (const char *entry :
+         {"seed 1x\n", "seed 18446744073709551616\n"}) {
+        std::string path = writeFixture(
+            "mnoc_trace_mbad.txt", head + entry + "epochs 0 0\n0 1 4 8\n");
         try {
             loadTrace(path);
             FAIL() << "loadTrace accepted '" << entry << "'";
@@ -290,17 +313,26 @@ TEST(Trace, EpochsRoundTripThroughVersionThree)
     std::remove(path.c_str());
 }
 
-TEST(Trace, EpochFreeTraceStaysOnVersionTwo)
+TEST(Trace, EpochFreeTraceWritesAnEmptyEpochsBlock)
 {
-    // The v2 byte format is pinned by the golden fixture; a trace
-    // captured without MNOC_LEDGER must keep producing it.
-    std::string path = testing::TempDir() + "mnoc_trace_v2.txt";
-    saveTrace(path, sampleTrace());
+    // A trace captured without MNOC_LEDGER -- or whose epochs all
+    // streamed elsewhere, leaving only the window size behind -- is
+    // still version 3, with the block declared empty: "epochs 0 0".
+    std::string path = testing::TempDir() + "mnoc_trace_noepochs.txt";
+    Trace t = sampleTrace();
+    t.epochs.messagesPerEpoch = 64;
+    saveTrace(path, t);
     std::ifstream in(path);
-    std::string header;
-    std::getline(in, header);
-    EXPECT_EQ(header, "mnoc-trace 2");
+    std::string body((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
     in.close();
+    EXPECT_EQ(body.rfind("mnoc-trace 3\n", 0), 0u) << body;
+    EXPECT_NE(body.find("\nepochs 0 0\n0 1 10 30\n"), std::string::npos)
+        << body;
+    Trace loaded = loadTrace(path);
+    EXPECT_TRUE(loaded.epochs.empty());
+    EXPECT_EQ(loaded.epochs.messagesPerEpoch, 0u);
+    EXPECT_TRUE(loaded.flits == t.flits);
     std::remove(path.c_str());
 }
 
@@ -441,7 +473,6 @@ golden256Trace()
     }
     t.manifest.seed = 42;
     t.manifest.gitSha = "0000000";
-    t.manifest.threads = 4;
     t.manifest.configDigest = "feedfacefeedface";
     t.manifest.env.emplace_back("MNOC_THREADS", "4");
     return t;
@@ -459,7 +490,7 @@ fileBytes(const std::string &path)
 
 TEST(Trace, GoldenFileStaysByteIdentical)
 {
-    // The golden fixture pins the v2 on-disk format, manifest block
+    // The golden fixture pins the on-disk format, manifest block
     // included: any serialization change must be deliberate and come
     // with a regenerated fixture.
     std::string golden =
@@ -486,7 +517,6 @@ TEST(Trace, GoldenFileRoundTripsAndMaps)
     EXPECT_TRUE(loaded.flits == expected.flits);
     EXPECT_EQ(loaded.manifest.seed, 42u);
     EXPECT_EQ(loaded.manifest.gitSha, "0000000");
-    EXPECT_EQ(loaded.manifest.threads, 4);
     EXPECT_EQ(loaded.manifest.configDigest, "feedfacefeedface");
     ASSERT_EQ(loaded.manifest.env.size(), 1u);
     EXPECT_EQ(loaded.manifest.env[0].first, "MNOC_THREADS");

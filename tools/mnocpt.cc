@@ -3,10 +3,9 @@
  * mnocpt — command-line front end to the mNoC power-topology library.
  *
  * Subcommands:
- *   simulate  run a SPLASH kernel, write a trace file; an --out
- *             ending in .mshards streams sealed epochs to a sharded
- *             trace directory as the run executes (bounded capture
- *             memory; see docs/TRACE_FORMAT.md)
+ *   simulate  run a SPLASH kernel, write a trace file; sealed epochs
+ *             stream to a spool beside it as the run executes
+ *             (bounded capture memory; see docs/streaming.md)
  *   map       compute a taboo thread mapping from a trace
  *   design    build a power topology + splitter design from a trace
  *             (optionally hardened to a Monte Carlo yield target)
@@ -40,16 +39,14 @@
  *
  * The report/faults/stats/evaluate verbs pull the trace through the
  * streaming reader (sim/trace_stream.hh), so they run in bounded
- * memory on radix-1024 and radix-4096 captures; sharded traces fan
- * their epoch shards across the MNOC_THREADS pool, bit-identical at
- * any pool size.  The replay verbs (evaluate, faults, adapt, report)
- * share one setup, and report's MNOC_FAULTS/MNOC_ADAPT sections run
+ * memory on radix-1024 and radix-4096 captures, bit-identical at any
+ * MNOC_THREADS pool size.  The replay verbs (evaluate, faults, adapt,
+ * report) share one setup, and report's MNOC_FAULTS/MNOC_ADAPT sections run
  * the very fault and adaptive replays of `faults` and `adapt`.
  *
  * Examples:
  *   mnocpt simulate --benchmark water_s --cores 64 --out ws.trace
- *   mnocpt simulate --benchmark radix --cores 1024 \
- *                   --out rx.mshards --epochs-per-shard 128
+ *   mnocpt simulate --benchmark radix --cores 1024 --out rx.trace
  *   mnocpt map --trace ws.trace --out ws.map
  *   mnocpt design --trace ws.trace --map ws.map --modes 4 \
  *                 --assign comm --out ws.design
@@ -307,16 +304,6 @@ identity(int cores)
     return map;
 }
 
-/** True when @p out names a sharded trace directory (.mshards). */
-bool
-wantsShardedTrace(const std::string &out)
-{
-    const std::string suffix = ".mshards";
-    return out.size() > suffix.size() &&
-           out.compare(out.size() - suffix.size(), suffix.size(),
-                       suffix) == 0;
-}
-
 int
 cmdSimulate(const Args &args)
 {
@@ -334,34 +321,22 @@ cmdSimulate(const Args &args)
     scale.opsPerThread = args.getCount("ops", 4000);
     auto workload = workloads::makeWorkload(benchmark, scale);
 
-    // An --out ending in .mshards streams sealed epochs straight into
-    // shard files while the run executes, so capture memory stays
-    // bounded however long the run is; the index (with the final tick
-    // count and manifest) is written after the run completes.
-    std::unique_ptr<sim::TraceShardWriter> shards;
-    if (wantsShardedTrace(out)) {
-        int epochs_per_shard = args.getCount("epochs-per-shard", 256);
-        fatalIf(epochs_per_shard < 1,
-                "--epochs-per-shard must be positive");
-        shards = std::make_unique<sim::TraceShardWriter>(
-            out, workload->name(), network.name(), cores,
-            ledgerEnabled() ? ledgerEpochMessages() : 0,
-            static_cast<std::size_t>(epochs_per_shard));
-        config.epochSink =
-            [&shards](std::vector<noc::EpochCell> &&cells) {
-                shards->appendEpoch(cells);
-            };
-    }
+    // Sealed epochs stream out of the run into the writer's spool, so
+    // capture memory stays bounded however long the run is; the
+    // trace file (header with the final tick count and manifest,
+    // epochs, triplets) is written once the run completes.
+    sim::TraceWriter writer(out, workload->name(), network.name(), cores,
+                            ledgerEnabled() ? ledgerEpochMessages() : 0);
+    config.epochSink = [&writer](std::vector<noc::EpochCell> &&cells) {
+        writer.appendEpoch(cells);
+    };
 
     auto result = sim::runSimulation(config, network, *workload,
                                      args.getU64("seed", 1));
     sim::CoherenceStats stats = result.coherence;
     auto trace = sim::toTrace(std::move(result));
-    if (shards)
-        shards->finish(trace.totalTicks, trace.packets, trace.flits,
-                       trace.manifest);
-    else
-        sim::saveTrace(out, trace);
+    writer.finish(trace.totalTicks, trace.packets, trace.flits,
+                  trace.manifest);
     std::cout << benchmark << ": " << stats.accesses << " ops, "
               << stats.packetsSent << " packets, " << trace.totalTicks
               << " cycles -> " << out << "\n";
@@ -595,8 +570,7 @@ struct Replay
             Journal::global().setManifest(stamp);
     }
 
-    /** The deployed design's ledger: one pass over the trace, epoch
-     *  shards fanned across the MNOC_THREADS pool. */
+    /** The deployed design's ledger: one pass over the trace. */
     core::EnergyLedger
     staticLedger()
     {
@@ -1458,9 +1432,6 @@ usage()
            "[--option value ...]\n"
            "  simulate --benchmark NAME [--cores N] [--ops N] "
            "[--seed N] --out FILE\n"
-           "           (FILE ending in .mshards streams epochs to a "
-           "sharded trace directory;\n"
-           "           [--epochs-per-shard N] sets the shard size)\n"
            "  map      --trace FILE [--iterations N] --out FILE\n"
            "  design   --trace FILE [--map FILE] [--modes N] "
            "[--assign comm|distance|clustered]\n"
