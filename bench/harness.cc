@@ -138,8 +138,8 @@ Harness::mapping(const std::string &benchmark)
         int core;
         while (in >> core)
             map.push_back(core);
-        fatalIf(static_cast<int>(map.size()) != numCores_,
-                "corrupt mapping cache: " + path);
+        if (static_cast<int>(map.size()) != numCores_)
+            fatal("corrupt mapping cache: " + path);
     } else {
         std::cerr << "[harness] taboo mapping for " << benchmark
                   << "...\n";

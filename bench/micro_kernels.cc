@@ -4,7 +4,8 @@
  * splitter-chain design, alpha optimization, QAP delta evaluation,
  * channel booking, cache lookups, directory entries, the
  * disabled-path cost of the metrics/span instrumentation (must stay a
- * branch, not a syscall), and the trace reader's record parse.
+ * branch, not a syscall), a passing bounds check (must stay a
+ * branch, not an allocation), and the trace reader's record parse.
  */
 
 #include <benchmark/benchmark.h>
@@ -12,6 +13,8 @@
 #include <filesystem>
 #include <vector>
 
+#include "common/log.hh"
+#include "common/matrix.hh"
 #include "common/metrics.hh"
 #include "common/prng.hh"
 #include "common/thread_pool.hh"
@@ -206,6 +209,25 @@ BM_TraceSpanOff(benchmark::State &state)
     }
 }
 BENCHMARK(BM_TraceSpanOff);
+
+/** One passing panicIf with a literal past the small-string buffer
+ *  plus one in-range Matrix::operator(): the per-call cost of the
+ *  bounds checks on the ledger and splitter-chain paths. */
+void
+BM_CheckPass(benchmark::State &state)
+{
+    FlowMatrix m(16, 16, 1.0);
+    std::size_t r = 3;
+    std::size_t c = 5;
+    for (auto _ : state) {
+        // Opaque indices, so neither check folds away.
+        benchmark::DoNotOptimize(r);
+        benchmark::DoNotOptimize(c);
+        panicIf(r >= m.rows(), "micro-kernel row ran past its matrix");
+        benchmark::DoNotOptimize(m(r, c));
+    }
+}
+BENCHMARK(BM_CheckPass);
 
 /** Composing one epoch's fault state from a dense event list: the
  *  per-epoch fixed cost the degradation controller pays before any

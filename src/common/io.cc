@@ -9,7 +9,8 @@ FileWriter::FileWriter(const std::string &path, bool binary)
       out_(path, binary ? std::ios::out | std::ios::binary
                         : std::ios::out)
 {
-    fatalIf(!out_.is_open(), "cannot open file for write: " + path_);
+    if (!out_.is_open())
+        fatal("cannot open file for write: " + path_);
 }
 
 FileWriter::~FileWriter()
@@ -25,8 +26,8 @@ FileWriter::~FileWriter()
 void
 FileWriter::failIfBad()
 {
-    fatalIf(!out_.good(),
-            "failed writing file (disk full or I/O error): " + path_);
+    if (!out_.good())
+        fatal("failed writing file (disk full or I/O error): " + path_);
 }
 
 void
@@ -35,11 +36,11 @@ FileWriter::close()
     if (closed_)
         return;
     out_.flush();
-    fatalIf(!out_.good(),
-            "failed writing file (disk full or I/O error): " + path_);
+    if (!out_.good())
+        fatal("failed writing file (disk full or I/O error): " + path_);
     out_.close();
-    fatalIf(out_.fail(),
-            "failed closing file (disk full or I/O error): " + path_);
+    if (out_.fail())
+        fatal("failed closing file (disk full or I/O error): " + path_);
     closed_ = true;
 }
 

@@ -321,7 +321,8 @@ JournalWriter::~JournalWriter()
 void
 JournalWriter::append(const JournalRecord &rec)
 {
-    panicIf(closed_, "append to closed journal writer '" + path_ + "'");
+    if (closed_)
+        panic("append to closed journal writer '" + path_ + "'");
     appendRecord(buffer_, rec);
     ++count_;
 }
@@ -329,7 +330,8 @@ JournalWriter::append(const JournalRecord &rec)
 void
 JournalWriter::close()
 {
-    panicIf(closed_, "double close of journal writer '" + path_ + "'");
+    if (closed_)
+        panic("double close of journal writer '" + path_ + "'");
     buffer_ += journalFooter(count_);
     FileWriter writer(path_, /*binary=*/true);
     writer.stream().write(buffer_.data(),
@@ -343,7 +345,8 @@ JournalFile
 loadJournal(const std::string &path)
 {
     std::ifstream in(path, std::ios::binary);
-    fatalIf(!in, "cannot open journal '" + path + "'");
+    if (!in)
+        fatal("cannot open journal '" + path + "'");
     std::string bytes((std::istreambuf_iterator<char>(in)),
                       std::istreambuf_iterator<char>());
 
@@ -354,18 +357,16 @@ loadJournal(const std::string &path)
 
     if (bytes.size() < sizeof(kHeaderMagic))
         truncated("header magic", bytes.size());
-    fatalIf(std::memcmp(bytes.data(), kHeaderMagic, sizeof(kHeaderMagic)) !=
-                0,
-            path + ": not a journal file (bad magic at byte 0)");
+    if (std::memcmp(bytes.data(), kHeaderMagic, sizeof(kHeaderMagic)) != 0)
+        fatal(path + ": not a journal file (bad magic at byte 0)");
     std::size_t offset = sizeof(kHeaderMagic);
 
     if (bytes.size() < offset + 4)
         truncated("header version", offset);
     std::uint32_t version = readU32(bytes, offset);
-    fatalIf(version != kJournalVersion,
-            path + ": unsupported journal version " +
-                std::to_string(version) + " at byte " +
-                std::to_string(offset));
+    if (version != kJournalVersion)
+        fatal(path + ": unsupported journal version " +
+              std::to_string(version) + " at byte " + std::to_string(offset));
     offset += 4;
 
     if (bytes.size() < offset + 4)
@@ -389,15 +390,14 @@ loadJournal(const std::string &path)
                 truncated("record count", offset);
             std::uint64_t declared = readU64(bytes, offset);
             offset += 8;
-            fatalIf(declared != file.records.size(),
-                    path + ": journal end marker declares " +
-                        std::to_string(declared) + " records but file holds " +
-                        std::to_string(file.records.size()) + " (at byte " +
-                        std::to_string(offset - 8) + ")");
-            fatalIf(offset != bytes.size(),
-                    path + ": trailing bytes after journal end "
-                           "marker at byte " +
-                        std::to_string(offset));
+            if (declared != file.records.size())
+                fatal(path + ": journal end marker declares " +
+                      std::to_string(declared) + " records but file holds " +
+                      std::to_string(file.records.size()) + " (at byte " +
+                      std::to_string(offset - 8) + ")");
+            if (offset != bytes.size())
+                fatal(path + ": trailing bytes after journal end "
+                      "marker at byte " + std::to_string(offset));
             break;
         }
         if (remaining < kJournalRecordBytes) {
@@ -416,22 +416,21 @@ loadJournal(const std::string &path)
         }
 
         std::uint32_t kind = readU32(bytes, offset);
-        fatalIf(kind == 0 || kind > kJournalKindCount,
-                path + ": unknown journal record kind " +
-                    std::to_string(kind) + " at byte " +
-                    std::to_string(offset));
+        if (kind == 0 || kind > kJournalKindCount)
+            fatal(path + ": unknown journal record kind " +
+                  std::to_string(kind) + " at byte " + std::to_string(offset));
 
         JournalRecord rec;
         rec.kind = static_cast<JournalKind>(kind);
         rec.epoch = readU64(bytes, offset + 4);
         rec.numInts = readU32(bytes, offset + 12);
         rec.numReals = readU32(bytes, offset + 16);
-        fatalIf(rec.numInts > JournalRecord::kMaxInts ||
-                    rec.numReals > JournalRecord::kMaxReals,
-                path + ": corrupt " +
-                    std::string(journalKindName(rec.kind)) +
-                    " record: field counts out of range at byte " +
-                    std::to_string(offset));
+        if (rec.numInts > JournalRecord::kMaxInts ||
+            rec.numReals > JournalRecord::kMaxReals)
+            fatal(path + ": corrupt " +
+                  std::string(journalKindName(rec.kind)) +
+                  " record: field counts out of range at byte " +
+                  std::to_string(offset));
         for (std::size_t i = 0; i < JournalRecord::kMaxInts; ++i)
             rec.ints[i] = static_cast<std::int64_t>(
                 readU64(bytes, offset + 20 + i * 8));

@@ -148,10 +148,27 @@ inform(const std::string &msg)
 /**
  * Check a user-facing precondition, calling fatal() on failure.
  *
+ * The message is a literal, so a passing check allocates nothing.  A
+ * message composed from run-time values is built only on failure:
+ * write `if (cond) fatal(...)` instead (docs/conventions.md).
+ *
  * @param cond Condition that must hold.
  * @param msg Message used when the condition fails.
  */
 inline void
+fatalIf(bool cond, const char *msg)
+{
+    if (cond)
+        fatal(msg);
+}
+
+/**
+ * Eager form kept only for perfbench/trace_pass.cc, which composes one
+ * usage message before its check; it allocates on every call.  Use
+ * `if (cond) fatal(...)` in new code.
+ */
+[[deprecated("compose the message only on failure: "
+             "if (cond) fatal(...)")]] inline void
 fatalIf(bool cond, const std::string &msg)
 {
     if (cond)
@@ -161,11 +178,15 @@ fatalIf(bool cond, const std::string &msg)
 /**
  * Check an internal invariant, calling panic() on failure.
  *
+ * The message is a literal, so a passing check allocates nothing.  A
+ * message composed from run-time values is built only on failure:
+ * write `if (cond) panic(...)` instead (docs/conventions.md).
+ *
  * @param cond Condition that must hold for the library to be correct.
  * @param msg Message used when the condition fails.
  */
 inline void
-panicIf(bool cond, const std::string &msg)
+panicIf(bool cond, const char *msg)
 {
     if (cond)
         panic(msg);

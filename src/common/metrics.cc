@@ -78,12 +78,13 @@ Histogram::Histogram(std::string name, std::vector<double> edges)
       min_(std::numeric_limits<double>::infinity()),
       max_(-std::numeric_limits<double>::infinity())
 {
-    fatalIf(edges_.empty(), "histogram '" + name_ +
-                                "' needs at least one bucket edge");
-    for (std::size_t i = 1; i < edges_.size(); ++i)
-        fatalIf(edges_[i] <= edges_[i - 1],
-                "histogram '" + name_ +
-                    "' bucket edges must be strictly ascending");
+    if (edges_.empty())
+        fatal("histogram '" + name_ + "' needs at least one bucket edge");
+    for (std::size_t i = 1; i < edges_.size(); ++i) {
+        if (edges_[i] <= edges_[i - 1])
+            fatal("histogram '" + name_ +
+                  "' bucket edges must be strictly ascending");
+    }
 }
 
 void
@@ -161,9 +162,9 @@ Series::add(std::size_t index, std::uint64_t n)
 {
     if (!metricsEnabled())
         return;
-    fatalIf(index >= kMaxSeriesSlots,
-            "series '" + name_ + "' index out of range: " +
-                std::to_string(index));
+    if (index >= kMaxSeriesSlots)
+        fatal("series '" + name_ + "' index out of range: " +
+              std::to_string(index));
     auto slot = static_cast<std::size_t>(metricShardSlot());
     Shard &shard = shards_[slot];
     std::lock_guard<std::mutex> lock(shard.mutex);
@@ -319,9 +320,9 @@ MetricsRegistry::histogram(const std::string &name,
                  .emplace(name, std::unique_ptr<Histogram>(
                                     new Histogram(name, edges)))
                  .first;
-    fatalIf(it->second->edges().size() != edges.size(),
-            "histogram '" + name +
-                "' re-registered with a different bucket count");
+    if (it->second->edges().size() != edges.size())
+        fatal("histogram '" + name +
+              "' re-registered with a different bucket count");
     return *it->second;
 }
 

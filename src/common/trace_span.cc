@@ -236,8 +236,8 @@ parseSpanJson(const std::string &text, const std::string &path)
 {
     const std::string where = path.empty() ? "span input" : path;
     std::size_t array_at = text.find("\"traceEvents\"");
-    fatalIf(array_at == std::string::npos,
-            where + ": span file has no traceEvents array");
+    if (array_at == std::string::npos)
+        fatal(where + ": span file has no traceEvents array");
 
     // Walk the document, collecting the depth-2 objects (the events
     // inside the traceEvents array) while respecting strings so a
@@ -275,12 +275,12 @@ parseSpanJson(const std::string &text, const std::string &path)
                     if (after < text.size() && text[after] == ':') {
                         section = text.substr(
                             string_start + 1, i - string_start - 1);
-                        fatalIf(section != "traceEvents" &&
-                                    section != "displayTimeUnit",
-                                where + ": unknown span-file "
-                                        "section \"" +
-                                    section + "\" at byte " +
-                                    std::to_string(string_start));
+                        if (section != "traceEvents" &&
+                            section != "displayTimeUnit")
+                            fatal(where + ": unknown span-file "
+                                          "section \"" +
+                                  section + "\" at byte " +
+                                  std::to_string(string_start));
                     }
                 }
             }

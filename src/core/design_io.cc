@@ -320,7 +320,8 @@ DesignReport
 loadDesignReport(const std::string &path)
 {
     std::ifstream in(path);
-    fatalIf(!in.is_open(), "cannot open design file: " + path);
+    if (!in.is_open())
+        fatal("cannot open design file: " + path);
     Parser parser(in, path);
 
     std::string magic = parser.token("header");

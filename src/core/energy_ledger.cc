@@ -199,8 +199,8 @@ MnocPowerModel::buildLedger(const MnocDesign &design,
     TraceSpan span("buildLedger", "power");
     // The build consumes the reader's cursor: on a drained reader it
     // would silently price nothing.
-    panicIf(reader.consumed(),
-            "buildLedger needs an unread trace reader: " + reader.path());
+    if (reader.consumed())
+        panic("buildLedger needs an unread trace reader: " + reader.path());
     int n = crossbar_.numNodes();
     const sim::TraceHeader &header = reader.header();
     fatalIf(header.numNodes != n, "trace size mismatch");

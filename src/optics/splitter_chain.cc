@@ -244,9 +244,9 @@ SplitterChain::lossBreakdown(const ChainDesign &design,
     // user request.
     double accounted = out.accountedFor();
     double scale = std::max(out.injected, 1e-30);
-    panicIf(std::abs(accounted - out.injected) > 1e-9 * scale,
-            "splitter-chain loss breakdown violates power "
-            "conservation for source " + std::to_string(source_));
+    if (std::abs(accounted - out.injected) > 1e-9 * scale)
+        panic("splitter-chain loss breakdown violates power "
+              "conservation for source " + std::to_string(source_));
     return out;
 }
 

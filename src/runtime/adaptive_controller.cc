@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <deque>
+#include <sstream>
 #include <string>
 #include <utility>
 
@@ -545,12 +546,16 @@ reconcileAdaptive(const core::EnergyLedger &static_ledger,
                       out.savings + out.reconfigEnergy;
     double scale = std::max({std::abs(expected),
                              std::abs(out.adaptiveEnergy), 1e-30});
-    panicIf(std::abs(out.adaptiveEnergy - expected) / scale >
-                kRelTol,
-            "static-vs-adaptive ledgers do not reconcile: "
-            "adaptive total " +
-                std::to_string(out.adaptiveEnergy) +
-                " J, expected " + std::to_string(expected) + " J");
+    if (std::abs(out.adaptiveEnergy - expected) / scale > kRelTol) {
+        // Run energies are nJ to uJ, below std::to_string's six fixed
+        // decimals; print 10 significant digits as CsvWriter does.
+        std::ostringstream msg;
+        msg.precision(10);
+        msg << "static-vs-adaptive ledgers do not reconcile: "
+               "adaptive total "
+            << out.adaptiveEnergy << " J, expected " << expected << " J";
+        panic(msg.str());
+    }
     return out;
 }
 

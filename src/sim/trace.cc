@@ -40,9 +40,9 @@ checkCoreMapping(const std::vector<int> &thread_to_core, int n)
     std::vector<bool> used(static_cast<std::size_t>(n), false);
     for (int c : thread_to_core) {
         fatalIf(c < 0 || c >= n, "mapped core out of range");
-        fatalIf(used[static_cast<std::size_t>(c)],
-                "thread mapping is not a permutation: core " +
-                    std::to_string(c) + " is used twice");
+        if (used[static_cast<std::size_t>(c)])
+            fatal("thread mapping is not a permutation: core " +
+                  std::to_string(c) + " is used twice");
         used[static_cast<std::size_t>(c)] = true;
     }
 }

@@ -342,10 +342,11 @@ LineScanner::LineScanner(const std::string &path) : path_(path)
     // An ifstream opens a directory without complaint and then reads
     // nothing, which would surface as a misleading truncated header.
     std::error_code ec;
-    fatalIf(std::filesystem::is_directory(path, ec),
-            "is a directory, not a trace file: " + path);
+    if (std::filesystem::is_directory(path, ec))
+        fatal("is a directory, not a trace file: " + path);
     in_.open(path);
-    fatalIf(!in_.is_open(), "cannot open trace file: " + path);
+    if (!in_.is_open())
+        fatal("cannot open trace file: " + path);
 }
 
 bool
@@ -444,9 +445,8 @@ TraceReader::nextMessages(std::vector<TraceMessage> &batch,
         batch.push_back(msg);
         pending_ = sc.next();
     }
-    if (!pending_)
-        fatalIf(sc.bad(),
-                "I/O error reading trace file: " + sc.path());
+    if (!pending_ && sc.bad())
+        fatal("I/O error reading trace file: " + sc.path());
     return batch.size();
 }
 
@@ -543,18 +543,18 @@ TraceWriter::finish(noc::Tick total_ticks, const CountMatrix &packets,
     // epoch-free spool is skipped rather than copied.
     if (header_.numEpochs > 0) {
         std::ifstream spool(spoolPath_, std::ios::binary);
-        fatalIf(!spool.is_open(),
-                "cannot reopen trace spool: " + spoolPath_);
+        if (!spool.is_open())
+            fatal("cannot reopen trace spool: " + spoolPath_);
         out << spool.rdbuf();
-        fatalIf(spool.bad(), "I/O error reading trace spool: " +
-                                 spoolPath_);
+        if (spool.bad())
+            fatal("I/O error reading trace spool: " + spoolPath_);
     }
     writeTriplets(out, packets, flits);
     writer.close();
     std::error_code ec;
     std::filesystem::remove(spoolPath_, ec);
-    fatalIf(static_cast<bool>(ec),
-            "cannot remove trace spool: " + spoolPath_);
+    if (static_cast<bool>(ec))
+        fatal("cannot remove trace spool: " + spoolPath_);
     MetricsRegistry::global().counter("trace.saves").add();
 }
 

@@ -16,9 +16,8 @@ PhaseSpliceWorkload::PhaseSpliceWorkload(
             "a phase splice needs at least two phases");
     const std::vector<std::string> &known = splashBenchmarks();
     for (const std::string &phase : phases_)
-        fatalIf(std::find(known.begin(), known.end(), phase) ==
-                    known.end(),
-                "unknown benchmark in phase splice: " + phase);
+        if (std::find(known.begin(), known.end(), phase) == known.end())
+            fatal("unknown benchmark in phase splice: " + phase);
 }
 
 void

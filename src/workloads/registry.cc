@@ -41,8 +41,8 @@ makeWorkload(const std::string &name, const WorkloadScale &scale)
                 rest.substr(start, plus == std::string::npos
                                        ? std::string::npos
                                        : plus - start);
-            fatalIf(phase.empty(),
-                    "malformed phase splice (empty phase): " + name);
+            if (phase.empty())
+                fatal("malformed phase splice (empty phase): " + name);
             phases.push_back(phase);
             if (plus == std::string::npos)
                 break;

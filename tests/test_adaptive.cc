@@ -14,6 +14,7 @@
 
 #include <cstddef>
 #include <filesystem>
+#include <regex>
 #include <string>
 #include <vector>
 
@@ -300,6 +301,28 @@ TEST(Adaptive, ControllerAdaptsToThePhaseChange)
     EXPECT_GT(cmp.netSavings, 0.0);
     EXPECT_NEAR(cmp.netSavings, cmp.savings - cmp.reconfigEnergy,
                 1e-12 * cmp.staticEnergy);
+
+    // A tampered static cell large enough to absorb every other cell
+    // in rounding breaks the identity: the expected adaptive total
+    // collapses to the booked reconfiguration energy.  The panic must
+    // name both totals in significant digits -- run energies are nJ
+    // to uJ, which fixed six-decimal formatting prints as 0.000000.
+    static_ledger.cell(0, 0, 0).sourceEnergy = 1e12;
+    std::string what;
+    try {
+        runtime::reconcileAdaptive(static_ledger, adaptive_ledger, log);
+    } catch (const PanicError &e) {
+        what = e.what();
+    }
+    std::smatch m;
+    ASSERT_TRUE(std::regex_search(
+        what, m,
+        std::regex("adaptive total (\\S+) J, expected (\\S+) J$")))
+        << what;
+    EXPECT_NEAR(std::stod(m[1].str()), adaptive_ledger.totalEnergy(),
+                1e-9 * adaptive_ledger.totalEnergy())
+        << what;
+    EXPECT_NEAR(std::stod(m[2].str()), booked, 1e-9 * booked) << what;
 }
 
 TEST(Adaptive, RunIsBitIdenticalAcrossPoolSizes)

@@ -64,6 +64,8 @@ bad_unclosed_writer.cc:10: \[unclosed-writer\]
 bad_unclosed_journal.cc:10: \[unclosed-writer\]
 bad_raw_ofstream.cc:9: \[raw-ofstream\]
 bad_raw_getenv.cc:9: \[raw-getenv\]
+bad_check_message.cc:9: \[check-message\]
+bad_check_message.cc:10: \[check-message\]
 bad_layering.cc:1: \[layering\]
 ring.hh:4: \[include-cycle\]
 EOF
@@ -86,7 +88,7 @@ assert doc["version"] == "2.1.0", "version must be 2.1.0"
 assert "sarif-schema-2.1.0" in doc["$schema"], "schema URI"
 run = doc["runs"][0]
 rules = {r["id"] for r in run["tool"]["driver"]["rules"]}
-assert len(rules) == 11, "rule catalog incomplete"
+assert len(rules) == 12, "rule catalog incomplete"
 results = run["results"]
 assert results, "fixture run must produce results"
 for result in results:

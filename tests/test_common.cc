@@ -1,14 +1,19 @@
 /**
  * @file
  * Unit tests for the common substrate: units, matrices, stats, CSV,
- * PGM and table output.
+ * PGM and table output.  The binary replaces the global operator new
+ * with a counting one, so a test can assert that a hot path does not
+ * allocate.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <new>
 #include <set>
 #include <sstream>
 #include <string>
@@ -24,6 +29,55 @@
 #include "common/stats.hh"
 #include "common/table.hh"
 #include "common/units.hh"
+#include "core/energy_ledger.hh"
+
+namespace {
+
+std::atomic<std::size_t> allocations{0};
+
+} // namespace
+
+// The deletes stay out of line: inlined into a caller, GCC would see
+// free() on a pointer from operator new and warn of a mismatch.
+
+void *
+operator new(std::size_t size)
+{
+    allocations.fetch_add(1, std::memory_order_relaxed);
+    if (void *p = std::malloc(size == 0 ? 1 : size))
+        return p;
+    throw std::bad_alloc();
+}
+
+void *
+operator new[](std::size_t size)
+{
+    return ::operator new(size);
+}
+
+[[gnu::noinline]] void
+operator delete(void *p) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete[](void *p) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete[](void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
 
 namespace {
 
@@ -145,6 +199,41 @@ TEST(Log, FatalAndPanicThrowDistinctTypes)
     EXPECT_THROW(fatalIf(true, "bad"), FatalError);
     EXPECT_NO_THROW(panicIf(false, "fine"));
     EXPECT_THROW(panicIf(true, "bad"), PanicError);
+}
+
+TEST(Log, PassingChecksDoNotAllocate)
+{
+    FlowMatrix m(4, 4, 1.5);
+    core::EnergyLedger ledger(2, 3, 4, 1.0);
+    ledger.cell(1, 2, 3).sourceEnergy = 2.5;
+    // Opaque to the optimizer, so no check folds away.
+    volatile bool fail = false;
+
+    // Literals well past the 15-character small-string buffer, which
+    // a std::string message would heap-allocate on every call.
+    std::size_t before = allocations.load();
+    panicIf(fail, "a passing invariant check must not build its message");
+    fatalIf(fail, "a passing user check must not build its message");
+    double sum = m(3, 2) + ledger.cell(1, 2, 3).sourceEnergy;
+    std::size_t after = allocations.load();
+    EXPECT_EQ(after - before, 0u);
+    EXPECT_EQ(sum, 4.0);
+
+    // A failing check still throws its exact text.
+    try {
+        panicIf(!fail, "a failing invariant check throws this text");
+        ADD_FAILURE() << "panicIf(true, ...) returned";
+    } catch (const PanicError &e) {
+        EXPECT_STREQ(e.what(),
+                     "panic: a failing invariant check throws this text");
+    }
+    try {
+        fatalIf(!fail, "a failing user check throws this text exactly");
+        ADD_FAILURE() << "fatalIf(true, ...) returned";
+    } catch (const FatalError &e) {
+        EXPECT_STREQ(e.what(),
+                     "fatal: a failing user check throws this text exactly");
+    }
 }
 
 TEST(Log, QuietLevelCountsSuppressedWarnings)

@@ -23,10 +23,12 @@ std::string
 readFile(const std::string &path)
 {
     std::ifstream in(path, std::ios::binary);
-    fatalIf(!in, "cannot open source file: " + path);
+    if (!in)
+        fatal("cannot open source file: " + path);
     std::ostringstream buffer;
     buffer << in.rdbuf();
-    fatalIf(in.bad(), "read error on " + path);
+    if (in.bad())
+        fatal("read error on " + path);
     return buffer.str();
 }
 
@@ -89,7 +91,8 @@ Baseline
 loadBaseline(const std::string &path)
 {
     std::ifstream in(path);
-    fatalIf(!in, "cannot open baseline: " + path);
+    if (!in)
+        fatal("cannot open baseline: " + path);
 
     Baseline out;
     std::string raw;
@@ -105,22 +108,22 @@ loadBaseline(const std::string &path)
             continue;
 
         std::size_t open = line.rfind('[');
-        fatalIf(open == std::string::npos || open == 0 ||
-                    line.back() != ']',
-                path + ":" + std::to_string(lineno) +
-                    ": baseline lines read 'path [rule]'");
+        if (open == std::string::npos || open == 0 || line.back() != ']')
+            fatal(path + ":" + std::to_string(lineno) +
+                  ": baseline lines read 'path [rule]'");
         std::string file = trim(line.substr(0, open));
         std::string rule =
             line.substr(open + 1, line.size() - open - 2);
-        fatalIf(file.empty(),
-                path + ":" + std::to_string(lineno) +
-                    ": baseline lines read 'path [rule]'");
-        fatalIf(findRule(rule) == nullptr,
-                path + ":" + std::to_string(lineno) +
-                    ": unknown rule '" + rule + "'");
+        if (file.empty())
+            fatal(path + ":" + std::to_string(lineno) +
+                  ": baseline lines read 'path [rule]'");
+        if (findRule(rule) == nullptr)
+            fatal(path + ":" + std::to_string(lineno) + ": unknown rule '" +
+                  rule + "'");
         out.emplace(file, rule);
     }
-    fatalIf(in.bad(), "read error on " + path);
+    if (in.bad())
+        fatal("read error on " + path);
     return out;
 }
 
@@ -149,8 +152,8 @@ runAnalysis(const AnalyzerConfig &config)
         std::string abs =
             fs::absolute(file).lexically_normal().generic_string();
         std::string rel = rootRelative(root, abs);
-        fatalIf(rel.empty(),
-                "file lies outside the analysis root: " + file);
+        if (rel.empty())
+            fatal("file lies outside the analysis root: " + file);
         initial[rel] = abs;
     }
     fatalIf(initial.empty(),

@@ -286,28 +286,28 @@ std::vector<CompileCommand>
 loadCompileDb(const std::string &path)
 {
     std::ifstream in(path, std::ios::binary);
-    fatalIf(!in, "cannot open compilation database: " + path);
+    if (!in)
+        fatal("cannot open compilation database: " + path);
     std::ostringstream buffer;
     buffer << in.rdbuf();
-    fatalIf(in.bad(), "read error on " + path);
+    if (in.bad())
+        fatal("read error on " + path);
     const std::string text = buffer.str();
 
     JsonValue root = JsonParser(text, path).parse();
-    fatalIf(root.kind != JsonValue::Kind::Array,
-            path + ": compilation database must be a JSON array");
+    if (root.kind != JsonValue::Kind::Array)
+        fatal(path + ": compilation database must be a JSON array");
 
     std::vector<CompileCommand> out;
     for (const JsonValue &entry : root.items) {
-        fatalIf(entry.kind != JsonValue::Kind::Object,
-                path + ": database entries must be objects");
+        if (entry.kind != JsonValue::Kind::Object)
+            fatal(path + ": database entries must be objects");
         const JsonValue *file = entry.field("file");
         const JsonValue *dir = entry.field("directory");
-        fatalIf(file == nullptr ||
-                    file->kind != JsonValue::Kind::String,
-                path + ": entry lacks a string \"file\"");
-        fatalIf(dir == nullptr ||
-                    dir->kind != JsonValue::Kind::String,
-                path + ": entry lacks a string \"directory\"");
+        if (file == nullptr || file->kind != JsonValue::Kind::String)
+            fatal(path + ": entry lacks a string \"file\"");
+        if (dir == nullptr || dir->kind != JsonValue::Kind::String)
+            fatal(path + ": entry lacks a string \"directory\"");
 
         CompileCommand cmd;
         cmd.directory = dir->str;

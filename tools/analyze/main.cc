@@ -57,8 +57,8 @@ main(int argc, char **argv)
         for (int i = 1; i < argc; ++i) {
             std::string arg = argv[i];
             auto value = [&]() -> std::string {
-                fatalIf(i + 1 >= argc,
-                        arg + " requires a value");
+                if (i + 1 >= argc)
+                    fatal(arg + " requires a value");
                 return argv[++i];
             };
             if (arg == "--root") {

@@ -51,6 +51,8 @@ const std::set<std::string> kMustUseCalls = {
 };
 
 const std::vector<RuleInfo> kCatalog = {
+    {"check-message", "error-handling", "warning",
+     "panicIf/fatalIf message is not a string literal"},
     {"discarded-result", "error-handling", "warning",
      "result of a fallible I/O call is discarded"},
     {"include-cycle", "layering", "error",
@@ -210,6 +212,7 @@ class FileChecker
         checkSharedPrng();
         checkDiscardedResult();
         checkUnclosedWriter();
+        checkCheckMessage();
         return applySuppressions();
     }
 
@@ -626,6 +629,54 @@ class FileChecker
                         "' is never close()d; its destructor only "
                         "warn()s, so a full disk would truncate "
                         "the artifact silently");
+        }
+    }
+
+    /** panicIf/fatalIf build their message before testing the
+     *  condition, so anything but a literal (adjacent literals
+     *  concatenate) costs the passing check; log.hh declares them. */
+    void
+    checkCheckMessage()
+    {
+        if (pathIsOneOf({"src/common/log.hh"}))
+            return;
+        for (std::size_t i = 0; i + 1 < toks_.size(); ++i) {
+            if (toks_[i].kind != TokKind::Identifier)
+                continue;
+            std::string callee = lastSegment(toks_[i].text);
+            if ((callee != "panicIf" && callee != "fatalIf") ||
+                !isPunct(toks_[i + 1], '('))
+                continue;
+            std::size_t close =
+                matchForward(toks_, i + 1, '(', ')');
+            if (close == kNpos)
+                continue;
+            // The message is everything after the last top-level
+            // comma.
+            std::size_t comma = kNpos;
+            int depth = 0;
+            for (std::size_t k = i + 2; k < close; ++k) {
+                if (isPunct(toks_[k], '(') || isPunct(toks_[k], '[') ||
+                    isPunct(toks_[k], '{'))
+                    ++depth;
+                else if (isPunct(toks_[k], ')') ||
+                         isPunct(toks_[k], ']') ||
+                         isPunct(toks_[k], '}'))
+                    --depth;
+                else if (depth == 0 && isPunct(toks_[k], ','))
+                    comma = k;
+            }
+            bool literal = comma != kNpos && comma + 1 < close;
+            for (std::size_t k = comma + 1; literal && k < close; ++k)
+                literal = toks_[k].kind == TokKind::String;
+            if (!literal)
+                add(toks_[i].line, "check-message",
+                    "message of '" + callee +
+                        "' is not a string literal, so it is built "
+                        "even when the check passes; write `if "
+                        "(cond) " +
+                        callee.substr(0, 5) +
+                        "(...)` to compose it only on failure");
         }
     }
 

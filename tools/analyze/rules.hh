@@ -13,7 +13,9 @@
  *   layering        the directed dependency order of the tree
  *                   (include_graph.hh): layering, include-cycle
  *   error-handling  fallible I/O must not fail silently:
- *                   discarded-result, unclosed-writer, raw-ofstream
+ *                   discarded-result, unclosed-writer, raw-ofstream;
+ *                   and a passing check must not build its message:
+ *                   check-message
  *
  * Every finding is reported as `path:line: [rule] message`; a
  * `// mnoc-analyze-ok(rule)` comment on the finding line or the

@@ -121,11 +121,13 @@ class Args
     {
         for (int i = 2; i < argc; ++i) {
             std::string key = argv[i];
-            fatalIf(key.size() < 3 || key.substr(0, 2) != "--",
-                    "expected --option, got: " + key);
-            fatalIf(i + 1 >= argc, "missing value for " + key);
+            if (key.size() < 3 || key.substr(0, 2) != "--")
+                fatal("expected --option, got: " + key);
+            if (i + 1 >= argc)
+                fatal("missing value for " + key);
             bool fresh = values_.emplace(key.substr(2), argv[++i]).second;
-            fatalIf(!fresh, "option " + key + " given more than once");
+            if (!fresh)
+                fatal("option " + key + " given more than once");
         }
     }
 
@@ -134,8 +136,8 @@ class Args
     get(const std::string &key) const
     {
         auto it = values_.find(key);
-        fatalIf(it == values_.end(),
-                "missing required option --" + key);
+        if (it == values_.end())
+            fatal("missing required option --" + key);
         return it->second;
     }
 
@@ -161,10 +163,9 @@ class Args
         errno = 0;
         char *end = nullptr;
         long value = std::strtol(it->second.c_str(), &end, 10);
-        fatalIf(errno != 0 || end == it->second.c_str() || *end != '\0' ||
-                    value < INT_MIN || value > INT_MAX,
-                "option --" + key + " needs an integer, got: " +
-                    it->second);
+        if (errno != 0 || end == it->second.c_str() || *end != '\0' ||
+            value < INT_MIN || value > INT_MAX)
+            fatal("option --" + key + " needs an integer, got: " + it->second);
         return static_cast<int>(value);
     }
 
@@ -173,9 +174,9 @@ class Args
     getCount(const std::string &key, int fallback) const
     {
         int value = getInt(key, fallback);
-        fatalIf(value < 0, "option --" + key +
-                               " must be non-negative, got: " +
-                               std::to_string(value));
+        if (value < 0)
+            fatal("option --" + key + " must be non-negative, got: " +
+                  std::to_string(value));
         return value;
     }
 
@@ -190,10 +191,10 @@ class Args
         char *end = nullptr;
         unsigned long long value = std::strtoull(text.c_str(), &end, 10);
         // strtoull accepts a sign (and wraps "-1"); a seed is digits.
-        fatalIf(!std::isdigit(static_cast<unsigned char>(text[0])) ||
-                    errno != 0 || *end != '\0',
-                "option --" + key +
-                    " needs an unsigned 64-bit integer, got: " + text);
+        if (!std::isdigit(static_cast<unsigned char>(text[0])) || errno != 0 ||
+            *end != '\0')
+            fatal("option --" + key +
+                  " needs an unsigned 64-bit integer, got: " + text);
         return static_cast<std::uint64_t>(value);
     }
 
@@ -206,10 +207,9 @@ class Args
         errno = 0;
         char *end = nullptr;
         double value = std::strtod(it->second.c_str(), &end);
-        fatalIf(errno != 0 || end == it->second.c_str() ||
-                    *end != '\0' || !std::isfinite(value),
-                "option --" + key + " needs a number, got: " +
-                    it->second);
+        if (errno != 0 || end == it->second.c_str() || *end != '\0' ||
+            !std::isfinite(value))
+            fatal("option --" + key + " needs a number, got: " + it->second);
         return value;
     }
 
@@ -249,10 +249,10 @@ void
 checkRadix(const Context &ctx, int cores)
 {
     fatalIf(cores < 2, "need at least 2 cores");
-    fatalIf(cores > kMaxRadix,
-            "radix " + std::to_string(cores) +
-                " exceeds the supported scale-out maximum " +
-                std::to_string(kMaxRadix));
+    if (cores > kMaxRadix)
+        fatal("radix " + std::to_string(cores) +
+              " exceeds the supported scale-out maximum " +
+              std::to_string(kMaxRadix));
     if (cores <= 256)
         return;
     // Worst case: an end-of-serpentine source driving the far end.
@@ -270,7 +270,8 @@ std::vector<int>
 loadMapping(const std::string &path, int cores)
 {
     std::ifstream in(path);
-    fatalIf(!in.is_open(), "cannot open mapping file: " + path);
+    if (!in.is_open())
+        fatal("cannot open mapping file: " + path);
     std::vector<int> map;
     std::string token;
     int line = 0;
@@ -283,15 +284,14 @@ loadMapping(const std::string &path, int cores)
         } catch (const std::exception &) {
             used = 0;
         }
-        fatalIf(used != token.size(),
-                path + ":" + std::to_string(line) +
-                    ": field 'core': expected an integer, got '" +
-                    token + "'");
+        if (used != token.size())
+            fatal(path + ":" + std::to_string(line) +
+                  ": field 'core': expected an integer, got '" + token + "'");
         map.push_back(core);
     }
-    fatalIf(static_cast<int>(map.size()) != cores,
-            path + ": mapping lists " + std::to_string(map.size()) +
-                " cores, expected " + std::to_string(cores));
+    if (static_cast<int>(map.size()) != cores)
+        fatal(path + ": mapping lists " + std::to_string(map.size()) +
+              " cores, expected " + std::to_string(cores));
     return map;
 }
 
@@ -1281,10 +1281,12 @@ cmdProfile(const Args &args)
 {
     std::string path = args.get("spans");
     std::ifstream in(path);
-    fatalIf(!in.is_open(), "cannot open span file: " + path);
+    if (!in.is_open())
+        fatal("cannot open span file: " + path);
     std::ostringstream buffer;
     buffer << in.rdbuf();
-    fatalIf(in.bad(), "I/O error reading span file: " + path);
+    if (in.bad())
+        fatal("I/O error reading span file: " + path);
 
     auto events = parseSpanJson(buffer.str(), path);
     auto rows = profileSpans(std::move(events));
