@@ -2,7 +2,7 @@
  * @file
  * Checked file output: every artifact writer in the tree goes through
  * FileWriter, the single place allowed to own a raw std::ofstream
- * (enforced by the mnoc-lint raw-ofstream rule).
+ * (enforced by the mnoc-analyze raw-ofstream rule).
  *
  * The point is failure visibility.  A plain ofstream swallows write
  * errors -- a full disk or revoked permissions produce a silently

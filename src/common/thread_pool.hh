@@ -2,13 +2,14 @@
  * @file
  * Fixed-size worker pool shared by every parallel path in the tree.
  *
- * All concurrency in this library goes through this pool (mnoc-lint's
- * raw-thread rule enforces it): the QAP multi-start solvers, the
- * Monte Carlo yield analyzer, and the bench harness submit tasks here
- * instead of spawning threads.  The pool never affects results --
- * parallel callers write to disjoint, index-addressed slots and
- * reduce in index order afterwards, so every result is bit-identical
- * to a serial run at any thread count (see DESIGN.md §9).
+ * All concurrency in this library goes through this pool
+ * (mnoc-analyze's raw-thread rule enforces it): the QAP multi-start
+ * solvers, the Monte Carlo yield analyzer, and the bench harness
+ * submit tasks here instead of spawning threads.  The pool never
+ * affects results -- parallel callers write to disjoint,
+ * index-addressed slots and reduce in index order afterwards, so
+ * every result is bit-identical to a serial run at any thread count
+ * (see DESIGN.md §9).
  *
  * The default pool size is the hardware concurrency; the MNOC_THREADS
  * environment variable overrides it (MNOC_THREADS=1 gives the

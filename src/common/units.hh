@@ -19,7 +19,7 @@
  * construction and explicit, named conversions
  * (DecibelLoss::toTransmission() -> LinearFactor, WattPower::fromDbm,
  * ...).  Raw 10^(x/10) math must not appear outside this header;
- * tools/mnoc_lint.py enforces that invariant.
+ * mnoc-analyze's raw-pow rule enforces that invariant.
  */
 
 #ifndef MNOC_COMMON_UNITS_HH

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <fstream>
 #include <iomanip>
+#include <limits>
 #include <sstream>
 
 #include "common/io.hh"
@@ -194,12 +195,27 @@ class Parser
         return value;
     }
 
+    /** integer() range-checked before it narrows to int. */
+    int
+    narrowInteger(const std::string &field)
+    {
+        long long value = integer(field);
+        if (value < std::numeric_limits<int>::min() ||
+            value > std::numeric_limits<int>::max())
+            fail(field, "value out of range");
+        return static_cast<int>(value);
+    }
+
     std::uint64_t
     unsignedInteger(const std::string &field)
     {
         std::string tok = token(field);
         std::size_t used = 0;
         std::uint64_t value = 0;
+        // stoull would wrap "-1" to 2^64 - 1.
+        if (tok[0] == '-' || tok[0] == '+')
+            fail(field, "expected an unsigned integer, got '" + tok +
+                            "'");
         try {
             value = std::stoull(tok, &used);
         } catch (const std::exception &) {
@@ -230,7 +246,7 @@ class Parser
         expect(label);
         std::vector<int> values(static_cast<std::size_t>(count));
         for (int &v : values)
-            v = static_cast<int>(integer(label));
+            v = narrowInteger(label);
         return values;
     }
 
@@ -256,8 +272,13 @@ readResilience(Parser &parser)
     ResilienceSummary r;
     parser.expect("target");
     r.yieldTarget = parser.number("target");
+    if (!std::isfinite(r.yieldTarget) || r.yieldTarget < 0.0 ||
+        r.yieldTarget > 1.0)
+        parser.fail("target", "must lie in [0, 1]");
     parser.expect("trials");
-    r.trials = static_cast<int>(parser.integer("trials"));
+    r.trials = parser.narrowInteger("trials");
+    if (r.trials < 1)
+        parser.fail("trials", "must be at least 1");
     parser.expect("seed");
     r.seed = parser.unsignedInteger("seed");
     parser.expect("spec");
@@ -275,7 +296,7 @@ readResilience(Parser &parser)
     parser.expect("margin");
     r.finalMargin = DecibelLoss(parser.number("final margin"));
     parser.expect("modes");
-    r.finalNumModes = static_cast<int>(parser.integer("final modes"));
+    r.finalNumModes = parser.narrowInteger("final modes");
     parser.expect("met");
     r.metTarget = parser.integer("met") != 0;
     parser.expect("steps");
@@ -283,8 +304,6 @@ readResilience(Parser &parser)
     if (count < 0 || count > 1000000)
         parser.fail("steps", "step count out of range");
     r.spec.validate();
-    if (r.trials < 1)
-        parser.fail("trials", "must be at least 1");
     if (r.finalNumModes < 1)
         parser.fail("final modes", "must be at least 1");
     if (!std::isfinite(r.finalYield) || r.finalYield < 0.0 ||
@@ -303,9 +322,8 @@ readResilience(Parser &parser)
                             kind + "'");
         step.kind = kind == "margin" ? DegradationStep::Kind::Margin
                                      : DegradationStep::Kind::Collapse;
-        step.numModes = static_cast<int>(parser.integer("step modes"));
-        step.collapsedMode =
-            static_cast<int>(parser.integer("step collapsed mode"));
+        step.numModes = parser.narrowInteger("step modes");
+        step.collapsedMode = parser.narrowInteger("step collapsed mode");
         step.margin = DecibelLoss(parser.number("step margin"));
         step.yield = parser.number("step yield");
         if (step.numModes < 1)
@@ -329,8 +347,8 @@ loadDesignReport(const std::string &path)
     if (magic != "mnoc-design" || version != 1)
         parser.fail("header", "unrecognized design file header");
 
-    int n = static_cast<int>(parser.integer("node count"));
-    int num_modes = static_cast<int>(parser.integer("mode count"));
+    int n = parser.narrowInteger("node count");
+    int num_modes = parser.narrowInteger("mode count");
     if (n < 2 || n > 1000000)
         parser.fail("node count", "must lie in [2, 1000000]");
     if (num_modes < 1 || num_modes > n)

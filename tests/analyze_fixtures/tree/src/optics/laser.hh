@@ -7,7 +7,7 @@ namespace mnoc {
 
 struct Laser
 {
-    double power_mw = 0.0;
+    WattPower power;
 };
 
 } // namespace mnoc

@@ -245,6 +245,20 @@ if "$MNOCPT" report --design "$DIR/t.design" --trace "$DIR/signed.trace" \
 then exit 1; fi
 grep -q "epoch-cell record at byte 141" "$DIR/err_signed.txt"
 
+# A bad mapping token is reported at its line, not its token index,
+# and a signed core id is rejected like any other non-integer.
+paste -d ' ' - - - - < "$DIR/t.map" | sed '4s/ [0-9]*$/ x/' \
+    > "$DIR/lines.map"
+if "$MNOCPT" evaluate --design "$DIR/t.design" --trace "$DIR/t.trace" \
+    --map "$DIR/lines.map" 2>"$DIR/err_map.txt"
+then exit 1; fi
+grep -q "lines.map:4: field 'core'" "$DIR/err_map.txt"
+sed '1s/^/+/' "$DIR/t.map" > "$DIR/plus.map"
+if "$MNOCPT" evaluate --design "$DIR/t.design" --trace "$DIR/t.trace" \
+    --map "$DIR/plus.map" 2>"$DIR/err_plus.txt"
+then exit 1; fi
+grep -q "plus.map:1: field 'core'" "$DIR/err_plus.txt"
+
 # An unreadable design (a directory, here) fails with the path.
 mkdir -p "$DIR/not_a_file.design"
 if "$MNOCPT" budget --design "$DIR/not_a_file.design" \

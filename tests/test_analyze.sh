@@ -1,9 +1,10 @@
 #!/bin/sh
 # Self-test for tools/analyze (mnoc-analyze), run as a ctest.
 #
-# Four halves:
+# Four parts:
 #   1. the real tree must analyze clean against the checked-in
-#      baseline (exit 0) using the build's compile_commands.json;
+#      baseline (exit 0) using the build's compile_commands.json,
+#      and the analysis must cover every first-party source file;
 #   2. the fixture tree in tests/analyze_fixtures/tree/ must trip
 #      every rule exactly where seeded, and no ok_* file may appear;
 #   3. the SARIF export must be structurally valid 2.1.0;
@@ -35,11 +36,23 @@ if ! "$analyze" --root "$root" --compile-commands "$db" \
     fail "mnoc-analyze reported findings on the real tree"
 fi
 
+# The worklist is the compilation database plus the headers it
+# includes; a file outside both would escape every rule.
+analyzed=$(sed -n 's/^mnoc-analyze: \([0-9]*\) file(s) analyzed.*/\1/p' \
+               "$scratch/tree.err")
+expected=$(cd "$root" && find src tests tools bench examples \
+               \( -name '*.cc' -o -name '*.hh' -o -name '*.cpp' \) \
+               -not -path '*/analyze_fixtures/*' | wc -l)
+[ "$analyzed" -eq "$expected" ] ||
+    fail "analyzed $analyzed file(s), but the tree holds $expected"
+
 # --- 2. The fixtures trip every rule. -----------------------------
 fixtures="$root/tests/analyze_fixtures/tree"
+fixture_files=$(find "$fixtures" \( -name '*.cc' -o -name '*.hh' \) |
+                    sort)
 out="$scratch/findings.txt"
 if "$analyze" --root "$fixtures" --sarif "$scratch/out.sarif" \
-        $(find "$fixtures" -name '*.cc' | sort) \
+        $fixture_files \
         > "$out" 2> "$scratch/fixtures.err"; then
     cat "$out" >&2
     fail "mnoc-analyze accepted fixtures with seeded violations"
@@ -68,10 +81,26 @@ bad_check_message.cc:9: \[check-message\]
 bad_check_message.cc:10: \[check-message\]
 bad_layering.cc:1: \[layering\]
 ring.hh:4: \[include-cycle\]
+bad_raw_pow.cc:1: \[raw-pow\]
+bad_raw_pow.cc:2: \[raw-pow\]
+bad_float.cc:1: \[float\]
+bad_float.cc:2: \[float\]
+bad_unit_param.hh:3: \[unit-param\] 'double coupler_loss_db'
+bad_unit_param.hh:4: \[unit-param\] 'double power_mw'
+bad_header_guard.hh:1: \[header-guard\] missing
+bad_header_guard_pair.hh:2: \[header-guard\] .* not followed by
+bad_header_guard_pair.hh:3: \[header-guard\] file must end with
+bad_include_order.cc:1: \[include-order\] own header
+bad_include_order.cc:4: \[include-order\] mixed
+bad_include_order.cc:7: \[include-order\] .* sorted: core/zeta.hh,
+bad_include_order.cc:10: \[include-order\] <system> include block after
+bad_format.cc:2: \[format\] tab character
+bad_format.cc:3: \[format\] trailing whitespace
+bad_format.cc:4: \[format\] line is 80 columns
 EOF
 
 # ...and no clean counterpart (or suppressed site) may appear.
-if grep -E 'ok_[a-z_]+\.cc' "$out"; then
+if grep -E 'ok_[a-z_]+\.(cc|hh)' "$out"; then
     cat "$out" >&2
     fail "a clean ok_* fixture was flagged"
 fi
@@ -88,7 +117,7 @@ assert doc["version"] == "2.1.0", "version must be 2.1.0"
 assert "sarif-schema-2.1.0" in doc["$schema"], "schema URI"
 run = doc["runs"][0]
 rules = {r["id"] for r in run["tool"]["driver"]["rules"]}
-assert len(rules) == 12, "rule catalog incomplete"
+assert len(rules) == 18, "rule catalog incomplete"
 results = run["results"]
 assert results, "fixture run must produce results"
 for result in results:
@@ -106,11 +135,9 @@ else
 fi
 
 # --- 4. Findings are byte-identical across thread counts. ---------
-MNOC_THREADS=1 "$analyze" --root "$fixtures" \
-    $(find "$fixtures" -name '*.cc' | sort) \
+MNOC_THREADS=1 "$analyze" --root "$fixtures" $fixture_files \
     > "$scratch/t1.txt" 2> /dev/null || true
-MNOC_THREADS=8 "$analyze" --root "$fixtures" \
-    $(find "$fixtures" -name '*.cc' | sort) \
+MNOC_THREADS=8 "$analyze" --root "$fixtures" $fixture_files \
     > "$scratch/t8.txt" 2> /dev/null || true
 cmp -s "$scratch/t1.txt" "$scratch/t8.txt" || {
     diff "$scratch/t1.txt" "$scratch/t8.txt" >&2 || true
@@ -118,5 +145,5 @@ cmp -s "$scratch/t1.txt" "$scratch/t8.txt" || {
 }
 [ -s "$scratch/t1.txt" ] || fail "thread-determinism run was empty"
 
-echo "test_analyze: PASS (tree clean, fixtures flagged, SARIF" \
-     "valid, thread-count deterministic)"
+echo "test_analyze: PASS (tree clean and fully covered, fixtures" \
+     "flagged, SARIF valid, thread-count deterministic)"

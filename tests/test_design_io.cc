@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -119,6 +120,70 @@ TEST(DesignIo, LoadRejectsTruncation)
     EXPECT_THROW(loadDesign(cut), FatalError);
     std::remove(full.c_str());
     std::remove(cut.c_str());
+}
+
+/**
+ * Save the sample design with a resilience block, replace @p from
+ * with @p to on its "target 0.5 trials 50 seed 3" line, and expect
+ * the load to fail naming that line as "path:line" and @p field.
+ */
+void
+expectResilienceLineRejected(const std::string &from,
+                             const std::string &to,
+                             const std::string &field)
+{
+    IoFixture f;
+    std::string path = testing::TempDir() + "mnoc_design_resil.txt";
+    ResilienceSummary summary;
+    summary.yieldTarget = 0.5;
+    summary.trials = 50;
+    summary.seed = 3;
+    summary.finalNumModes = 3;
+    saveDesign(path, f.sample(), &summary);
+    std::ifstream in(path);
+    std::string content((std::istreambuf_iterator<char>(in)),
+                        std::istreambuf_iterator<char>());
+    in.close();
+    std::size_t line_at = content.find("\ntarget 0.5 trials 50 seed 3\n");
+    ASSERT_NE(line_at, std::string::npos);
+    content.replace(content.find(from, line_at), from.size(), to);
+    std::ofstream(path) << content;
+    long line = 2 + std::count(content.begin(),
+                               content.begin() + static_cast<long>(line_at),
+                               '\n');
+    std::string where = path + ":" + std::to_string(line) +
+                        ": field '" + field + "'";
+    try {
+        loadDesignReport(path);
+        ADD_FAILURE() << "loaded a resilience block with '" << to
+                      << "'";
+    } catch (const FatalError &error) {
+        EXPECT_NE(std::string(error.what()).find(where),
+                  std::string::npos)
+            << error.what() << " does not name " << where;
+    }
+    std::remove(path.c_str());
+}
+
+TEST(DesignIo, ResilienceRejectsSignedSeed)
+{
+    // stoull wraps "-1" to 2^64 - 1; an unsigned field takes no sign.
+    expectResilienceLineRejected("seed 3", "seed -1", "seed");
+    expectResilienceLineRejected("seed 3", "seed +3", "seed");
+}
+
+TEST(DesignIo, ResilienceRejectsTrialsBeyondInt)
+{
+    // 2^32 + 1 narrowed to int is 1, which passed trials >= 1.
+    expectResilienceLineRejected("trials 50", "trials 4294967297",
+                                 "trials");
+}
+
+TEST(DesignIo, ResilienceRejectsNonFiniteTarget)
+{
+    // Designer enforces a yield target in [0, 1]; so does the loader.
+    expectResilienceLineRejected("target 0.5", "target nan", "target");
+    expectResilienceLineRejected("target 0.5", "target 1.5", "target");
 }
 
 TEST(DesignIo, ManifestTrailerRoundTrips)

@@ -63,28 +63,6 @@ struct FileSlot
     std::map<int, std::set<std::string>> okLines;
 };
 
-using OkLineMap =
-    std::map<std::string, std::map<int, std::set<std::string>>>;
-
-/** True when @p finding is suppressed by a mnoc-analyze-ok comment
- *  on its line or the line above. */
-bool
-inlineSuppressed(const Finding &finding, const OkLineMap &ok)
-{
-    auto file_it = ok.find(finding.path);
-    if (file_it == ok.end())
-        return false;
-    for (int line : {finding.line, finding.line - 1}) {
-        auto line_it = file_it->second.find(line);
-        if (line_it == file_it->second.end())
-            continue;
-        if (line_it->second.count(finding.rule) > 0 ||
-            line_it->second.count("*") > 0)
-            return true;
-    }
-    return false;
-}
-
 } // namespace
 
 Baseline
@@ -167,7 +145,8 @@ runAnalysis(const AnalyzerConfig &config)
     AnalysisResult result;
     std::vector<Finding> findings;
     std::vector<IncludeEdge> edges;
-    OkLineMap ok_by_file;
+    std::map<std::string, std::map<int, std::set<std::string>>>
+        ok_by_file;
     std::set<std::string> seen;
     std::vector<std::pair<std::string, std::string>> pending(
         initial.begin(), initial.end());
@@ -183,10 +162,11 @@ runAnalysis(const AnalyzerConfig &config)
             [&](long long i) {
                 const auto &[rel, abs] =
                     pending[static_cast<std::size_t>(i)];
-                LexedFile lexed = lexSource(readFile(abs));
+                std::string text = readFile(abs);
+                LexedFile lexed = lexSource(text);
                 FileSlot &slot =
                     slots[static_cast<std::size_t>(i)];
-                slot.findings = runFileRules(rel, lexed);
+                slot.findings = runFileRules(rel, text, lexed);
                 slot.includes = std::move(lexed.includes);
                 slot.okLines = std::move(lexed.okLines);
             });
@@ -222,7 +202,7 @@ runAnalysis(const AnalyzerConfig &config)
                          std::tie(b.from, b.to, b.line);
               });
     for (const Finding &finding : checkLayering(edges))
-        if (!inlineSuppressed(finding, ok_by_file))
+        if (!inlineSuppressed(finding, ok_by_file[finding.path]))
             findings.push_back(finding);
 
     std::sort(findings.begin(), findings.end());

@@ -68,13 +68,45 @@ scanComment(const std::string &text, int line, LexedFile &out)
         out.fileSinks.insert(sink);
 }
 
+/**
+ * Merge qualified names: Identifier :: Identifier (repeatedly)
+ * becomes one identifier token, so rules match "std::thread" or
+ * "std::chrono::steady_clock::now" directly.
+ */
+std::vector<Token>
+mergeQualified(const std::vector<Token> &raw)
+{
+    std::vector<Token> out;
+    out.reserve(raw.size());
+    for (std::size_t k = 0; k < raw.size(); ++k) {
+        Token tok = raw[k];
+        if (tok.kind == TokKind::Identifier) {
+            while (k + 3 < raw.size() &&
+                   raw[k + 1].kind == TokKind::Punct &&
+                   raw[k + 1].text == ":" &&
+                   raw[k + 2].kind == TokKind::Punct &&
+                   raw[k + 2].text == ":" &&
+                   raw[k + 3].kind == TokKind::Identifier) {
+                tok.text += "::" + raw[k + 3].text;
+                k += 3;
+            }
+        }
+        out.push_back(std::move(tok));
+    }
+    return out;
+}
+
 } // namespace
 
 LexedFile
 lexSource(const std::string &text)
 {
     LexedFile out;
-    std::vector<Token> raw;
+    std::vector<Token> code;
+    std::vector<Token> directive;
+    // Tokens go to `directive` from a non-include '#' to the end of
+    // its logical line, and to `code` otherwise.
+    std::vector<Token> *raw = &code;
     const std::size_t n = text.size();
     std::size_t i = 0;
     int line = 1;
@@ -84,6 +116,7 @@ lexSource(const std::string &text)
         if (text[pos] == '\n') {
             ++line;
             at_line_start = true;
+            raw = &code;
         }
     };
 
@@ -97,8 +130,7 @@ lexSource(const std::string &text)
             continue;
         }
         if (c == '\n') {
-            ++line;
-            at_line_start = true;
+            advanceNewline(i);
             ++i;
             continue;
         }
@@ -135,9 +167,18 @@ lexSource(const std::string &text)
             continue;
         }
 
-        // Preprocessor directive: consume the logical line; keep
-        // only #include targets.
+        // Preprocessor directive: an #include is consumed as one
+        // logical line and kept as its target; any other directive
+        // is lexed into the directive stream.
         if (c == '#' && at_line_start) {
+            std::size_t at = text.find_first_not_of(" \t", i + 1);
+            if (at == std::string::npos ||
+                text.compare(at, 7, "include") != 0) {
+                raw = &directive;
+                at_line_start = false;
+                ++i;
+                continue;
+            }
             int directive_line = line;
             std::string logical;
             while (i < n) {
@@ -152,21 +193,14 @@ lexSource(const std::string &text)
                 logical += text[i];
                 ++i;
             }
-            std::size_t at = logical.find_first_not_of(" \t", 1);
-            if (at != std::string::npos &&
-                logical.compare(at, 7, "include") == 0) {
-                std::size_t open =
-                    logical.find_first_of("<\"", at + 7);
-                if (open != std::string::npos) {
-                    char closer = logical[open] == '<' ? '>' : '"';
-                    std::size_t close =
-                        logical.find(closer, open + 1);
-                    if (close != std::string::npos)
-                        out.includes.push_back(
-                            {logical.substr(open + 1,
-                                            close - open - 1),
-                             logical[open] == '<', directive_line});
-                }
+            std::size_t open = logical.find_first_of("<\"");
+            if (open != std::string::npos) {
+                char closer = logical[open] == '<' ? '>' : '"';
+                std::size_t close = logical.find(closer, open + 1);
+                if (close != std::string::npos)
+                    out.includes.push_back(
+                        {logical.substr(open + 1, close - open - 1),
+                         logical[open] == '<', directive_line});
             }
             continue;
         }
@@ -176,9 +210,9 @@ lexSource(const std::string &text)
         // String literal (incl. raw strings).
         if (c == '"') {
             bool is_raw =
-                !raw.empty() && raw.back().kind == TokKind::Identifier &&
-                !raw.back().text.empty() &&
-                raw.back().text.back() == 'R';
+                !raw->empty() &&
+                raw->back().kind == TokKind::Identifier &&
+                raw->back().text.back() == 'R';
             int tok_line = line;
             ++i;
             if (is_raw) {
@@ -203,7 +237,7 @@ lexSource(const std::string &text)
                 if (i < n)
                     ++i;
             }
-            raw.push_back({TokKind::String, "\"\"", tok_line});
+            raw->push_back({TokKind::String, "\"\"", tok_line});
             continue;
         }
         // Character literal (not a digit separator: separators are
@@ -218,7 +252,7 @@ lexSource(const std::string &text)
             }
             if (i < n)
                 ++i;
-            raw.push_back({TokKind::CharLit, "''", tok_line});
+            raw->push_back({TokKind::CharLit, "''", tok_line});
             continue;
         }
 
@@ -226,8 +260,8 @@ lexSource(const std::string &text)
             std::size_t start = i;
             while (i < n && identChar(text[i]))
                 ++i;
-            raw.push_back({TokKind::Identifier,
-                           text.substr(start, i - start), line});
+            raw->push_back({TokKind::Identifier,
+                            text.substr(start, i - start), line});
             continue;
         }
         if (std::isdigit(static_cast<unsigned char>(c)) != 0 ||
@@ -244,34 +278,17 @@ lexSource(const std::string &text)
                     i < n && (text[i] == '+' || text[i] == '-'))
                     ++i;
             }
-            raw.push_back({TokKind::Number,
-                           text.substr(start, i - start), line});
+            raw->push_back({TokKind::Number,
+                            text.substr(start, i - start), line});
             continue;
         }
 
-        raw.push_back({TokKind::Punct, std::string(1, c), line});
+        raw->push_back({TokKind::Punct, std::string(1, c), line});
         ++i;
     }
 
-    // Merge qualified names: Identifier :: Identifier (repeatedly)
-    // becomes one identifier token, so rules match "std::thread" or
-    // "std::chrono::steady_clock::now" directly.
-    out.tokens.reserve(raw.size());
-    for (std::size_t k = 0; k < raw.size(); ++k) {
-        Token tok = raw[k];
-        if (tok.kind == TokKind::Identifier) {
-            while (k + 3 < raw.size() &&
-                   raw[k + 1].kind == TokKind::Punct &&
-                   raw[k + 1].text == ":" &&
-                   raw[k + 2].kind == TokKind::Punct &&
-                   raw[k + 2].text == ":" &&
-                   raw[k + 3].kind == TokKind::Identifier) {
-                tok.text += "::" + raw[k + 3].text;
-                k += 3;
-            }
-        }
-        out.tokens.push_back(std::move(tok));
-    }
+    out.tokens = mergeQualified(code);
+    out.directiveTokens = mergeQualified(directive);
     return out;
 }
 

@@ -2,13 +2,11 @@
  * @file
  * Token-accurate C++ lexer for mnoc-analyze.
  *
- * The regex linter (tools/mnoc_lint.py) blanks comments and strings
- * line by line; this lexer goes one step further and produces a real
- * token stream, so rules can reason about declarations, balanced
- * brackets and qualified names instead of raw text.  Qualified
- * identifiers are merged into single tokens ("std::chrono::
- * steady_clock::now" is one identifier), which keeps the rule code
- * free of :: bookkeeping.
+ * Rules reason about a real token stream -- declarations, balanced
+ * brackets and qualified names -- instead of raw text, so comments
+ * and string literals never trip them.  Qualified identifiers are
+ * merged into single tokens ("std::chrono::steady_clock::now" is one
+ * identifier), which keeps the rule code free of :: bookkeeping.
  *
  * Comments are not discarded silently: the lexer collects the two
  * in-source annotations of the analyzer,
@@ -20,7 +18,10 @@
  *                                         this file
  *
  * and records #include directives (with line numbers) for the
- * include-graph pass.
+ * include-graph and include-order passes.  The bodies of the other
+ * directives (#define, #if, ...) are lexed into a stream of their
+ * own, so a macro body is visible to the token rules without
+ * joining the statements around it.
  */
 
 #ifndef MNOC_TOOLS_ANALYZE_LEXER_HH
@@ -63,6 +64,8 @@ struct IncludeDirective
 struct LexedFile
 {
     std::vector<Token> tokens;
+    /** Tokens of non-include directives, keyword included. */
+    std::vector<Token> directiveTokens;
     std::vector<IncludeDirective> includes;
     /** Rules suppressed per line by mnoc-analyze-ok comments ("*"
      *  suppresses every rule). */

@@ -1,7 +1,8 @@
 /**
  * @file
  * mnoc-analyze: compile_commands-driven static analysis of the
- * mnoc tree (determinism, layering, error-handling rule families).
+ * mnoc tree (determinism, layering, error-handling, unit-safety and
+ * layout rule families).
  *
  *   mnoc-analyze --root DIR --compile-commands FILE
  *                [--baseline FILE] [--sarif OUT]

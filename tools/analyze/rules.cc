@@ -1,8 +1,11 @@
 #include "tools/analyze/rules.hh"
 
+#include <algorithm>
+#include <cctype>
 #include <cstddef>
 #include <map>
 #include <set>
+#include <string_view>
 #include <tuple>
 
 namespace mnoc::analyze {
@@ -50,19 +53,42 @@ const std::set<std::string> kMustUseCalls = {
     "toTrace",
 };
 
+/** Directories whose sources are power math (float-free zone). */
+const char *const kFloatDirs[] = {"src/optics/", "src/core/",
+                                  "src/faults/", "src/common/",
+                                  "src/runtime/"};
+
+/** Unit suffixes a `double` name must not carry in a header. */
+const std::set<std::string> kUnitSuffixes = {"db", "dbm", "w", "uw",
+                                             "mw", "m",   "cm"};
+
+/** Column limit of the format rule (mirrors .clang-format). */
+constexpr std::size_t kMaxLine = 79;
+
 const std::vector<RuleInfo> kCatalog = {
     {"check-message", "error-handling", "warning",
      "panicIf/fatalIf message is not a string literal"},
     {"discarded-result", "error-handling", "warning",
      "result of a fallible I/O call is discarded"},
+    {"float", "unit-safety", "error",
+     "float in power math, which is double-only"},
+    {"format", "layout", "warning",
+     "tab, trailing whitespace or line over 79 columns"},
+    {"header-guard", "layout", "warning",
+     "header guard does not match MNOC_<PATH>_HH"},
     {"include-cycle", "layering", "error",
      "modules include each other in a cycle"},
+    {"include-order", "layout", "warning",
+     "includes out of own-header, <system>, \"project\" block "
+     "order"},
     {"layering", "layering", "error",
      "include points up the layer order"},
     {"raw-getenv", "determinism", "error",
      "environment read bypasses the knob table in common/knobs"},
     {"raw-ofstream", "error-handling", "warning",
      "raw std::ofstream bypasses the FileWriter choke point"},
+    {"raw-pow", "unit-safety", "error",
+     "raw pow(10, ...) dB conversion outside common/units.hh"},
     {"raw-thread", "determinism", "error",
      "raw thread primitive bypasses the shared ThreadPool"},
     {"shared-prng", "determinism", "error",
@@ -70,6 +96,9 @@ const std::vector<RuleInfo> kCatalog = {
     {"unclosed-writer", "error-handling", "warning",
      "FileWriter/JournalWriter is never close()d on the checked "
      "path"},
+    {"unit-param", "unit-safety", "error",
+     "double parameter or field with a unit-suffixed name in a "
+     "header"},
     {"unordered-iteration", "determinism", "error",
      "unordered-container iteration reaches a serialization sink"},
     {"unseeded-rng", "determinism", "error",
@@ -106,6 +135,57 @@ lastSegment(const std::string &text)
 {
     std::size_t at = text.rfind("::");
     return at == std::string::npos ? text : text.substr(at + 2);
+}
+
+/** Lines of @p text split at '\n' (the newline dropped); a final
+ *  newline does not open an empty last line. */
+std::vector<std::string_view>
+splitLines(const std::string &text)
+{
+    std::vector<std::string_view> out;
+    for (std::size_t start = 0; start < text.size();) {
+        std::size_t end = std::min(text.find('\n', start), text.size());
+        out.emplace_back(text.data() + start, end - start);
+        start = end + 1;
+    }
+    return out;
+}
+
+/** Whitespace of the format and layout rules. */
+constexpr std::string_view kSpace = " \t\r\v\f";
+
+bool
+isBlank(std::string_view line)
+{
+    return line.find_first_not_of(kSpace) == std::string_view::npos;
+}
+
+/** Columns of @p line: UTF-8 code points, not bytes. */
+std::size_t
+columns(std::string_view line)
+{
+    return static_cast<std::size_t>(
+        std::count_if(line.begin(), line.end(), [](char c) {
+            return (static_cast<unsigned char>(c) & 0xC0) != 0x80;
+        }));
+}
+
+/** src/optics/link_budget.hh -> MNOC_OPTICS_LINK_BUDGET_HH. */
+std::string
+expectedGuard(const std::string &relpath)
+{
+    std::string stem = relpath;
+    if (stem.starts_with("src/"))
+        stem.erase(0, 4);
+    if (stem.ends_with(".hh"))
+        stem.resize(stem.size() - 3);
+    std::string guard = "MNOC_";
+    for (char c : stem)
+        guard += std::isalnum(static_cast<unsigned char>(c)) != 0
+                     ? static_cast<char>(std::toupper(
+                           static_cast<unsigned char>(c)))
+                     : '_';
+    return guard + "_HH";
 }
 
 constexpr std::size_t kNpos = static_cast<std::size_t>(-1);
@@ -195,9 +275,11 @@ bodyRange(const std::vector<Token> &toks, std::size_t at)
 class FileChecker
 {
   public:
-    FileChecker(std::string relpath, const LexedFile &file)
+    FileChecker(std::string relpath, const std::string &text,
+                const LexedFile &file)
         : relpath_(std::move(relpath)), file_(file),
-          toks_(file.tokens), category_(categoryOf(relpath_))
+          toks_(file.tokens), lines_(splitLines(text)),
+          category_(categoryOf(relpath_))
     {}
 
     std::vector<Finding>
@@ -213,7 +295,19 @@ class FileChecker
         checkDiscardedResult();
         checkUnclosedWriter();
         checkCheckMessage();
-        return applySuppressions();
+        for (const std::vector<Token> *toks :
+             {&toks_, &file_.directiveTokens}) {
+            checkRawPow(*toks);
+            checkFloat(*toks);
+            checkUnitParam(*toks);
+        }
+        checkHeaderGuard();
+        checkIncludeOrder();
+        checkFormat();
+        std::erase_if(findings_, [&](const Finding &finding) {
+            return inlineSuppressed(finding, file_.okLines);
+        });
+        return std::move(findings_);
     }
 
   private:
@@ -680,29 +774,199 @@ class FileChecker
         }
     }
 
-    std::vector<Finding>
-    applySuppressions() const
+    /** pow(10, x): the dB <-> linear conversion only units.hh may
+     *  spell out; a base of 10, 10. or 10.0 counts. */
+    void
+    checkRawPow(const std::vector<Token> &toks)
     {
-        std::vector<Finding> out;
-        for (const Finding &finding : findings_) {
-            bool suppressed = false;
-            for (int line : {finding.line, finding.line - 1}) {
-                auto it = file_.okLines.find(line);
-                if (it == file_.okLines.end())
-                    continue;
-                if (it->second.count(finding.rule) > 0 ||
-                    it->second.count("*") > 0)
-                    suppressed = true;
-            }
-            if (!suppressed)
-                out.push_back(finding);
+        if (pathIsOneOf({"src/common/units.hh"}))
+            return;
+        for (std::size_t i = 0; i + 3 < toks.size(); ++i) {
+            const std::string &base = toks[i + 2].text;
+            bool ten =
+                toks[i + 2].kind == TokKind::Number &&
+                (base == "10" ||
+                 (base.starts_with("10.") &&
+                  base.find_first_not_of('0', 3) == std::string::npos));
+            if (toks[i].kind == TokKind::Identifier &&
+                lastSegment(toks[i].text) == "pow" &&
+                isPunct(toks[i + 1], '(') && ten &&
+                isPunct(toks[i + 3], ','))
+                add(toks[i].line, "raw-pow",
+                    "raw pow(10, ...) conversion; use "
+                    "DecibelLoss::toTransmission()/toAttenuation() "
+                    "from common/units.hh");
         }
-        return out;
+    }
+
+    void
+    checkFloat(const std::vector<Token> &toks)
+    {
+        bool power_math = std::any_of(
+            std::begin(kFloatDirs), std::end(kFloatDirs),
+            [&](const char *dir) { return relpath_.starts_with(dir); });
+        if (!power_math ||
+            (!relpath_.ends_with(".cc") && !relpath_.ends_with(".hh")))
+            return;
+        for (const Token &tok : toks)
+            if (tok.kind == TokKind::Identifier && tok.text == "float")
+                add(tok.line, "float",
+                    "power math is double-only; float loses "
+                    "precision on accumulated dB/watt terms");
+    }
+
+    /** `double x_db` in a src/ header: the name carries the unit the
+     *  type should; one finding per line, naming the first. */
+    void
+    checkUnitParam(const std::vector<Token> &toks)
+    {
+        if (!relpath_.starts_with("src/") || !relpath_.ends_with(".hh"))
+            return;
+        int last_line = 0;
+        for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
+            const std::string &name = toks[i + 1].text;
+            std::size_t underscore = name.rfind('_');
+            if (toks[i].kind != TokKind::Identifier ||
+                toks[i].text != "double" ||
+                toks[i + 1].kind != TokKind::Identifier ||
+                name.find(':') != std::string::npos ||
+                underscore == std::string::npos ||
+                kUnitSuffixes.count(name.substr(underscore + 1)) == 0 ||
+                toks[i].line == last_line)
+                continue;
+            last_line = toks[i].line;
+            add(last_line, "unit-param",
+                "'double " + name +
+                    "' carries a unit in its name; use "
+                    "DecibelLoss/WattPower/Meters so the type "
+                    "carries the unit");
+        }
+    }
+
+    void
+    checkHeaderGuard()
+    {
+        if (!relpath_.ends_with(".hh"))
+            return;
+        std::string guard = expectedGuard(relpath_);
+        std::string ifndef = "#ifndef " + guard;
+        std::string define = "#define " + guard;
+        std::string endif = "#endif // " + guard;
+        auto at = std::find(lines_.begin(), lines_.end(), ifndef);
+        if (at == lines_.end()) {
+            add(1, "header-guard", "missing '" + ifndef + "'");
+            return;
+        }
+        if (at + 1 == lines_.end() || at[1] != define)
+            add(static_cast<int>(at - lines_.begin()) + 2,
+                "header-guard",
+                "'" + ifndef + "' not followed by '" + define + "'");
+        auto last = std::find_if_not(lines_.rbegin(), lines_.rend(),
+                                     isBlank);
+        if (last == lines_.rend() || *last != endif)
+            add(static_cast<int>(lines_.size()), "header-guard",
+                "file must end with '" + endif + "'");
+    }
+
+    /** Own header first (in a .cc), then blank-line-separated
+     *  blocks: <system> blocks before "project" blocks, each block
+     *  one kind and sorted. */
+    void
+    checkIncludeOrder()
+    {
+        const std::vector<IncludeDirective> &incs = file_.includes;
+        if (incs.empty())
+            return;
+        // The line above an include is lines_[line - 2]; on line 1
+        // the index wraps past lines_.size().
+        auto blankBefore = [&](const IncludeDirective &inc) {
+            std::size_t above = static_cast<std::size_t>(inc.line) - 2;
+            return above < lines_.size() && isBlank(lines_[above]);
+        };
+
+        std::size_t start = 0;
+        if (relpath_.ends_with(".cc")) {
+            std::string own =
+                relpath_.substr(0, relpath_.size() - 3) + ".hh";
+            if (own.starts_with("src/"))
+                own.erase(0, 4);
+            bool has_own = std::any_of(
+                incs.begin(), incs.end(),
+                [&](const IncludeDirective &inc) {
+                    return !inc.angled && inc.target == own;
+                });
+            // A lone quoted include at the top is the primary header
+            // -- the header this file implements (gem5 style; it may
+            // be shared by several .cc files, e.g.
+            // workloads/splash.hh).
+            bool lone_primary =
+                !incs[0].angled &&
+                (incs.size() == 1 || blankBefore(incs[1]));
+            if (has_own && (incs[0].angled || incs[0].target != own))
+                add(incs[0].line, "include-order",
+                    "own header \"" + own +
+                        "\" must be the first include");
+            if (has_own || lone_primary)
+                start = 1;
+        }
+
+        bool seen_project = false;
+        for (std::size_t first = start, end = start; first < incs.size();
+             first = end) {
+            end = first + 1;
+            while (end < incs.size() && !blankBefore(incs[end]))
+                ++end;
+            const IncludeDirective &head = incs[first];
+            bool mixed = false;
+            std::vector<std::string> targets;
+            for (std::size_t k = first; k < end; ++k) {
+                mixed = mixed || incs[k].angled != head.angled;
+                targets.push_back(incs[k].target);
+            }
+            if (mixed) {
+                add(head.line, "include-order",
+                    "mixed <system> and \"project\" includes in one "
+                    "block; separate them with a blank line");
+                continue;
+            }
+            if (!head.angled)
+                seen_project = true;
+            else if (seen_project)
+                add(head.line, "include-order",
+                    "<system> include block after a \"project\" "
+                    "block; system includes come first");
+            if (!std::is_sorted(targets.begin(), targets.end())) {
+                std::string list;
+                for (const std::string &target : targets)
+                    list += (list.empty() ? "" : ", ") + target;
+                add(head.line, "include-order",
+                    "includes within a block must be sorted: " + list);
+            }
+        }
+    }
+
+    void
+    checkFormat()
+    {
+        for (std::size_t k = 0; k < lines_.size(); ++k) {
+            std::string_view text = lines_[k];
+            int line = static_cast<int>(k) + 1;
+            if (text.find('\t') != std::string_view::npos)
+                add(line, "format", "tab character");
+            if (!text.empty() && kSpace.find(text.back()) != kSpace.npos)
+                add(line, "format", "trailing whitespace");
+            if (std::size_t cols = columns(text); cols > kMaxLine)
+                add(line, "format",
+                    "line is " + std::to_string(cols) +
+                        " columns (max " + std::to_string(kMaxLine) +
+                        ")");
+        }
     }
 
     std::string relpath_;
     const LexedFile &file_;
     const std::vector<Token> &toks_;
+    std::vector<std::string_view> lines_;
     std::string category_;
     std::vector<Finding> findings_;
 };
@@ -725,6 +989,19 @@ findRule(const std::string &rule)
 }
 
 bool
+inlineSuppressed(const Finding &finding,
+                 const std::map<int, std::set<std::string>> &okLines)
+{
+    for (int line : {finding.line, finding.line - 1}) {
+        auto it = okLines.find(line);
+        if (it != okLines.end() && (it->second.count(finding.rule) > 0 ||
+                                    it->second.count("*") > 0))
+            return true;
+    }
+    return false;
+}
+
+bool
 operator<(const Finding &a, const Finding &b)
 {
     return std::tie(a.path, a.line, a.rule, a.message) <
@@ -739,9 +1016,10 @@ operator==(const Finding &a, const Finding &b)
 }
 
 std::vector<Finding>
-runFileRules(const std::string &relpath, const LexedFile &file)
+runFileRules(const std::string &relpath, const std::string &text,
+             const LexedFile &file)
 {
-    return FileChecker(relpath, file).run();
+    return FileChecker(relpath, text, file).run();
 }
 
 } // namespace mnoc::analyze

@@ -17,6 +17,14 @@
  *                   and a passing check must not build its message:
  *                   check-message
  *
+ * and two families keep the tree in the shape the type system and
+ * clang-format expect:
+ *
+ *   unit-safety     dB/watt math stays inside the strong types of
+ *                   common/units.hh: raw-pow, float, unit-param
+ *   layout          header-guard, include-order, format (the
+ *                   whitespace subset of .clang-format)
+ *
  * Every finding is reported as `path:line: [rule] message`; a
  * `// mnoc-analyze-ok(rule)` comment on the finding line or the
  * line above suppresses it at the source, and tools/analyze/
@@ -26,6 +34,8 @@
 #ifndef MNOC_TOOLS_ANALYZE_RULES_HH
 #define MNOC_TOOLS_ANALYZE_RULES_HH
 
+#include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -37,7 +47,8 @@ namespace mnoc::analyze {
 struct RuleInfo
 {
     const char *id;
-    const char *family;   ///< determinism | layering | error-handling
+    const char *family;   ///< determinism | layering |
+                          ///< error-handling | unit-safety | layout
     const char *level;    ///< SARIF level: "error" or "warning"
     const char *summary;  ///< one-line description
 };
@@ -62,14 +73,22 @@ struct Finding
 bool operator<(const Finding &a, const Finding &b);
 bool operator==(const Finding &a, const Finding &b);
 
+/** True when a mnoc-analyze-ok comment in @p okLines (as lexed)
+ *  names @p finding's rule or "*" on its line or the line above. */
+bool inlineSuppressed(const Finding &finding,
+                      const std::map<int, std::set<std::string>> &okLines);
+
 /**
- * Run every file-local rule over one lexed file.  @p relpath decides
- * rule applicability (tests are exempt from writer rules, bench
- * from wall-clock timing, and the choke-point files that own a
- * primitive are exempt from the rule that bans it elsewhere).
- * Inline mnoc-analyze-ok suppressions are already applied.
+ * Run every file-local rule over one file: @p text is its contents
+ * (the layout rules read its lines) and @p file its lexed form.
+ * @p relpath decides rule applicability (tests are exempt from
+ * writer rules, bench from wall-clock timing, and the choke-point
+ * files that own a primitive are exempt from the rule that bans it
+ * elsewhere).  Inline mnoc-analyze-ok suppressions are already
+ * applied.
  */
 std::vector<Finding> runFileRules(const std::string &relpath,
+                                  const std::string &text,
                                   const LexedFile &file);
 
 } // namespace mnoc::analyze

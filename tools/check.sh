@@ -18,7 +18,7 @@ run_config() {
 echo "== regular configuration =="
 run_config build -DMNOC_WERROR=ON
 
-echo "== static analysis (mnoc-lint, clang-format, clang-tidy) =="
+echo "== static analysis (clang-format, clang-tidy) =="
 sh tools/lint.sh build
 
 echo "== static analysis (mnoc-analyze) =="

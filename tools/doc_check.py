@@ -26,7 +26,7 @@ Usage:
 
 Exits 0 when clean, 1 when any finding is reported, 2 on usage
 errors.  Findings print as `path:line: [rule] message`, matching
-mnoc-lint's output shape.
+mnoc-analyze's output shape.
 """
 
 from __future__ import annotations

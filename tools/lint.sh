@@ -1,8 +1,9 @@
 #!/bin/sh
-# Static-analysis driver: mnoc-lint (always), clang-format and
-# clang-tidy (when the binaries exist -- the CI image has them, the
+# Static-analysis driver for the clang tools: clang-format and
+# clang-tidy, when the binaries exist (the CI image has them, the
 # minimal dev container may not; missing tools are reported as
-# SKIPPED, never as failures).
+# SKIPPED, never as failures).  The domain rules live in
+# mnoc-analyze, which tools/check.sh runs next.
 #
 # Usage: tools/lint.sh [build-dir]
 #   build-dir  directory holding compile_commands.json for clang-tidy
@@ -19,20 +20,12 @@ stage() {
     echo "== $1 =="
 }
 
-# --- mnoc-lint: domain rules, always available (python3). ----------
-stage "mnoc-lint"
-if python3 tools/mnoc_lint.py --root .; then
-    :
-else
-    status=1
-fi
-
 # --- clang-format: whole-tree style check. -------------------------
 stage "clang-format"
 if command -v clang-format > /dev/null 2>&1; then
     files=$(find src tests tools bench examples \
                  \( -name '*.cc' -o -name '*.hh' -o -name '*.cpp' \) \
-                 -not -path '*/lint_fixtures/*')
+                 -not -path '*/analyze_fixtures/*')
     if clang-format --dry-run -Werror $files; then
         echo "clang-format: clean"
     else

@@ -273,21 +273,27 @@ loadMapping(const std::string &path, int cores)
     if (!in.is_open())
         fatal("cannot open mapping file: " + path);
     std::vector<int> map;
-    std::string token;
-    int line = 0;
-    while (in >> token) {
-        ++line;
-        std::size_t used = 0;
-        int core = 0;
-        try {
-            core = std::stoi(token, &used);
-        } catch (const std::exception &) {
-            used = 0;
+    std::string text;
+    for (int line = 1; std::getline(in, text); ++line) {
+        std::istringstream fields(text);
+        std::string token;
+        while (fields >> token) {
+            std::size_t used = 0;
+            int core = 0;
+            // A core id is unsigned; stoi would take "+0" or "-1".
+            if (token[0] != '+' && token[0] != '-') {
+                try {
+                    core = std::stoi(token, &used);
+                } catch (const std::exception &) {
+                    used = 0;
+                }
+            }
+            if (used != token.size())
+                fatal(path + ":" + std::to_string(line) +
+                      ": field 'core': expected an integer, got '" +
+                      token + "'");
+            map.push_back(core);
         }
-        if (used != token.size())
-            fatal(path + ":" + std::to_string(line) +
-                  ": field 'core': expected an integer, got '" + token + "'");
-        map.push_back(core);
     }
     if (static_cast<int>(map.size()) != cores)
         fatal(path + ": mapping lists " + std::to_string(map.size()) +
