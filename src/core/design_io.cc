@@ -461,4 +461,59 @@ driveTable(const MnocDesign &design, int source)
     return table;
 }
 
+std::vector<int>
+loadMapping(const std::string &path, int cores)
+{
+    std::ifstream in(path);
+    if (!in.is_open())
+        fatal("cannot open mapping file: " + path);
+    std::vector<int> map;
+    std::vector<int> line_of(static_cast<std::size_t>(cores), 0);
+    std::string text;
+    for (int line = 1; std::getline(in, text); ++line) {
+        std::istringstream fields(text);
+        std::string token;
+        auto reject = [&](const std::string &why) {
+            fatal(path + ":" + std::to_string(line) + ": field 'core': " +
+                  why);
+        };
+        while (fields >> token) {
+            std::size_t used = 0;
+            int core = 0;
+            // A core id is unsigned; stoi would take "+0" or "-1".
+            if (token[0] != '+' && token[0] != '-') {
+                try {
+                    core = std::stoi(token, &used);
+                } catch (const std::exception &) {
+                    used = 0;
+                }
+            }
+            if (used != token.size())
+                reject("expected an integer, got '" + token + "'");
+            if (core >= cores)
+                reject("core " + token + " is out of range for " +
+                       std::to_string(cores) + " cores");
+            int &first = line_of[static_cast<std::size_t>(core)];
+            if (first != 0)
+                reject("core " + token + " is used twice (first on line " +
+                       std::to_string(first) + ")");
+            first = line;
+            map.push_back(core);
+        }
+    }
+    if (static_cast<int>(map.size()) != cores)
+        fatal(path + ": mapping lists " + std::to_string(map.size()) +
+              " cores, expected " + std::to_string(cores));
+    return map;
+}
+
+std::vector<int>
+identityMapping(int cores)
+{
+    std::vector<int> map(static_cast<std::size_t>(cores));
+    for (int i = 0; i < cores; ++i)
+        map[static_cast<std::size_t>(i)] = i;
+    return map;
+}
+
 } // namespace mnoc::core

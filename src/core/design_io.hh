@@ -16,6 +16,7 @@
 
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "common/manifest.hh"
 #include "core/designer.hh"
@@ -72,6 +73,19 @@ struct DriveTableEntry
 /** Build source @p source's drive table from @p design. */
 std::vector<DriveTableEntry> driveTable(const MnocDesign &design,
                                         int source);
+
+/**
+ * Read a thread-to-core mapping file (`mnocpt map` output): @p cores
+ * whitespace-separated core ids, the one at position t being thread
+ * t's core, over any number of lines.
+ * @throws FatalError unless the file lists a permutation of
+ *         0..@p cores-1; a bad id is named as "path:line: field
+ *         'core'".
+ */
+std::vector<int> loadMapping(const std::string &path, int cores);
+
+/** The identity mapping: thread t runs on core t. */
+std::vector<int> identityMapping(int cores);
 
 } // namespace mnoc::core
 

@@ -194,7 +194,8 @@ EnergyLedger
 MnocPowerModel::buildLedger(const MnocDesign &design,
                             sim::TraceReader &reader,
                             const std::vector<int> *thread_to_core,
-                            ThreadPool *pool) const
+                            ThreadPool *pool,
+                            const EpochObserver &observe) const
 {
     TraceSpan span("buildLedger", "power");
     // The build consumes the reader's cursor: on a drained reader it
@@ -226,6 +227,8 @@ MnocPowerModel::buildLedger(const MnocDesign &design,
             cells = sim::mapEpochCells(cells, *thread_to_core);
         for (const noc::EpochCell &cell : cells)
             plan.accrue(ledger, cell.src, cell.dst, cell.flits, epoch);
+        if (observe)
+            observe(epoch, cells);
     }
     if (header.numEpochs == 0) {
         // Epoch-free trace: fold the streamed messages into a dense

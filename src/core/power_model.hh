@@ -15,6 +15,8 @@
 #ifndef MNOC_CORE_POWER_MODEL_HH
 #define MNOC_CORE_POWER_MODEL_HH
 
+#include <cstddef>
+#include <functional>
 #include <vector>
 
 #include "core/power_topology.hh"
@@ -32,6 +34,11 @@ class TraceReader;
 namespace mnoc::core {
 
 class EnergyLedger;
+
+/** Receives one epoch's mapped cells during a ledger build: the
+ *  epoch index, then its cells in core coordinates. */
+using EpochObserver =
+    std::function<void(std::size_t, const std::vector<noc::EpochCell> &)>;
 
 /** Electrical-side power parameters. */
 struct PowerParams
@@ -148,11 +155,18 @@ class MnocPowerModel
      * bit-identical at any thread count while peak memory stays one
      * epoch.  The build consumes @p reader's cursor; a reader that
      * has already been read from is a panic.
+     *
+     * @p observe, when set, is called on the calling thread with
+     * each epoch's mapped cells right after they are accrued, in
+     * epoch order, so a per-epoch consumer (the adaptive controller)
+     * rides this pass instead of reading the trace again.  An
+     * epoch-free trace has no epoch buckets and is never observed.
      */
     EnergyLedger buildLedger(
         const MnocDesign &design, sim::TraceReader &reader,
         const std::vector<int> *thread_to_core = nullptr,
-        ThreadPool *pool = nullptr) const;
+        ThreadPool *pool = nullptr,
+        const EpochObserver &observe = {}) const;
 
     /**
      * Fill @p ledger's per-(source, mode) loss breakdowns from

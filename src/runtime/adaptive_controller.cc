@@ -12,9 +12,6 @@
 #include "common/metrics.hh"
 #include "common/thread_pool.hh"
 #include "common/trace_span.hh"
-#include "core/accrual.hh"
-#include "runtime/hysteresis.hh"
-#include "sim/phase_detector.hh"
 #include "sim/trace.hh"
 #include "sim/trace_stream.hh"
 
@@ -26,11 +23,48 @@ namespace {
  *  tolerance. */
 constexpr double kRelTol = 1e-9;
 
+/** Trailing window of mapped epoch cells, newest last. */
+using EpochWindow = std::deque<std::vector<noc::EpochCell>>;
+
 /** Per-source view of the trailing traffic window: (dest, flits)
  *  pairs in window order, so per-source pricing folds in a fixed
  *  order whatever the thread count. */
 using SourceTraffic =
     std::vector<std::vector<std::pair<int, std::uint64_t>>>;
+
+/** Flow matrix of the whole window over @p n nodes. */
+FlowMatrix
+windowFlow(const EpochWindow &window, int n)
+{
+    FlowMatrix flow(static_cast<std::size_t>(n),
+                    static_cast<std::size_t>(n), 0.0);
+    for (const auto &cells : window)
+        for (const noc::EpochCell &cell : cells)
+            flow(static_cast<std::size_t>(cell.src),
+                 static_cast<std::size_t>(cell.dst)) +=
+                static_cast<double>(cell.flits);
+    return flow;
+}
+
+/** Window traffic restricted to epochs strictly newer than
+ *  @p newer_than (-1 for the whole window); @p epochs holds each
+ *  window entry's epoch index. */
+SourceTraffic
+windowTraffic(const EpochWindow &window,
+              const std::deque<std::size_t> &epochs, int n,
+              long long newer_than)
+{
+    SourceTraffic traffic(static_cast<std::size_t>(n));
+    for (std::size_t w = 0; w < window.size(); ++w) {
+        if (static_cast<long long>(epochs[w]) <= newer_than)
+            continue;
+        for (const noc::EpochCell &cell : window[w])
+            if (cell.flits > 0 && cell.dst != cell.src)
+                traffic[static_cast<std::size_t>(cell.src)]
+                    .emplace_back(cell.dst, cell.flits);
+    }
+    return traffic;
+}
 
 /**
  * Price one design against the window: per-source partial sums fan
@@ -65,6 +99,15 @@ priceEpoch(const core::AccrualPlan &plan,
     for (const noc::EpochCell &cell : cells)
         energy += plan.quote(cell.src, cell.dst, cell.flits);
     return energy;
+}
+
+/** @p policy, once it has passed validate(): the stepper's members
+ *  are sized from it, so it is checked before any of them. */
+const AdaptivePolicy &
+validated(const AdaptivePolicy &policy)
+{
+    policy.validate();
+    return policy;
 }
 
 } // namespace
@@ -118,6 +161,325 @@ AdaptiveLog::countActions(AdaptiveActionKind kind) const
     return count;
 }
 
+AdaptiveController::AdaptiveController(
+    const core::Designer &designer, const core::MnocDesign &static_design,
+    const AdaptivePolicy &policy, const sim::TraceHeader &header,
+    core::EnergyLedger *adaptive_ledger, ThreadPool *pool)
+    : designer_(designer), policy_(validated(policy)),
+      ledger_(adaptive_ledger), pool_(pool),
+      workers_(pool != nullptr ? *pool : ThreadPool::global()),
+      numNodes_(static_design.topology.numNodes),
+      numEpochs_(header.numEpochs),
+      detector_(numNodes_, policy_.trafficWindow,
+                policy_.phaseChangeThreshold),
+      switchGate_(policy_.epochsToSwitch)
+{
+    int n = numNodes_;
+    fatalIf(header.numNodes != n,
+            "trace and design disagree on node count");
+    fatalIf(numEpochs_ == 0,
+            "adaptive controller needs an epoch-bucketed trace "
+            "(capture with MNOC_LEDGER=1)");
+    fatalIf(policy_.candidateSpec.numModes !=
+                static_design.topology.numModes,
+            "candidate mode count must match the deployed design");
+    if (ledger_ != nullptr) {
+        fatalIf(ledger_->numEpochs() != numEpochs_,
+                "adaptive ledger and trace disagree on epoch count");
+        fatalIf(ledger_->numSources() != n ||
+                    ledger_->numModes() !=
+                        static_design.topology.numModes,
+                "adaptive ledger and design disagree on shape");
+    }
+
+    auto &metrics = MetricsRegistry::global();
+    metrics.counter("runtime.adaptive_runs").add();
+    activeSeries_ = &metrics.series("runtime.adaptive_active");
+    actionSeries_ = &metrics.series("runtime.adaptive_actions");
+
+    const core::MnocPowerModel &model = designer_.model();
+    candidates_.push_back(static_design);
+    plans_.emplace_back(static_design, model.params(),
+                        model.crossbar().params(), n);
+    builtAt_.push_back(-1);
+    retired_.push_back(0);
+    log_.epochs.reserve(numEpochs_);
+}
+
+// Build a candidate from the trailing window and place it in the
+// pool: a retired slot first, then a fresh slot while there is room,
+// then the oldest slot that is neither the static design nor active.
+void
+AdaptiveController::retarget(std::size_t epoch)
+{
+    int slot = -1;
+    for (std::size_t c = 1; c < candidates_.size(); ++c)
+        if (retired_[c]) {
+            slot = static_cast<int>(c);
+            break;
+        }
+    if (slot < 0 &&
+        static_cast<int>(candidates_.size()) < policy_.maxCandidates)
+        slot = static_cast<int>(candidates_.size());
+    if (slot < 0) {
+        // Oldest live retarget slot that is not mid-accrual; with a
+        // two-entry pool whose retarget slot is active there is
+        // nothing to evict, so skip this retarget.
+        slot = active_ == 1 ? 2 : 1;
+        if (slot >= static_cast<int>(candidates_.size()))
+            return;
+    }
+    const core::MnocPowerModel &model = designer_.model();
+    FlowMatrix flow = windowFlow(window_, numNodes_);
+    core::GlobalPowerTopology topo =
+        designer_.buildTopology(policy_.candidateSpec, flow);
+    core::MnocDesign design = designer_.buildDesign(
+        policy_.candidateSpec, topo, flow, policy_.candidateMargin);
+    auto index = static_cast<std::size_t>(slot);
+    if (index == candidates_.size()) {
+        candidates_.push_back(std::move(design));
+        plans_.emplace_back(candidates_.back(), model.params(),
+                            model.crossbar().params(), numNodes_);
+        builtAt_.push_back(static_cast<long long>(epoch));
+        retired_.push_back(0);
+    } else {
+        candidates_[index] = std::move(design);
+        plans_[index] =
+            core::AccrualPlan(candidates_[index], model.params(),
+                              model.crossbar().params(), numNodes_);
+        builtAt_[index] = static_cast<long long>(epoch);
+        retired_[index] = 0;
+        // The replaced challenger may have been mid-streak.
+        if (pendingTarget_ == slot) {
+            pendingTarget_ = -1;
+            switchGate_.reset();
+        }
+    }
+    AdaptiveAction action;
+    action.kind = AdaptiveActionKind::Retarget;
+    action.epoch = epoch;
+    action.design = slot;
+    log_.actions.push_back(action);
+    if (journalEnabled()) {
+        JournalRecord rec(JournalKind::Retarget, epoch);
+        rec.addInt(slot)
+            .addInt(static_cast<std::int64_t>(windowEpochs_.front()))
+            .addInt(static_cast<std::int64_t>(windowEpochs_.back()));
+        Journal::global().record(rec);
+    }
+}
+
+void
+AdaptiveController::observe(std::size_t e,
+                            const std::vector<noc::EpochCell> &cells)
+{
+    panicIf(finished_ || e != nextEpoch_ || e >= numEpochs_,
+            "adaptive controller stepped out of epoch order");
+    ++nextEpoch_;
+    TraceSpan span("AdaptiveController::observe", "runtime");
+
+    std::size_t first_action = log_.actions.size();
+    AdaptiveEpoch epoch;
+    epoch.epoch = e;
+    epoch.activeDesign = active_;
+
+    // Causality: epoch e ran under the design active entering it;
+    // its traffic is only observed now, at the boundary.
+    const core::AccrualPlan &active_plan =
+        plans_[static_cast<std::size_t>(active_)];
+    if (ledger_ != nullptr)
+        for (const noc::EpochCell &cell : cells)
+            active_plan.accrue(*ledger_, cell.src, cell.dst, cell.flits,
+                               e);
+    epoch.staticEnergy = priceEpoch(plans_[0], cells);
+    epoch.adaptiveEnergy = priceEpoch(active_plan, cells);
+
+    window_.push_back(cells);
+    windowEpochs_.push_back(e);
+    if (window_.size() > policy_.trafficWindow) {
+        window_.pop_front();
+        windowEpochs_.pop_front();
+    }
+
+    // Rule P: phase detection over the epoch signature.
+    bool changed = detector_.observe(cells);
+    epoch.phaseChange = changed;
+    if (changed) {
+        AdaptiveAction action;
+        action.kind = AdaptiveActionKind::PhaseChange;
+        action.epoch = e;
+        action.gain = detector_.lastDistance();
+        log_.actions.push_back(action);
+        if (journalEnabled()) {
+            JournalRecord rec(JournalKind::PhaseChange, e);
+            rec.addReal(detector_.lastDistance());
+            Journal::global().record(rec);
+        }
+        // The old phase's traffic must not leak into the new phase's
+        // retarget flow or pricing window: a candidate built from a
+        // straddling window lands in traffic it was not solved for.
+        // Flush down to the change epoch (the new phase's first) and
+        // let any mid-streak challenger re-earn its streak against
+        // the new traffic.
+        window_.erase(window_.begin(), window_.end() - 1);
+        windowEpochs_.erase(windowEpochs_.begin(),
+                            windowEpochs_.end() - 1);
+        pendingTarget_ = -1;
+        switchGate_.reset();
+        retargetPending_ = true;
+    }
+
+    // Rule R: retarget once the window holds a full window of
+    // single-phase traffic -- at warm-up, and again after every phase
+    // change once the flushed window has refilled.
+    if (retargetPending_ && window_.size() == policy_.trafficWindow) {
+        retarget(e);
+        retargetPending_ = false;
+    }
+
+    // Candidate expiry: a retarget is a bet on the phase whose window
+    // built it.  One that has not won a switch within a few windows
+    // of its build modeled traffic that has since drifted away
+    // (pair-level drift is invisible to the distance-histogram phase
+    // detector), and betting a reconfiguration on it now would chase
+    // noise -- retire it and free its slot.
+    long long expiry = 4 * static_cast<long long>(policy_.trafficWindow);
+    for (std::size_t c = 1; c < candidates_.size(); ++c)
+        if (!retired_[c] && static_cast<int>(c) != active_ &&
+            static_cast<long long>(e) > builtAt_[c] + expiry) {
+            retired_[c] = 1;
+            if (journalEnabled()) {
+                JournalRecord rec(JournalKind::Expire, e);
+                rec.addInt(static_cast<std::int64_t>(c))
+                    .addInt(builtAt_[c]);
+                Journal::global().record(rec);
+            }
+        }
+
+    // Rule S: price every challenger against the trailing window,
+    // *out-of-sample*: a retarget candidate is solved to be cheap on
+    // the very window that built it, so judging it there would reward
+    // overfit to the window's sampling noise.  Each challenger is
+    // therefore priced only on window epochs newer than both its own
+    // and the active design's build flow, with the active design
+    // priced on the same suffix.  The best unbiased gain must clear
+    // the threshold for a full streak before the controller pays for
+    // a switch.
+    if (candidates_.size() > 1) {
+        // A one-epoch suffix is too small a sample to bet a
+        // reconfiguration on; demand at least a quarter window of
+        // out-of-sample evidence.
+        std::size_t min_suffix = (policy_.trafficWindow + 3) / 4;
+        int best = -1;
+        double gain = 0.0;
+        for (std::size_t c = 0; c < candidates_.size(); ++c) {
+            if (static_cast<int>(c) == active_ || retired_[c])
+                continue;
+            long long barrier = std::max(
+                builtAt_[c], builtAt_[static_cast<std::size_t>(active_)]);
+            std::size_t suffix = 0;
+            for (std::size_t epoch_index : windowEpochs_)
+                if (static_cast<long long>(epoch_index) > barrier)
+                    ++suffix;
+            if (suffix < min_suffix)
+                continue;
+            SourceTraffic traffic =
+                windowTraffic(window_, windowEpochs_, numNodes_, barrier);
+            double active_cost = priceWindow(
+                plans_[static_cast<std::size_t>(active_)], traffic,
+                workers_);
+            if (active_cost <= 0.0)
+                continue;
+            double challenger_cost =
+                priceWindow(plans_[c], traffic, workers_);
+            double c_gain = (active_cost - challenger_cost) / active_cost;
+            if (journalEnabled()) {
+                JournalRecord rec(JournalKind::Price, e);
+                rec.addInt(static_cast<std::int64_t>(c))
+                    .addInt(static_cast<std::int64_t>(suffix));
+                rec.addReal(active_cost)
+                    .addReal(challenger_cost)
+                    .addReal(c_gain);
+                Journal::global().record(rec);
+            }
+            if (best < 0 || c_gain > gain) {
+                best = static_cast<int>(c);
+                gain = c_gain;
+            }
+        }
+        if (best >= 0 && gain > policy_.switchGainThreshold) {
+            if (best != pendingTarget_) {
+                pendingTarget_ = best;
+                switchGate_.reset();
+            }
+            switchGate_.observe(true);
+        } else {
+            pendingTarget_ = -1;
+            switchGate_.reset();
+        }
+        if (pendingTarget_ >= 0 && switchGate_.ready()) {
+            double cost = static_cast<double>(numNodes_) *
+                          policy_.switchEnergyPerSource;
+            AdaptiveAction action;
+            action.kind = AdaptiveActionKind::Switch;
+            action.epoch = e;
+            action.design = pendingTarget_;
+            action.gain = gain;
+            action.energyCost = cost;
+            log_.actions.push_back(action);
+            if (ledger_ != nullptr)
+                ledger_->addReconfigEnergy(e, cost);
+            if (journalEnabled()) {
+                JournalRecord rec(JournalKind::Switch, e);
+                rec.addInt(active_)
+                    .addInt(pendingTarget_)
+                    .addInt(switchGate_.streak());
+                rec.addReal(gain).addReal(cost);
+                Journal::global().record(rec);
+            }
+            if (active_ != 0) {
+                retired_[static_cast<std::size_t>(active_)] = 1;
+                if (journalEnabled()) {
+                    JournalRecord rec(JournalKind::Retire, e);
+                    rec.addInt(active_);
+                    Journal::global().record(rec);
+                }
+            }
+            active_ = pendingTarget_;
+            pendingTarget_ = -1;
+            switchGate_.consume();
+        }
+    }
+
+    epoch.actions = static_cast<int>(log_.actions.size() - first_action);
+    for (std::size_t a = first_action; a < log_.actions.size(); ++a)
+        epoch.reconfigEnergy += log_.actions[a].energyCost;
+    log_.epochs.push_back(epoch);
+    log_.totalReconfigEnergy += epoch.reconfigEnergy;
+
+    activeSeries_->add(e, static_cast<std::uint64_t>(epoch.activeDesign));
+    if (epoch.actions > 0)
+        actionSeries_->add(e, static_cast<std::uint64_t>(epoch.actions));
+}
+
+AdaptiveLog
+AdaptiveController::finish()
+{
+    panicIf(finished_ || nextEpoch_ != numEpochs_,
+            "adaptive controller finished before the trace's last epoch");
+    finished_ = true;
+    log_.numCandidates = static_cast<int>(candidates_.size());
+    log_.finalDesign = active_;
+
+    // The run's losses are attributed under the design it finished
+    // with -- the one a deployed die would be driving.
+    if (ledger_ != nullptr)
+        designer_.model().attachLosses(
+            candidates_[static_cast<std::size_t>(active_)], *ledger_,
+            pool_);
+    return std::move(log_);
+}
+
 AdaptiveLog
 runAdaptiveController(const core::Designer &designer,
                       const core::MnocDesign &static_design,
@@ -127,378 +489,19 @@ runAdaptiveController(const core::Designer &designer,
                       core::EnergyLedger *adaptive_ledger,
                       ThreadPool *pool)
 {
-    policy.validate();
-    int n = static_design.topology.numNodes;
     const sim::TraceHeader &header = reader.header();
-    fatalIf(header.numNodes != n,
-            "trace and design disagree on node count");
-    fatalIf(header.numEpochs == 0,
-            "adaptive controller needs an epoch-bucketed trace "
-            "(capture with MNOC_LEDGER=1)");
-    fatalIf(policy.candidateSpec.numModes !=
-                static_design.topology.numModes,
-            "candidate mode count must match the deployed design");
-    std::size_t num_epochs = header.numEpochs;
-    if (adaptive_ledger != nullptr) {
-        fatalIf(adaptive_ledger->numEpochs() != num_epochs,
-                "adaptive ledger and trace disagree on epoch count");
-        fatalIf(adaptive_ledger->numSources() != n ||
-                    adaptive_ledger->numModes() !=
-                        static_design.topology.numModes,
-                "adaptive ledger and design disagree on shape");
-    }
-
+    AdaptiveController controller(designer, static_design, policy,
+                                  header, adaptive_ledger, pool);
     TraceSpan span("runAdaptiveController", "runtime");
-    auto &metrics = MetricsRegistry::global();
-    metrics.counter("runtime.adaptive_runs").add();
-    Series &active_series = metrics.series("runtime.adaptive_active");
-    Series &action_series =
-        metrics.series("runtime.adaptive_actions");
-    ThreadPool &workers =
-        pool != nullptr ? *pool : ThreadPool::global();
-
-    const core::MnocPowerModel &model = designer.model();
-    const core::PowerParams &params = model.params();
-    const optics::DeviceParams &optics_params =
-        model.crossbar().params();
-
-    // Candidate pool: designs plus their pricing plans; member 0 is
-    // the deployed static design and is never evicted.  Each entry
-    // remembers the epoch whose window built it (-1 for the static
-    // design, solved before the run) so rule S can price it
-    // out-of-sample.
-    std::vector<core::MnocDesign> candidates;
-    std::vector<core::AccrualPlan> plans;
-    std::vector<long long> built_at;
-    // A candidate the controller switched away from is retired: its
-    // trailing-window pricing already failed to hold up once, so it
-    // may not challenge again (a recurring phase earns a fresh
-    // retarget instead), and its slot is first in line for reuse.
-    std::vector<char> retired;
-    candidates.push_back(static_design);
-    plans.emplace_back(static_design, params, optics_params, n);
-    built_at.push_back(-1);
-    retired.push_back(0);
-
-    sim::PhaseDetector detector(n, policy.trafficWindow,
-                                policy.phaseChangeThreshold);
-    StreakGate switch_gate(policy.epochsToSwitch);
-    int pending_target = -1;
-    int active = 0;
-    // The warm-up retarget arms here; phase changes re-arm it.
-    bool retarget_pending = true;
-
-    // Trailing window of mapped epoch cells (newest last), with the
-    // epoch index of each entry alongside for out-of-sample pricing.
-    std::deque<std::vector<noc::EpochCell>> window;
-    std::deque<std::size_t> window_epochs;
-
-    AdaptiveLog log;
-    log.epochs.reserve(num_epochs);
-
-    auto window_flow = [&] {
-        FlowMatrix flow(static_cast<std::size_t>(n),
-                        static_cast<std::size_t>(n), 0.0);
-        for (const auto &cells : window)
-            for (const noc::EpochCell &cell : cells)
-                flow(static_cast<std::size_t>(cell.src),
-                     static_cast<std::size_t>(cell.dst)) +=
-                    static_cast<double>(cell.flits);
-        return flow;
-    };
-
-    // Window traffic restricted to epochs strictly newer than
-    // @p newer_than (-1 for the whole window).
-    auto window_traffic = [&](long long newer_than) {
-        SourceTraffic traffic(static_cast<std::size_t>(n));
-        for (std::size_t w = 0; w < window.size(); ++w) {
-            if (static_cast<long long>(window_epochs[w]) <=
-                newer_than)
-                continue;
-            for (const noc::EpochCell &cell : window[w])
-                if (cell.flits > 0 && cell.dst != cell.src)
-                    traffic[static_cast<std::size_t>(cell.src)]
-                        .emplace_back(cell.dst, cell.flits);
-        }
-        return traffic;
-    };
-
-    // Build a candidate from the trailing window and place it in the
-    // pool: a retired slot first, then a fresh slot while there is
-    // room, then the oldest slot that is neither the static design
-    // nor active.
-    auto retarget = [&](std::size_t epoch) {
-        int slot = -1;
-        for (std::size_t c = 1; c < candidates.size(); ++c)
-            if (retired[c]) {
-                slot = static_cast<int>(c);
-                break;
-            }
-        if (slot < 0 && static_cast<int>(candidates.size()) <
-                            policy.maxCandidates)
-            slot = static_cast<int>(candidates.size());
-        if (slot < 0) {
-            // Oldest live retarget slot that is not mid-accrual;
-            // with a two-entry pool whose retarget slot is active
-            // there is nothing to evict, so skip this retarget.
-            slot = active == 1 ? 2 : 1;
-            if (slot >= static_cast<int>(candidates.size()))
-                return;
-        }
-        FlowMatrix flow = window_flow();
-        core::GlobalPowerTopology topo =
-            designer.buildTopology(policy.candidateSpec, flow);
-        core::MnocDesign design = designer.buildDesign(
-            policy.candidateSpec, topo, flow,
-            policy.candidateMargin);
-        if (slot == static_cast<int>(candidates.size())) {
-            candidates.push_back(std::move(design));
-            plans.emplace_back(candidates.back(), params,
-                               optics_params, n);
-            built_at.push_back(static_cast<long long>(epoch));
-            retired.push_back(0);
-        } else {
-            candidates[static_cast<std::size_t>(slot)] =
-                std::move(design);
-            plans[static_cast<std::size_t>(slot)] =
-                core::AccrualPlan(
-                    candidates[static_cast<std::size_t>(slot)],
-                    params, optics_params, n);
-            built_at[static_cast<std::size_t>(slot)] =
-                static_cast<long long>(epoch);
-            retired[static_cast<std::size_t>(slot)] = 0;
-            // The replaced challenger may have been mid-streak.
-            if (pending_target == slot) {
-                pending_target = -1;
-                switch_gate.reset();
-            }
-        }
-        AdaptiveAction action;
-        action.kind = AdaptiveActionKind::Retarget;
-        action.epoch = epoch;
-        action.design = slot;
-        log.actions.push_back(action);
-        if (journalEnabled()) {
-            JournalRecord rec(JournalKind::Retarget, epoch);
-            rec.addInt(slot)
-                .addInt(static_cast<std::int64_t>(
-                    window_epochs.front()))
-                .addInt(static_cast<std::int64_t>(
-                    window_epochs.back()));
-            Journal::global().record(rec);
-        }
-    };
-
     std::vector<noc::EpochCell> cells;
-    for (std::size_t e = 0; e < num_epochs; ++e) {
+    for (std::size_t e = 0; e < header.numEpochs; ++e) {
         panicIf(!reader.nextEpoch(cells),
                 "trace ended before its declared epoch count");
         if (thread_to_core != nullptr)
             cells = sim::mapEpochCells(cells, *thread_to_core);
-
-        std::size_t first_action = log.actions.size();
-        AdaptiveEpoch epoch;
-        epoch.epoch = e;
-        epoch.activeDesign = active;
-
-        // Causality: epoch e ran under the design active entering
-        // it; its traffic is only observed now, at the boundary.
-        const core::AccrualPlan &active_plan =
-            plans[static_cast<std::size_t>(active)];
-        if (adaptive_ledger != nullptr)
-            for (const noc::EpochCell &cell : cells)
-                active_plan.accrue(*adaptive_ledger, cell.src,
-                                   cell.dst, cell.flits, e);
-        epoch.staticEnergy = priceEpoch(plans[0], cells);
-        epoch.adaptiveEnergy = priceEpoch(active_plan, cells);
-
-        window.push_back(cells);
-        window_epochs.push_back(e);
-        if (window.size() > policy.trafficWindow) {
-            window.pop_front();
-            window_epochs.pop_front();
-        }
-
-        // Rule P: phase detection over the epoch signature.
-        bool changed = detector.observe(cells);
-        epoch.phaseChange = changed;
-        if (changed) {
-            AdaptiveAction action;
-            action.kind = AdaptiveActionKind::PhaseChange;
-            action.epoch = e;
-            action.gain = detector.lastDistance();
-            log.actions.push_back(action);
-            if (journalEnabled()) {
-                JournalRecord rec(JournalKind::PhaseChange, e);
-                rec.addReal(detector.lastDistance());
-                Journal::global().record(rec);
-            }
-            // The old phase's traffic must not leak into the new
-            // phase's retarget flow or pricing window: a candidate
-            // built from a straddling window lands in traffic it was
-            // not solved for.  Flush down to the change epoch (the
-            // new phase's first) and let any mid-streak challenger
-            // re-earn its streak against the new traffic.
-            window.erase(window.begin(), window.end() - 1);
-            window_epochs.erase(window_epochs.begin(),
-                                window_epochs.end() - 1);
-            pending_target = -1;
-            switch_gate.reset();
-            retarget_pending = true;
-        }
-
-        // Rule R: retarget once the window holds a full window of
-        // single-phase traffic -- at warm-up, and again after every
-        // phase change once the flushed window has refilled.
-        if (retarget_pending &&
-            window.size() == policy.trafficWindow) {
-            retarget(e);
-            retarget_pending = false;
-        }
-
-        // Candidate expiry: a retarget is a bet on the phase whose
-        // window built it.  One that has not won a switch within a
-        // few windows of its build modeled traffic that has since
-        // drifted away (pair-level drift is invisible to the
-        // distance-histogram phase detector), and betting a
-        // reconfiguration on it now would chase noise -- retire it
-        // and free its slot.
-        long long expiry =
-            4 * static_cast<long long>(policy.trafficWindow);
-        for (std::size_t c = 1; c < candidates.size(); ++c)
-            if (!retired[c] && static_cast<int>(c) != active &&
-                static_cast<long long>(e) > built_at[c] + expiry) {
-                retired[c] = 1;
-                if (journalEnabled()) {
-                    JournalRecord rec(JournalKind::Expire, e);
-                    rec.addInt(static_cast<std::int64_t>(c))
-                        .addInt(built_at[c]);
-                    Journal::global().record(rec);
-                }
-            }
-
-        // Rule S: price every challenger against the trailing
-        // window, *out-of-sample*: a retarget candidate is solved to
-        // be cheap on the very window that built it, so judging it
-        // there would reward overfit to the window's sampling noise.
-        // Each challenger is therefore priced only on window epochs
-        // newer than both its own and the active design's build
-        // flow, with the active design priced on the same suffix.
-        // The best unbiased gain must clear the threshold for a full
-        // streak before the controller pays for a switch.
-        if (candidates.size() > 1) {
-            // A one-epoch suffix is too small a sample to bet a
-            // reconfiguration on; demand at least a quarter window
-            // of out-of-sample evidence.
-            std::size_t min_suffix = (policy.trafficWindow + 3) / 4;
-            int best = -1;
-            double gain = 0.0;
-            for (std::size_t c = 0; c < candidates.size(); ++c) {
-                if (static_cast<int>(c) == active || retired[c])
-                    continue;
-                long long barrier = std::max(
-                    built_at[c],
-                    built_at[static_cast<std::size_t>(active)]);
-                std::size_t suffix = 0;
-                for (std::size_t epoch_index : window_epochs)
-                    if (static_cast<long long>(epoch_index) >
-                        barrier)
-                        ++suffix;
-                if (suffix < min_suffix)
-                    continue;
-                SourceTraffic traffic = window_traffic(barrier);
-                double active_cost = priceWindow(
-                    plans[static_cast<std::size_t>(active)],
-                    traffic, workers);
-                if (active_cost <= 0.0)
-                    continue;
-                double challenger_cost =
-                    priceWindow(plans[c], traffic, workers);
-                double c_gain =
-                    (active_cost - challenger_cost) / active_cost;
-                if (journalEnabled()) {
-                    JournalRecord rec(JournalKind::Price, e);
-                    rec.addInt(static_cast<std::int64_t>(c))
-                        .addInt(static_cast<std::int64_t>(suffix));
-                    rec.addReal(active_cost)
-                        .addReal(challenger_cost)
-                        .addReal(c_gain);
-                    Journal::global().record(rec);
-                }
-                if (best < 0 || c_gain > gain) {
-                    best = static_cast<int>(c);
-                    gain = c_gain;
-                }
-            }
-            if (best >= 0 && gain > policy.switchGainThreshold) {
-                if (best != pending_target) {
-                    pending_target = best;
-                    switch_gate.reset();
-                }
-                switch_gate.observe(true);
-            } else {
-                pending_target = -1;
-                switch_gate.reset();
-            }
-            if (pending_target >= 0 && switch_gate.ready()) {
-                double cost = static_cast<double>(n) *
-                              policy.switchEnergyPerSource;
-                AdaptiveAction action;
-                action.kind = AdaptiveActionKind::Switch;
-                action.epoch = e;
-                action.design = pending_target;
-                action.gain = gain;
-                action.energyCost = cost;
-                log.actions.push_back(action);
-                if (adaptive_ledger != nullptr)
-                    adaptive_ledger->addReconfigEnergy(e, cost);
-                if (journalEnabled()) {
-                    JournalRecord rec(JournalKind::Switch, e);
-                    rec.addInt(active)
-                        .addInt(pending_target)
-                        .addInt(switch_gate.streak());
-                    rec.addReal(gain).addReal(cost);
-                    Journal::global().record(rec);
-                }
-                if (active != 0) {
-                    retired[static_cast<std::size_t>(active)] = 1;
-                    if (journalEnabled()) {
-                        JournalRecord rec(JournalKind::Retire, e);
-                        rec.addInt(active);
-                        Journal::global().record(rec);
-                    }
-                }
-                active = pending_target;
-                pending_target = -1;
-                switch_gate.consume();
-            }
-        }
-
-        epoch.actions = static_cast<int>(log.actions.size() -
-                                         first_action);
-        for (std::size_t a = first_action; a < log.actions.size();
-             ++a)
-            epoch.reconfigEnergy += log.actions[a].energyCost;
-        log.epochs.push_back(epoch);
-        log.totalReconfigEnergy += epoch.reconfigEnergy;
-
-        active_series.add(
-            e, static_cast<std::uint64_t>(epoch.activeDesign));
-        if (epoch.actions > 0)
-            action_series.add(
-                e, static_cast<std::uint64_t>(epoch.actions));
+        controller.observe(e, cells);
     }
-
-    log.numCandidates = static_cast<int>(candidates.size());
-    log.finalDesign = active;
-
-    // The run's losses are attributed under the design it finished
-    // with -- the one a deployed die would be driving.
-    if (adaptive_ledger != nullptr)
-        model.attachLosses(
-            candidates[static_cast<std::size_t>(active)],
-            *adaptive_ledger, pool);
-    return log;
+    return controller.finish();
 }
 
 AdaptiveComparison

@@ -50,9 +50,15 @@
  * fault controller's trims -- run adaptive first, degradation after,
  * against whichever design ended up active.
  *
- * Determinism: the epoch loop is sequential; candidate pricing fans
- * per-source partial sums across the pool into disjoint slots and
- * reduces them in source order, so the whole run -- decisions,
+ * Driving: AdaptiveController is a stepper fed one epoch at a time.
+ * The replay verbs attach it to the static ledger build as its epoch
+ * observer (MnocPowerModel::buildLedger), so one pass over the trace
+ * serves both ledgers; runAdaptiveController() drives it from a
+ * reader of its own.
+ *
+ * Determinism: epochs are stepped sequentially; candidate pricing
+ * fans per-source partial sums across the pool into disjoint slots
+ * and reduces them in source order, so the whole run -- decisions,
  * ledger, log -- is bit-identical at any MNOC_THREADS.
  */
 
@@ -60,15 +66,21 @@
 #define MNOC_RUNTIME_ADAPTIVE_CONTROLLER_HH
 
 #include <cstdint>
+#include <deque>
 #include <vector>
 
+#include "core/accrual.hh"
 #include "core/designer.hh"
 #include "core/energy_ledger.hh"
+#include "runtime/hysteresis.hh"
+#include "sim/phase_detector.hh"
 
 namespace mnoc {
+class Series;
 class ThreadPool;
 namespace sim {
 class TraceReader;
+struct TraceHeader;
 } // namespace sim
 } // namespace mnoc
 
@@ -190,26 +202,117 @@ struct AdaptiveComparison
 };
 
 /**
- * Run the adaptive controller over an epoch-bucketed trace.
+ * The adaptive controller as an epoch stepper: construct it for a
+ * trace, feed it every epoch's mapped cells in order with observe(),
+ * then call finish() once for the run record.
+ */
+class AdaptiveController
+{
+  public:
+    /**
+     * @param designer Designer owning the crossbar and power model
+     *        the deployed design was built with; retargets and
+     *        pricing use its model.  Must outlive the controller.
+     * @param static_design The deployed design (candidate 0; also the
+     *        pricing baseline for the per-epoch staticEnergy column).
+     * @param policy Rule-table knobs (validated).
+     * @param header Header of the trace to be stepped; fatal if it
+     *        disagrees with the design or has no epoch buckets.
+     * @param adaptive_ledger Optional ledger receiving the adaptive
+     *        attribution: each epoch accrues under the design active
+     *        entering it, switches charge reconfig cells, and
+     *        finish() attaches the final active design's loss
+     *        breakdowns.  Must match the trace's dimensions and the
+     *        candidate mode count, and outlive the controller.
+     * @param pool Worker pool for candidate pricing and loss
+     *        attachment (the global pool when null); must outlive
+     *        the controller.
+     */
+    AdaptiveController(const core::Designer &designer,
+                       const core::MnocDesign &static_design,
+                       const AdaptivePolicy &policy,
+                       const sim::TraceHeader &header,
+                       core::EnergyLedger *adaptive_ledger = nullptr,
+                       ThreadPool *pool = nullptr);
+
+    // Steps one run into one ledger; an epoch observer holds its
+    // address.
+    AdaptiveController(const AdaptiveController &) = delete;
+    AdaptiveController &operator=(const AdaptiveController &) = delete;
+
+    /**
+     * Step over epoch @p epoch at its closing boundary: accrue it
+     * under the active design, then apply rules P, R and S, candidate
+     * expiry and the epoch's journal records and metric series.
+     * @p cells are the epoch's cells in core coordinates.  Epochs
+     * must arrive as 0, 1, 2, ...; anything else is a panic.
+     */
+    void observe(std::size_t epoch,
+                 const std::vector<noc::EpochCell> &cells);
+
+    /**
+     * Close the run after its last epoch: attach the final active
+     * design's losses to the adaptive ledger and return the record.
+     * A panic before the last epoch or on a second call.
+     */
+    AdaptiveLog finish();
+
+  private:
+    /** Rule R: build a candidate from the window and place it. */
+    void retarget(std::size_t epoch);
+
+    const core::Designer &designer_;
+    AdaptivePolicy policy_;
+    core::EnergyLedger *ledger_;
+    ThreadPool *pool_;
+    ThreadPool &workers_;
+    int numNodes_;
+    std::size_t numEpochs_;
+    std::size_t nextEpoch_ = 0;
+    bool finished_ = false;
+    Series *activeSeries_ = nullptr;
+    Series *actionSeries_ = nullptr;
+
+    // Candidate pool: designs plus their pricing plans; member 0 is
+    // the deployed static design and is never evicted.  Each entry
+    // remembers the epoch whose window built it (-1 for the static
+    // design, solved before the run) so rule S can price it
+    // out-of-sample.
+    std::vector<core::MnocDesign> candidates_;
+    std::vector<core::AccrualPlan> plans_;
+    std::vector<long long> builtAt_;
+    // A candidate the controller switched away from is retired: its
+    // trailing-window pricing already failed to hold up once, so it
+    // may not challenge again (a recurring phase earns a fresh
+    // retarget instead), and its slot is first in line for reuse.
+    std::vector<char> retired_;
+
+    sim::PhaseDetector detector_;
+    StreakGate switchGate_;
+    int pendingTarget_ = -1;
+    int active_ = 0;
+    // The warm-up retarget arms here; phase changes re-arm it.
+    bool retargetPending_ = true;
+
+    // Trailing window of mapped epoch cells (newest last), with the
+    // epoch index of each entry alongside for out-of-sample pricing.
+    std::deque<std::vector<noc::EpochCell>> window_;
+    std::deque<std::size_t> windowEpochs_;
+
+    AdaptiveLog log_;
+};
+
+/**
+ * Run the adaptive controller over an epoch-bucketed trace read from
+ * @p reader: an AdaptiveController fed every epoch in order.
  *
- * @param designer Designer owning the crossbar and power model the
- *        deployed design was built with; retargets and pricing use
- *        its model.
- * @param static_design The deployed design (candidate 0; also the
- *        pricing baseline for the per-epoch staticEnergy column).
- * @param policy Rule-table knobs (validated).
  * @param reader Epoch source; fatal if the trace has no epoch
  *        buckets.  The reader is consumed (epochs are pulled once,
  *        in order).
  * @param thread_to_core Optional thread-to-core permutation applied
- *        to every epoch cell before observation and accrual.
- * @param adaptive_ledger Optional ledger receiving the adaptive
- *        attribution: each epoch accrues under the design active
- *        entering it, switches charge reconfig cells, and the final
- *        active design's loss breakdowns are attached.  Must match
- *        the trace's dimensions and the candidate mode count.
- * @param pool Worker pool for candidate pricing and loss
- *        attachment (the global pool when null).
+ *        to every epoch cell before it is stepped.
+ *
+ * The other parameters are AdaptiveController's.
  */
 AdaptiveLog runAdaptiveController(
     const core::Designer &designer,

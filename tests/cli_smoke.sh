@@ -120,6 +120,27 @@ MNOC_ADAPT=1 "$MNOCPT" report --design "$DIR/t.design" \
     > /dev/null
 cmp "$DIR/adapt_a/mnoc_adaptive.csv" "$DIR/report_a/mnoc_adaptive.csv"
 
+# One trace pass per replay verb, under every MNOC_FAULTS/MNOC_ADAPT
+# combination: the adaptive controller steps inside the static ledger
+# build, so no verb opens the trace twice.
+# expect_one_pass <verb> [VAR=value...]
+expect_one_pass() {
+    verb=$1
+    shift
+    rm -f "$DIR/m.json"
+    env "$@" MNOC_METRICS="$DIR/m.json" "$MNOCPT" "$verb" \
+        --design "$DIR/t.design" --trace "$DIR/e.trace" \
+        --map "$DIR/t.map" --dir "$DIR/one_pass" > /dev/null
+    grep -q '"trace.stream_opens": 1' "$DIR/m.json"
+}
+expect_one_pass adapt
+expect_one_pass report MNOC_FAULTS=1 MNOC_ADAPT=1
+expect_one_pass report MNOC_ADAPT=1
+expect_one_pass report MNOC_FAULTS=1
+expect_one_pass report
+expect_one_pass faults
+expect_one_pass evaluate
+
 # Garbage fault knobs must stop the run, naming the knob.
 if MNOC_FAULTS=2 "$MNOCPT" report --design "$DIR/t.design" \
     --trace "$DIR/e.trace" --dir "$DIR/report_bad" \
@@ -246,7 +267,8 @@ then exit 1; fi
 grep -q "epoch-cell record at byte 141" "$DIR/err_signed.txt"
 
 # A bad mapping token is reported at its line, not its token index,
-# and a signed core id is rejected like any other non-integer.
+# and a signed core id is rejected like any other non-integer; so are
+# an out-of-range core and a repeated one.
 paste -d ' ' - - - - < "$DIR/t.map" | sed '4s/ [0-9]*$/ x/' \
     > "$DIR/lines.map"
 if "$MNOCPT" evaluate --design "$DIR/t.design" --trace "$DIR/t.trace" \
@@ -258,6 +280,18 @@ if "$MNOCPT" evaluate --design "$DIR/t.design" --trace "$DIR/t.trace" \
     --map "$DIR/plus.map" 2>"$DIR/err_plus.txt"
 then exit 1; fi
 grep -q "plus.map:1: field 'core'" "$DIR/err_plus.txt"
+sed '1s/.*/99/' "$DIR/t.map" > "$DIR/range.map"
+if "$MNOCPT" design --trace "$DIR/t.trace" --map "$DIR/range.map" \
+    --out "$DIR/range.design" 2>"$DIR/err_range.txt"
+then exit 1; fi
+grep -q "range.map:1: field 'core': core 99 is out of range" \
+    "$DIR/err_range.txt"
+sed -e '1s/.*/0/' -e '2s/.*/0/' "$DIR/t.map" > "$DIR/twice.map"
+if "$MNOCPT" design --trace "$DIR/t.trace" --map "$DIR/twice.map" \
+    --out "$DIR/twice.design" 2>"$DIR/err_twice.txt"
+then exit 1; fi
+grep -q "twice.map:2: field 'core': core 0 is used twice" \
+    "$DIR/err_twice.txt"
 
 # An unreadable design (a directory, here) fails with the path.
 mkdir -p "$DIR/not_a_file.design"

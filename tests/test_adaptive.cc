@@ -5,8 +5,10 @@
  * signature shift and reject bad knobs, the controller must retarget
  * and switch on a synthetic two-phase trace, the whole run --
  * decisions, log, ledger -- must be bit-identical at any pool size,
- * the static-vs-adaptive reconciliation identity must hold, an
- * epoch-free trace must be fatal, and the phase-splice workload
+ * the static-vs-adaptive reconciliation identity must hold, the
+ * stepper riding the static ledger build must match the two-pass
+ * path bit for bit and refuse epochs out of order, an epoch-free
+ * trace must be fatal, and the phase-splice workload
  * feeding the acceptance fixtures must be deterministic per seed.
  */
 
@@ -158,6 +160,54 @@ expectSameLedger(const EnergyLedger &a, const EnergyLedger &b)
                 ASSERT_EQ(x.electricalEnergy, y.electricalEnergy);
             }
     ASSERT_EQ(a.totalReconfigEnergy(), b.totalReconfigEnergy());
+}
+
+/** Bit-exact loss-breakdown and epoch-shape comparison, the parts
+ *  of a ledger expectSameLedger() leaves out. */
+void
+expectSameLosses(const EnergyLedger &a, const EnergyLedger &b)
+{
+    ASSERT_EQ(a.messagesPerEpoch(), b.messagesPerEpoch());
+    ASSERT_EQ(a.durationSeconds(), b.durationSeconds());
+    for (int s = 0; s < a.numSources(); ++s)
+        for (int m = 0; m < a.numModes(); ++m) {
+            const auto &x = a.loss(s, m);
+            const auto &y = b.loss(s, m);
+            ASSERT_EQ(x.injected, y.injected);
+            ASSERT_EQ(x.sourceCoupling, y.sourceCoupling);
+            ASSERT_EQ(x.sourceSplit, y.sourceSplit);
+            ASSERT_EQ(x.waveguide, y.waveguide);
+            ASSERT_EQ(x.tapInsertion, y.tapInsertion);
+            ASSERT_EQ(x.receiverCoupling, y.receiverCoupling);
+            ASSERT_EQ(x.delivered, y.delivered);
+            ASSERT_EQ(x.residual, y.residual);
+        }
+}
+
+/** Bit-exact adaptive run record comparison. */
+void
+expectSameLog(const runtime::AdaptiveLog &a, const runtime::AdaptiveLog &b)
+{
+    EXPECT_EQ(a.numCandidates, b.numCandidates);
+    EXPECT_EQ(a.finalDesign, b.finalDesign);
+    EXPECT_EQ(a.totalReconfigEnergy, b.totalReconfigEnergy);
+    ASSERT_EQ(a.epochs.size(), b.epochs.size());
+    for (std::size_t e = 0; e < a.epochs.size(); ++e) {
+        EXPECT_EQ(a.epochs[e].activeDesign, b.epochs[e].activeDesign);
+        EXPECT_EQ(a.epochs[e].phaseChange, b.epochs[e].phaseChange);
+        EXPECT_EQ(a.epochs[e].actions, b.epochs[e].actions);
+        EXPECT_EQ(a.epochs[e].staticEnergy, b.epochs[e].staticEnergy);
+        EXPECT_EQ(a.epochs[e].adaptiveEnergy, b.epochs[e].adaptiveEnergy);
+        EXPECT_EQ(a.epochs[e].reconfigEnergy, b.epochs[e].reconfigEnergy);
+    }
+    ASSERT_EQ(a.actions.size(), b.actions.size());
+    for (std::size_t k = 0; k < a.actions.size(); ++k) {
+        EXPECT_EQ(a.actions[k].kind, b.actions[k].kind);
+        EXPECT_EQ(a.actions[k].epoch, b.actions[k].epoch);
+        EXPECT_EQ(a.actions[k].design, b.actions[k].design);
+        EXPECT_EQ(a.actions[k].gain, b.actions[k].gain);
+        EXPECT_EQ(a.actions[k].energyCost, b.actions[k].energyCost);
+    }
 }
 
 TEST(PhaseDetector, CtorRejectsBadKnobs)
@@ -348,38 +398,93 @@ TEST(Adaptive, RunIsBitIdenticalAcrossPoolSizes)
     }
 
     for (std::size_t i = 1; i < logs.size(); ++i) {
-        const auto &a = logs[0];
-        const auto &b = logs[i];
-        EXPECT_EQ(a.numCandidates, b.numCandidates);
-        EXPECT_EQ(a.finalDesign, b.finalDesign);
-        EXPECT_EQ(a.totalReconfigEnergy, b.totalReconfigEnergy);
-        ASSERT_EQ(a.epochs.size(), b.epochs.size());
-        for (std::size_t e = 0; e < a.epochs.size(); ++e) {
-            EXPECT_EQ(a.epochs[e].activeDesign,
-                      b.epochs[e].activeDesign);
-            EXPECT_EQ(a.epochs[e].phaseChange,
-                      b.epochs[e].phaseChange);
-            EXPECT_EQ(a.epochs[e].actions, b.epochs[e].actions);
-            EXPECT_EQ(a.epochs[e].staticEnergy,
-                      b.epochs[e].staticEnergy);
-            EXPECT_EQ(a.epochs[e].adaptiveEnergy,
-                      b.epochs[e].adaptiveEnergy);
-            EXPECT_EQ(a.epochs[e].reconfigEnergy,
-                      b.epochs[e].reconfigEnergy);
-        }
-        ASSERT_EQ(a.actions.size(), b.actions.size());
-        for (std::size_t k = 0; k < a.actions.size(); ++k) {
-            EXPECT_EQ(a.actions[k].kind, b.actions[k].kind);
-            EXPECT_EQ(a.actions[k].epoch, b.actions[k].epoch);
-            EXPECT_EQ(a.actions[k].design, b.actions[k].design);
-            EXPECT_EQ(a.actions[k].gain, b.actions[k].gain);
-            EXPECT_EQ(a.actions[k].energyCost,
-                      b.actions[k].energyCost);
-        }
+        expectSameLog(logs[0], logs[i]);
         expectSameLedger(ledgers[0], ledgers[i]);
     }
     // The shared fixture must actually exercise the controller.
     EXPECT_FALSE(logs[0].actions.empty());
+}
+
+TEST(Adaptive, StepperOnTheLedgerBuildMatchesTheTwoPassPath)
+{
+    AdaptiveFixture fx;
+    auto design = fx.design();
+    auto trace = twoPhaseTrace(24, 24);
+    std::string file = scratchPath("adaptive_one_pass.trace");
+    sim::saveTrace(file, trace);
+    // Thread t runs on core 5t + 3 (mod 16): a permutation that moves
+    // every thread and reorders every epoch's cells.
+    std::vector<int> mapping(kNodes);
+    for (int t = 0; t < kNodes; ++t)
+        mapping[static_cast<std::size_t>(t)] = (5 * t + 3) % kNodes;
+    const MnocPowerModel &model = fx.designer.model();
+
+    for (int threads : {1, 4}) {
+        ThreadPool pool(threads);
+        // Reference: the static ledger alone, then the controller
+        // over a reader of its own.
+        sim::TraceReader static_reader(file);
+        auto static_ref =
+            model.buildLedger(design, static_reader, &mapping, &pool);
+        EnergyLedger adaptive_ref(kNodes, 2, static_ref.numEpochs(),
+                                  static_ref.durationSeconds());
+        sim::TraceReader adaptive_reader(file);
+        auto log_ref = runtime::runAdaptiveController(
+            fx.designer, design, fx.policy(), adaptive_reader, &mapping,
+            &adaptive_ref, &pool);
+
+        // One pass: the stepper observes the static ledger build.
+        sim::TraceReader reader(file);
+        EnergyLedger adaptive(kNodes, 2, static_ref.numEpochs(),
+                              static_ref.durationSeconds());
+        runtime::AdaptiveController controller(
+            fx.designer, design, fx.policy(), reader.header(), &adaptive,
+            &pool);
+        auto ledger = model.buildLedger(
+            design, reader, &mapping, &pool,
+            [&controller](std::size_t epoch,
+                          const std::vector<noc::EpochCell> &cells) {
+                controller.observe(epoch, cells);
+            });
+        auto log = controller.finish();
+
+        expectSameLedger(ledger, static_ref);
+        expectSameLosses(ledger, static_ref);
+        expectSameLog(log, log_ref);
+        expectSameLedger(adaptive, adaptive_ref);
+        expectSameLosses(adaptive, adaptive_ref);
+        // The fixture must exercise the controller under the mapping.
+        EXPECT_FALSE(log.actions.empty());
+    }
+}
+
+TEST(Adaptive, StepperPanicsOutOfEpochOrder)
+{
+    AdaptiveFixture fx;
+    auto design = fx.design();
+    auto trace = twoPhaseTrace(4, 4);
+    sim::TraceReader reader(trace);
+    const sim::TraceHeader &header = reader.header();
+    auto cells = neighborEpoch();
+
+    // A skipped epoch and a repeated one.
+    {
+        runtime::AdaptiveController controller(fx.designer, design,
+                                               fx.policy(), header);
+        EXPECT_THROW(controller.observe(1, cells), PanicError);
+        controller.observe(0, cells);
+        EXPECT_THROW(controller.observe(0, cells), PanicError);
+    }
+    // finish() before the last epoch, then past the end.
+    runtime::AdaptiveController controller(fx.designer, design,
+                                           fx.policy(), header);
+    for (std::size_t e = 0; e + 1 < header.numEpochs; ++e)
+        controller.observe(e, cells);
+    EXPECT_THROW(controller.finish(), PanicError);
+    controller.observe(header.numEpochs - 1, cells);
+    EXPECT_THROW(controller.observe(header.numEpochs, cells), PanicError);
+    EXPECT_EQ(controller.finish().epochs.size(), header.numEpochs);
+    EXPECT_THROW(controller.finish(), PanicError);
 }
 
 TEST(Adaptive, EpochFreeTraceIsFatal)

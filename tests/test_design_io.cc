@@ -1,6 +1,7 @@
 /**
  * @file
- * Tests of design serialization and drive tables.
+ * Tests of design serialization, drive tables, and thread-to-core
+ * mapping files.
  */
 
 #include <gtest/gtest.h>
@@ -9,6 +10,7 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "common/log.hh"
 #include "common/manifest.hh"
@@ -298,6 +300,84 @@ TEST(DesignIo, DriveTableMatchesDesign)
             EXPECT_LE(table[i].drivePower, table[i + 1].drivePower);
         }
     }
+}
+
+/** Write @p text as a mapping file and expect loading it for
+ *  @p cores cores to fail with "<path>@p where" in the message. */
+void
+expectMappingRejected(const std::string &text, int cores,
+                      const std::string &where)
+{
+    std::string path = testing::TempDir() + "mnoc_mapping_bad.map";
+    std::ofstream(path) << text;
+    try {
+        loadMapping(path, cores);
+        ADD_FAILURE() << "loaded mapping '" << text << "'";
+    } catch (const FatalError &error) {
+        EXPECT_NE(std::string(error.what()).find(path + where),
+                  std::string::npos)
+            << error.what() << " does not name " << path + where;
+    }
+    std::remove(path.c_str());
+}
+
+TEST(DesignIo, MappingLoadsAPermutationOverAnyLines)
+{
+    std::string path = testing::TempDir() + "mnoc_mapping_ok.map";
+    std::ofstream(path) << "2 0\n\n3\n  1\n";
+    EXPECT_EQ(loadMapping(path, 4), (std::vector<int>{2, 0, 3, 1}));
+    EXPECT_EQ(identityMapping(3), (std::vector<int>{0, 1, 2}));
+    std::remove(path.c_str());
+}
+
+TEST(DesignIo, MappingRejectsASign)
+{
+    // stoi would take "+1" and "-1"; a core id takes no sign.
+    expectMappingRejected("0 +1 2 3\n", 4,
+                          ":1: field 'core': expected an integer, "
+                          "got '+1'");
+    expectMappingRejected("0 -1 2 3\n", 4,
+                          ":1: field 'core': expected an integer, "
+                          "got '-1'");
+}
+
+TEST(DesignIo, MappingRejectsJunk)
+{
+    expectMappingRejected("0 1 x 3\n", 4,
+                          ":1: field 'core': expected an integer, "
+                          "got 'x'");
+    expectMappingRejected("0 1 2 3z\n", 4,
+                          ":1: field 'core': expected an integer, "
+                          "got '3z'");
+}
+
+TEST(DesignIo, MappingRejectsWrongCount)
+{
+    expectMappingRejected("0 1 2\n", 4,
+                          ": mapping lists 3 cores, expected 4");
+}
+
+TEST(DesignIo, MappingRejectsOutOfRangeCore)
+{
+    expectMappingRejected("0 1 2 9\n", 4,
+                          ":1: field 'core': core 9 is out of range "
+                          "for 4 cores");
+}
+
+TEST(DesignIo, MappingRejectsDuplicateCore)
+{
+    expectMappingRejected("0 1\n1 3\n", 4,
+                          ":2: field 'core': core 1 is used twice "
+                          "(first on line 1)");
+}
+
+TEST(DesignIo, MappingErrorNamesTheRealLine)
+{
+    // Line 5, not the fourth token: blank lines and several ids per
+    // line still count as lines.
+    expectMappingRejected("0 1\n\n2\n\n3 x\n", 5,
+                          ":5: field 'core': expected an integer, "
+                          "got 'x'");
 }
 
 } // namespace

@@ -9,8 +9,7 @@
  *   map       compute a taboo thread mapping from a trace
  *   design    build a power topology + splitter design from a trace
  *             (optionally hardened to a Monte Carlo yield target)
- *   evaluate  report the power of a design over a trace, streamed
- *             batch by batch (the trace is never materialized)
+ *   evaluate  report the power of a design over a trace
  *   budget    validate a design's link budgets / BER
  *   yield     Monte Carlo yield / margin distributions under device
  *             variation
@@ -37,33 +36,24 @@
  *             the command collected (set MNOC_METRICS=1 to collect
  *             in any command; see README "Environment knobs")
  *
- * The report/faults/stats/evaluate verbs pull the trace through the
- * streaming reader (sim/trace_stream.hh), so they run in bounded
- * memory on radix-1024 and radix-4096 captures, bit-identical at any
- * MNOC_THREADS pool size.  The replay verbs (evaluate, faults, adapt,
- * report) share one setup, and report's MNOC_FAULTS/MNOC_ADAPT sections run
- * the very fault and adaptive replays of `faults` and `adapt`.
+ * The replay verbs (evaluate, faults, adapt, report) live in the
+ * runtime library (runtime/replay.hh); here they only turn --options
+ * into structs and print what the library returns.  Each makes one
+ * pass over the trace through the streaming reader: the static
+ * ledger build, with the adaptive controller stepping inside it as
+ * its epoch observer, then the degradation controller over the
+ * finished ledger.  So they run in bounded memory on radix-1024 and
+ * radix-4096 captures, bit-identical at any MNOC_THREADS pool size,
+ * and report's MNOC_FAULTS/MNOC_ADAPT sections are the very fault and
+ * adaptive runs of `faults` and `adapt`.
  *
- * Examples:
+ * Examples (README.md has the full verb reference):
  *   mnocpt simulate --benchmark water_s --cores 64 --out ws.trace
- *   mnocpt simulate --benchmark radix --cores 1024 --out rx.trace
  *   mnocpt map --trace ws.trace --out ws.map
  *   mnocpt design --trace ws.trace --map ws.map --modes 4 \
  *                 --assign comm --out ws.design
- *   mnocpt design --trace ws.trace --modes 4 --assign comm \
- *                 --yield-target 0.95 --out ws.design
- *   mnocpt evaluate --design ws.design --trace ws.trace --map ws.map
- *   mnocpt budget --design ws.design
- *   mnocpt yield --design ws.design --trials 500 --seed 7 \
- *                --csv ws_yield.csv
- *   mnocpt faults --design ws.design --trace ws.trace --seed 7 \
- *                 --dir faults_out
- *   mnocpt adapt --design ws.design --trace ws.trace --dir adapt_out
- *   mnocpt explain --journal mnoc_journal.mjrn --dir explain_out
  *   mnocpt report --design ws.design --trace ws.trace --map ws.map \
  *                 --dir report_out
- *   mnocpt profile --spans mnoc_spans.json --top 20
- *   mnocpt stats --trace ws.trace --json ws_metrics.json
  */
 
 #include <array>
@@ -72,13 +62,11 @@
 #include <climits>
 #include <cmath>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
 #include <map>
-#include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -91,25 +79,21 @@
 #include "common/log.hh"
 #include "common/manifest.hh"
 #include "common/metrics.hh"
-#include "common/pgm.hh"
-#include "common/prng.hh"
 #include "common/table.hh"
 #include "common/trace_span.hh"
 #include "core/design_io.hh"
 #include "core/designer.hh"
-#include "core/energy_ledger.hh"
 #include "faults/variation.hh"
 #include "faults/yield.hh"
 #include "noc/mnoc_network.hh"
 #include "optics/link_budget.hh"
-#include "runtime/adaptive_controller.hh"
-#include "runtime/degradation_controller.hh"
-#include "runtime/fault_timeline.hh"
+#include "runtime/replay.hh"
 #include "sim/simulator.hh"
 #include "sim/trace_stream.hh"
 #include "workloads/registry.hh"
 
 using namespace mnoc;
+using runtime::Context;
 
 namespace {
 
@@ -217,22 +201,6 @@ class Args
     std::map<std::string, std::string> values_;
 };
 
-/** Shared context sized for @p cores. */
-struct Context
-{
-    explicit Context(int cores)
-        : layout(cores,
-                 optics::defaultWaveguideLength * cores / 256.0),
-          crossbar(layout, optics::DeviceParams{}),
-          designer(crossbar)
-    {
-    }
-
-    optics::SerpentineLayout layout;
-    optics::OpticalCrossbar crossbar;
-    core::Designer designer;
-};
-
 /** Largest crossbar radix the scale-out analysis supports. */
 constexpr int kMaxRadix = 4096;
 
@@ -264,50 +232,6 @@ checkRadix(const Context &ctx, int cores)
               << " dB; worst-case unicast needs "
               << TextTable::num(worst.watts() * 1e3, 3)
               << " mW injected\n";
-}
-
-std::vector<int>
-loadMapping(const std::string &path, int cores)
-{
-    std::ifstream in(path);
-    if (!in.is_open())
-        fatal("cannot open mapping file: " + path);
-    std::vector<int> map;
-    std::string text;
-    for (int line = 1; std::getline(in, text); ++line) {
-        std::istringstream fields(text);
-        std::string token;
-        while (fields >> token) {
-            std::size_t used = 0;
-            int core = 0;
-            // A core id is unsigned; stoi would take "+0" or "-1".
-            if (token[0] != '+' && token[0] != '-') {
-                try {
-                    core = std::stoi(token, &used);
-                } catch (const std::exception &) {
-                    used = 0;
-                }
-            }
-            if (used != token.size())
-                fatal(path + ":" + std::to_string(line) +
-                      ": field 'core': expected an integer, got '" +
-                      token + "'");
-            map.push_back(core);
-        }
-    }
-    if (static_cast<int>(map.size()) != cores)
-        fatal(path + ": mapping lists " + std::to_string(map.size()) +
-              " cores, expected " + std::to_string(cores));
-    return map;
-}
-
-std::vector<int>
-identity(int cores)
-{
-    std::vector<int> map(cores);
-    for (int i = 0; i < cores; ++i)
-        map[i] = i;
-    return map;
 }
 
 int
@@ -500,8 +424,8 @@ cmdDesign(const Args &args)
     checkRadix(ctx, cores);
 
     auto mapping = args.has("map")
-                       ? loadMapping(args.get("map"), cores)
-                       : identity(cores);
+                       ? core::loadMapping(args.get("map"), cores)
+                       : core::identityMapping(cores);
     sim::Trace mapped = sim::mapTrace(trace, mapping);
     FlowMatrix flow = toFlowMatrix(mapped.flits);
 
@@ -554,67 +478,33 @@ cmdDesign(const Args &args)
     return 0;
 }
 
-/**
- * The setup of the trace-replay verbs (evaluate, faults, adapt,
- * report): --design, --map (or identity), a reader on --trace, and
- * the --dir/--prefix output base.  Artifacts and the journal header
- * are stamped with the *trace's* manifest, not this invocation's, so
- * re-rendering a stored trace is byte-stable at any pool size.
- */
-struct Replay
+/** The --design, --trace, --map, --dir and --prefix of a replay
+ *  verb. */
+runtime::ReplayFiles
+replayFiles(const Args &args)
 {
-    explicit Replay(const Args &args)
-        : design(core::loadDesign(args.get("design"))),
-          cores(design.topology.numNodes), ctx(cores),
-          mapping(args.has("map") ? loadMapping(args.get("map"), cores)
-                                  : identity(cores)),
-          tracePath(args.get("trace")), reader(tracePath),
-          header(reader.header()), stamp(manifestJson(header.manifest)),
-          dir(args.get("dir", ".")), prefix(args.get("prefix", "mnoc_"))
-    {
-        if (journalEnabled())
-            Journal::global().setManifest(stamp);
-    }
-
-    /** The deployed design's ledger: one pass over the trace. */
-    core::EnergyLedger
-    staticLedger()
-    {
-        return ctx.designer.model().buildLedger(design, reader, &mapping);
-    }
-
-    /** Create --dir and return "<dir>/<prefix>", the artifacts' base. */
-    std::string
-    outputBase() const
-    {
-        std::filesystem::create_directories(dir);
-        return dir + "/" + prefix;
-    }
-
-    core::MnocDesign design;
-    int cores;
-    Context ctx;
-    std::vector<int> mapping;
-    std::string tracePath;
-    sim::TraceReader reader;
-    const sim::TraceHeader &header;
-    std::string stamp;
-    std::string dir;
-    std::string prefix;
-};
+    runtime::ReplayFiles files;
+    files.design = args.get("design");
+    files.trace = args.get("trace");
+    files.map = args.get("map", files.map);
+    files.dir = args.get("dir", files.dir);
+    files.prefix = args.get("prefix", files.prefix);
+    return files;
+}
 
 int
 cmdEvaluate(const Args &args)
 {
-    Replay replay(args);
-    auto breakdown = replay.staticLedger().averagePower();
+    runtime::Replay replay(replayFiles(args));
+    auto breakdown =
+        runtime::runReplay(replay, std::nullopt, std::nullopt)
+            .ledger.averagePower();
 
     TextTable table;
     table.addRow({"component", "power (W)"});
     table.addRow({"QD LED source", TextTable::num(breakdown.source, 3)});
     table.addRow({"O/E conversion", TextTable::num(breakdown.oe, 3)});
-    table.addRow({"electrical", TextTable::num(breakdown.electrical,
-                                               3)});
+    table.addRow({"electrical", TextTable::num(breakdown.electrical, 3)});
     table.addRow({"total", TextTable::num(breakdown.total(), 3)});
     table.print(std::cout);
     return 0;
@@ -649,92 +539,11 @@ cmdBudget(const Args &args)
     return all_ok ? 0 : 1;
 }
 
-/** Deterministic scientific rendering for report numbers. */
-std::string
-sci(double value)
-{
-    std::ostringstream os;
-    os << std::scientific << std::setprecision(6) << value;
-    return os.str();
-}
-
-/** The `faults` flags --seed, --fault-scale, --vtol (sigma scale of
- *  the as-fabricated draw; 0 is a nominal die), --vseed and
- *  --link-margin.  Their defaults, with the seed from
- *  MNOC_FAULT_SEED, are what the MNOC_FAULTS=1 report runs. */
-struct FaultOptions
-{
-    std::uint64_t seed = 1;
-    double scale = 1.0;
-    double vtol = 0.0;
-    std::uint64_t vseed = 1;
-    DecibelLoss linkMargin{0.0};
-};
-
-/** A fault replay's seeded schedule and the controller's record. */
-struct FaultReplay
-{
-    runtime::FaultTimeline timeline;
-    runtime::DegradationLog log;
-};
-
-/** Replay the trace's epochs under a seeded runtime fault timeline
- *  with the graceful-degradation controller, charging its
- *  reconfiguration energy into @p ledger. */
-FaultReplay
-replayFaults(const Replay &replay, core::EnergyLedger &ledger,
-             const FaultOptions &options)
-{
-    runtime::FaultTimeline timeline(
-        runtime::FaultTimelineSpec{}.scaled(options.scale), replay.cores,
-        replay.design.topology.numModes, ledger.numEpochs(),
-        options.seed);
-    Prng prng(options.vseed);
-    auto variation = faults::drawVariation(
-        faults::VariationSpec{}.scaled(options.vtol),
-        replay.ctx.crossbar.params(), replay.cores, prng);
-    runtime::DegradationPolicy policy;
-    policy.requiredMargin = options.linkMargin;
-    auto log = runtime::runDegradationController(
-        replay.ctx.layout, replay.design, variation, timeline, policy,
-        &ledger);
-    return {std::move(timeline), std::move(log)};
-}
-
-/** Per-epoch reliability time series: margins around the rule table,
- *  actions fired, surviving mode count, and the epoch's energy
- *  including the charged reconfiguration cells. */
-void
-writeReliabilityCsv(const std::string &path, const std::string &stamp,
-                    const core::EnergyLedger &ledger,
-                    const runtime::DegradationLog &log)
-{
-    CsvWriter csv(path);
-    csv.writeRow({"# " + stamp});
-    csv.writeRow({"epoch", "active_faults", "margin_before_db",
-                  "margin_after_db", "actions", "num_modes",
-                  "reconfig_energy_j", "total_energy_j"});
-    for (const auto &epoch : log.epochs) {
-        double window = ledger.reconfigEnergy(epoch.epoch) +
-                        ledger.epochAttributedEnergy(epoch.epoch);
-        csv.cell(static_cast<long long>(epoch.epoch))
-            .cell(static_cast<long long>(epoch.activeFaults))
-            .cell(epoch.marginBefore.dB())
-            .cell(epoch.marginAfter.dB())
-            .cell(static_cast<long long>(epoch.actions))
-            .cell(static_cast<long long>(epoch.numModes))
-            .cell(epoch.reconfigEnergy)
-            .cell(window);
-        csv.endRow();
-    }
-    csv.close();
-}
-
 int
 cmdFaults(const Args &args)
 {
-    Replay replay(args);
-    FaultOptions options;
+    runtime::Replay replay(replayFiles(args));
+    runtime::FaultOptions options;
     options.seed =
         args.has("seed") ? args.getU64("seed", 1) : faultSeed();
     options.scale = args.getDouble("fault-scale", options.scale);
@@ -742,143 +551,19 @@ cmdFaults(const Args &args)
     options.vseed = args.getU64("vseed", options.vseed);
     options.linkMargin = DecibelLoss(args.getDouble("link-margin", 0.0));
 
-    auto ledger = replay.staticLedger();
-    auto [timeline, log] = replayFaults(replay, ledger, options);
-
-    double worst_before = 1e9, worst_after = 1e9;
-    for (const auto &epoch : log.epochs) {
-        worst_before = std::min(worst_before,
-                                epoch.marginBefore.dB());
-        worst_after = std::min(worst_after, epoch.marginAfter.dB());
-    }
-
-    using runtime::ActionKind;
-    TextTable table;
-    table.addRow({"metric", "value"});
-    table.addRow({"epochs", std::to_string(log.epochs.size())});
-    table.addRow(
-        {"fault events", std::to_string(timeline.events().size())});
-    table.addRow({"fault seed", std::to_string(options.seed)});
-    table.addRow({"trims", std::to_string(log.countActions(
-                               ActionKind::Trim))});
-    table.addRow({"relaxes", std::to_string(log.countActions(
-                                 ActionKind::Relax))});
-    table.addRow({"failovers", std::to_string(log.countActions(
-                                   ActionKind::Failover))});
-    table.addRow({"restores", std::to_string(log.countActions(
-                                  ActionKind::Restore))});
-    table.addRow({"collapses", std::to_string(log.countActions(
-                                   ActionKind::Collapse))});
-    table.addRow({"final modes",
-                  std::to_string(log.finalNumModes)});
-    table.addRow({"worst margin before (dB)",
-                  TextTable::num(worst_before, 3)});
-    table.addRow({"worst margin after (dB)",
-                  TextTable::num(worst_after, 3)});
-    table.addRow({"reconfig energy (J)",
-                  sci(log.totalReconfigEnergy)});
-    table.print(std::cout);
-
-    std::string base = replay.outputBase();
-    std::string events_csv = base + "fault_events.csv";
-    {
-        CsvWriter csv(events_csv);
-        csv.writeRow({"# " + replay.stamp});
-        csv.writeRow({"kind", "start_epoch", "end_epoch", "node",
-                      "mode", "magnitude"});
-        for (const auto &event : timeline.events()) {
-            csv.cell(faultKindName(event.kind))
-                .cell(static_cast<long long>(event.startEpoch))
-                .cell(static_cast<long long>(event.endEpoch))
-                .cell(static_cast<long long>(event.node))
-                .cell(static_cast<long long>(event.mode))
-                .cell(event.magnitude);
-            csv.endRow();
-        }
-        csv.close();
-    }
-
-    std::string reliability_csv = base + "reliability.csv";
-    writeReliabilityCsv(reliability_csv, replay.stamp, ledger, log);
-
-    std::cout << "fault log written to " << events_csv
-              << ", reliability series to " << reliability_csv
-              << "\n";
+    auto run = runtime::runReplay(replay, options, std::nullopt);
+    runtime::printSummary(std::cout, runtime::faultSummary(*run.faults));
+    auto written = runtime::writeFaultArtifacts(replay, run);
+    std::cout << "fault log written to " << written[0]
+              << ", reliability series to " << written[1] << "\n";
     return 0;
-}
-
-/** Rule-table knobs shared by `adapt` and the MNOC_ADAPT report
- *  section: struct defaults, the pricing/phase window from
- *  MNOC_ADAPT_WINDOW, and retarget candidates re-partitioned
- *  comm-aware with design-flow weighting at the deployed design's
- *  mode count. */
-runtime::AdaptivePolicy
-adaptivePolicy(const core::MnocDesign &design)
-{
-    runtime::AdaptivePolicy policy;
-    policy.trafficWindow = static_cast<std::size_t>(adaptWindow());
-    policy.candidateSpec.numModes = design.topology.numModes;
-    policy.candidateSpec.assignment = core::Assignment::CommAware;
-    policy.candidateSpec.weights = core::WeightSource::DesignFlow;
-    return policy;
-}
-
-/** An adaptive replay's run record and its reconciliation. */
-struct AdaptiveReplay
-{
-    runtime::AdaptiveLog log;
-    runtime::AdaptiveComparison comparison;
-};
-
-/** Replay the trace's epochs again, under the traffic-driven adaptive
- *  controller with @p policy, accruing into a ledger of its own, and
- *  reconcile that against @p static_ledger. */
-AdaptiveReplay
-replayAdaptive(const Replay &replay, const core::EnergyLedger &static_ledger,
-               const runtime::AdaptivePolicy &policy)
-{
-    sim::TraceReader reader(replay.tracePath);
-    core::EnergyLedger adaptive_ledger(
-        replay.cores, replay.design.topology.numModes,
-        static_ledger.numEpochs(), static_ledger.durationSeconds());
-    AdaptiveReplay out;
-    out.log = runtime::runAdaptiveController(
-        replay.ctx.designer, replay.design, policy, reader,
-        &replay.mapping, &adaptive_ledger);
-    out.comparison = runtime::reconcileAdaptive(
-        static_ledger, adaptive_ledger, out.log);
-    return out;
-}
-
-/** Per-epoch adaptive time series: active candidate, actions fired,
- *  and the epoch priced under the static vs the active design. */
-void
-writeAdaptiveCsv(const std::string &path, const std::string &stamp,
-                 const runtime::AdaptiveLog &log)
-{
-    CsvWriter csv(path);
-    csv.writeRow({"# " + stamp});
-    csv.writeRow({"epoch", "active_design", "phase_change",
-                  "actions", "static_energy_j", "adaptive_energy_j",
-                  "reconfig_energy_j"});
-    for (const auto &epoch : log.epochs) {
-        csv.cell(static_cast<long long>(epoch.epoch))
-            .cell(static_cast<long long>(epoch.activeDesign))
-            .cell(static_cast<long long>(epoch.phaseChange ? 1 : 0))
-            .cell(static_cast<long long>(epoch.actions))
-            .cell(epoch.staticEnergy)
-            .cell(epoch.adaptiveEnergy)
-            .cell(epoch.reconfigEnergy);
-        csv.endRow();
-    }
-    csv.close();
 }
 
 int
 cmdAdapt(const Args &args)
 {
-    Replay replay(args);
-    runtime::AdaptivePolicy policy = adaptivePolicy(replay.design);
+    runtime::Replay replay(replayFiles(args));
+    runtime::AdaptivePolicy policy = runtime::adaptivePolicy(replay.design);
     policy.phaseChangeThreshold = args.getDouble(
         "phase-threshold", policy.phaseChangeThreshold);
     if (args.has("window"))
@@ -895,389 +580,36 @@ cmdAdapt(const Args &args)
     policy.candidateMargin =
         DecibelLoss(args.getDouble("margin", 0.0));
 
-    // Pass 1 -- static baseline: the deployed design accrues the
-    // whole trace, exactly as `report` would attribute it.  Pass 2 --
-    // the adaptive run.
-    auto static_ledger = replay.staticLedger();
-    auto [log, comparison] =
-        replayAdaptive(replay, static_ledger, policy);
-
-    using runtime::AdaptiveActionKind;
-    TextTable table;
-    table.addRow({"metric", "value"});
-    table.addRow({"epochs", std::to_string(log.epochs.size())});
-    table.addRow({"traffic window",
-                  std::to_string(policy.trafficWindow)});
-    table.addRow({"phase changes",
-                  std::to_string(log.countActions(
-                      AdaptiveActionKind::PhaseChange))});
-    table.addRow({"retargets",
-                  std::to_string(log.countActions(
-                      AdaptiveActionKind::Retarget))});
-    table.addRow({"switches",
-                  std::to_string(log.countActions(
-                      AdaptiveActionKind::Switch))});
-    table.addRow({"candidates built",
-                  std::to_string(log.numCandidates)});
-    table.addRow({"final design",
-                  log.finalDesign == 0
-                      ? std::string("0 (static)")
-                      : std::to_string(log.finalDesign) +
-                            " (retarget)"});
-    table.addRow({"static energy (J)",
-                  sci(comparison.staticEnergy)});
-    table.addRow({"adaptive energy (J)",
-                  sci(comparison.adaptiveEnergy)});
-    table.addRow({"savings before reconfig (J)",
-                  sci(comparison.savings)});
-    table.addRow({"reconfig energy (J)",
-                  sci(comparison.reconfigEnergy)});
-    table.addRow({"net savings (J)", sci(comparison.netSavings)});
-    if (comparison.staticEnergy > 0.0)
-        table.addRow({"net savings (%)",
-                      TextTable::num(100.0 * comparison.netSavings /
-                                         comparison.staticEnergy,
-                                     3)});
-    table.print(std::cout);
-
-    std::string base = replay.outputBase();
-    std::string adaptive_csv = base + "adaptive.csv";
-    writeAdaptiveCsv(adaptive_csv, replay.stamp, log);
-
-    std::string actions_csv = base + "adaptive_actions.csv";
-    {
-        CsvWriter csv(actions_csv);
-        csv.writeRow({"# " + replay.stamp});
-        csv.writeRow(
-            {"epoch", "kind", "design", "gain", "energy_cost_j"});
-        for (const auto &action : log.actions) {
-            csv.cell(static_cast<long long>(action.epoch))
-                .cell(runtime::adaptiveActionKindName(action.kind))
-                .cell(static_cast<long long>(action.design))
-                .cell(action.gain)
-                .cell(action.energyCost);
-            csv.endRow();
-        }
-        csv.close();
-    }
-
-    std::cout << "adaptive series written to " << adaptive_csv
-              << ", action log to " << actions_csv << "\n";
+    auto run = runtime::runReplay(replay, std::nullopt, policy);
+    runtime::printSummary(std::cout,
+                          runtime::adaptiveSummary(*run.adaptive));
+    auto written = runtime::writeAdaptiveArtifacts(replay, run);
+    std::cout << "adaptive series written to " << written[0]
+              << ", action log to " << written[1] << "\n";
     return 0;
 }
 
 int
 cmdReport(const Args &args)
 {
-    Replay replay(args);
-    auto ledger = replay.staticLedger();
-
-    // MNOC_FAULTS=1 runs the `faults` replay with its defaults before
-    // the averages are taken, so the report's power numbers include
-    // the charged reconfiguration energy.  Off by default: the
-    // unfaulted report stays byte-identical.
-    std::optional<FaultReplay> fault_run;
+    runtime::Replay replay(replayFiles(args));
+    // MNOC_FAULTS=1 adds the `faults` run with its defaults (its
+    // reconfiguration energy is in the report's power numbers), and
+    // MNOC_ADAPT=1 the `adapt` run with its defaults.  Both are off
+    // by default, which keeps the static report byte-identical.
+    std::optional<runtime::FaultOptions> faults;
     if (faultsEnabled())
-        fault_run = replayFaults(replay, ledger, FaultOptions{faultSeed()});
-    auto power = ledger.averagePower();
-
-    // MNOC_ADAPT=1 runs the `adapt` replay with its defaults and adds
-    // a static-vs-adaptive comparison section.  Off by default: the
-    // static report stays byte-identical.
-    std::optional<AdaptiveReplay> adapt_run;
+        faults = runtime::FaultOptions{faultSeed()};
+    std::optional<runtime::AdaptivePolicy> adaptive;
     if (adaptEnabled())
-        adapt_run = replayAdaptive(replay, ledger,
-                                   adaptivePolicy(replay.design));
+        adaptive = runtime::adaptivePolicy(replay.design);
 
-    std::string base = replay.outputBase();
-    const std::string &prefix = replay.prefix;
-    const std::string &stamp = replay.stamp;
-    const sim::TraceHeader &trace_header = replay.header;
-    int cores = replay.cores;
-    int modes = ledger.numModes();
-    std::size_t num_epochs = ledger.numEpochs();
-
-    // Per-(source, mode) totals across epochs, and the
-    // time-weighted optical-loss energy attribution.
-    std::vector<core::LedgerCell> totals(
-        static_cast<std::size_t>(cores) *
-        static_cast<std::size_t>(modes));
-    optics::ChainLossBreakdown optical; // joules, not watts, here
-    for (int s = 0; s < cores; ++s) {
-        for (int m = 0; m < modes; ++m) {
-            auto &total =
-                totals[static_cast<std::size_t>(s) *
-                           static_cast<std::size_t>(modes) +
-                       static_cast<std::size_t>(m)];
-            for (std::size_t e = 0; e < num_epochs; ++e) {
-                const auto &cell = ledger.cell(s, m, e);
-                total.flits += cell.flits;
-                total.txSeconds += cell.txSeconds;
-                total.sourceEnergy += cell.sourceEnergy;
-                total.oeEnergy += cell.oeEnergy;
-                total.electricalEnergy += cell.electricalEnergy;
-            }
-            const auto &loss = ledger.loss(s, m);
-            double tx = total.txSeconds;
-            optical.injected += tx * loss.injected;
-            optical.sourceCoupling += tx * loss.sourceCoupling;
-            optical.sourceSplit += tx * loss.sourceSplit;
-            optical.waveguide += tx * loss.waveguide;
-            optical.tapInsertion += tx * loss.tapInsertion;
-            optical.receiverCoupling += tx * loss.receiverCoupling;
-            optical.delivered += tx * loss.delivered;
-            optical.residual += tx * loss.residual;
-        }
-    }
-
-    // Per-(source, mode) attribution table.
-    std::string power_csv = base + "power.csv";
-    {
-        CsvWriter csv(power_csv);
-        csv.writeRow({"# " + stamp});
-        csv.writeRow({"source", "mode", "flits", "tx_seconds",
-                      "source_energy_j", "oe_energy_j",
-                      "electrical_energy_j", "injected_w",
-                      "source_coupling_w", "source_split_w",
-                      "waveguide_w", "tap_insertion_w",
-                      "receiver_coupling_w", "delivered_w",
-                      "residual_w"});
-        for (int s = 0; s < cores; ++s) {
-            for (int m = 0; m < modes; ++m) {
-                const auto &total =
-                    totals[static_cast<std::size_t>(s) *
-                               static_cast<std::size_t>(modes) +
-                           static_cast<std::size_t>(m)];
-                if (total.flits == 0)
-                    continue;
-                const auto &loss = ledger.loss(s, m);
-                csv.cell(static_cast<long long>(s))
-                    .cell(static_cast<long long>(m))
-                    .cell(static_cast<long long>(total.flits))
-                    .cell(total.txSeconds)
-                    .cell(total.sourceEnergy)
-                    .cell(total.oeEnergy)
-                    .cell(total.electricalEnergy)
-                    .cell(loss.injected)
-                    .cell(loss.sourceCoupling)
-                    .cell(loss.sourceSplit)
-                    .cell(loss.waveguide)
-                    .cell(loss.tapInsertion)
-                    .cell(loss.receiverCoupling)
-                    .cell(loss.delivered)
-                    .cell(loss.residual);
-                csv.endRow();
-            }
-        }
-        csv.close();
-    }
-
-    // Per-epoch time series.
-    std::string epochs_csv = base + "epochs.csv";
-    {
-        CsvWriter csv(epochs_csv);
-        csv.writeRow({"# " + stamp});
-        csv.writeRow({"epoch", "flits", "tx_seconds",
-                      "source_energy_j", "oe_energy_j",
-                      "electrical_energy_j", "total_energy_j"});
-        for (std::size_t e = 0; e < num_epochs; ++e) {
-            core::LedgerCell window;
-            for (int s = 0; s < cores; ++s) {
-                for (int m = 0; m < modes; ++m) {
-                    const auto &cell = ledger.cell(s, m, e);
-                    window.flits += cell.flits;
-                    window.txSeconds += cell.txSeconds;
-                    window.sourceEnergy += cell.sourceEnergy;
-                    window.oeEnergy += cell.oeEnergy;
-                    window.electricalEnergy += cell.electricalEnergy;
-                }
-            }
-            csv.cell(static_cast<long long>(e))
-                .cell(static_cast<long long>(window.flits))
-                .cell(window.txSeconds)
-                .cell(window.sourceEnergy)
-                .cell(window.oeEnergy)
-                .cell(window.electricalEnergy)
-                .cell(window.totalEnergy());
-            csv.endRow();
-        }
-        csv.close();
-    }
-
-    // (epoch, source) power heatmap.
-    std::string pgm = base + "source_power.pgm";
-    writePgmHeatmap(pgm, ledger.sourceEpochPower(), true, stamp);
-
-    // Per-epoch reliability time series (faulted runs only).
-    std::string reliability_csv = base + "reliability.csv";
-    if (fault_run)
-        writeReliabilityCsv(reliability_csv, stamp, ledger,
-                            fault_run->log);
-
-    // Per-epoch adaptive time series (MNOC_ADAPT=1 runs only).
-    std::string adaptive_csv = base + "adaptive.csv";
-    if (adapt_run)
-        writeAdaptiveCsv(adaptive_csv, stamp, adapt_run->log);
-
-    // Markdown summary.
-    std::string report_md = base + "report.md";
-    {
-        FileWriter writer(report_md);
-        auto &out = writer.stream();
-        out << "# mNoC energy-attribution report\n\n";
-        out << "- workload: " << trace_header.workloadName << "\n";
-        out << "- network: " << trace_header.networkName << "\n";
-        out << "- nodes: " << cores << ", modes: " << modes << "\n";
-        out << "- cycles: " << trace_header.totalTicks
-            << ", duration: "
-            << sci(ledger.durationSeconds()) << " s\n";
-        out << "- epochs: " << num_epochs;
-        if (ledger.messagesPerEpoch() > 0)
-            out << " (" << ledger.messagesPerEpoch()
-                << " messages each)";
-        else
-            out << " (whole run; trace carries no epoch buckets)";
-        out << "\n";
-        out << "- trace manifest: `" << stamp << "`\n\n";
-
-        out << "## Average power (W)\n\n";
-        out << "| component | power (W) |\n";
-        out << "|---|---|\n";
-        out << "| QD LED source | " << sci(power.source) << " |\n";
-        out << "| O/E conversion | " << sci(power.oe) << " |\n";
-        out << "| electrical | " << sci(power.electrical) << " |\n";
-        if (fault_run)
-            out << "| reconfiguration | " << sci(power.reconfig)
-                << " |\n";
-        out << "| total | " << sci(power.total()) << " |\n\n";
-
-        out << "## Optical energy attribution (J)\n\n";
-        out << "Time-weighted splitter-chain walk; buckets sum to "
-               "the injected optical energy (self-checked by the "
-               "ledger).\n\n";
-        out << "| bucket | energy (J) |\n";
-        out << "|---|---|\n";
-        out << "| injected | " << sci(optical.injected) << " |\n";
-        out << "| source coupling | " << sci(optical.sourceCoupling)
-            << " |\n";
-        out << "| source split | " << sci(optical.sourceSplit)
-            << " |\n";
-        out << "| waveguide | " << sci(optical.waveguide) << " |\n";
-        out << "| tap insertion | " << sci(optical.tapInsertion)
-            << " |\n";
-        out << "| receiver coupling | "
-            << sci(optical.receiverCoupling) << " |\n";
-        out << "| delivered | " << sci(optical.delivered) << " |\n";
-        out << "| residual | " << sci(optical.residual) << " |\n\n";
-
-        if (fault_run) {
-            using runtime::ActionKind;
-            const auto &deg_log = fault_run->log;
-            double worst_after = 1e9;
-            for (const auto &epoch : deg_log.epochs)
-                worst_after = std::min(worst_after,
-                                       epoch.marginAfter.dB());
-            out << "## Reliability (MNOC_FAULTS=1)\n\n";
-            out << "Epochs replayed under the runtime fault "
-                   "timeline (seed "
-                << fault_run->timeline.seed()
-                << ") with the graceful-degradation controller.\n\n";
-            out << "| metric | value |\n";
-            out << "|---|---|\n";
-            out << "| fault events | "
-                << fault_run->timeline.events().size() << " |\n";
-            out << "| trims | "
-                << deg_log.countActions(ActionKind::Trim) << " |\n";
-            out << "| relaxes | "
-                << deg_log.countActions(ActionKind::Relax) << " |\n";
-            out << "| failovers | "
-                << deg_log.countActions(ActionKind::Failover)
-                << " |\n";
-            out << "| restores | "
-                << deg_log.countActions(ActionKind::Restore)
-                << " |\n";
-            out << "| collapses | "
-                << deg_log.countActions(ActionKind::Collapse)
-                << " |\n";
-            out << "| final modes | " << deg_log.finalNumModes
-                << " |\n";
-            out << "| worst post-action margin (dB) | "
-                << TextTable::num(worst_after, 3) << " |\n";
-            out << "| reconfiguration energy (J) | "
-                << sci(deg_log.totalReconfigEnergy) << " |\n\n";
-        }
-
-        if (adapt_run) {
-            using runtime::AdaptiveActionKind;
-            const auto &[adapt_log, adapt_cmp] = *adapt_run;
-            out << "## Adaptive runtime (MNOC_ADAPT=1)\n\n";
-            out << "Epochs replayed under the traffic-driven "
-                   "mode-re-selection controller ("
-                << adapt_log.epochs.size()
-                << " epochs, MNOC_ADAPT_WINDOW=" << adaptWindow()
-                << "); candidates re-partition the deployed mode "
-                   "count against the trailing traffic window.\n\n";
-            out << "| metric | value |\n";
-            out << "|---|---|\n";
-            out << "| phase changes | "
-                << adapt_log.countActions(
-                       AdaptiveActionKind::PhaseChange)
-                << " |\n";
-            out << "| retargets | "
-                << adapt_log.countActions(
-                       AdaptiveActionKind::Retarget)
-                << " |\n";
-            out << "| switches | "
-                << adapt_log.countActions(AdaptiveActionKind::Switch)
-                << " |\n";
-            out << "| candidates built | " << adapt_log.numCandidates
-                << " |\n";
-            out << "| final design | " << adapt_log.finalDesign
-                << (adapt_log.finalDesign == 0 ? " (static)"
-                                               : " (retarget)")
-                << " |\n";
-            out << "| static energy (J) | "
-                << sci(adapt_cmp.staticEnergy) << " |\n";
-            out << "| adaptive energy (J) | "
-                << sci(adapt_cmp.adaptiveEnergy) << " |\n";
-            out << "| savings before reconfig (J) | "
-                << sci(adapt_cmp.savings) << " |\n";
-            out << "| reconfiguration energy (J) | "
-                << sci(adapt_cmp.reconfigEnergy) << " |\n";
-            out << "| net savings (J) | " << sci(adapt_cmp.netSavings)
-                << " |\n";
-            if (adapt_cmp.staticEnergy > 0.0)
-                out << "| net savings (%) | "
-                    << TextTable::num(100.0 * adapt_cmp.netSavings /
-                                          adapt_cmp.staticEnergy,
-                                      3)
-                    << " |\n";
-            out << "\n";
-        }
-
-        out << "## Artifacts\n\n";
-        out << "- per-(source, mode) attribution: " << prefix
-            << "power.csv\n";
-        out << "- per-epoch time series: " << prefix
-            << "epochs.csv\n";
-        out << "- (epoch, source) power heatmap: " << prefix
-            << "source_power.pgm\n";
-        if (fault_run)
-            out << "- per-epoch reliability series: " << prefix
-                << "reliability.csv\n";
-        if (adapt_run)
-            out << "- per-epoch adaptive series: " << prefix
-                << "adaptive.csv\n";
-        writer.close();
-    }
-
-    std::cout << "report written to " << report_md << " (+ "
-              << prefix << "power.csv, " << prefix << "epochs.csv, "
-              << prefix << "source_power.pgm";
-    if (fault_run)
-        std::cout << ", " << prefix << "reliability.csv";
-    if (adapt_run)
-        std::cout << ", " << prefix << "adaptive.csv";
+    auto written = runtime::writeReport(
+        replay, runtime::runReplay(replay, faults, adaptive));
+    std::cout << "report written to " << written[0] << " (+ ";
+    for (std::size_t i = 1; i < written.size(); ++i)
+        std::cout << (i > 1 ? ", " : "")
+                  << std::filesystem::path(written[i]).filename().string();
     std::cout << ")\n";
     return 0;
 }
