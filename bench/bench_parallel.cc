@@ -341,17 +341,8 @@ benchLedgerBuild(ThreadPool &serial, ThreadPool &parallel,
 }
 
 /**
- * The adaptive-runtime section: run the epoch-boundary controller
- * (runtime/adaptive_controller.hh) over a deterministic two-phase
- * trace on a pool of one and on the configured pool, and require the
- * full run record -- decisions, actions, ledger, reconfiguration
- * charges -- to be bit-identical.  Candidate pricing is the parallel
- * part; the epoch loop itself is sequential by design.  workItems is
- * the epoch count, so epochs/sec falls out of the record directly.
- */
-/**
- * Deterministic two-phase synthetic trace shared by the adaptive and
- * journal sections: a neighbor-heavy first half and a uniform second
+ * Deterministic two-phase synthetic trace for the journal section:
+ * a neighbor-heavy first half and a uniform second
  * half, each epoch drawn from its own derived stream so the trace is
  * reproducible run over run.
  */
@@ -400,109 +391,6 @@ twoPhaseTrace(int nodes, std::size_t epochs,
         trace.epochs.epochs.push_back(std::move(cells));
     }
     return trace;
-}
-
-bench::ParallelRecord
-benchAdaptiveEpochStep(ThreadPool &serial, ThreadPool &parallel,
-                       const std::string &scratch)
-{
-    using Clock = std::chrono::steady_clock;
-    constexpr int kNodes = 64;
-    constexpr std::size_t kEpochs = 512;
-    constexpr std::uint64_t kMsgsPerEpoch = 128;
-    constexpr std::uint64_t kSeed = 31;
-
-    optics::SerpentineLayout layout(kNodes, Meters(0.08));
-    optics::DeviceParams params;
-    optics::OpticalCrossbar xbar(layout, params);
-    core::Designer designer(xbar);
-
-    core::DesignSpec spec;
-    spec.numModes = 2;
-    spec.assignment = core::Assignment::DistanceBased;
-    spec.weights = core::WeightSource::Uniform;
-    FlowMatrix flow(kNodes, kNodes, 1.0);
-    for (int i = 0; i < kNodes; ++i)
-        flow(i, i) = 0.0;
-    auto topology = designer.buildTopology(spec, flow);
-    auto design =
-        designer.buildDesign(spec, topology, flow, DecibelLoss(1.5));
-
-    sim::Trace trace =
-        twoPhaseTrace(kNodes, kEpochs, kMsgsPerEpoch, kSeed);
-
-    std::string file = scratch + "/adaptive.trace";
-    sim::saveTrace(file, trace);
-
-    runtime::AdaptivePolicy policy;
-    policy.candidateSpec.numModes = 2;
-    policy.candidateSpec.assignment = core::Assignment::CommAware;
-    policy.candidateSpec.weights = core::WeightSource::DesignFlow;
-    policy.candidateMargin = DecibelLoss(1.5);
-
-    auto run = [&](ThreadPool &pool, core::EnergyLedger &ledger) {
-        sim::TraceReader reader(file);
-        return runtime::runAdaptiveController(
-            designer, design, policy, reader, nullptr, &ledger,
-            &pool);
-    };
-    core::EnergyLedger serial_ledger(kNodes, 2, kEpochs, 1.0e-3);
-    core::EnergyLedger parallel_ledger(kNodes, 2, kEpochs, 1.0e-3);
-    auto t0 = Clock::now();
-    auto serial_log = run(serial, serial_ledger);
-    auto t1 = Clock::now();
-    auto parallel_log = run(parallel, parallel_ledger);
-    auto t2 = Clock::now();
-
-    bool identical =
-        sameLedger(serial_ledger, parallel_ledger) &&
-        serial_ledger.totalReconfigEnergy() ==
-            parallel_ledger.totalReconfigEnergy() &&
-        serial_log.numCandidates == parallel_log.numCandidates &&
-        serial_log.finalDesign == parallel_log.finalDesign &&
-        serial_log.totalReconfigEnergy ==
-            parallel_log.totalReconfigEnergy &&
-        serial_log.epochs.size() == parallel_log.epochs.size() &&
-        serial_log.actions.size() == parallel_log.actions.size();
-    if (identical) {
-        for (std::size_t e = 0; e < serial_log.epochs.size(); ++e) {
-            const auto &a = serial_log.epochs[e];
-            const auto &b = parallel_log.epochs[e];
-            identical = identical &&
-                        a.activeDesign == b.activeDesign &&
-                        a.phaseChange == b.phaseChange &&
-                        a.actions == b.actions &&
-                        a.staticEnergy == b.staticEnergy &&
-                        a.adaptiveEnergy == b.adaptiveEnergy &&
-                        a.reconfigEnergy == b.reconfigEnergy;
-        }
-        for (std::size_t k = 0; k < serial_log.actions.size(); ++k) {
-            const auto &a = serial_log.actions[k];
-            const auto &b = parallel_log.actions[k];
-            identical = identical && a.kind == b.kind &&
-                        a.epoch == b.epoch && a.design == b.design &&
-                        a.gain == b.gain &&
-                        a.energyCost == b.energyCost;
-        }
-    }
-
-    bench::ParallelRecord record;
-    record.name = "adaptive_epoch_step";
-    record.workItems = static_cast<long long>(kEpochs);
-    record.serialSeconds = seconds(t0, t1);
-    record.parallelSeconds = seconds(t1, t2);
-    record.bitIdentical = identical;
-    std::cout << "  adaptive controller: "
-              << serial_log.countActions(
-                     runtime::AdaptiveActionKind::PhaseChange)
-              << " phase changes, "
-              << serial_log.countActions(
-                     runtime::AdaptiveActionKind::Retarget)
-              << " retargets, "
-              << serial_log.countActions(
-                     runtime::AdaptiveActionKind::Switch)
-              << " switches over " << kEpochs << " epochs\n";
-    return record;
 }
 
 /**
@@ -645,9 +533,6 @@ main()
     printRecord(records.back());
     std::filesystem::create_directories(scratch);
     records.push_back(benchLedgerBuild(serial, parallel, scratch));
-    printRecord(records.back());
-    records.push_back(benchAdaptiveEpochStep(serial, parallel,
-                                             scratch));
     printRecord(records.back());
     records.push_back(benchJournalOverhead(serial, parallel,
                                            scratch));

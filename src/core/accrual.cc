@@ -46,9 +46,7 @@ AccrualPlan::accrue(EnergyLedger &ledger, int src, int dst,
 {
     if (flit_count == 0 || dst == src)
         return;
-    auto row = static_cast<std::size_t>(src) *
-               static_cast<std::size_t>(n_);
-    int mode = modeOf_[row + static_cast<std::size_t>(dst)];
+    int mode = modeOf(src, dst);
     auto slot = static_cast<std::size_t>(src) *
                     static_cast<std::size_t>(numModes_) +
                 static_cast<std::size_t>(mode);
@@ -71,11 +69,17 @@ double
 AccrualPlan::quote(int src, int dst,
                    std::uint64_t flit_count) const
 {
-    if (flit_count == 0 || dst == src)
+    if (dst == src)
         return 0.0;
-    auto row = static_cast<std::size_t>(src) *
-               static_cast<std::size_t>(n_);
-    int mode = modeOf_[row + static_cast<std::size_t>(dst)];
+    return quoteMode(src, modeOf(src, dst), flit_count);
+}
+
+double
+AccrualPlan::quoteMode(int src, int mode,
+                       std::uint64_t flit_count) const
+{
+    if (flit_count == 0)
+        return 0.0;
     auto slot = static_cast<std::size_t>(src) *
                     static_cast<std::size_t>(numModes_) +
                 static_cast<std::size_t>(mode);

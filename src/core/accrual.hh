@@ -11,14 +11,19 @@
  * produce and the arithmetic keeps its association order, so accrued
  * energies are bit-identical to a naive per-message walk.
  *
- * Two consumers:
+ * Three consumers:
  *  - accrue() charges a message into an EnergyLedger cell (the one
  *    ledger build, MnocPowerModel::buildLedger, whatever source its
  *    reader serves, and the adaptive controller's epoch-by-epoch
  *    attribution);
- *  - quote() prices the same message without a ledger, which is how
- *    the adaptive controller scores candidate designs against a
- *    traffic window before deciding whether switching pays.
+ *  - quote() prices the same message without a ledger (the adaptive
+ *    controller's per-epoch static and adaptive energy columns);
+ *  - quoteMode() prices a flit count sent by one source in one of
+ *    its modes.  A quote depends on the destination only through
+ *    its mode, so quote() is quoteMode() at modeOf(src, dst); the
+ *    adaptive controller bins its traffic window into per-(source,
+ *    mode) flit histograms with modeOf() and prices a candidate
+ *    design against the window with one quoteMode() per bin.
  */
 
 #ifndef MNOC_CORE_ACCRUAL_HH
@@ -51,6 +56,22 @@ class AccrualPlan
      *  association order to accrue() -- without touching a ledger. */
     double quote(int src, int dst, std::uint64_t flit_count) const;
 
+    /** Energy in joules of @p flit_count flits sent by @p src in
+     *  mode @p mode: quote()'s expression and association order, so
+     *  quoteMode(src, modeOf(src, dst), f) == quote(src, dst, f) bit
+     *  for bit.  Zero flits price at 0. */
+    double quoteMode(int src, int mode,
+                     std::uint64_t flit_count) const;
+
+    /** Mode in which @p src reaches @p dst; -1 when dst == src. */
+    int modeOf(int src, int dst) const
+    {
+        return modeOf_[static_cast<std::size_t>(src) *
+                           static_cast<std::size_t>(n_) +
+                       static_cast<std::size_t>(dst)];
+    }
+
+    int numNodes() const { return n_; }
     int numModes() const { return numModes_; }
 
   private:

@@ -10,7 +10,6 @@
 #include "common/journal.hh"
 #include "common/log.hh"
 #include "common/metrics.hh"
-#include "common/thread_pool.hh"
 #include "common/trace_span.hh"
 #include "sim/trace.hh"
 #include "sim/trace_stream.hh"
@@ -22,73 +21,6 @@ namespace {
 /** Reconciliation slack, matching the ledger's conservation
  *  tolerance. */
 constexpr double kRelTol = 1e-9;
-
-/** Trailing window of mapped epoch cells, newest last. */
-using EpochWindow = std::deque<std::vector<noc::EpochCell>>;
-
-/** Per-source view of the trailing traffic window: (dest, flits)
- *  pairs in window order, so per-source pricing folds in a fixed
- *  order whatever the thread count. */
-using SourceTraffic =
-    std::vector<std::vector<std::pair<int, std::uint64_t>>>;
-
-/** Flow matrix of the whole window over @p n nodes. */
-FlowMatrix
-windowFlow(const EpochWindow &window, int n)
-{
-    FlowMatrix flow(static_cast<std::size_t>(n),
-                    static_cast<std::size_t>(n), 0.0);
-    for (const auto &cells : window)
-        for (const noc::EpochCell &cell : cells)
-            flow(static_cast<std::size_t>(cell.src),
-                 static_cast<std::size_t>(cell.dst)) +=
-                static_cast<double>(cell.flits);
-    return flow;
-}
-
-/** Window traffic restricted to epochs strictly newer than
- *  @p newer_than (-1 for the whole window); @p epochs holds each
- *  window entry's epoch index. */
-SourceTraffic
-windowTraffic(const EpochWindow &window,
-              const std::deque<std::size_t> &epochs, int n,
-              long long newer_than)
-{
-    SourceTraffic traffic(static_cast<std::size_t>(n));
-    for (std::size_t w = 0; w < window.size(); ++w) {
-        if (static_cast<long long>(epochs[w]) <= newer_than)
-            continue;
-        for (const noc::EpochCell &cell : window[w])
-            if (cell.flits > 0 && cell.dst != cell.src)
-                traffic[static_cast<std::size_t>(cell.src)]
-                    .emplace_back(cell.dst, cell.flits);
-    }
-    return traffic;
-}
-
-/**
- * Price one design against the window: per-source partial sums fan
- * out across the pool into disjoint slots and reduce in source
- * order -- bit-identical at any MNOC_THREADS.
- */
-double
-priceWindow(const core::AccrualPlan &plan,
-            const SourceTraffic &traffic, ThreadPool &workers)
-{
-    auto n = static_cast<long long>(traffic.size());
-    std::vector<double> per_source(traffic.size(), 0.0);
-    workers.parallelFor(n, [&](long long s_index) {
-        auto s = static_cast<std::size_t>(s_index);
-        double energy = 0.0;
-        for (const auto &[dst, flits] : traffic[s])
-            energy += plan.quote(static_cast<int>(s), dst, flits);
-        per_source[s] = energy;
-    });
-    double total = 0.0;
-    for (double energy : per_source)
-        total += energy;
-    return total;
-}
 
 /** Serial per-epoch pricing in cell order (the CSV columns). */
 double
@@ -111,6 +43,64 @@ validated(const AdaptivePolicy &policy)
 }
 
 } // namespace
+
+void
+FlitHistogram::reset(const core::AccrualPlan &plan, long long built_at)
+{
+    builtAt_ = built_at;
+    numModes_ = plan.numModes();
+    flits_.assign(static_cast<std::size_t>(plan.numNodes()) *
+                      static_cast<std::size_t>(numModes_),
+                  0);
+}
+
+void
+FlitHistogram::bin(const core::AccrualPlan &plan, long long built_at,
+                   const std::vector<noc::EpochCell> &cells)
+{
+    reset(plan, built_at);
+    auto modes = static_cast<std::size_t>(numModes_);
+    for (const noc::EpochCell &cell : cells) {
+        if (cell.dst == cell.src)
+            continue;
+        flits_[static_cast<std::size_t>(cell.src) * modes +
+               static_cast<std::size_t>(plan.modeOf(cell.src,
+                                                    cell.dst))] +=
+            cell.flits;
+    }
+}
+
+FlitHistogram &
+FlitHistogram::operator+=(const FlitHistogram &other)
+{
+    panicIf(builtAt_ == kUntagged || other.builtAt_ != builtAt_,
+            "flit histogram priced for a candidate it was not "
+            "binned for");
+    for (std::size_t i = 0; i < flits_.size(); ++i)
+        flits_[i] += other.flits_[i];
+    return *this;
+}
+
+double
+FlitHistogram::price(const core::AccrualPlan &plan) const
+{
+    panicIf(numModes_ != plan.numModes() ||
+                flits_.size() !=
+                    static_cast<std::size_t>(plan.numNodes()) *
+                        static_cast<std::size_t>(numModes_),
+            "flit histogram and accrual plan disagree on shape");
+    double total = 0.0;
+    auto modes = static_cast<std::size_t>(numModes_);
+    for (int s = 0; s < plan.numNodes(); ++s) {
+        const std::uint64_t *row =
+            flits_.data() + static_cast<std::size_t>(s) * modes;
+        double energy = 0.0;
+        for (int m = 0; m < numModes_; ++m)
+            energy += plan.quoteMode(s, m, row[m]);
+        total += energy;
+    }
+    return total;
+}
 
 void
 AdaptivePolicy::validate() const
@@ -167,7 +157,6 @@ AdaptiveController::AdaptiveController(
     core::EnergyLedger *adaptive_ledger, ThreadPool *pool)
     : designer_(designer), policy_(validated(policy)),
       ledger_(adaptive_ledger), pool_(pool),
-      workers_(pool != nullptr ? *pool : ThreadPool::global()),
       numNodes_(static_design.topology.numNodes),
       numEpochs_(header.numEpochs),
       detector_(numNodes_, policy_.trafficWindow,
@@ -208,7 +197,8 @@ AdaptiveController::AdaptiveController(
 
 // Build a candidate from the trailing window and place it in the
 // pool: a retired slot first, then a fresh slot while there is room,
-// then the oldest slot that is neither the static design nor active.
+// then the oldest (smallest build epoch) slot that is neither the
+// static design nor active.
 void
 AdaptiveController::retarget(std::size_t epoch)
 {
@@ -225,12 +215,22 @@ AdaptiveController::retarget(std::size_t epoch)
         // Oldest live retarget slot that is not mid-accrual; with a
         // two-entry pool whose retarget slot is active there is
         // nothing to evict, so skip this retarget.
-        slot = active_ == 1 ? 2 : 1;
-        if (slot >= static_cast<int>(candidates_.size()))
+        for (std::size_t c = 1; c < candidates_.size(); ++c)
+            if (static_cast<int>(c) != active_ &&
+                (slot < 0 ||
+                 builtAt_[c] < builtAt_[static_cast<std::size_t>(slot)]))
+                slot = static_cast<int>(c);
+        if (slot < 0)
             return;
     }
     const core::MnocPowerModel &model = designer_.model();
-    FlowMatrix flow = windowFlow(window_, numNodes_);
+    FlowMatrix flow(static_cast<std::size_t>(numNodes_),
+                    static_cast<std::size_t>(numNodes_), 0.0);
+    for (const WindowEntry &entry : window_)
+        for (const noc::EpochCell &cell : entry.cells)
+            flow(static_cast<std::size_t>(cell.src),
+                 static_cast<std::size_t>(cell.dst)) +=
+                static_cast<double>(cell.flits);
     core::GlobalPowerTopology topo =
         designer_.buildTopology(policy_.candidateSpec, flow);
     core::MnocDesign design = designer_.buildDesign(
@@ -263,8 +263,8 @@ AdaptiveController::retarget(std::size_t epoch)
     if (journalEnabled()) {
         JournalRecord rec(JournalKind::Retarget, epoch);
         rec.addInt(slot)
-            .addInt(static_cast<std::int64_t>(windowEpochs_.front()))
-            .addInt(static_cast<std::int64_t>(windowEpochs_.back()));
+            .addInt(static_cast<std::int64_t>(window_.front().epoch))
+            .addInt(static_cast<std::int64_t>(window_.back().epoch));
         Journal::global().record(rec);
     }
 }
@@ -294,12 +294,23 @@ AdaptiveController::observe(std::size_t e,
     epoch.staticEnergy = priceEpoch(plans_[0], cells);
     epoch.adaptiveEnergy = priceEpoch(active_plan, cells);
 
-    window_.push_back(cells);
-    windowEpochs_.push_back(e);
-    if (window_.size() > policy_.trafficWindow) {
+    // Push the epoch, binned for every live candidate; a full
+    // window hands its oldest entry's buffers to the newest.
+    WindowEntry entry;
+    if (window_.size() == policy_.trafficWindow) {
+        entry = std::move(window_.front());
         window_.pop_front();
-        windowEpochs_.pop_front();
     }
+    entry.epoch = e;
+    entry.cells = cells;
+    entry.bins.resize(static_cast<std::size_t>(policy_.maxCandidates));
+    for (std::size_t c = 0; c < entry.bins.size(); ++c) {
+        if (c < candidates_.size() && !retired_[c])
+            entry.bins[c].bin(plans_[c], builtAt_[c], cells);
+        else
+            entry.bins[c].untag();
+    }
+    window_.push_back(std::move(entry));
 
     // Rule P: phase detection over the epoch signature.
     bool changed = detector_.observe(cells);
@@ -322,8 +333,6 @@ AdaptiveController::observe(std::size_t e,
         // let any mid-streak challenger re-earn its streak against
         // the new traffic.
         window_.erase(window_.begin(), window_.end() - 1);
-        windowEpochs_.erase(windowEpochs_.begin(),
-                            windowEpochs_.end() - 1);
         pendingTarget_ = -1;
         switchGate_.reset();
         retargetPending_ = true;
@@ -378,20 +387,16 @@ AdaptiveController::observe(std::size_t e,
             long long barrier = std::max(
                 builtAt_[c], builtAt_[static_cast<std::size_t>(active_)]);
             std::size_t suffix = 0;
-            for (std::size_t epoch_index : windowEpochs_)
-                if (static_cast<long long>(epoch_index) > barrier)
+            for (const WindowEntry &held : window_)
+                if (static_cast<long long>(held.epoch) > barrier)
                     ++suffix;
             if (suffix < min_suffix)
                 continue;
-            SourceTraffic traffic =
-                windowTraffic(window_, windowEpochs_, numNodes_, barrier);
-            double active_cost = priceWindow(
-                plans_[static_cast<std::size_t>(active_)], traffic,
-                workers_);
+            double active_cost =
+                priceSuffix(static_cast<std::size_t>(active_), suffix);
             if (active_cost <= 0.0)
                 continue;
-            double challenger_cost =
-                priceWindow(plans_[c], traffic, workers_);
+            double challenger_cost = priceSuffix(c, suffix);
             double c_gain = (active_cost - challenger_cost) / active_cost;
             if (journalEnabled()) {
                 JournalRecord rec(JournalKind::Price, e);
@@ -460,6 +465,21 @@ AdaptiveController::observe(std::size_t e,
     activeSeries_->add(e, static_cast<std::uint64_t>(epoch.activeDesign));
     if (epoch.actions > 0)
         actionSeries_->add(e, static_cast<std::uint64_t>(epoch.actions));
+}
+
+// The window's epochs ascend, so the suffix is its tail; each entry
+// was binned for the slot's current candidate when it was pushed
+// (the tag check in += guards that).
+double
+AdaptiveController::priceSuffix(std::size_t slot,
+                                std::size_t suffix) const
+{
+    const core::AccrualPlan &plan = plans_[slot];
+    FlitHistogram total;
+    total.reset(plan, builtAt_[slot]);
+    for (std::size_t w = window_.size() - suffix; w < window_.size(); ++w)
+        total += window_[w].bins[slot];
+    return total.price(plan);
 }
 
 AdaptiveLog

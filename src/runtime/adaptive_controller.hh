@@ -30,10 +30,15 @@
  *    design-flow splitter weighting), joining a bounded candidate
  *    pool whose member 0 is the deployed static design;
  *  - rule S (switch): every epoch, challengers are priced against
- *    the trailing window with the shared AccrualPlan::quote() --
- *    out-of-sample, on window epochs newer than both the
- *    challenger's and the active design's build flow, since a
- *    candidate is trivially cheap on the window that built it; when
+ *    the trailing window -- out-of-sample, on window epochs newer
+ *    than both the challenger's and the active design's build flow,
+ *    since a candidate is trivially cheap on the window that built
+ *    it.  Each window entry carries, per live candidate, the epoch's
+ *    flits binned by (source, mode) under that candidate's mode
+ *    partition (FlitHistogram); a price is the exact integer sum of
+ *    the suffix's histograms followed by one AccrualPlan::quoteMode()
+ *    per (source, mode) bin, since a quote depends on a destination
+ *    only through its mode and is linear in flits.  When
  *    a challenger undercuts the active design by the gain threshold
  *    for a full hysteresis streak (runtime/hysteresis.hh), the
  *    controller switches to it *from the next epoch* and charges
@@ -56,10 +61,11 @@
  * serves both ledgers; runAdaptiveController() drives it from a
  * reader of its own.
  *
- * Determinism: epochs are stepped sequentially; candidate pricing
- * fans per-source partial sums across the pool into disjoint slots
- * and reduces them in source order, so the whole run -- decisions,
- * ledger, log -- is bit-identical at any MNOC_THREADS.
+ * Determinism: epochs are stepped and candidates priced
+ * sequentially, histogram sums are exact integers and every price
+ * folds its bins in (source, mode) order, so the whole run --
+ * decisions, ledger, log -- is bit-identical at any MNOC_THREADS;
+ * the pool serves only finish()'s loss attachment.
  */
 
 #ifndef MNOC_RUNTIME_ADAPTIVE_CONTROLLER_HH
@@ -67,6 +73,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <limits>
 #include <vector>
 
 #include "core/accrual.hh"
@@ -86,6 +93,50 @@ struct TraceHeader;
 
 namespace mnoc::runtime {
 
+/**
+ * One epoch's traffic binned under one candidate's mode partition:
+ * integer flits per (source, mode), tagged with the build epoch of
+ * the candidate it was binned for (AdaptiveController's builtAt_, -1
+ * for the static design).  Sums are exact, so rule S prices a window
+ * suffix as the += of its histograms -- the SET-ISCA2023 HopCount
+ * accumulator shape (SNIPPETS.md) -- and one price() of the total.
+ */
+class FlitHistogram
+{
+  public:
+    /** Zero every bin, sized for @p plan, and tag the histogram for
+     *  the candidate built at @p built_at. */
+    void reset(const core::AccrualPlan &plan, long long built_at);
+
+    /** reset(), then add each cell's flits to its (source,
+     *  plan.modeOf(source, dest)) bin; self-cells carry no price and
+     *  are skipped. */
+    void bin(const core::AccrualPlan &plan, long long built_at,
+             const std::vector<noc::EpochCell> &cells);
+
+    /** Tag the histogram as binned for no candidate (a retired
+     *  slot's entry); adding it to any total is a panic. */
+    void untag() { builtAt_ = kUntagged; }
+
+    /** Bin-by-bin exact sum.  @p other must carry this histogram's
+     *  tag: a panic otherwise, so a slot replaced by a retarget is
+     *  never priced from its predecessor's bins. */
+    FlitHistogram &operator+=(const FlitHistogram &other);
+
+    /** Energy in joules of the binned flits under @p plan (the plan
+     *  of the candidate the histogram is tagged for): quoteMode() per
+     *  bin, modes summed per source, sources summed in order. */
+    double price(const core::AccrualPlan &plan) const;
+
+  private:
+    static constexpr long long kUntagged =
+        std::numeric_limits<long long>::min();
+
+    long long builtAt_ = kUntagged;
+    int numModes_ = 0;
+    std::vector<std::uint64_t> flits_;
+};
+
 /** Rule-table knobs of the adaptive controller. */
 struct AdaptivePolicy
 {
@@ -103,7 +154,8 @@ struct AdaptivePolicy
      *  before the controller switches (hysteresis). */
     int epochsToSwitch = 2;
     /** Candidate-pool bound, deployed static design included; when
-     *  full, the oldest inactive retarget is replaced. */
+     *  full, the oldest inactive retarget (smallest build epoch) is
+     *  replaced. */
     int maxCandidates = 8;
     /** Reconfiguration energy per source charged on a switch (tap
      *  re-bias + drive-table and filter rewrite), in joules. */
@@ -224,9 +276,9 @@ class AdaptiveController
      *        finish() attaches the final active design's loss
      *        breakdowns.  Must match the trace's dimensions and the
      *        candidate mode count, and outlive the controller.
-     * @param pool Worker pool for candidate pricing and loss
-     *        attachment (the global pool when null); must outlive
-     *        the controller.
+     * @param pool Worker pool for finish()'s loss attachment (the
+     *        global pool when null); must outlive the controller.
+     *        Stepping is serial.
      */
     AdaptiveController(const core::Designer &designer,
                        const core::MnocDesign &static_design,
@@ -258,14 +310,27 @@ class AdaptiveController
     AdaptiveLog finish();
 
   private:
+    /** One trailing-window entry: an epoch's mapped cells and, per
+     *  candidate slot, its flits binned under that slot's candidate
+     *  when the epoch was pushed (untagged for retired slots). */
+    struct WindowEntry
+    {
+        std::size_t epoch = 0;
+        std::vector<noc::EpochCell> cells;
+        std::vector<FlitHistogram> bins;
+    };
+
     /** Rule R: build a candidate from the window and place it. */
     void retarget(std::size_t epoch);
+
+    /** Price candidate @p slot on the newest @p suffix window
+     *  entries. */
+    double priceSuffix(std::size_t slot, std::size_t suffix) const;
 
     const core::Designer &designer_;
     AdaptivePolicy policy_;
     core::EnergyLedger *ledger_;
     ThreadPool *pool_;
-    ThreadPool &workers_;
     int numNodes_;
     std::size_t numEpochs_;
     std::size_t nextEpoch_ = 0;
@@ -294,10 +359,9 @@ class AdaptiveController
     // The warm-up retarget arms here; phase changes re-arm it.
     bool retargetPending_ = true;
 
-    // Trailing window of mapped epoch cells (newest last), with the
-    // epoch index of each entry alongside for out-of-sample pricing.
-    std::deque<std::vector<noc::EpochCell>> window_;
-    std::deque<std::size_t> windowEpochs_;
+    // Trailing window, newest last.  Phase changes flush it with
+    // its histograms; the oldest entry is recycled for the newest.
+    std::deque<WindowEntry> window_;
 
     AdaptiveLog log_;
 };

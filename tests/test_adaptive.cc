@@ -8,13 +8,19 @@
  * the static-vs-adaptive reconciliation identity must hold, the
  * stepper riding the static ledger build must match the two-pass
  * path bit for bit and refuse epochs out of order, an epoch-free
- * trace must be fatal, and the phase-splice workload
- * feeding the acceptance fixtures must be deterministic per seed.
+ * trace must be fatal, a full candidate pool must evict its oldest
+ * retarget, rule S's flit-histogram prices must match the per-cell
+ * fold they replaced and refuse bins tagged for another candidate,
+ * and the phase-splice workload feeding the acceptance fixtures must
+ * be deterministic per seed.
  */
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <filesystem>
 #include <regex>
 #include <string>
@@ -22,6 +28,7 @@
 
 #include "common/log.hh"
 #include "common/thread_pool.hh"
+#include "core/accrual.hh"
 #include "core/designer.hh"
 #include "core/energy_ledger.hh"
 #include "runtime/adaptive_controller.hh"
@@ -29,6 +36,7 @@
 #include "sim/simulator.hh"
 #include "sim/trace.hh"
 #include "sim/trace_stream.hh"
+#include "splice_fixture.hh"
 #include "workloads/registry.hh"
 
 namespace {
@@ -75,6 +83,24 @@ twoPhaseTrace(std::size_t neighbor, std::size_t long_haul)
     t.epochs.messagesPerEpoch = kNodes * 2;
     for (std::size_t e = 0; e < neighbor + long_haul; ++e) {
         auto cells = e < neighbor ? neighborEpoch() : longHaulEpoch();
+        for (const noc::EpochCell &cell : cells) {
+            t.packets(cell.src, cell.dst) += cell.packets;
+            t.flits(cell.src, cell.dst) += cell.flits;
+        }
+        t.epochs.epochs.push_back(std::move(cells));
+    }
+    return t;
+}
+
+/** @p phases alternating phases of @p phase_epochs epochs each,
+ *  ring traffic first. */
+sim::Trace
+alternatingTrace(std::size_t phase_epochs, std::size_t phases)
+{
+    sim::Trace t = twoPhaseTrace(0, 0);
+    for (std::size_t e = 0; e < phase_epochs * phases; ++e) {
+        auto cells = (e / phase_epochs) % 2 == 0 ? neighborEpoch()
+                                                 : longHaulEpoch();
         for (const noc::EpochCell &cell : cells) {
             t.packets(cell.src, cell.dst) += cell.packets;
             t.flits(cell.src, cell.dst) += cell.flits;
@@ -545,6 +571,222 @@ TEST(Adaptive, LedgerShapeMismatchIsFatal)
                          fx.designer, design, policy, reader),
                      FatalError);
     }
+}
+
+TEST(Adaptive, FullPoolEvictsTheOldestRetarget)
+{
+    // A static design plus two retarget slots, phases of six epochs
+    // over a four-epoch window: every phase earns a retarget (three
+    // epochs after its change), each candidate is replaced after two
+    // phases -- before its 4-window expiry -- and no gain can clear a
+    // threshold of 1, so nothing switches and every retarget past the
+    // second replaces a live inactive slot.
+    AdaptiveFixture fx;
+    auto design = fx.design();
+    auto policy = fx.policy();
+    policy.trafficWindow = 4;
+    policy.maxCandidates = 3;
+    policy.switchGainThreshold = 1.0;
+    auto trace = alternatingTrace(6, 8);
+    sim::TraceReader reader(trace);
+    auto log = runtime::runAdaptiveController(fx.designer, design,
+                                              policy, reader);
+
+    using runtime::AdaptiveActionKind;
+    EXPECT_EQ(log.countActions(AdaptiveActionKind::Switch), 0);
+    EXPECT_EQ(log.countActions(AdaptiveActionKind::PhaseChange), 7);
+    std::vector<int> slots;
+    std::vector<std::size_t> epochs;
+    for (const auto &action : log.actions)
+        if (action.kind == AdaptiveActionKind::Retarget) {
+            slots.push_back(action.design);
+            epochs.push_back(action.epoch);
+        }
+    EXPECT_EQ(epochs, (std::vector<std::size_t>{3, 9, 15, 21, 27, 33,
+                                                39, 45}));
+    EXPECT_EQ(slots, (std::vector<int>{1, 2, 1, 2, 1, 2, 1, 2}));
+    EXPECT_EQ(log.numCandidates, 3);
+}
+
+/**
+ * Rule S's window price before the flit histograms, kept as the
+ * reference: per-cell quotes folded per source in window order, the
+ * per-source sums reduced in source order.
+ */
+double
+perCellWindowPrice(const AccrualPlan &plan,
+                   const std::vector<std::vector<noc::EpochCell>> &epochs,
+                   std::size_t first, std::size_t last)
+{
+    std::vector<double> per_source(
+        static_cast<std::size_t>(plan.numNodes()), 0.0);
+    for (std::size_t w = first; w < last; ++w)
+        for (const noc::EpochCell &cell : epochs[w])
+            if (cell.flits > 0 && cell.dst != cell.src)
+                per_source[static_cast<std::size_t>(cell.src)] +=
+                    plan.quote(cell.src, cell.dst, cell.flits);
+    double total = 0.0;
+    for (double energy : per_source)
+        total += energy;
+    return total;
+}
+
+/** Every epoch of @p reader, in order. */
+std::vector<std::vector<noc::EpochCell>>
+readEpochs(sim::TraceReader &reader)
+{
+    std::vector<std::vector<noc::EpochCell>> epochs(
+        reader.header().numEpochs);
+    for (auto &cells : epochs)
+        EXPECT_TRUE(reader.nextEpoch(cells));
+    return epochs;
+}
+
+/** @p design's plan, built as the controller builds it. */
+AccrualPlan
+planOf(const Designer &designer, const MnocDesign &design)
+{
+    const MnocPowerModel &model = designer.model();
+    return AccrualPlan(design, model.params(), model.crossbar().params(),
+                       design.topology.numNodes);
+}
+
+/** A retarget candidate solved for the first @p window epochs. */
+MnocDesign
+candidateFor(const Designer &designer,
+             const runtime::AdaptivePolicy &policy,
+             const std::vector<std::vector<noc::EpochCell>> &epochs,
+             int n)
+{
+    FlowMatrix flow(static_cast<std::size_t>(n),
+                    static_cast<std::size_t>(n), 0.0);
+    for (std::size_t w = 0; w < policy.trafficWindow; ++w)
+        for (const noc::EpochCell &cell : epochs[w])
+            flow(static_cast<std::size_t>(cell.src),
+                 static_cast<std::size_t>(cell.dst)) +=
+                static_cast<double>(cell.flits);
+    auto topology = designer.buildTopology(policy.candidateSpec, flow);
+    return designer.buildDesign(policy.candidateSpec, topology, flow,
+                                policy.candidateMargin);
+}
+
+/** Every suffix of every trailing @p window of @p epochs priced from
+ *  flit histograms must match the per-cell fold to 1e-12 relative. */
+void
+expectHistogramPricesMatch(
+    const AccrualPlan &plan,
+    const std::vector<std::vector<noc::EpochCell>> &epochs,
+    std::size_t window)
+{
+    constexpr long long kTag = 5;
+    std::vector<runtime::FlitHistogram> bins(epochs.size());
+    for (std::size_t e = 0; e < epochs.size(); ++e)
+        bins[e].bin(plan, kTag, epochs[e]);
+    std::size_t priced = 0;
+    for (std::size_t last = 1; last <= epochs.size(); ++last) {
+        runtime::FlitHistogram total;
+        total.reset(plan, kTag);
+        std::size_t oldest = last > window ? last - window : 0;
+        for (std::size_t first = last; first-- > oldest;) {
+            total += bins[first];
+            double want = perCellWindowPrice(plan, epochs, first, last);
+            double got = total.price(plan);
+            ASSERT_GT(want, 0.0);
+            ASSERT_LE(std::abs(got - want), 1e-12 * want)
+                << "epochs [" << first << ", " << last << ")";
+            ++priced;
+        }
+    }
+    EXPECT_GE(priced, epochs.size());
+}
+
+TEST(AdaptivePricing, QuoteModeAtModeOfIsQuoteBitForBit)
+{
+    AdaptiveFixture fx;
+    auto design = fx.design();
+    auto trace = twoPhaseTrace(8, 8);
+    sim::TraceReader reader(trace);
+    auto epochs = readEpochs(reader);
+    auto candidate =
+        candidateFor(fx.designer, fx.policy(), epochs, kNodes);
+    for (const MnocDesign *d : {&design, &candidate}) {
+        AccrualPlan plan = planOf(fx.designer, *d);
+        for (int s = 0; s < kNodes; ++s) {
+            EXPECT_EQ(plan.modeOf(s, s), -1);
+            for (int dst = 0; dst < kNodes; ++dst) {
+                if (dst == s)
+                    continue;
+                int mode = plan.modeOf(s, dst);
+                ASSERT_EQ(mode, d->topology.local(s).modeOfDest[dst]);
+                for (std::uint64_t flits :
+                     {std::uint64_t{0}, std::uint64_t{1},
+                      std::uint64_t{7}, std::uint64_t{4096},
+                      std::uint64_t{1} << 40})
+                    ASSERT_EQ(std::bit_cast<std::uint64_t>(
+                                  plan.quoteMode(s, mode, flits)),
+                              std::bit_cast<std::uint64_t>(
+                                  plan.quote(s, dst, flits)))
+                        << s << " -> " << dst << ", " << flits
+                        << " flits";
+            }
+        }
+    }
+}
+
+TEST(AdaptivePricing, HistogramPricesMatchThePerCellFold)
+{
+    {
+        SCOPED_TRACE("golden_epoch_16");
+        AdaptiveFixture fx;
+        sim::TraceReader reader(std::string(MNOC_TEST_DATA_DIR) +
+                                "/golden_epoch_16.trace");
+        ASSERT_EQ(reader.header().numNodes, kNodes);
+        auto epochs = readEpochs(reader);
+        auto policy = fx.policy();
+        auto candidate =
+            candidateFor(fx.designer, policy, epochs, kNodes);
+        expectHistogramPricesMatch(planOf(fx.designer, fx.design()),
+                                   epochs, policy.trafficWindow);
+        expectHistogramPricesMatch(planOf(fx.designer, candidate),
+                                   epochs, policy.trafficWindow);
+    }
+    {
+        SCOPED_TRACE("golden_explain splice");
+        test::SpliceFixture fx;
+        auto trace = test::spliceTrace256();
+        sim::TraceReader reader(trace);
+        auto epochs = readEpochs(reader);
+        auto policy = fx.policy();
+        auto candidate = candidateFor(fx.designer, policy, epochs,
+                                      test::kFixtureNodes);
+        expectHistogramPricesMatch(planOf(fx.designer, fx.design()),
+                                   epochs, policy.trafficWindow);
+        expectHistogramPricesMatch(planOf(fx.designer, candidate),
+                                   epochs, policy.trafficWindow);
+    }
+}
+
+TEST(AdaptivePricing, HistogramTaggedForAnotherCandidatePanics)
+{
+    AdaptiveFixture fx;
+    AccrualPlan plan = planOf(fx.designer, fx.design());
+    auto cells = neighborEpoch();
+    runtime::FlitHistogram stale;
+    stale.bin(plan, 3, cells);
+    runtime::FlitHistogram total;
+
+    // A slot's new candidate (built at 9) meets its predecessor's
+    // bins (built at 3).
+    total.reset(plan, 9);
+    EXPECT_THROW(total += stale, PanicError);
+    // A retired slot's untagged entry.
+    runtime::FlitHistogram untagged = stale;
+    untagged.untag();
+    total.reset(plan, 3);
+    EXPECT_THROW(total += untagged, PanicError);
+    // The matching tag sums.
+    total += stale;
+    EXPECT_GT(total.price(plan), 0.0);
 }
 
 TEST(Adaptive, PhaseSpliceStreamIsDeterministicPerSeed)
