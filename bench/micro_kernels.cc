@@ -17,7 +17,6 @@
 #include "common/matrix.hh"
 #include "common/metrics.hh"
 #include "common/prng.hh"
-#include "common/thread_pool.hh"
 #include "common/trace_span.hh"
 #include "core/designer.hh"
 #include "faults/variation.hh"
@@ -249,7 +248,7 @@ BM_FaultTimelineStateAt(benchmark::State &state)
 BENCHMARK(BM_FaultTimelineStateAt);
 
 /** Full controller run over a faulted window: per-source link-budget
- *  re-evaluation plus the rule table, serial pool. */
+ *  re-evaluation plus the rule table. */
 void
 BM_DegradationController(benchmark::State &state)
 {
@@ -273,11 +272,9 @@ BM_DegradationController(benchmark::State &state)
     runtime::FaultTimeline timeline(runtime::FaultTimelineSpec{}, n,
                                     spec.numModes, 8, 7);
     runtime::DegradationPolicy policy;
-    ThreadPool pool(1);
     for (auto _ : state) {
         auto log = runtime::runDegradationController(
-            layout, design, variation, timeline, policy, nullptr,
-            &pool);
+            layout, design, variation, timeline, policy, nullptr);
         benchmark::DoNotOptimize(log.finalNumModes);
     }
 }

@@ -59,11 +59,10 @@ EnergyLedger::index(int source, int mode, std::size_t epoch) const
     panicIf(mode < 0 || mode >= numModes_,
             "ledger mode out of range");
     panicIf(epoch >= numEpochs_, "ledger epoch out of range");
-    return (static_cast<std::size_t>(source) *
-                static_cast<std::size_t>(numModes_) +
-            static_cast<std::size_t>(mode)) *
-               numEpochs_ +
-           epoch;
+    return (epoch * static_cast<std::size_t>(numSources_) +
+            static_cast<std::size_t>(source)) *
+               static_cast<std::size_t>(numModes_) +
+           static_cast<std::size_t>(mode);
 }
 
 LedgerCell &
@@ -93,13 +92,20 @@ EnergyLedger::loss(int source, int mode) const
 PowerBreakdown
 EnergyLedger::averagePower() const
 {
+    // A whole-ledger fold keeps the (source, mode, epoch) order of
+    // the class docs, not the storage order.
     double source_energy = 0.0;
     double oe_energy = 0.0;
     double electrical_energy = 0.0;
-    for (const LedgerCell &cell : cells_) {
-        source_energy += cell.sourceEnergy;
-        oe_energy += cell.oeEnergy;
-        electrical_energy += cell.electricalEnergy;
+    for (int s = 0; s < numSources_; ++s) {
+        for (int m = 0; m < numModes_; ++m) {
+            for (std::size_t e = 0; e < numEpochs_; ++e) {
+                const LedgerCell &c = cell(s, m, e);
+                source_energy += c.sourceEnergy;
+                oe_energy += c.oeEnergy;
+                electrical_energy += c.electricalEnergy;
+            }
+        }
     }
     PowerBreakdown out;
     out.source = source_energy / duration_;
@@ -112,9 +118,12 @@ EnergyLedger::averagePower() const
 double
 EnergyLedger::totalEnergy() const
 {
+    // (source, mode, epoch) order, as averagePower().
     double total = 0.0;
-    for (const LedgerCell &cell : cells_)
-        total += cell.totalEnergy();
+    for (int s = 0; s < numSources_; ++s)
+        for (int m = 0; m < numModes_; ++m)
+            for (std::size_t e = 0; e < numEpochs_; ++e)
+                total += cell(s, m, e).totalEnergy();
     return total + totalReconfigEnergy();
 }
 

@@ -12,12 +12,22 @@
  * numbers from here, so the printed tables and the power model can
  * never drift apart.
  *
- * Determinism: the ledger is a pure function of (design, trace) and
- * contains no order-dependent folds.  The build accrues epochs in
- * epoch order, and the loss walks it fans across the thread pool
- * write disjoint slots, so its CSV/JSON renderings are
- * byte-identical at any MNOC_THREADS and whichever source (file or
- * in-memory trace) the reader serves.
+ * Determinism: the ledger is a pure function of (design, trace).
+ * The build accrues epochs in epoch order, and the loss walks it
+ * fans across the thread pool write disjoint slots, so its CSV/JSON
+ * renderings are byte-identical at any MNOC_THREADS and whichever
+ * source (file or in-memory trace) the reader serves.
+ *
+ * Layout and fold order: cells are stored epoch-major, at
+ * (epoch * numSources + source) * numModes + mode, so one epoch's
+ * accruals land in one contiguous block.  Every fold fixes its own
+ * order, independent of the storage order: a per-epoch fold
+ * (epochAttributedEnergy, sourceEpochPower, the ledger.epoch_flits
+ * series, the report's epochs.csv) runs in (source, mode) order
+ * within its epoch, a per-(source, mode) fold runs in epoch order,
+ * and the two whole-ledger folds, averagePower() and totalEnergy(),
+ * run in (source, mode, epoch) order.  A new fold states its order
+ * the same way; a change of layout then moves no bit.
  */
 
 #ifndef MNOC_CORE_ENERGY_LEDGER_HH
@@ -100,10 +110,12 @@ class EnergyLedger
     double totalReconfigEnergy() const;
 
     /** Average power over the traced interval; the ledger-sourced
-     *  equivalent of MnocPowerModel::evaluate(). */
+     *  equivalent of MnocPowerModel::evaluate().  Folds the cells in
+     *  (source, mode, epoch) order. */
     PowerBreakdown averagePower() const;
 
-    /** Total attributed energy across every cell, in joules. */
+    /** Total attributed energy across every cell, in joules, folded
+     *  in (source, mode, epoch) order. */
     double totalEnergy() const;
 
     /** Attributed (non-reconfig) cell energy of one epoch, summed in
@@ -119,6 +131,8 @@ class EnergyLedger
   private:
     friend class MnocPowerModel;
 
+    /** Epoch-major slot of a cell; panics on any index out of
+     *  range. */
     std::size_t index(int source, int mode, std::size_t epoch) const;
 
     int numSources_;
@@ -126,6 +140,7 @@ class EnergyLedger
     std::size_t numEpochs_;
     double duration_;
     std::uint64_t epochMsgs_ = 0;
+    /** Indexed [(epoch * numSources + source) * numModes + mode]. */
     std::vector<LedgerCell> cells_;
     /** Indexed [source * numModes + mode]. */
     std::vector<optics::ChainLossBreakdown> losses_;

@@ -45,21 +45,22 @@ runDraw(const optics::SerpentineLayout &layout,
     outcome.worstLeak = DecibelLoss(-1e9);
     outcome.worstBitErrorRate = 0.0;
 
+    std::vector<WattPower> injected;
+    std::vector<optics::ModeBudget> modes;
+    optics::LinkBudgetScratch scratch;
     for (int s = 0; s < n; ++s) {
         const auto &design = sources[s];
         int source_modes = static_cast<int>(design.modePower.size());
         optics::SplitterChain chain(layout, variation.params, s);
+        const std::vector<double> &scale = variation.splitterScale[s];
 
-        std::vector<std::vector<double>> received;
-        received.reserve(static_cast<std::size_t>(source_modes));
+        injected.clear();
         for (int m = 0; m < source_modes; ++m)
-            received.push_back(chain.evaluate(
-                design.chain,
-                design.modePower[m] * variation.ledOutputScale[s],
-                variation.splitterScale[s]));
-
-        auto modes = optics::summarizeReceivedPowers(
-            received, design.modeOfDest, s, pmin);
+            injected.push_back(design.modePower[m] *
+                               variation.ledOutputScale[s]);
+        optics::summarizeLinkBudget(chain, design.chain, injected, scale,
+                                    design.modeOfDest, pmin, modes,
+                                    scratch);
         DecibelLoss margin{1e9};
         DecibelLoss leak{-1e9};
         WattPower weakest{std::numeric_limits<double>::infinity()};
@@ -69,14 +70,15 @@ runDraw(const optics::SerpentineLayout &layout,
             leak = std::max(leak, budget.worstLeak);
             weakest = std::min(weakest, budget.worstReceived);
             // Only a mode whose extreme link fails can hold failing
-            // links; count those one by one.
+            // links; replay that mode's vector to count them.
             if (budget.worstMargin >= required &&
                 budget.worstLeak <= criteria.maxLeak)
                 continue;
+            auto received = chain.evaluate(design.chain, injected[m], scale);
             for (int d = 0; d < n; ++d) {
                 if (d == s)
                     continue;
-                DecibelLoss link = optics::linkMargin(received[m][d], pmin);
+                DecibelLoss link = optics::linkMargin(received[d], pmin);
                 if (design.modeOfDest[d] <= m) {
                     if (link < required) {
                         ++outcome.marginFailures;

@@ -26,55 +26,29 @@ linkMargin(double received, WattPower pmin)
                           : DecibelLoss(-1e9);
 }
 
-namespace {
-
-/** Argument checks shared by the full report and the summary. */
 void
-checkReceivedPowers(
-    const std::vector<std::vector<double>> &received_per_mode,
-    const std::vector<int> &mode_of_dest, int source, WattPower pmin)
+summarizeLinkBudget(const SplitterChain &chain, const ChainDesign &design,
+                    const std::vector<WattPower> &injected,
+                    const std::vector<double> &splitter_scale,
+                    const std::vector<int> &mode_of_dest, WattPower pmin,
+                    std::vector<ModeBudget> &out, LinkBudgetScratch &scratch)
 {
-    int n = static_cast<int>(mode_of_dest.size());
-    fatalIf(received_per_mode.empty(), "design has no modes");
-    fatalIf(source < 0 || source >= n, "source index out of range");
+    fatalIf(injected.empty(), "design has no modes");
+    fatalIf(static_cast<int>(mode_of_dest.size()) != chain.numNodes(),
+            "mode_of_dest size mismatch");
     fatalIf(pmin <= WattPower(0.0), "pmin must be positive");
-    for (const auto &received : received_per_mode)
-        fatalIf(static_cast<int>(received.size()) != n,
-                "received power vector size mismatch");
-}
+    chain.foldTapExtremes(design, injected, splitter_scale, mode_of_dest,
+                          scratch.extremes, scratch.armPower);
 
-} // namespace
-
-std::vector<ModeBudget>
-summarizeReceivedPowers(
-    const std::vector<std::vector<double>> &received_per_mode,
-    const std::vector<int> &mode_of_dest, int source, WattPower pmin)
-{
-    checkReceivedPowers(received_per_mode, mode_of_dest, source, pmin);
-    int n = static_cast<int>(mode_of_dest.size());
-    int num_modes = static_cast<int>(received_per_mode.size());
-
-    std::vector<ModeBudget> out(static_cast<std::size_t>(num_modes));
-    for (int mode = 0; mode < num_modes; ++mode) {
-        const auto &received = received_per_mode[mode];
-        double lowest = std::numeric_limits<double>::infinity();
-        double loudest = 0.0;
-        for (int dest = 0; dest < n; ++dest) {
-            if (dest == source)
-                continue;
-            double power = received[dest];
-            if (mode_of_dest[dest] <= mode)
-                lowest = std::min(lowest, power);
-            else
-                loudest = std::max(loudest, power);
-        }
-        ModeBudget &budget = out[static_cast<std::size_t>(mode)];
-        budget.worstReceived = WattPower(lowest);
-        if (lowest < std::numeric_limits<double>::infinity())
-            budget.worstMargin = linkMargin(lowest, pmin);
-        budget.worstLeak = linkMargin(loudest, pmin);
+    out.assign(injected.size(), ModeBudget{});
+    for (std::size_t mode = 0; mode < out.size(); ++mode) {
+        const TapExtremes &tap = scratch.extremes[mode];
+        ModeBudget &budget = out[mode];
+        budget.worstReceived = WattPower(tap.weakestReachable);
+        if (tap.weakestReachable < std::numeric_limits<double>::infinity())
+            budget.worstMargin = linkMargin(tap.weakestReachable, pmin);
+        budget.worstLeak = linkMargin(tap.loudestUnreachable, pmin);
     }
-    return out;
 }
 
 int
@@ -99,9 +73,14 @@ validateReceivedPowers(
     const std::vector<int> &mode_of_dest, int source, WattPower pmin,
     DecibelLoss required_margin, DecibelLoss max_leak)
 {
-    checkReceivedPowers(received_per_mode, mode_of_dest, source, pmin);
     int n = static_cast<int>(mode_of_dest.size());
     int num_modes = static_cast<int>(received_per_mode.size());
+    fatalIf(received_per_mode.empty(), "design has no modes");
+    fatalIf(source < 0 || source >= n, "source index out of range");
+    fatalIf(pmin <= WattPower(0.0), "pmin must be positive");
+    for (const auto &received : received_per_mode)
+        fatalIf(static_cast<int>(received.size()) != n,
+                "received power vector size mismatch");
 
     BudgetReport report;
     report.worstReachableMargin = DecibelLoss(1e9);

@@ -93,7 +93,8 @@ BudgetReport validateReceivedPowers(
 /**
  * Margin of one link relative to @p pmin: 10 log10(received / pmin),
  * or -1e9 dB when the tap sees no light.  The one conversion shared by
- * the full report and the summary kernel, so both agree bit for bit.
+ * the full report and the link-budget kernel, so both agree bit for
+ * bit.
  */
 DecibelLoss linkMargin(double received, WattPower pmin);
 
@@ -111,20 +112,41 @@ struct ModeBudget
     DecibelLoss worstLeak{-1e9};
 };
 
+/** Reusable working storage of summarizeLinkBudget(); a caller that
+ *  keeps one across calls summarizes without allocating. */
+struct LinkBudgetScratch
+{
+    std::vector<TapExtremes> extremes;
+    std::vector<double> armPower;
+};
+
 /**
- * Summary kernel of validateReceivedPowers(): for each mode, the
- * worst reachable and the loudest unreachable link of one source,
- * without the per-link BER or the links vector.  Only the extreme
- * received powers are converted to dB (log is monotone), so
- * out[m].worstMargin folded with min over modes is bit-equal to the
- * report's worstReachableMargin, and the same holds for the leak.
+ * Link-budget kernel of one source: for each mode, the worst
+ * reachable and the loudest unreachable link, from one
+ * SplitterChain::foldTapExtremes() walk, without the per-link BER or
+ * the links vector.  Only the extreme received powers are converted
+ * to dB (log is monotone), so each out[m] is bit-equal to the same
+ * fold of validateReceivedPowers() over evaluate()'s mode-m vector:
+ * out[m].worstMargin folded with min over modes is the report's
+ * worstReachableMargin, and the same holds for the leak.
  *
- * Arguments as for validateReceivedPowers(); out.size() is the mode
- * count.
+ * @param chain Waveguide power model of the source.
+ * @param design The source's splitter design.
+ * @param injected Injected power per mode; out.size() becomes the
+ *        mode count.
+ * @param splitter_scale Per-node split-ratio scale, as for
+ *        SplitterChain::evaluate(); empty for none.
+ * @param mode_of_dest Minimum mode per destination; the entry at the
+ *        source is ignored.
+ * @param pmin Required tap power.
  */
-std::vector<ModeBudget> summarizeReceivedPowers(
-    const std::vector<std::vector<double>> &received_per_mode,
-    const std::vector<int> &mode_of_dest, int source, WattPower pmin);
+void summarizeLinkBudget(const SplitterChain &chain,
+                         const ChainDesign &design,
+                         const std::vector<WattPower> &injected,
+                         const std::vector<double> &splitter_scale,
+                         const std::vector<int> &mode_of_dest,
+                         WattPower pmin, std::vector<ModeBudget> &out,
+                         LinkBudgetScratch &scratch);
 
 /**
  * The worst failing mode of a summarized source: the first mode, in

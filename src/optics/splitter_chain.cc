@@ -8,6 +8,32 @@
 
 namespace mnoc::optics {
 
+namespace {
+
+/** Node @p j's split fraction under the ratio scale @p splitter_scale
+ *  (empty for none); the one expression evaluate() and
+ *  foldTapExtremes() share, so both see the same doubles. */
+double
+scaledFraction(const ChainDesign &design,
+               const std::vector<double> &splitter_scale, int j)
+{
+    double s = design.splitterFraction[static_cast<std::size_t>(j)];
+    if (!splitter_scale.empty()) {
+        // Scale the split *ratio* s/(1-s): s' = s*k/(s*k + 1-s).
+        // Endpoints are fixed (s=0 stays 0, s=1 stays 1), interior
+        // fractions stay interior, and for small s this reduces to
+        // plain s*k.
+        double k =
+            std::max(0.0, splitter_scale[static_cast<std::size_t>(j)]);
+        double num = s * k;
+        double den = num + (1.0 - s);
+        s = den > 0.0 ? num / den : 0.0;
+    }
+    return s;
+}
+
+} // namespace
+
 SplitterChain::SplitterChain(const SerpentineLayout &layout,
                              const DeviceParams &params, int source)
     : layout_(layout), params_(params), source_(source)
@@ -152,32 +178,17 @@ SplitterChain::evaluate(const ChainDesign &design,
                 static_cast<int>(splitter_scale.size()) != n,
             "splitter scale size mismatch");
 
-    auto fraction = [&](int j) {
-        double s = design.splitterFraction[j];
-        if (!splitter_scale.empty()) {
-            // Scale the split *ratio* s/(1-s): s' = s*k/(s*k + 1-s).
-            // Endpoints are fixed (s=0 stays 0, s=1 stays 1), interior
-            // fractions stay interior, and for small s this reduces to
-            // plain s*k.
-            double k = std::max(0.0, splitter_scale[j]);
-            double num = s * k;
-            double den = num + (1.0 - s);
-            s = den > 0.0 ? num / den : 0.0;
-        }
-        return s;
-    };
-
     const double tap_t =
         params_.splitterInsertion.toTransmission().value();
     std::vector<double> received(n, 0.0);
     double fed = (injected_power * sourceFeedTransmission_).watts();
-    double left_frac = fraction(source_);
+    double left_frac = scaledFraction(design, splitter_scale, source_);
 
     auto walk = [&](double power, int step) {
         for (int j = source_ + step; j >= 0 && j < n; j += step) {
             int seg_lo = std::min(j, j - step);
             power *= segmentTransmission(seg_lo).value();
-            double s = fraction(j);
+            double s = scaledFraction(design, splitter_scale, j);
             received[j] = power * s * tap_t;
             power *= (1.0 - s);
             if (power <= 0.0)
@@ -188,6 +199,63 @@ SplitterChain::evaluate(const ChainDesign &design,
     walk(fed * left_frac, -1);
     walk(fed * (1.0 - left_frac), +1);
     return received;
+}
+
+void
+SplitterChain::foldTapExtremes(const ChainDesign &design,
+                               const std::vector<WattPower> &injected,
+                               const std::vector<double> &splitter_scale,
+                               const std::vector<int> &mode_of_dest,
+                               std::vector<TapExtremes> &out,
+                               std::vector<double> &arm_power) const
+{
+    int n = numNodes();
+    panicIf(design.source != source_, "design is for a different source");
+    panicIf(static_cast<int>(design.splitterFraction.size()) != n,
+            "design size mismatch");
+    panicIf(!splitter_scale.empty() &&
+                static_cast<int>(splitter_scale.size()) != n,
+            "splitter scale size mismatch");
+    panicIf(static_cast<int>(mode_of_dest.size()) != n,
+            "mode_of_dest size mismatch");
+
+    std::size_t num_modes = injected.size();
+    out.assign(num_modes, TapExtremes{});
+    arm_power.resize(num_modes);
+    const double tap_t =
+        params_.splitterInsertion.toTransmission().value();
+    double left_frac = scaledFraction(design, splitter_scale, source_);
+
+    auto walk = [&](double share, int step) {
+        for (std::size_t m = 0; m < num_modes; ++m)
+            arm_power[m] =
+                (injected[m] * sourceFeedTransmission_).watts() * share;
+        for (int j = source_ + step; j >= 0 && j < n; j += step) {
+            int seg_lo = std::min(j, j - step);
+            double seg = segmentTransmission(seg_lo).value();
+            double s = scaledFraction(design, splitter_scale, j);
+            double keep = 1.0 - s;
+            int dest_mode = mode_of_dest[static_cast<std::size_t>(j)];
+            for (std::size_t m = 0; m < num_modes; ++m) {
+                double power = arm_power[m] * seg;
+                double received = power * s * tap_t;
+                power *= keep;
+                // evaluate() ends the arm here; with the power held
+                // at +0 every later node reads 0 W, as there.
+                arm_power[m] = power <= 0.0 ? 0.0 : power;
+                TapExtremes &fold = out[m];
+                if (dest_mode <= static_cast<int>(m))
+                    fold.weakestReachable =
+                        std::min(fold.weakestReachable, received);
+                else
+                    fold.loudestUnreachable =
+                        std::max(fold.loudestUnreachable, received);
+            }
+        }
+    };
+
+    walk(left_frac, -1);
+    walk(1.0 - left_frac, +1);
 }
 
 ChainLossBreakdown

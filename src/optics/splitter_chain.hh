@@ -27,6 +27,7 @@
 #ifndef MNOC_OPTICS_SPLITTER_CHAIN_HH
 #define MNOC_OPTICS_SPLITTER_CHAIN_HH
 
+#include <limits>
 #include <vector>
 
 #include "optics/device_params.hh"
@@ -87,6 +88,20 @@ struct ChainLossBreakdown
         return sourceCoupling + sourceSplit + waveguide +
                tapInsertion + receiverCoupling + delivered + residual;
     }
+};
+
+/**
+ * Extreme tap powers of one drive mode, in watts: what a link-budget
+ * check needs of the mode's received-power vector.
+ */
+struct TapExtremes
+{
+    /** Smallest power over the mode's reachable destinations (+inf
+     *  when the mode reaches none). */
+    double weakestReachable = std::numeric_limits<double>::infinity();
+    /** Largest power over the mode's unreachable destinations (0 when
+     *  there are none). */
+    double loudestUnreachable = 0.0;
 };
 
 /**
@@ -154,6 +169,35 @@ class SplitterChain
     std::vector<double>
     evaluate(const ChainDesign &design, WattPower injected_power,
              const std::vector<double> &splitter_scale) const;
+
+    /**
+     * Every mode's TapExtremes in one walk of each arm: the multi-mode
+     * fold of evaluate(design, injected[m], splitter_scale) over the
+     * destinations, with destination d reachable in mode m when
+     * mode_of_dest[d] <= m.
+     *
+     * Each node's perturbed split fraction is computed once and every
+     * mode's arm power advances through evaluate()'s own sequence of
+     * multiplications; a node past a mode's early break reads 0 W, as
+     * in evaluate().  The folded powers are therefore the doubles
+     * evaluate() returns, and min/max of equal values do not depend
+     * on the fold order, so out[m] is bit-equal to folding
+     * evaluate()'s vector for mode m.
+     *
+     * @param injected Injected power per mode; its size is the mode
+     *        count and out is resized to match.
+     * @param splitter_scale As for evaluate(); empty for none.
+     * @param mode_of_dest Minimum mode per destination; the entry at
+     *        the source is ignored.
+     * @param arm_power Working storage for the per-mode arm powers;
+     *        reusing it across calls keeps the walk allocation-free.
+     */
+    void foldTapExtremes(const ChainDesign &design,
+                         const std::vector<WattPower> &injected,
+                         const std::vector<double> &splitter_scale,
+                         const std::vector<int> &mode_of_dest,
+                         std::vector<TapExtremes> &out,
+                         std::vector<double> &arm_power) const;
 
     /**
      * Propagate @p injected_power through @p design while attributing

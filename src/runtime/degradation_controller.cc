@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -23,7 +24,7 @@ namespace {
 constexpr DecibelLoss kEps{1e-9};
 
 /** One source's health under the current fault state and controller
- *  settings; each parallel evaluation owns its slot. */
+ *  settings. */
 struct SourceHealth
 {
     DecibelLoss worstMargin{1e9};
@@ -96,7 +97,7 @@ runDegradationController(const optics::SerpentineLayout &layout,
                          const faults::DeviceVariation &variation,
                          const FaultTimeline &timeline,
                          const DegradationPolicy &policy,
-                         core::EnergyLedger *ledger, ThreadPool *pool)
+                         core::EnergyLedger *ledger)
 {
     policy.validate();
     int n = design.topology.numNodes;
@@ -120,8 +121,6 @@ runDegradationController(const optics::SerpentineLayout &layout,
     metrics.counter("runtime.controller_runs").add();
     Series &margin_series = metrics.series("runtime.margin");
     Series &action_series = metrics.series("runtime.actions");
-    ThreadPool &workers =
-        pool != nullptr ? *pool : ThreadPool::global();
 
     // Mutable controller state.  modeOrigin maps a current-space
     // mode index to the original design mode whose drive power it
@@ -150,23 +149,45 @@ runDegradationController(const optics::SerpentineLayout &layout,
 
     std::vector<SourceHealth> health(static_cast<std::size_t>(n));
 
+    // Each source keeps its chain across evaluations.  Of the epoch's
+    // fault state only the source's thermal skew (its coupler loss)
+    // reaches the chain; the receiver skew reaches pmin alone, which
+    // every evaluation recomputes.  So a chain is rebuilt only when
+    // the source's thermal skew differs from the one it was built
+    // with.
+    std::vector<std::optional<optics::SplitterChain>> chains(
+        static_cast<std::size_t>(n));
+    std::vector<DecibelLoss> chain_skew(static_cast<std::size_t>(n));
+    // Scratch of the serial evaluations: once warm, an evaluation
+    // allocates nothing.
+    std::vector<double> scale(static_cast<std::size_t>(n));
+    std::vector<WattPower> injected;
+    injected.reserve(static_cast<std::size_t>(orig_modes));
+    std::vector<optics::ModeBudget> modes;
+    optics::LinkBudgetScratch scratch;
+    Counter &chain_builds = metrics.counter("runtime.chain_builds");
+    Counter &evaluations = metrics.counter("runtime.source_evaluations");
+
     // Worst-case budget of one source under the epoch's fault state:
-    // rebuild its chain with the runtime skews folded into the base
-    // variation, replay every current mode's received powers, and
-    // fold them through the link-budget summary kernel.  Pure
-    // function of (state, topo, mode_origin, trims) -- safe to fan
-    // out over disjoint slots.
+    // its chain under the runtime thermal skew, every current mode's
+    // injected power, and one walk of the link-budget kernel.  Pure
+    // function of (state, topo, mode_origin, trims).
     auto evaluate_source = [&](int s) {
         auto slot = static_cast<std::size_t>(s);
+        evaluations.add();
         double receiver_scale =
             state.receiverSkew.toAttenuation().value();
         auto params = variation.params.perturbed(
             DecibelLoss(0.0), state.thermalSkew[slot],
             DecibelLoss(0.0), receiver_scale);
         WattPower pmin = params.pminAtTap();
-        optics::SplitterChain chain(layout, params, s);
+        std::optional<optics::SplitterChain> &chain = chains[slot];
+        if (!chain || chain_skew[slot] != state.thermalSkew[slot]) {
+            chain.emplace(layout, params, s);
+            chain_skew[slot] = state.thermalSkew[slot];
+            chain_builds.add();
+        }
 
-        std::vector<double> scale(static_cast<std::size_t>(n));
         for (int j = 0; j < n; ++j)
             scale[static_cast<std::size_t>(j)] =
                 variation.splitterScale[slot]
@@ -176,22 +197,19 @@ runDegradationController(const optics::SerpentineLayout &layout,
         const auto &source = design.sources[slot];
         double output_scale =
             state.ledScale[slot] * variation.ledOutputScale[slot];
-        std::vector<std::vector<double>> received;
-        received.reserve(
-            static_cast<std::size_t>(topo.numModes));
+        injected.clear();
         for (int k = 0; k < topo.numModes; ++k) {
             int drive = resolveDriveMode(
                 mode_origin[static_cast<std::size_t>(k)],
                 state.deadModes[slot], orig_modes);
-            WattPower injected =
+            injected.push_back(
                 source.modePower[static_cast<std::size_t>(drive)] *
-                trims[slot].toAttenuation() * output_scale;
-            received.push_back(
-                chain.evaluate(source.chain, injected, scale));
+                trims[slot].toAttenuation() * output_scale);
         }
 
-        auto modes = optics::summarizeReceivedPowers(
-            received, topo.local(s).modeOfDest, s, pmin);
+        optics::summarizeLinkBudget(*chain, source.chain, injected, scale,
+                                    topo.local(s).modeOfDest, pmin, modes,
+                                    scratch);
         SourceHealth out;
         for (const optics::ModeBudget &budget : modes)
             out.worstMargin =
@@ -201,26 +219,16 @@ runDegradationController(const optics::SerpentineLayout &layout,
         health[slot] = out;
     };
 
-    // The evaluation tally is serial and counts the same sources at
-    // any pool size.
-    Counter &evaluations = metrics.counter("runtime.source_evaluations");
     auto evaluate_all = [&] {
-        evaluations.add(static_cast<std::uint64_t>(n));
-        workers.parallelFor(n, [&](long long s) {
-            evaluate_source(static_cast<int>(s));
-        });
+        for (int s = 0; s < n; ++s)
+            evaluate_source(s);
     };
     auto evaluate_subset = [&](const std::vector<int> &dirty) {
-        evaluations.add(static_cast<std::uint64_t>(dirty.size()));
-        workers.parallelFor(
-            static_cast<long long>(dirty.size()),
-            [&](long long i) {
-                evaluate_source(
-                    dirty[static_cast<std::size_t>(i)]);
-            });
+        for (int s : dirty)
+            evaluate_source(s);
     };
 
-    // Reductions in source order: identical at any thread count.
+    // Reductions in source order.
     auto worst_margin = [&] {
         DecibelLoss worst{1e9};
         for (const SourceHealth &h : health)

@@ -4,10 +4,12 @@
  *
  * At every ledger epoch boundary the controller brings each
  * source's worst-case link margin up to date under the epoch's
- * composed fault state -- re-evaluating, through the link-budget
- * summary kernel (optics/link_budget.hh), only the sources whose
- * fault inputs changed since the previous epoch -- then applies a
- * rule table until the run-time margin requirement holds again:
+ * composed fault state -- re-evaluating, through the one-walk
+ * link-budget kernel (optics/link_budget.hh), only the sources whose
+ * fault inputs changed since the previous epoch, on splitter chains
+ * it rebuilds only when a source's thermal skew moves -- then
+ * applies a rule table until the run-time margin requirement holds
+ * again:
  *
  *   1. fail over dead drive modes to their parent (the next-higher
  *      mode: mode sets are nested, so the parent's power superset
@@ -25,11 +27,13 @@
  * runs still account for every joule (the ledger's conservation
  * self-checks extend over the reconfiguration cells).
  *
- * Determinism: per-source margin evaluation fans out over the shared
- * ThreadPool into disjoint slots and reduces in source order; rule
- * firing is serial over that reduction.  A faulted run is therefore
- * bit-identical at any MNOC_THREADS (DESIGN.md §9), which
- * test_determinism asserts.
+ * Determinism: the controller is serial.  Sources are evaluated and
+ * reduced in source order and the rules fire over that reduction, so
+ * a faulted run uses no thread pool and is bit-identical at any
+ * MNOC_THREADS (DESIGN.md §9).  A reused chain is the chain a fresh
+ * build would give, since its one varying input, the thermal skew,
+ * is its key; test_runtime checks every epoch's margin against
+ * from-scratch budgets.
  */
 
 #ifndef MNOC_RUNTIME_DEGRADATION_CONTROLLER_HH
@@ -38,7 +42,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/thread_pool.hh"
 #include "common/units.hh"
 #include "core/energy_ledger.hh"
 #include "core/power_model.hh"
@@ -149,8 +152,6 @@ struct DegradationLog
  * @param policy Rule-table constants and reconfiguration costs.
  * @param ledger Ledger to charge reconfiguration energy into; may
  *        be null to run the controller without cost attribution.
- * @param pool Worker pool for the per-source margin fan-out
- *        (defaults to the shared global pool).
  *
  * @throws FatalError when no rule can restore the required margin.
  * @throws PanicError if the rule loop would leave an epoch with a
@@ -162,7 +163,7 @@ DegradationLog runDegradationController(
     const core::MnocDesign &design,
     const faults::DeviceVariation &variation,
     const FaultTimeline &timeline, const DegradationPolicy &policy,
-    core::EnergyLedger *ledger, ThreadPool *pool = nullptr);
+    core::EnergyLedger *ledger);
 
 } // namespace mnoc::runtime
 

@@ -347,16 +347,17 @@ writeReport(const Replay &replay, const ReplayRun &run)
     std::size_t num_epochs = ledger.numEpochs();
 
     // Per-(source, mode) totals across epochs, and the
-    // time-weighted optical-loss energy attribution.
+    // time-weighted optical-loss energy attribution.  The totals
+    // walk the ledger in its epoch-major storage order; each
+    // accumulator still folds its cells in epoch order.
     std::vector<core::LedgerCell> totals(static_cast<std::size_t>(cores) *
                                          static_cast<std::size_t>(modes));
-    optics::ChainLossBreakdown optical; // joules, not watts, here
-    for (int s = 0; s < cores; ++s) {
-        for (int m = 0; m < modes; ++m) {
-            auto &total = totals[static_cast<std::size_t>(s) *
-                                     static_cast<std::size_t>(modes) +
-                                 static_cast<std::size_t>(m)];
-            for (std::size_t e = 0; e < num_epochs; ++e) {
+    for (std::size_t e = 0; e < num_epochs; ++e) {
+        for (int s = 0; s < cores; ++s) {
+            for (int m = 0; m < modes; ++m) {
+                auto &total = totals[static_cast<std::size_t>(s) *
+                                         static_cast<std::size_t>(modes) +
+                                     static_cast<std::size_t>(m)];
                 const auto &cell = ledger.cell(s, m, e);
                 total.flits += cell.flits;
                 total.txSeconds += cell.txSeconds;
@@ -364,6 +365,14 @@ writeReport(const Replay &replay, const ReplayRun &run)
                 total.oeEnergy += cell.oeEnergy;
                 total.electricalEnergy += cell.electricalEnergy;
             }
+        }
+    }
+    optics::ChainLossBreakdown optical; // joules, not watts, here
+    for (int s = 0; s < cores; ++s) {
+        for (int m = 0; m < modes; ++m) {
+            const auto &total = totals[static_cast<std::size_t>(s) *
+                                           static_cast<std::size_t>(modes) +
+                                       static_cast<std::size_t>(m)];
             const auto &loss = ledger.loss(s, m);
             double tx = total.txSeconds;
             optical.injected += tx * loss.injected;

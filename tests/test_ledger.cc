@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 #include "common/log.hh"
 #include "common/metrics.hh"
 #include "core/builders.hh"
@@ -202,6 +205,77 @@ TEST(EnergyLedger, BuildLeavesMetricsTrail)
     auto flits = metrics.series("ledger.epoch_flits").values();
     ASSERT_EQ(flits.size(), 1u);
     EXPECT_EQ(flits[0], 16u * 15u * 100u);
+    MetricsRegistry::global().reset();
+    MetricsRegistry::setEnabled(false);
+}
+
+TEST(EnergyLedger, FoldsKeepTheirOrderOnGoldenEpochTrace)
+{
+    // Cells are stored epoch-major; every fold keeps the order the
+    // class docs give it.  Test-local folds in those orders must
+    // reproduce the ledger's bit for bit.
+    MetricsRegistry::setEnabled(true);
+    MetricsRegistry::global().reset();
+    LedgerFixture f;
+    auto design = f.model.designUniform(distanceBasedTopology(16, 4));
+    sim::TraceReader reader(std::string(MNOC_TEST_DATA_DIR) +
+                            "/golden_epoch_16.trace");
+    auto ledger = f.model.buildLedger(design, reader);
+    ASSERT_GT(ledger.numEpochs(), 1u);
+    ledger.addReconfigEnergy(1, 3e-9);
+    ledger.addReconfigEnergy(ledger.numEpochs() - 1, 7e-9);
+    int sources = ledger.numSources();
+    int modes = ledger.numModes();
+
+    // Whole ledger: one accumulator, (source, mode, epoch) order.
+    double source_energy = 0.0;
+    double oe_energy = 0.0;
+    double electrical_energy = 0.0;
+    double total = 0.0;
+    for (int s = 0; s < sources; ++s) {
+        for (int m = 0; m < modes; ++m) {
+            for (std::size_t e = 0; e < ledger.numEpochs(); ++e) {
+                const LedgerCell &cell = ledger.cell(s, m, e);
+                source_energy += cell.sourceEnergy;
+                oe_energy += cell.oeEnergy;
+                electrical_energy += cell.electricalEnergy;
+                total += cell.totalEnergy();
+            }
+        }
+    }
+    auto power = ledger.averagePower();
+    double duration = ledger.durationSeconds();
+    EXPECT_EQ(power.source, source_energy / duration);
+    EXPECT_EQ(power.oe, oe_energy / duration);
+    EXPECT_EQ(power.electrical, electrical_energy / duration);
+    EXPECT_EQ(power.reconfig, ledger.totalReconfigEnergy() / duration);
+    EXPECT_EQ(ledger.totalEnergy(), total + ledger.totalReconfigEnergy());
+
+    // Per epoch: (source, mode) order within the epoch.
+    auto heatmap = ledger.sourceEpochPower();
+    auto flits =
+        MetricsRegistry::global().series("ledger.epoch_flits").values();
+    ASSERT_EQ(flits.size(), ledger.numEpochs());
+    double window = duration / static_cast<double>(ledger.numEpochs());
+    for (std::size_t e = 0; e < ledger.numEpochs(); ++e) {
+        double attributed = 0.0;
+        std::uint64_t epoch_flits = 0;
+        for (int s = 0; s < sources; ++s) {
+            double source_total = 0.0;
+            for (int m = 0; m < modes; ++m) {
+                const LedgerCell &cell = ledger.cell(s, m, e);
+                attributed += cell.totalEnergy();
+                source_total += cell.totalEnergy();
+                epoch_flits += cell.flits;
+            }
+            EXPECT_EQ(heatmap(e, static_cast<std::size_t>(s)),
+                      source_total / window)
+                << "epoch " << e << " source " << s;
+        }
+        EXPECT_EQ(ledger.epochAttributedEnergy(e), attributed)
+            << "epoch " << e;
+        EXPECT_EQ(flits[e], epoch_flits) << "epoch " << e;
+    }
     MetricsRegistry::global().reset();
     MetricsRegistry::setEnabled(false);
 }

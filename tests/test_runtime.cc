@@ -200,10 +200,8 @@ TEST(Controller, QuietTimelineFiresNoRules)
     FaultTimeline timeline(quietSpec(), RuntimeFixture::kNodes, 2, 6,
                            1);
     DegradationPolicy policy;
-    ThreadPool pool(1);
     auto log = runDegradationController(fx.layout, design, variation,
-                                        timeline, policy, nullptr,
-                                        &pool);
+                                        timeline, policy, nullptr);
     ASSERT_EQ(log.epochs.size(), 6u);
     EXPECT_TRUE(log.actions.empty());
     EXPECT_EQ(log.finalNumModes, 2);
@@ -229,10 +227,8 @@ TEST(Controller, TrimsDefendMarginUnderLaserDroop)
     ASSERT_FALSE(timeline.events().empty());
 
     DegradationPolicy policy;
-    ThreadPool pool(1);
     auto log = runDegradationController(fx.layout, design, variation,
-                                        timeline, policy, nullptr,
-                                        &pool);
+                                        timeline, policy, nullptr);
     EXPECT_GT(log.countActions(ActionKind::Trim), 0);
     // Every epoch closes at or above the required margin: the
     // controller's core invariant.
@@ -266,10 +262,8 @@ TEST(Controller, DeadModeFailoverMatchesTimelineAndRestores)
     ASSERT_FALSE(timeline.events().empty());
 
     DegradationPolicy policy;
-    ThreadPool pool(1);
     auto log = runDegradationController(fx.layout, design, variation,
-                                        timeline, policy, nullptr,
-                                        &pool);
+                                        timeline, policy, nullptr);
 
     // Expected failovers/restores follow from the composed dead-mode
     // masks alone; the controller must book exactly those.
@@ -326,10 +320,8 @@ TEST(Controller, CollapsesWorstModeWhenTrimsExhaust)
 
     DegradationPolicy policy;
     policy.maxTrim = policy.trimStep; // one trim step, then collapse
-    ThreadPool pool(1);
     auto log = runDegradationController(fx.layout, design, variation,
-                                        timeline, policy, nullptr,
-                                        &pool);
+                                        timeline, policy, nullptr);
     EXPECT_EQ(log.countActions(ActionKind::Collapse), 1);
     EXPECT_EQ(log.finalNumModes, 1);
     for (const auto &epoch : log.epochs)
@@ -360,10 +352,9 @@ TEST(Controller, FatalsOnlyWhenNoRuleRestoresMargin)
 
     DegradationPolicy policy;
     policy.maxTrim = DecibelLoss(1.0);
-    ThreadPool pool(1);
     EXPECT_THROW(runDegradationController(fx.layout, design,
                                           variation, timeline, policy,
-                                          nullptr, &pool),
+                                          nullptr),
                  FatalError);
 }
 
@@ -386,10 +377,8 @@ TEST(Controller, HysteresisRelaxesTrimsAfterHealthyStreak)
     // untouched sources evaluate a hair under it (fp noise), and the
     // streak must still build once the excursion passes.
     policy.restoreHysteresis = DecibelLoss(0.9);
-    ThreadPool pool(1);
     auto log = runDegradationController(fx.layout, design, variation,
-                                        timeline, policy, nullptr,
-                                        &pool);
+                                        timeline, policy, nullptr);
     EXPECT_GT(log.countActions(ActionKind::Trim), 0);
     EXPECT_GT(log.countActions(ActionKind::Relax), 0);
     // Relaxes only fire after the configured healthy streak.
@@ -481,10 +470,8 @@ TEST(Controller, RestoredSourceMustReearnItsRelaxStreak)
     DegradationPolicy policy;
     policy.requiredMargin = DecibelLoss(1.0);
     policy.restoreHysteresis = DecibelLoss(0.9);
-    ThreadPool pool(1);
     auto log = runDegradationController(fx.layout, design, variation,
-                                        timeline, policy, nullptr,
-                                        &pool);
+                                        timeline, policy, nullptr);
 
     EXPECT_GT(log.countActions(ActionKind::Trim), 0);
     EXPECT_EQ(log.countActions(ActionKind::Failover), 1);
@@ -553,9 +540,11 @@ fromScratchWorstMargin(const RuntimeFixture &fx,
 TEST(Controller, CarriedHealthMatchesFromScratchBudgets)
 {
     // The controller re-evaluates only the sources whose fault
-    // inputs changed since the previous epoch.  Each fault kind
-    // starts and ends mid-run in its own window, on a varied die; a
-    // missed invalidation leaves marginBefore stale at a boundary.
+    // inputs changed since the previous epoch, on splitter chains it
+    // rebuilds only when a source's thermal skew moves.  Each fault
+    // kind starts and ends mid-run in its own window, on a varied
+    // die; a missed invalidation, or a chain kept past a skew change,
+    // leaves marginBefore stale at a boundary.
     RuntimeFixture fx;
     auto design = fx.twoModeDesign(DecibelLoss(0.5));
     Prng prng(5);
@@ -587,33 +576,46 @@ TEST(Controller, CarriedHealthMatchesFromScratchBudgets)
         event(FaultKind::SplitterAging, 8, 10, target + 1, -0.6),
         event(FaultKind::ReceiverDrift, 11, 13, -1, 1.5),
         event(FaultKind::DeadMode, 14, 16, target, 0.0),
+        // A one-epoch thermal event holds its full magnitude, so two
+        // back to back keep the target's skew at 1 dB over epochs
+        // 18-19 while the receiver skew alone moves at 19: the
+        // target's chain is reused there and only pmin changes.
+        event(FaultKind::ThermalDrift, 18, 19, target, 1.0),
+        event(FaultKind::ThermalDrift, 19, 20, target, 1.0),
+        event(FaultKind::ReceiverDrift, 19, 21, -1, 0.8),
+        // A skew that returns to exactly 0 dB at 23 must rebuild the
+        // chain built under 1.5 dB at 22.
+        event(FaultKind::ThermalDrift, 22, 23, target, 1.5),
     };
-    events.back().mode = 0;
-    constexpr std::size_t kEpochs = 18;
+    events[4].mode = 0;
+    constexpr std::size_t kEpochs = 24;
     FaultTimeline timeline(events, RuntimeFixture::kNodes, 2, kEpochs);
+    ASSERT_EQ(timeline.stateAt(18).thermalSkew[target].dB(), 1.0);
+    ASSERT_EQ(timeline.stateAt(19).thermalSkew[target].dB(), 1.0);
+    ASSERT_EQ(timeline.stateAt(18).receiverSkew.dB(), 0.0);
+    ASSERT_NE(timeline.stateAt(19).receiverSkew.dB(), 0.0);
+    ASSERT_EQ(timeline.stateAt(22).thermalSkew[target].dB(), 1.5);
+    ASSERT_EQ(timeline.stateAt(23).thermalSkew[target].dB(), 0.0);
 
     DegradationPolicy policy;
     policy.requiredMargin = DecibelLoss(-100.0);
-    for (int threads : {1, 3}) {
-        ThreadPool pool(threads);
-        auto log = runDegradationController(fx.layout, design, variation,
-                                            timeline, policy, nullptr,
-                                            &pool);
-        EXPECT_EQ(log.countActions(ActionKind::Trim), 0);
-        EXPECT_EQ(log.countActions(ActionKind::Relax), 0);
-        EXPECT_EQ(log.countActions(ActionKind::Collapse), 0);
-        ASSERT_EQ(log.epochs.size(), kEpochs);
-        for (std::size_t e = 0; e < kEpochs; ++e) {
-            DecibelLoss expected = fromScratchWorstMargin(
-                fx, design, variation, timeline.stateAt(e));
-            EXPECT_EQ(log.epochs[e].marginBefore.dB(), expected.dB())
-                << "epoch " << e << " at " << threads << " threads";
-        }
+    auto log = runDegradationController(fx.layout, design, variation,
+                                        timeline, policy, nullptr);
+    EXPECT_EQ(log.countActions(ActionKind::Trim), 0);
+    EXPECT_EQ(log.countActions(ActionKind::Relax), 0);
+    EXPECT_EQ(log.countActions(ActionKind::Collapse), 0);
+    ASSERT_EQ(log.epochs.size(), kEpochs);
+    for (std::size_t e = 0; e < kEpochs; ++e) {
+        DecibelLoss expected = fromScratchWorstMargin(
+            fx, design, variation, timeline.stateAt(e));
+        EXPECT_EQ(log.epochs[e].marginBefore.dB(), expected.dB())
+            << "epoch " << e;
     }
 
     // Each fault boundary, one kind at a time, moves the reference,
     // so the comparison above would catch a stale margin at each.
-    for (std::size_t e : {2, 3, 5, 7, 8, 10, 11, 13, 14, 16}) {
+    for (std::size_t e :
+         {2, 3, 5, 7, 8, 10, 11, 13, 14, 16, 18, 19, 20, 21, 22, 23}) {
         EXPECT_NE(fromScratchWorstMargin(fx, design, variation,
                                          timeline.stateAt(e))
                       .dB(),
@@ -645,10 +647,8 @@ TEST(Controller, ChargesReconfigurationEnergyIntoLedger)
     ledger.cell(2, 0, 5).electricalEnergy = 1.0e-9;
 
     DegradationPolicy policy;
-    ThreadPool pool(1);
     auto log = runDegradationController(fx.layout, design, variation,
-                                        timeline, policy, &ledger,
-                                        &pool);
+                                        timeline, policy, &ledger);
     ASSERT_GT(log.totalReconfigEnergy, 0.0);
 
     // Per-epoch cells mirror the controller's log exactly, and the
@@ -673,7 +673,7 @@ TEST(Controller, ChargesReconfigurationEnergyIntoLedger)
                                   kEpochs + 1, 1.0e-3);
     EXPECT_THROW(runDegradationController(fx.layout, design,
                                           variation, timeline, policy,
-                                          &off_by_one, &pool),
+                                          &off_by_one),
                  FatalError);
 }
 
