@@ -5,7 +5,8 @@
  * channel booking, cache lookups, directory entries, the
  * disabled-path cost of the metrics/span instrumentation (must stay a
  * branch, not a syscall), a passing bounds check (must stay a
- * branch, not an allocation), and the trace reader's record parse.
+ * branch, not an allocation), the trace reader's record parse, and
+ * the adaptive-controller run with the decision journal off and on.
  */
 
 #include <benchmark/benchmark.h>
@@ -13,6 +14,7 @@
 #include <filesystem>
 #include <vector>
 
+#include "common/journal.hh"
 #include "common/log.hh"
 #include "common/matrix.hh"
 #include "common/metrics.hh"
@@ -24,6 +26,7 @@
 #include "optics/alpha_optimizer.hh"
 #include "optics/crossbar.hh"
 #include "qap/qap.hh"
+#include "runtime/adaptive_controller.hh"
 #include "runtime/degradation_controller.hh"
 #include "runtime/fault_timeline.hh"
 #include "sim/cache.hh"
@@ -361,6 +364,122 @@ BM_TraceReaderDrain(benchmark::State &state)
     state.SetItemsProcessed(static_cast<std::int64_t>(records));
 }
 BENCHMARK(BM_TraceReaderDrain)->Unit(benchmark::kMillisecond);
+
+/** The adaptive-controller run of BM_AdaptiveRunJournal: a 64-node
+ *  distance-based static design, and a 256-epoch trace whose first
+ *  half is neighbor-heavy and second half uniform, each epoch drawn
+ *  from its own derived stream so the trace is the same run over
+ *  run.  The trace stays in memory; the reader serves it from there. */
+struct AdaptiveRunFixture
+{
+    static constexpr int kNodes = 64;
+    static constexpr std::size_t kEpochs = 256;
+
+    AdaptiveRunFixture()
+    {
+        core::DesignSpec spec;
+        spec.numModes = 2;
+        spec.assignment = core::Assignment::DistanceBased;
+        spec.weights = core::WeightSource::Uniform;
+        FlowMatrix flow(kNodes, kNodes, 1.0);
+        for (int i = 0; i < kNodes; ++i)
+            flow(i, i) = 0.0;
+        auto topology = designer.buildTopology(spec, flow);
+        design = designer.buildDesign(spec, topology, flow,
+                                      DecibelLoss(1.5));
+
+        policy.candidateSpec.numModes = 2;
+        policy.candidateSpec.assignment = core::Assignment::CommAware;
+        policy.candidateSpec.weights = core::WeightSource::DesignFlow;
+        policy.candidateMargin = DecibelLoss(1.5);
+
+        constexpr std::uint64_t kMessages = 128;
+        trace.workloadName = "micro_adaptive";
+        trace.networkName = "mNoC";
+        trace.totalTicks = 1000000;
+        trace.packets = CountMatrix(kNodes, kNodes, 0);
+        trace.flits = CountMatrix(kNodes, kNodes, 0);
+        trace.epochs.messagesPerEpoch = kMessages;
+        CountMatrix packets(kNodes, kNodes, 0);
+        CountMatrix flits(kNodes, kNodes, 0);
+        for (std::size_t e = 0; e < kEpochs; ++e) {
+            Prng rng(deriveSeed(37, e));
+            packets.fill(0);
+            flits.fill(0);
+            for (std::uint64_t m = 0; m < kMessages; ++m) {
+                auto src = rng.below(kNodes);
+                std::uint64_t dst;
+                if (e < kEpochs / 2) {
+                    dst = (src + 1 + rng.below(3)) % kNodes;
+                } else {
+                    dst = rng.below(kNodes - 1);
+                    if (dst >= src)
+                        ++dst;
+                }
+                packets(src, dst) += 1;
+                flits(src, dst) += 1 + rng.below(8);
+            }
+            // Row-major walk: cells come out sorted by (src, dst).
+            std::vector<noc::EpochCell> cells;
+            for (int src = 0; src < kNodes; ++src) {
+                for (int dst = 0; dst < kNodes; ++dst) {
+                    if (packets(src, dst) == 0)
+                        continue;
+                    cells.push_back({src, dst, packets(src, dst),
+                                     flits(src, dst)});
+                    trace.packets(src, dst) += packets(src, dst);
+                    trace.flits(src, dst) += flits(src, dst);
+                }
+            }
+            trace.epochs.epochs.push_back(std::move(cells));
+        }
+    }
+
+    optics::SerpentineLayout layout{kNodes, Meters(0.08)};
+    optics::OpticalCrossbar crossbar{layout, optics::DeviceParams{}};
+    core::Designer designer{crossbar};
+    core::MnocDesign design;
+    runtime::AdaptivePolicy policy;
+    sim::Trace trace;
+};
+
+/** The adaptive-controller run with the decision journal off (/0)
+ *  or recording (/1): the /1 - /0 difference over the fixture's 256
+ *  epochs is the journal's enabled cost per epoch, and /0 pins that
+ *  the disabled path records nothing (each emission point costs one
+ *  relaxed atomic load).  The journal is emptied before every run,
+ *  and its enabled state restored afterwards. */
+void
+BM_AdaptiveRunJournal(benchmark::State &state)
+{
+    static const AdaptiveRunFixture fixture;
+    constexpr int kNodes = AdaptiveRunFixture::kNodes;
+    bool record = state.range(0) != 0;
+    bool was_enabled = journalEnabled();
+    Journal::setEnabled(record);
+    std::size_t records = 0;
+    for (auto _ : state) {
+        Journal::global().reset();
+        sim::TraceReader reader(fixture.trace);
+        core::EnergyLedger ledger(kNodes, 2, AdaptiveRunFixture::kEpochs,
+                                  1.0e-3);
+        auto log = runtime::runAdaptiveController(
+            fixture.designer, fixture.design, fixture.policy, reader,
+            nullptr, &ledger);
+        benchmark::DoNotOptimize(log.finalDesign);
+        records = Journal::global().size();
+    }
+    Journal::global().reset();
+    Journal::setEnabled(was_enabled);
+    state.counters["records"] = static_cast<double>(records);
+    if (!record && records != 0)
+        state.SkipWithError("the disabled journal recorded events");
+}
+BENCHMARK(BM_AdaptiveRunJournal)
+    ->Arg(0)
+    ->Arg(1)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 } // namespace
 

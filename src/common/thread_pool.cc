@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <exception>
+#include <memory>
 #include <string>
+#include <utility>
 
 #include "common/knobs.hh"
 #include "common/log.hh"
@@ -12,7 +14,7 @@ namespace mnoc {
 namespace {
 
 /** Set inside workerLoop(): which pool (if any) owns this thread.
- *  submit()/parallelFor() consult it to run nested work inline. */
+ *  parallelFor() consults it to run nested work inline. */
 thread_local const ThreadPool *tls_owner_pool = nullptr;
 
 } // namespace
@@ -40,6 +42,20 @@ ThreadPool::~ThreadPool()
     condition_.notify_all();
     for (auto &worker : workers_)
         worker.join();
+}
+
+std::future<void>
+ThreadPool::submit(std::function<void()> task)
+{
+    auto packaged =
+        std::make_shared<std::packaged_task<void()>>(std::move(task));
+    std::future<void> future = packaged->get_future();
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        queue_.emplace_back([packaged] { (*packaged)(); });
+    }
+    condition_.notify_one();
+    return future;
 }
 
 void

@@ -4,8 +4,9 @@
  *
  * All concurrency in this library goes through this pool
  * (mnoc-analyze's raw-thread rule enforces it): the QAP multi-start
- * solvers, the Monte Carlo yield analyzer, and the bench harness
- * submit tasks here instead of spawning threads.  The pool never
+ * solvers, the Monte Carlo yield analyzer, the bench harness and
+ * mnoc-analyze call parallelFor() here instead of spawning threads.
+ * The trace-replay verbs are serial and take no pool.  The pool never
  * affects results -- parallel callers write to disjoint,
  * index-addressed slots and reduce in index order afterwards, so
  * every result is bit-identical to a serial run at any thread count
@@ -24,21 +25,18 @@
 #include <deque>
 #include <functional>
 #include <future>
-#include <memory>
 #include <mutex>
 #include <thread>
-#include <type_traits>
-#include <utility>
 #include <vector>
 
 namespace mnoc {
 
 /**
- * Fixed-size worker pool with futures-based task submission.
+ * Fixed-size worker pool whose one entry point is parallelFor().
  *
- * Tasks submitted from inside one of the pool's own workers run
- * inline on the submitting worker instead of being queued, so nested
- * submission (a pool task that itself calls parallelFor) can never
+ * A parallelFor() called from inside one of the pool's own workers
+ * runs inline on that worker instead of being queued, so nested
+ * fan-out (a pool task that itself calls parallelFor) can never
  * deadlock on a fixed worker count.
  */
 class ThreadPool
@@ -54,36 +52,12 @@ class ThreadPool
     int numThreads() const { return numThreads_; }
 
     /**
-     * Submit a callable; the returned future carries its result, or
-     * rethrows the exception it raised.  Runs inline (and returns an
-     * already-ready future) on a pool-of-one or when called from one
-     * of this pool's workers.
-     */
-    template <typename F>
-    auto
-    submit(F &&fn) -> std::future<std::invoke_result_t<F>>
-    {
-        using Result = std::invoke_result_t<F>;
-        auto task = std::make_shared<std::packaged_task<Result()>>(
-            std::forward<F>(fn));
-        std::future<Result> future = task->get_future();
-        if (runsInline()) {
-            (*task)();
-            return future;
-        }
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            queue_.emplace_back([task] { (*task)(); });
-        }
-        condition_.notify_one();
-        return future;
-    }
-
-    /**
      * Run @p body(i) for every i in [0, n) and block until all calls
-     * finish.  Iterations are grouped into at most numThreads()
-     * contiguous chunks; callers must only write to disjoint slots
-     * indexed by i (the determinism contract of DESIGN.md §9).  If
+     * finish.  On a pool-of-one, or when called from one of this
+     * pool's workers, every call runs inline on the caller.
+     * Iterations are grouped into at most numThreads() contiguous
+     * chunks; callers must only write to disjoint slots indexed by
+     * i (the determinism contract of DESIGN.md §9).  If
      * any iteration throws, the exception of the lowest-index chunk
      * is rethrown once every chunk has finished -- independent of
      * scheduling order.
@@ -101,6 +75,10 @@ class ThreadPool
     static int configuredThreads();
 
   private:
+    /** Queue @p task for a worker; the future rethrows what it
+     *  raised.  parallelFor() runs inline work itself, so this
+     *  always queues. */
+    std::future<void> submit(std::function<void()> task);
     void workerLoop();
     /** True when tasks must run on the caller: pool-of-one, or the
      *  caller is one of this pool's own workers. */

@@ -235,9 +235,6 @@ std::vector<SpanEvent>
 parseSpanJson(const std::string &text, const std::string &path)
 {
     const std::string where = path.empty() ? "span input" : path;
-    std::size_t array_at = text.find("\"traceEvents\"");
-    if (array_at == std::string::npos)
-        fatal(where + ": span file has no traceEvents array");
 
     // Walk the document, collecting the depth-2 objects (the events
     // inside the traceEvents array) while respecting strings so a
@@ -247,6 +244,9 @@ parseSpanJson(const std::string &text, const std::string &path)
     // consumed (or worse, its nested objects mistaken for events).
     std::vector<SpanEvent> out;
     int depth = 0;
+    bool rooted = false;
+    bool has_events = false;
+    bool in_events = false;
     bool in_string = false;
     bool escaped = false;
     std::size_t start = 0;
@@ -275,6 +275,7 @@ parseSpanJson(const std::string &text, const std::string &path)
                     if (after < text.size() && text[after] == ':') {
                         section = text.substr(
                             string_start + 1, i - string_start - 1);
+                        has_events |= section == "traceEvents";
                         if (section != "traceEvents" &&
                             section != "displayTimeUnit")
                             fatal(where + ": unknown span-file "
@@ -290,7 +291,11 @@ parseSpanJson(const std::string &text, const std::string &path)
             in_string = true;
             string_start = i;
             string_depth = depth;
+        } else if (c == '[' || c == ']') {
+            if (depth == 1 && section == "traceEvents")
+                in_events = c == '[';
         } else if (c == '{') {
+            rooted = true;
             if (++depth == 2)
                 start = i;
         } else if (c == '}') {
@@ -315,6 +320,20 @@ parseSpanJson(const std::string &text, const std::string &path)
             out.push_back(std::move(event));
         }
     }
+
+    // A document cut short -- a crashed writer, a partial copy --
+    // must not pass for a smaller profile.
+    const char *cut = in_string ? "inside a string"
+                      : in_events
+                          ? "with the traceEvents array still open"
+                      : depth > 0 ? "with the root object still open"
+                      : !rooted   ? "before its root object"
+                                  : nullptr;
+    if (cut != nullptr)
+        fatal(where + ": span file ends at byte " +
+              std::to_string(text.size()) + " " + cut);
+    if (!has_events)
+        fatal(where + ": span file has no traceEvents array");
     return out;
 }
 

@@ -111,8 +111,10 @@ class SpanRecorder
  *
  * @param path File name used in diagnostics ("span input" when
  *        empty).
- * @throws FatalError when @p text contains no traceEvents array or
- *         carries an unknown top-level section.
+ * @throws FatalError when @p text contains no traceEvents array,
+ *         carries an unknown top-level section, or ends early --
+ *         inside a string, or with the traceEvents array or the root
+ *         object still open -- naming the byte offset where it ends.
  */
 std::vector<SpanEvent> parseSpanJson(const std::string &text,
                                      const std::string &path = "");

@@ -2,7 +2,6 @@
 
 #include "common/log.hh"
 #include "common/metrics.hh"
-#include "common/thread_pool.hh"
 #include "common/trace_span.hh"
 #include "core/accrual.hh"
 #include "sim/trace_stream.hh"
@@ -159,19 +158,14 @@ EnergyLedger::sourceEpochPower() const
 
 void
 MnocPowerModel::attachLosses(const MnocDesign &design,
-                             EnergyLedger &ledger,
-                             ThreadPool *pool) const
+                             EnergyLedger &ledger) const
 {
     // Per-(source, mode) optical loss attribution at that mode's
     // injected power.  lossBreakdown() self-checks that the buckets
-    // sum to the injected power (photon conservation).  Every task
-    // writes only its own source's slots, so fanning the chain walks
-    // across the pool is bit-identical to the serial loop.
+    // sum to the injected power (photon conservation).
     int n = crossbar_.numNodes();
     int num_modes = design.topology.numModes;
-    ThreadPool &workers = pool ? *pool : ThreadPool::global();
-    workers.parallelFor(n, [&](long long s_index) {
-        int s = static_cast<int>(s_index);
+    for (int s = 0; s < n; ++s) {
         const auto &source = design.sources[s];
         for (int m = 0; m < num_modes; ++m) {
             std::size_t slot =
@@ -181,7 +175,7 @@ MnocPowerModel::attachLosses(const MnocDesign &design,
             ledger.losses_[slot] = crossbar_.chain(s).lossBreakdown(
                 source.chain, source.modePower[m]);
         }
-    });
+    }
 }
 
 void
@@ -203,7 +197,6 @@ EnergyLedger
 MnocPowerModel::buildLedger(const MnocDesign &design,
                             sim::TraceReader &reader,
                             const std::vector<int> *thread_to_core,
-                            ThreadPool *pool,
                             const EpochObserver &observe) const
 {
     TraceSpan span("buildLedger", "power");
@@ -270,7 +263,7 @@ MnocPowerModel::buildLedger(const MnocDesign &design,
                             0);
     }
 
-    attachLosses(design, ledger, pool);
+    attachLosses(design, ledger);
     recordLedgerMetrics(ledger);
     return ledger;
 }

@@ -13,10 +13,10 @@
  * never drift apart.
  *
  * Determinism: the ledger is a pure function of (design, trace).
- * The build accrues epochs in epoch order, and the loss walks it
- * fans across the thread pool write disjoint slots, so its CSV/JSON
- * renderings are byte-identical at any MNOC_THREADS and whichever
- * source (file or in-memory trace) the reader serves.
+ * The build is serial: it accrues epochs in epoch order and walks
+ * the loss chains in source order, so its CSV/JSON renderings are
+ * byte-identical at any MNOC_THREADS and whichever source (file or
+ * in-memory trace) the reader serves.
  *
  * Layout and fold order: cells are stored epoch-major, at
  * (epoch * numSources + source) * numModes + mode, so one epoch's

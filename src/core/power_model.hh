@@ -25,7 +25,6 @@
 #include "sim/trace.hh"
 
 namespace mnoc {
-class ThreadPool;
 namespace sim {
 class TraceReader;
 } // namespace sim
@@ -150,9 +149,8 @@ class MnocPowerModel
      * buckets get a single epoch spanning the run.
      * @p thread_to_core, when given, must be a permutation (fatal
      * otherwise); every message is re-expressed in core coordinates
-     * under it.  The loss walks fan out across @p pool (the global
-     * pool when null) into disjoint slots, so the result is
-     * bit-identical at any thread count while peak memory stays one
+     * under it.  The build is serial, so the result is
+     * bit-identical at any thread count, and peak memory stays one
      * epoch.  The build consumes @p reader's cursor; a reader that
      * has already been read from is a panic.
      *
@@ -165,19 +163,17 @@ class MnocPowerModel
     EnergyLedger buildLedger(
         const MnocDesign &design, sim::TraceReader &reader,
         const std::vector<int> *thread_to_core = nullptr,
-        ThreadPool *pool = nullptr,
         const EpochObserver &observe = {}) const;
 
     /**
      * Fill @p ledger's per-(source, mode) loss breakdowns from
-     * @p design's splitter chains, fanning the chain walks across
-     * @p pool (disjoint slots; the global pool when null).  The
-     * ledger build calls this itself; the adaptive controller
-     * calls it to re-attribute losses under the design it finished
-     * the run with.
+     * @p design's splitter chains, one chain walk per source in
+     * source order.  The ledger build calls this itself; the
+     * adaptive controller calls it to re-attribute losses under the
+     * design it finished the run with.
      */
-    void attachLosses(const MnocDesign &design, EnergyLedger &ledger,
-                      ThreadPool *pool = nullptr) const;
+    void attachLosses(const MnocDesign &design,
+                      EnergyLedger &ledger) const;
 
     const optics::OpticalCrossbar &crossbar() const { return crossbar_; }
     const PowerParams &params() const { return params_; }

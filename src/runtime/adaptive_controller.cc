@@ -154,9 +154,9 @@ AdaptiveLog::countActions(AdaptiveActionKind kind) const
 AdaptiveController::AdaptiveController(
     const core::Designer &designer, const core::MnocDesign &static_design,
     const AdaptivePolicy &policy, const sim::TraceHeader &header,
-    core::EnergyLedger *adaptive_ledger, ThreadPool *pool)
+    core::EnergyLedger *adaptive_ledger)
     : designer_(designer), policy_(validated(policy)),
-      ledger_(adaptive_ledger), pool_(pool),
+      ledger_(adaptive_ledger),
       numNodes_(static_design.topology.numNodes),
       numEpochs_(header.numEpochs),
       detector_(numNodes_, policy_.trafficWindow,
@@ -495,8 +495,7 @@ AdaptiveController::finish()
     // with -- the one a deployed die would be driving.
     if (ledger_ != nullptr)
         designer_.model().attachLosses(
-            candidates_[static_cast<std::size_t>(active_)], *ledger_,
-            pool_);
+            candidates_[static_cast<std::size_t>(active_)], *ledger_);
     return std::move(log_);
 }
 
@@ -506,12 +505,11 @@ runAdaptiveController(const core::Designer &designer,
                       const AdaptivePolicy &policy,
                       sim::TraceReader &reader,
                       const std::vector<int> *thread_to_core,
-                      core::EnergyLedger *adaptive_ledger,
-                      ThreadPool *pool)
+                      core::EnergyLedger *adaptive_ledger)
 {
     const sim::TraceHeader &header = reader.header();
     AdaptiveController controller(designer, static_design, policy,
-                                  header, adaptive_ledger, pool);
+                                  header, adaptive_ledger);
     TraceSpan span("runAdaptiveController", "runtime");
     std::vector<noc::EpochCell> cells;
     for (std::size_t e = 0; e < header.numEpochs; ++e) {

@@ -61,11 +61,11 @@
  * serves both ledgers; runAdaptiveController() drives it from a
  * reader of its own.
  *
- * Determinism: epochs are stepped and candidates priced
+ * Determinism: the controller uses no thread pool.  Epochs are
+ * stepped, candidates priced and finish()'s losses attached
  * sequentially, histogram sums are exact integers and every price
  * folds its bins in (source, mode) order, so the whole run --
- * decisions, ledger, log -- is bit-identical at any MNOC_THREADS;
- * the pool serves only finish()'s loss attachment.
+ * decisions, ledger, log -- is bit-identical at any MNOC_THREADS.
  */
 
 #ifndef MNOC_RUNTIME_ADAPTIVE_CONTROLLER_HH
@@ -84,7 +84,6 @@
 
 namespace mnoc {
 class Series;
-class ThreadPool;
 namespace sim {
 class TraceReader;
 struct TraceHeader;
@@ -276,16 +275,12 @@ class AdaptiveController
      *        finish() attaches the final active design's loss
      *        breakdowns.  Must match the trace's dimensions and the
      *        candidate mode count, and outlive the controller.
-     * @param pool Worker pool for finish()'s loss attachment (the
-     *        global pool when null); must outlive the controller.
-     *        Stepping is serial.
      */
     AdaptiveController(const core::Designer &designer,
                        const core::MnocDesign &static_design,
                        const AdaptivePolicy &policy,
                        const sim::TraceHeader &header,
-                       core::EnergyLedger *adaptive_ledger = nullptr,
-                       ThreadPool *pool = nullptr);
+                       core::EnergyLedger *adaptive_ledger = nullptr);
 
     // Steps one run into one ledger; an epoch observer holds its
     // address.
@@ -330,7 +325,6 @@ class AdaptiveController
     const core::Designer &designer_;
     AdaptivePolicy policy_;
     core::EnergyLedger *ledger_;
-    ThreadPool *pool_;
     int numNodes_;
     std::size_t numEpochs_;
     std::size_t nextEpoch_ = 0;
@@ -383,8 +377,7 @@ AdaptiveLog runAdaptiveController(
     const core::MnocDesign &static_design,
     const AdaptivePolicy &policy, sim::TraceReader &reader,
     const std::vector<int> *thread_to_core = nullptr,
-    core::EnergyLedger *adaptive_ledger = nullptr,
-    ThreadPool *pool = nullptr);
+    core::EnergyLedger *adaptive_ledger = nullptr);
 
 /**
  * Reconcile a static and an adaptive ledger built over the same

@@ -188,7 +188,7 @@ runReplay(Replay &replay, const std::optional<FaultOptions> &faults,
     }
 
     ReplayRun run{model.buildLedger(replay.design, replay.reader,
-                                    &replay.mapping, nullptr, observe),
+                                    &replay.mapping, observe),
                   std::nullopt, std::nullopt};
     if (faults)
         run.faults = replayFaults(replay, run.ledger, *faults);

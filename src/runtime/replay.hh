@@ -12,9 +12,10 @@
  * over the finished ledger.  A `MNOC_FAULTS=1 MNOC_ADAPT=1 report`
  * therefore reads the trace exactly once, as does every verb.
  *
- * Artifacts and the journal header are stamped with the *trace's*
+ * The pass is serial -- the replay path uses no thread pool -- and
+ * artifacts and the journal header are stamped with the *trace's*
  * manifest, not this invocation's, so re-rendering a stored trace is
- * byte-stable at any pool size.
+ * byte-stable at any MNOC_THREADS.
  */
 
 #ifndef MNOC_RUNTIME_REPLAY_HH

@@ -4,7 +4,7 @@
  * its phase-detection substrate: the detector must fire once per
  * signature shift and reject bad knobs, the controller must retarget
  * and switch on a synthetic two-phase trace, the whole run --
- * decisions, log, ledger -- must be bit-identical at any pool size,
+ * decisions, log, ledger -- must replay bit for bit,
  * the static-vs-adaptive reconciliation identity must hold, the
  * stepper riding the static ledger build must match the two-pass
  * path bit for bit and refuse epochs out of order, an epoch-free
@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "common/log.hh"
-#include "common/thread_pool.hh"
 #include "core/accrual.hh"
 #include "core/designer.hh"
 #include "core/energy_ledger.hh"
@@ -312,9 +311,8 @@ TEST(Adaptive, ControllerAdaptsToThePhaseChange)
     auto mapping = identityMapping(kNodes);
 
     sim::TraceReader static_reader(trace);
-    ThreadPool pool(2);
     auto static_ledger = fx.designer.model().buildLedger(
-        design, static_reader, &mapping, &pool);
+        design, static_reader, &mapping);
 
     EnergyLedger adaptive_ledger(kNodes, 2,
                                  static_ledger.numEpochs(),
@@ -322,7 +320,7 @@ TEST(Adaptive, ControllerAdaptsToThePhaseChange)
     sim::TraceReader reader(file);
     auto log = runtime::runAdaptiveController(
         fx.designer, design, fx.policy(), reader, &mapping,
-        &adaptive_ledger, &pool);
+        &adaptive_ledger);
 
     ASSERT_EQ(log.epochs.size(), trace.epochs.epochs.size());
     using runtime::AdaptiveActionKind;
@@ -401,25 +399,27 @@ TEST(Adaptive, ControllerAdaptsToThePhaseChange)
     EXPECT_NEAR(std::stod(m[2].str()), booked, 1e-9 * booked) << what;
 }
 
-TEST(Adaptive, RunIsBitIdenticalAcrossPoolSizes)
+TEST(Adaptive, RunIsRepeatable)
 {
+    // The controller is serial: a second run over the same trace
+    // replays the first bit for bit, so no state (a candidate slot,
+    // a recycled window entry) carries from one run into the next.
     AdaptiveFixture fx;
     auto design = fx.design();
     auto trace = twoPhaseTrace(24, 24);
-    std::string file = scratchPath("adaptive_pools.trace");
+    std::string file = scratchPath("adaptive_repeat.trace");
     sim::saveTrace(file, trace);
     auto mapping = identityMapping(kNodes);
 
     std::vector<runtime::AdaptiveLog> logs;
     std::vector<EnergyLedger> ledgers;
-    for (int threads : {1, 2, 8}) {
-        ThreadPool pool(threads);
+    for (int run = 0; run < 2; ++run) {
         sim::TraceReader reader(file);
         EnergyLedger ledger(kNodes, 2, trace.epochs.epochs.size(),
                             1.0e-3);
         logs.push_back(runtime::runAdaptiveController(
             fx.designer, design, fx.policy(), reader, &mapping,
-            &ledger, &pool));
+            &ledger));
         ledgers.push_back(std::move(ledger));
     }
 
@@ -445,43 +445,38 @@ TEST(Adaptive, StepperOnTheLedgerBuildMatchesTheTwoPassPath)
         mapping[static_cast<std::size_t>(t)] = (5 * t + 3) % kNodes;
     const MnocPowerModel &model = fx.designer.model();
 
-    for (int threads : {1, 4}) {
-        ThreadPool pool(threads);
-        // Reference: the static ledger alone, then the controller
-        // over a reader of its own.
-        sim::TraceReader static_reader(file);
-        auto static_ref =
-            model.buildLedger(design, static_reader, &mapping, &pool);
-        EnergyLedger adaptive_ref(kNodes, 2, static_ref.numEpochs(),
-                                  static_ref.durationSeconds());
-        sim::TraceReader adaptive_reader(file);
-        auto log_ref = runtime::runAdaptiveController(
-            fx.designer, design, fx.policy(), adaptive_reader, &mapping,
-            &adaptive_ref, &pool);
-
-        // One pass: the stepper observes the static ledger build.
-        sim::TraceReader reader(file);
-        EnergyLedger adaptive(kNodes, 2, static_ref.numEpochs(),
+    // Reference: the static ledger alone, then the controller over a
+    // reader of its own.
+    sim::TraceReader static_reader(file);
+    auto static_ref = model.buildLedger(design, static_reader, &mapping);
+    EnergyLedger adaptive_ref(kNodes, 2, static_ref.numEpochs(),
                               static_ref.durationSeconds());
-        runtime::AdaptiveController controller(
-            fx.designer, design, fx.policy(), reader.header(), &adaptive,
-            &pool);
-        auto ledger = model.buildLedger(
-            design, reader, &mapping, &pool,
-            [&controller](std::size_t epoch,
-                          const std::vector<noc::EpochCell> &cells) {
-                controller.observe(epoch, cells);
-            });
-        auto log = controller.finish();
+    sim::TraceReader adaptive_reader(file);
+    auto log_ref = runtime::runAdaptiveController(
+        fx.designer, design, fx.policy(), adaptive_reader, &mapping,
+        &adaptive_ref);
 
-        expectSameLedger(ledger, static_ref);
-        expectSameLosses(ledger, static_ref);
-        expectSameLog(log, log_ref);
-        expectSameLedger(adaptive, adaptive_ref);
-        expectSameLosses(adaptive, adaptive_ref);
-        // The fixture must exercise the controller under the mapping.
-        EXPECT_FALSE(log.actions.empty());
-    }
+    // One pass: the stepper observes the static ledger build.
+    sim::TraceReader reader(file);
+    EnergyLedger adaptive(kNodes, 2, static_ref.numEpochs(),
+                          static_ref.durationSeconds());
+    runtime::AdaptiveController controller(
+        fx.designer, design, fx.policy(), reader.header(), &adaptive);
+    auto ledger = model.buildLedger(
+        design, reader, &mapping,
+        [&controller](std::size_t epoch,
+                      const std::vector<noc::EpochCell> &cells) {
+            controller.observe(epoch, cells);
+        });
+    auto log = controller.finish();
+
+    expectSameLedger(ledger, static_ref);
+    expectSameLosses(ledger, static_ref);
+    expectSameLog(log, log_ref);
+    expectSameLedger(adaptive, adaptive_ref);
+    expectSameLosses(adaptive, adaptive_ref);
+    // The fixture must exercise the controller under the mapping.
+    EXPECT_FALSE(log.actions.empty());
 }
 
 TEST(Adaptive, StepperPanicsOutOfEpochOrder)

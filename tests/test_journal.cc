@@ -3,9 +3,9 @@
  * Tests of the epoch-anchored decision journal (common/journal.hh):
  * the binary format must round-trip (streaming writer included), a
  * zero-event journal must load and render, loadJournal must name the
- * record kind and byte offset on truncation and corruption, the
- * journal bytes of an adaptive run must be bit-identical at any pool
- * size, and the 256-node phase-splice fixture must keep the journal
+ * record kind and byte offset on truncation and corruption, an
+ * adaptive run's journal bytes must repeat run over run, and the
+ * 256-node phase-splice fixture must keep the journal
  * and every `mnocpt explain` render byte-identical to the committed
  * goldens (regenerate with MNOC_REGEN_GOLDEN=1, see below).
  */
@@ -24,7 +24,6 @@
 #include "common/journal.hh"
 #include "common/log.hh"
 #include "common/manifest.hh"
-#include "common/thread_pool.hh"
 #include "core/designer.hh"
 #include "core/energy_ledger.hh"
 #include "runtime/adaptive_controller.hh"
@@ -301,7 +300,7 @@ using test::spliceTrace256;
  *  bytes (stamped with the trace's manifest, same rule as `mnocpt
  *  adapt`). */
 std::string
-spliceJournalBytes(int threads)
+spliceJournalBytes()
 {
     SpliceFixture fx;
     auto design = fx.design();
@@ -309,10 +308,9 @@ spliceJournalBytes(int threads)
     std::string file = scratchPath("journal_splice_256.trace");
     sim::saveTrace(file, trace);
 
-    ThreadPool pool(threads);
     sim::TraceReader static_reader(trace);
-    auto static_ledger = fx.designer.model().buildLedger(
-        design, static_reader, nullptr, &pool);
+    auto static_ledger =
+        fx.designer.model().buildLedger(design, static_reader);
 
     Journal::global().reset();
     Journal::global().setManifest(manifestJson(trace.manifest));
@@ -323,7 +321,7 @@ spliceJournalBytes(int threads)
     sim::TraceReader reader(file);
     auto log = runtime::runAdaptiveController(
         fx.designer, design, fx.policy(), reader, nullptr,
-        &adaptive_ledger, &pool);
+        &adaptive_ledger);
     auto comparison = runtime::reconcileAdaptive(
         static_ledger, adaptive_ledger, log);
     EXPECT_GT(comparison.staticEnergy, 0.0);
@@ -331,13 +329,12 @@ spliceJournalBytes(int threads)
     return Journal::global().toBinary();
 }
 
-TEST(Journal, AdaptiveRunBytesAreBitIdenticalAcrossPoolSizes)
+TEST(Journal, AdaptiveRunBytesAreRepeatable)
 {
     JournalScope scope;
-    std::string one = spliceJournalBytes(1);
+    std::string one = spliceJournalBytes();
     EXPECT_GT(one.size(), std::size_t(0));
-    EXPECT_EQ(one, spliceJournalBytes(2));
-    EXPECT_EQ(one, spliceJournalBytes(8));
+    EXPECT_EQ(one, spliceJournalBytes());
 }
 
 std::string
@@ -357,7 +354,7 @@ TEST(Journal, RegenerateGoldenFixtures)
         GTEST_SKIP() << "set MNOC_REGEN_GOLDEN=1 to regenerate";
     JournalScope scope;
     std::filesystem::create_directories(goldenDir());
-    std::string bytes = spliceJournalBytes(2);
+    std::string bytes = spliceJournalBytes();
     writeBytes(goldenDir() + "/splice_256.mjrn", bytes);
     std::string path = goldenDir() + "/splice_256.mjrn";
     auto file = loadJournal(path);
@@ -377,7 +374,7 @@ TEST(Journal, GoldenJournalStaysByteIdentical)
     ASSERT_TRUE(std::filesystem::exists(golden))
         << "missing fixture " << golden;
     JournalScope scope;
-    EXPECT_EQ(spliceJournalBytes(2), fileBytes(golden));
+    EXPECT_EQ(spliceJournalBytes(), fileBytes(golden));
 }
 
 TEST(Journal, GoldenExplainRendersStayByteIdentical)

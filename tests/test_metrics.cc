@@ -1,13 +1,16 @@
 /**
  * @file
- * Tests of the deterministic metrics registry, the span recorder, and
- * the run-manifest encoding (common/metrics.hh, common/trace_span.hh,
- * common/manifest.hh).
+ * Tests of the deterministic metrics registry, the span recorder and
+ * its JSON reader, and the run-manifest encoding (common/metrics.hh,
+ * common/trace_span.hh, common/manifest.hh).
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -247,6 +250,93 @@ TEST(TraceSpanTest, DisabledSpansRecordNothing)
     // An empty recorder still exports a loadable document.
     std::string json = SpanRecorder::global().toJson();
     EXPECT_NE(json.find("\"traceEvents\": ["), std::string::npos);
+}
+
+/** Record three spans -- one named with a quote and braces, which
+ *  the writer must escape and the parser must not take for
+ *  structure -- write them to @p path, and return what the recorder
+ *  held. */
+std::vector<SpanEvent>
+writeSpanFile(const std::string &path)
+{
+    SpanRecorder &recorder = SpanRecorder::global();
+    SpanRecorder::setEnabled(true);
+    recorder.reset();
+    recorder.record({"buildLedger", "power", 10, 500, 0});
+    recorder.record(
+        {"odd \"name\" {with} [braces]", "test", 20, 30, 0});
+    recorder.record({"observe", "runtime", 40, 7, 0});
+    auto events = recorder.events();
+    recorder.writeJson(path);
+    recorder.reset();
+    SpanRecorder::setEnabled(false);
+    return events;
+}
+
+std::string
+fileBytes(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream bytes;
+    bytes << in.rdbuf();
+    return bytes.str();
+}
+
+TEST(SpanJsonTest, WrittenFileParsesBack)
+{
+    std::string path = testing::TempDir() + "span_round_trip.json";
+    auto written = writeSpanFile(path);
+    auto parsed = parseSpanJson(fileBytes(path), path);
+    ASSERT_EQ(parsed.size(), written.size());
+    for (std::size_t i = 0; i < parsed.size(); ++i) {
+        EXPECT_EQ(parsed[i].name, written[i].name);
+        EXPECT_EQ(parsed[i].category, written[i].category);
+        EXPECT_EQ(parsed[i].startUs, written[i].startUs);
+        EXPECT_EQ(parsed[i].durationUs, written[i].durationUs);
+        EXPECT_EQ(parsed[i].tid, written[i].tid);
+    }
+    std::remove(path.c_str());
+}
+
+TEST(SpanJsonTest, EveryTruncationIsFatalNamingPathAndByte)
+{
+    // A file cut anywhere before its closing brace -- inside a
+    // string, inside the traceEvents array, or with only the root
+    // object open -- must fail, never parse as a shorter profile.
+    std::string path = testing::TempDir() + "span_truncated.json";
+    writeSpanFile(path);
+    std::string bytes = fileBytes(path);
+    std::remove(path.c_str());
+    std::size_t close = bytes.rfind('}');
+    ASSERT_NE(close, std::string::npos);
+    for (std::size_t length = 0; length <= close; ++length) {
+        SCOPED_TRACE("prefix of " + std::to_string(length) + " bytes");
+        try {
+            parseSpanJson(bytes.substr(0, length), path);
+            ADD_FAILURE() << "a truncated span file parsed";
+        } catch (const FatalError &error) {
+            std::string what = error.what();
+            EXPECT_NE(what.find(path), std::string::npos) << what;
+            EXPECT_NE(what.find("byte"), std::string::npos) << what;
+        }
+    }
+    EXPECT_EQ(parseSpanJson(bytes.substr(0, close + 1), path).size(),
+              3u);
+}
+
+TEST(SpanJsonTest, UnknownSectionIsNamedWithItsOffset)
+{
+    std::string text = "{\"traceEvents\": [], \"future\": {}}";
+    try {
+        parseSpanJson(text, "spans.json");
+        FAIL() << "an unknown section parsed";
+    } catch (const FatalError &error) {
+        EXPECT_NE(std::string(error.what())
+                      .find("spans.json: unknown span-file section "
+                            "\"future\" at byte 20"),
+                  std::string::npos)
+            << error.what();
+    }
 }
 
 TEST(JsonTest, EscapesSpecialCharacters)

@@ -1,9 +1,10 @@
 /**
  * @file
- * Tests of the shared worker pool: correctness of parallelFor,
- * futures-based submission, deterministic exception propagation, the
- * pool-of-one inline path, nested-submit deadlock avoidance, and the
- * MNOC_THREADS parsing rules.
+ * Tests of the shared worker pool through its one entry point,
+ * parallelFor: coverage of every index, deterministic exception
+ * propagation, the pool-of-one inline path, nested fan-out running
+ * inline on workers without deadlock, and the MNOC_THREADS parsing
+ * rules.
  */
 
 #include <gtest/gtest.h>
@@ -62,20 +63,6 @@ TEST(ThreadPool, PoolOfOneRunsInlineOnTheCaller)
     });
     for (const auto &id : seen)
         EXPECT_EQ(id, caller);
-
-    auto future = pool.submit([] { return 41 + 1; });
-    EXPECT_EQ(future.get(), 42);
-}
-
-TEST(ThreadPool, SubmitDeliversResultsAndExceptions)
-{
-    ThreadPool pool(2);
-    auto value = pool.submit([] { return std::string("ok"); });
-    EXPECT_EQ(value.get(), "ok");
-
-    auto failure = pool.submit(
-        []() -> int { throw std::runtime_error("boom"); });
-    EXPECT_THROW(failure.get(), std::runtime_error);
 }
 
 TEST(ThreadPool, ParallelForRethrowsTheLowestChunkException)
@@ -131,16 +118,28 @@ TEST(ThreadPool, NestedParallelForDoesNotDeadlock)
         EXPECT_EQ(s, 120);
 }
 
-TEST(ThreadPool, NestedSubmitRunsInlineOnWorkers)
+TEST(ThreadPool, NestedParallelForRunsInlineOnWorkers)
 {
+    // Each outer iteration runs on a worker, never the caller, and
+    // its nested fan-out stays on that worker.
     ThreadPool pool(2);
-    auto outer = pool.submit([&] {
-        auto worker = std::this_thread::get_id();
-        auto inner = pool.submit(
-            [] { return std::this_thread::get_id(); });
-        return inner.get() == worker;
+    auto caller = std::this_thread::get_id();
+    std::vector<std::thread::id> outer_ids(2);
+    std::vector<std::vector<std::thread::id>> inner_ids(
+        2, std::vector<std::thread::id>(4));
+    pool.parallelFor(2, [&](long long outer) {
+        auto o = static_cast<std::size_t>(outer);
+        outer_ids[o] = std::this_thread::get_id();
+        pool.parallelFor(4, [&](long long i) {
+            inner_ids[o][static_cast<std::size_t>(i)] =
+                std::this_thread::get_id();
+        });
     });
-    EXPECT_TRUE(outer.get());
+    for (std::size_t o = 0; o < outer_ids.size(); ++o) {
+        EXPECT_NE(outer_ids[o], caller);
+        for (const auto &id : inner_ids[o])
+            EXPECT_EQ(id, outer_ids[o]);
+    }
 }
 
 TEST(ThreadPool, WorkersActuallyRunConcurrently)

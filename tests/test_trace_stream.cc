@@ -2,7 +2,7 @@
  * @file
  * Tests of the streaming trace layer (sim/trace_stream.hh): the
  * ledger build must match a serial reference fold cell for cell from
- * both reader sources (in memory, file) at every pool size, the
+ * both reader sources (in memory, file), the
  * in-memory reader must serve what a reader over the saved file
  * does, the build must reject a non-permutation map and a drained
  * reader, the incremental TraceWriter must emit the same bytes as
@@ -24,7 +24,6 @@
 #include "common/log.hh"
 #include "common/manifest.hh"
 #include "common/prng.hh"
-#include "common/thread_pool.hh"
 #include "core/accrual.hh"
 #include "core/builders.hh"
 #include "core/energy_ledger.hh"
@@ -136,7 +135,7 @@ slurp(const std::string &path)
 }
 
 /**
- * Reference attribution with no reader and no pool in the loop: a
+ * Reference attribution with no reader in the loop: a
  * serial fold of every epoch cell (every (src, dst) pair for an
  * epoch-free trace) through the accrual plan, then the loss walk.
  */
@@ -166,8 +165,8 @@ referenceLedger(const MnocPowerModel &model, const MnocDesign &design,
 }
 
 /** Build @p trace's ledger from both reader sources -- in memory and
- *  a file -- at pools of 1, 2 and 8, and require each to match the
- *  serial reference bit for bit. */
+ *  a file -- and require each to match the serial reference bit for
+ *  bit. */
 void
 expectEverySourceMatchesReference(const sim::Trace &trace,
                                   Meters waveguide,
@@ -185,19 +184,14 @@ expectEverySourceMatchesReference(const sim::Trace &trace,
 
     auto reference = referenceLedger(model, design, trace);
     auto mapping = identityMapping(n);
-    for (int threads : {1, 2, 8}) {
-        ThreadPool pool(threads);
-        sim::TraceReader memory(trace);
-        sim::TraceReader single(file);
-        for (sim::TraceReader *reader : {&memory, &single}) {
-            SCOPED_TRACE("pool " + std::to_string(threads) + ", " +
-                         (reader == &memory ? "memory" : "file"));
-            auto ledger =
-                model.buildLedger(design, *reader, &mapping, &pool);
-            expectSameLedger(reference, ledger);
-            EXPECT_EQ(ledger.messagesPerEpoch(),
-                      reader->header().messagesPerEpoch);
-        }
+    sim::TraceReader memory(trace);
+    sim::TraceReader single(file);
+    for (sim::TraceReader *reader : {&memory, &single}) {
+        SCOPED_TRACE(reader == &memory ? "memory" : "file");
+        auto ledger = model.buildLedger(design, *reader, &mapping);
+        expectSameLedger(reference, ledger);
+        EXPECT_EQ(ledger.messagesPerEpoch(),
+                  reader->header().messagesPerEpoch);
     }
 }
 
@@ -209,7 +203,7 @@ TEST(TraceStream, LedgerMatchesReferenceOnGoldenFixture)
         Meters(0.08), "stream_golden");
 }
 
-TEST(TraceStream, EpochLedgerMatchesReferenceAtAnyPoolSize)
+TEST(TraceStream, EpochLedgerMatchesReference)
 {
     expectEverySourceMatchesReference(epochTrace(), Meters(0.05),
                                       "stream_epochs");

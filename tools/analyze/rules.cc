@@ -557,8 +557,7 @@ class FileChecker
         for (std::size_t i = 0; i + 1 < toks_.size(); ++i) {
             if (toks_[i].kind != TokKind::Identifier)
                 continue;
-            std::string callee = lastSegment(toks_[i].text);
-            if ((callee != "submit" && callee != "parallelFor") ||
+            if (lastSegment(toks_[i].text) != "parallelFor" ||
                 !isPunct(toks_[i + 1], '('))
                 continue;
             std::size_t close =
@@ -570,8 +569,7 @@ class FileChecker
     }
 
     /** Flag by-reference Prng captures in lambdas found inside the
-     *  token range [first, last) of a submit/parallelFor argument
-     *  list. */
+     *  token range [first, last) of a parallelFor argument list. */
     void
     scanLambdas(
         std::size_t first, std::size_t last,

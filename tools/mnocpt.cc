@@ -42,10 +42,12 @@
  * pass over the trace through the streaming reader: the static
  * ledger build, with the adaptive controller stepping inside it as
  * its epoch observer, then the degradation controller over the
- * finished ledger.  So they run in bounded memory on radix-1024 and
- * radix-4096 captures, bit-identical at any MNOC_THREADS pool size,
- * and report's MNOC_FAULTS/MNOC_ADAPT sections are the very fault and
- * adaptive runs of `faults` and `adapt`.
+ * finished ledger.  The pass is serial, so they run in bounded
+ * memory on radix-1024 and radix-4096 captures and write the same
+ * bytes at any MNOC_THREADS (only map, design --yield-target and
+ * yield fan out across the pool), and report's MNOC_FAULTS/MNOC_ADAPT
+ * sections are the very fault and adaptive runs of `faults` and
+ * `adapt`.
  *
  * Examples (README.md has the full verb reference):
  *   mnocpt simulate --benchmark water_s --cores 64 --out ws.trace
