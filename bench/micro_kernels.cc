@@ -5,8 +5,9 @@
  * channel booking, cache lookups, directory entries, the
  * disabled-path cost of the metrics/span instrumentation (must stay a
  * branch, not a syscall), a passing bounds check (must stay a
- * branch, not an allocation), the trace reader's record parse, and
- * the adaptive-controller run with the decision journal off and on.
+ * branch, not an allocation), the trace reader's record parse, the
+ * design loader, and the adaptive-controller run with the decision
+ * journal off and on.
  */
 
 #include <benchmark/benchmark.h>
@@ -20,7 +21,10 @@
 #include "common/metrics.hh"
 #include "common/prng.hh"
 #include "common/trace_span.hh"
+#include "core/builders.hh"
+#include "core/design_io.hh"
 #include "core/designer.hh"
+#include "core/power_model.hh"
 #include "faults/variation.hh"
 #include "noc/channel.hh"
 #include "optics/alpha_optimizer.hh"
@@ -364,6 +368,49 @@ BM_TraceReaderDrain(benchmark::State &state)
     state.SetItemsProcessed(static_cast<std::int64_t>(records));
 }
 BENCHMARK(BM_TraceReaderDrain)->Unit(benchmark::kMillisecond);
+
+/** A saved distance-based, 4-mode uniform design of @p node_count
+ *  nodes under the temp dir, written once and removed at exit. */
+struct DesignFile
+{
+    explicit DesignFile(int node_count) : nodes(node_count)
+    {
+        optics::SerpentineLayout layout{node_count, Meters(0.18)};
+        optics::OpticalCrossbar crossbar{layout, optics::DeviceParams{}};
+        core::MnocPowerModel model{crossbar};
+        auto topology = core::distanceBasedTopology(node_count, 4);
+        core::saveDesign(path, model.designUniform(topology));
+    }
+    ~DesignFile()
+    {
+        std::error_code ignored; // a leftover temp file is harmless
+        std::filesystem::remove(path, ignored);
+    }
+    DesignFile(const DesignFile &) = delete;
+    DesignFile &operator=(const DesignFile &) = delete;
+
+    int nodes;
+    std::string path = (std::filesystem::temp_directory_path() /
+                        "mnoc_micro_load.design")
+                           .string();
+};
+
+/** Load a saved design: the read and parse every replay verb pays
+ *  before its first epoch. */
+void
+BM_LoadDesign(benchmark::State &state)
+{
+    static const DesignFile fixture(static_cast<int>(state.range(0)));
+    if (fixture.nodes != state.range(0)) {
+        state.SkipWithError("the design file is written for one size");
+        return;
+    }
+    for (auto _ : state) {
+        core::MnocDesign design = core::loadDesign(fixture.path);
+        benchmark::DoNotOptimize(design.sources.data());
+    }
+}
+BENCHMARK(BM_LoadDesign)->Arg(256)->Unit(benchmark::kMillisecond);
 
 /** The adaptive-controller run of BM_AdaptiveRunJournal: a 64-node
  *  distance-based static design, and a 256-epoch trace whose first

@@ -287,6 +287,12 @@ parseSpanJson(const std::string &text, const std::string &path)
             }
             continue;
         }
+        // Nothing but whitespace may follow the root object.
+        if (rooted && depth == 0 && c != ' ' && c != '\n' &&
+            c != '\t' && c != '\r')
+            fatal(where + ": unexpected byte after the root object "
+                          "at byte " +
+                  std::to_string(i));
         if (c == '"') {
             in_string = true;
             string_start = i;

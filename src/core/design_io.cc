@@ -1,15 +1,80 @@
 #include "core/design_io.hh"
 
+#include <charconv>
 #include <cmath>
+#include <filesystem>
 #include <fstream>
-#include <iomanip>
 #include <limits>
 #include <sstream>
+#include <string_view>
+#include <type_traits>
 
 #include "common/io.hh"
 #include "common/log.hh"
+#include "common/trace_span.hh"
 
 namespace mnoc::core {
+
+namespace {
+
+/** Ends a LineWriter line: `line << "source" << s << endLine;`. */
+struct EndLine
+{};
+constexpr EndLine endLine;
+
+/**
+ * One text line of a design file, built in a buffer and handed to the
+ * stream in one write.  Fields are separated by one space.  A double
+ * is formatted by std::to_chars as printf's "%.17g", which is
+ * byte-for-byte what `ostream << setprecision(17)` wrote and round
+ * trips every double exactly; an integer is plain decimal.
+ */
+class LineWriter
+{
+  public:
+    explicit LineWriter(std::ostream &out) : out_(out) {}
+
+    template <typename T>
+    LineWriter &
+    operator<<(const T &field)
+    {
+        if (!text_.empty())
+            text_ += ' ';
+        if constexpr (std::is_convertible_v<const T &, std::string_view>) {
+            text_ += std::string_view(field);
+        } else {
+            // "%.17g" of a double is at most 24 bytes.
+            char digits[32];
+            std::to_chars_result done;
+            if constexpr (std::is_floating_point_v<T>)
+                done = std::to_chars(digits, digits + sizeof digits,
+                                     field, std::chars_format::general,
+                                     17);
+            else
+                done = std::to_chars(digits, digits + sizeof digits,
+                                     field);
+            text_.append(digits, done.ptr);
+        }
+        return *this;
+    }
+
+    /** Write the line with its LF and start the next one. */
+    LineWriter &
+    operator<<(EndLine)
+    {
+        text_ += '\n';
+        out_.write(text_.data(),
+                   static_cast<std::streamsize>(text_.size()));
+        text_.clear();
+        return *this;
+    }
+
+  private:
+    std::ostream &out_;
+    std::string text_;
+};
+
+} // namespace
 
 void
 saveDesign(const std::string &path, const MnocDesign &design,
@@ -22,66 +87,63 @@ saveDesign(const std::string &path, const MnocDesign &design,
             "design is missing per-source solutions");
 
     FileWriter writer(path);
-    auto &out = writer.stream();
-    out << std::setprecision(17);
-    out << "mnoc-design 1\n";
-    out << n << " " << design.topology.numModes << "\n";
+    LineWriter line(writer.stream());
+    line << "mnoc-design" << 1 << endLine;
+    line << n << design.topology.numModes << endLine;
     for (int s = 0; s < n; ++s) {
         const auto &local = design.topology.local(s);
         const auto &source = design.sources[s];
-        out << "source " << s << "\n";
-        out << "modes";
+        line << "source" << s << endLine;
+        line << "modes";
         for (int d = 0; d < n; ++d)
-            out << " " << local.modeOfDest[d];
-        out << "\n";
-        out << "alpha";
+            line << local.modeOfDest[d];
+        line << endLine;
+        line << "alpha";
         for (double a : source.alpha)
-            out << " " << a;
-        out << "\n";
-        out << "modepower";
+            line << a;
+        line << endLine;
+        line << "modepower";
         for (WattPower p : source.modePower)
-            out << " " << p.watts();
-        out << "\n";
-        out << "splitters";
+            line << p.watts();
+        line << endLine;
+        line << "splitters";
         for (double frac : source.chain.splitterFraction)
-            out << " " << frac;
-        out << "\n";
-        out << "injected " << source.chain.injectedPower.watts()
-            << " expected " << source.expectedPower.watts() << "\n";
-        out << "targets";
+            line << frac;
+        line << endLine;
+        line << "injected" << source.chain.injectedPower.watts()
+             << "expected" << source.expectedPower.watts() << endLine;
+        line << "targets";
         for (double t : source.chain.targets)
-            out << " " << t;
-        out << "\n";
+            line << t;
+        line << endLine;
     }
     if (resilience) {
         const auto &r = *resilience;
-        out << "resilience\n";
-        out << "target " << r.yieldTarget << " trials " << r.trials
-            << " seed " << r.seed << "\n";
-        out << "spec " << r.spec.splitterSigma << " "
-            << r.spec.couplerSigma.dB() << " "
-            << r.spec.waveguideSigmaPerCm.dB() << " "
-            << r.spec.splitterInsertionSigma.dB() << " "
-            << r.spec.ledDroopSigma << " " << r.spec.miopSigma.dB()
-            << "\n";
-        out << "final yield " << r.finalYield << " margin "
-            << r.finalMargin.dB() << " modes " << r.finalNumModes
-            << " met " << (r.metTarget ? 1 : 0) << "\n";
-        out << "steps " << r.path.size() << "\n";
+        line << "resilience" << endLine;
+        line << "target" << r.yieldTarget << "trials" << r.trials
+             << "seed" << r.seed << endLine;
+        line << "spec" << r.spec.splitterSigma << r.spec.couplerSigma.dB()
+             << r.spec.waveguideSigmaPerCm.dB()
+             << r.spec.splitterInsertionSigma.dB()
+             << r.spec.ledDroopSigma << r.spec.miopSigma.dB() << endLine;
+        line << "final" << "yield" << r.finalYield << "margin"
+             << r.finalMargin.dB() << "modes" << r.finalNumModes
+             << "met" << (r.metTarget ? 1 : 0) << endLine;
+        line << "steps" << r.path.size() << endLine;
         for (const auto &step : r.path) {
-            out << "step "
-                << (step.kind == DegradationStep::Kind::Margin
-                        ? "margin"
-                        : "collapse")
-                << " " << step.numModes << " " << step.collapsedMode
-                << " " << step.margin.dB() << " " << step.yield << "\n";
+            line << "step"
+                 << (step.kind == DegradationStep::Kind::Margin
+                         ? "margin"
+                         : "collapse")
+                 << step.numModes << step.collapsedMode
+                 << step.margin.dB() << step.yield << endLine;
         }
     }
     if (manifest) {
         auto lines = manifestLines(*manifest);
-        out << "manifest " << lines.size() << "\n";
-        for (const auto &line : lines)
-            out << line << "\n";
+        line << "manifest" << lines.size() << endLine;
+        for (const auto &entry : lines)
+            line << entry << endLine;
     }
     // Surface a full disk or revoked permissions here, not as a
     // truncated design on the next load.
@@ -90,50 +152,62 @@ saveDesign(const std::string &path, const MnocDesign &design,
 
 namespace {
 
+/** Whitespace as the C locale's isspace() has it. */
+bool
+isSpace(char c)
+{
+    return c == ' ' || (c >= '\t' && c <= '\r');
+}
+
 /**
- * Whitespace-separated tokenizer that tracks the current line so every
- * parse error names the file, the 1-based line, and the field being
- * read -- "design.txt:14: field 'alpha': expected a number" instead of
- * a bare "malformed design file".
+ * Whitespace-separated tokenizer over the bytes of a design file.  It
+ * counts lines as it goes, so every parse error names the file, the
+ * 1-based line and the field being read -- "design.txt:14: field
+ * 'alpha': expected a number" instead of a bare "malformed design
+ * file".  Tokens are views into the file's bytes.
+ *
+ * Number rule: a token is read by std::from_chars and must be used
+ * up by it.
+ *  - A number (number()) is an optional '-', decimal digits with an
+ *    optional fraction and exponent, or inf/infinity/nan in any case.
+ *    A leading '+' and hex floats ("0x1p-3") are rejected, as they
+ *    are in traces.  A value beyond the double range ("1e999") or one
+ *    that underflows to zero ("1e-400") is rejected; a subnormal
+ *    ("4.9406564584124654e-324") is taken exactly, so every double
+ *    saveDesign() writes loads back bit for bit.  Range checks
+ *    (checkRange()) reject a non-finite value where one is applied.
+ *  - An integer (integer()) is an optional '-' and decimal digits
+ *    that fit a 64-bit integer; an unsigned one takes no sign.
  */
 class Parser
 {
   public:
-    Parser(std::istream &in, std::string path)
-        : in_(in), path_(std::move(path))
+    Parser(std::string_view text, const std::string &path)
+        : rest_(text), path_(path)
     {}
 
     /** "path:line: field 'name': why" as a fatal error. */
     [[noreturn]] void
-    fail(const std::string &field, const std::string &why) const
+    fail(std::string_view field, const std::string &why) const
     {
         fatal(path_ + ":" + std::to_string(line_) + ": field '" +
-              field + "': " + why);
+              std::string(field) + "': " + why);
     }
 
     /** Next whitespace-separated token; fatal at end of file. */
-    std::string
-    token(const std::string &field)
+    std::string_view
+    token(std::string_view field)
     {
-        std::string out;
-        int c = in_.get();
-        while (c != std::istream::traits_type::eof() &&
-               std::isspace(c)) {
-            if (c == '\n')
-                ++line_;
-            c = in_.get();
-        }
-        while (c != std::istream::traits_type::eof() &&
-               !std::isspace(static_cast<unsigned char>(c))) {
-            out.push_back(static_cast<char>(c));
-            c = in_.get();
-        }
-        // Leave the delimiter (and its line count) to the next call,
+        skipSpace();
+        // The delimiter (and its line count) stays for the next call,
         // so errors about this token report this token's line.
-        if (c != std::istream::traits_type::eof())
-            in_.unget();
-        if (out.empty())
+        std::size_t size = 0;
+        while (size < rest_.size() && !isSpace(rest_[size]))
+            ++size;
+        if (size == 0)
             fail(field, "unexpected end of file");
+        std::string_view out = rest_.substr(0, size);
+        rest_.remove_prefix(size);
         return out;
     }
 
@@ -141,63 +215,35 @@ class Parser
     bool
     atEnd()
     {
-        int c = in_.get();
-        while (c != std::istream::traits_type::eof() &&
-               std::isspace(c)) {
-            if (c == '\n')
-                ++line_;
-            c = in_.get();
-        }
-        if (c == std::istream::traits_type::eof())
-            return true;
-        in_.unget();
-        return false;
+        skipSpace();
+        return rest_.empty();
     }
 
     /** Expect the literal @p keyword next. */
     void
-    expect(const std::string &keyword)
+    expect(std::string_view keyword)
     {
-        std::string got = token(keyword);
+        std::string_view got = token(keyword);
         if (got != keyword)
-            fail(keyword, "expected keyword, got '" + got + "'");
+            fail(keyword, "expected keyword, got '" + std::string(got) +
+                              "'");
     }
 
     double
-    number(const std::string &field)
+    number(std::string_view field)
     {
-        std::string tok = token(field);
-        std::size_t used = 0;
-        double value = 0.0;
-        try {
-            value = std::stod(tok, &used);
-        } catch (const std::exception &) {
-            fail(field, "expected a number, got '" + tok + "'");
-        }
-        if (used != tok.size())
-            fail(field, "expected a number, got '" + tok + "'");
-        return value;
+        return read<double>(field, "a number");
     }
 
     long long
-    integer(const std::string &field)
+    integer(std::string_view field)
     {
-        std::string tok = token(field);
-        std::size_t used = 0;
-        long long value = 0;
-        try {
-            value = std::stoll(tok, &used);
-        } catch (const std::exception &) {
-            fail(field, "expected an integer, got '" + tok + "'");
-        }
-        if (used != tok.size())
-            fail(field, "expected an integer, got '" + tok + "'");
-        return value;
+        return read<long long>(field, "an integer");
     }
 
     /** integer() range-checked before it narrows to int. */
     int
-    narrowInteger(const std::string &field)
+    narrowInteger(std::string_view field)
     {
         long long value = integer(field);
         if (value < std::numeric_limits<int>::min() ||
@@ -207,30 +253,14 @@ class Parser
     }
 
     std::uint64_t
-    unsignedInteger(const std::string &field)
+    unsignedInteger(std::string_view field)
     {
-        std::string tok = token(field);
-        std::size_t used = 0;
-        std::uint64_t value = 0;
-        // stoull would wrap "-1" to 2^64 - 1.
-        if (tok[0] == '-' || tok[0] == '+')
-            fail(field, "expected an unsigned integer, got '" + tok +
-                            "'");
-        try {
-            value = std::stoull(tok, &used);
-        } catch (const std::exception &) {
-            fail(field, "expected an unsigned integer, got '" + tok +
-                            "'");
-        }
-        if (used != tok.size())
-            fail(field,
-                 "expected an unsigned integer, got '" + tok + "'");
-        return value;
+        return read<std::uint64_t>(field, "an unsigned integer");
     }
 
     /** Read "<label> v0 v1 ..." as @p count numbers. */
     std::vector<double>
-    numberLine(const std::string &label, int count)
+    numberLine(std::string_view label, int count)
     {
         expect(label);
         std::vector<double> values(static_cast<std::size_t>(count));
@@ -241,7 +271,7 @@ class Parser
 
     /** Read "<label> v0 v1 ..." as @p count integers. */
     std::vector<int>
-    integerLine(const std::string &label, int count)
+    integerLine(std::string_view label, int count)
     {
         expect(label);
         std::vector<int> values(static_cast<std::size_t>(count));
@@ -253,7 +283,7 @@ class Parser
     /** Fatal unless every value is finite and within [lo, hi]. */
     void
     checkRange(const std::vector<double> &values, double lo, double hi,
-               const std::string &field) const
+               std::string_view field) const
     {
         for (double v : values)
             if (!std::isfinite(v) || v < lo || v > hi)
@@ -261,8 +291,33 @@ class Parser
     }
 
   private:
-    std::istream &in_;
-    std::string path_;
+    void
+    skipSpace()
+    {
+        while (!rest_.empty() && isSpace(rest_.front())) {
+            if (rest_.front() == '\n')
+                ++line_;
+            rest_.remove_prefix(1);
+        }
+    }
+
+    /** The next token as one @p T; fatal naming @p what otherwise. */
+    template <typename T>
+    T
+    read(std::string_view field, const char *what)
+    {
+        std::string_view tok = token(field);
+        const char *end = tok.data() + tok.size();
+        T value{};
+        auto [stop, ec] = std::from_chars(tok.data(), end, value);
+        if (ec != std::errc() || stop != end)
+            fail(field, std::string("expected ") + what + ", got '" +
+                            std::string(tok) + "'");
+        return value;
+    }
+
+    std::string_view rest_;
+    const std::string &path_;
     int line_ = 1;
 };
 
@@ -315,11 +370,11 @@ readResilience(Parser &parser)
     r.path.resize(static_cast<std::size_t>(count));
     for (auto &step : r.path) {
         parser.expect("step");
-        std::string kind = parser.token("step kind");
+        std::string_view kind = parser.token("step kind");
         if (kind != "margin" && kind != "collapse")
             parser.fail("step kind",
                         "expected 'margin' or 'collapse', got '" +
-                            kind + "'");
+                            std::string(kind) + "'");
         step.kind = kind == "margin" ? DegradationStep::Kind::Margin
                                      : DegradationStep::Kind::Collapse;
         step.numModes = parser.narrowInteger("step modes");
@@ -334,15 +389,41 @@ readResilience(Parser &parser)
 
 } // namespace
 
+namespace {
+
+/** The bytes of the design file @p path, in one sized read. */
+std::string
+readDesignFile(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    if (!in.is_open())
+        fatal("cannot open design file: " + path);
+    // A directory opens without complaint and has no byte size, and a
+    // pipe has no size at all.
+    std::error_code ec;
+    if (!std::filesystem::is_regular_file(path, ec))
+        fatal("not a regular file, cannot load it as a design: " + path);
+    in.seekg(0, std::ios::end);
+    std::streamoff size = in.tellg();
+    in.seekg(0, std::ios::beg);
+    if (size < 0 || !in)
+        fatal("cannot size design file: " + path);
+    std::string bytes(static_cast<std::size_t>(size), '\0');
+    if (!in.read(bytes.data(), size))
+        fatal("I/O error reading design file: " + path);
+    return bytes;
+}
+
+} // namespace
+
 DesignReport
 loadDesignReport(const std::string &path)
 {
-    std::ifstream in(path);
-    if (!in.is_open())
-        fatal("cannot open design file: " + path);
-    Parser parser(in, path);
+    TraceSpan span("loadDesign", "io");
+    const std::string bytes = readDesignFile(path);
+    Parser parser(bytes, path);
 
-    std::string magic = parser.token("header");
+    std::string_view magic = parser.token("header");
     long long version = parser.integer("header version");
     if (magic != "mnoc-design" || version != 1)
         parser.fail("header", "unrecognized design file header");
@@ -405,7 +486,7 @@ loadDesignReport(const std::string &path)
     design.topology.validate();
 
     while (!parser.atEnd()) {
-        std::string trailer = parser.token("trailer");
+        std::string_view trailer = parser.token("trailer");
         if (trailer == "resilience") {
             if (report.resilience)
                 parser.fail("trailer", "duplicate resilience block");
@@ -418,8 +499,8 @@ loadDesignReport(const std::string &path)
                 parser.fail("manifest entry count", "out of range");
             RunManifest manifest;
             for (long long i = 0; i < count; ++i) {
-                std::string key = parser.token("manifest key");
-                std::string a = parser.token("manifest value");
+                std::string key(parser.token("manifest key"));
+                std::string a(parser.token("manifest value"));
                 std::string b;
                 if (key == "env")
                     b = parser.token("manifest env value");
@@ -429,8 +510,8 @@ loadDesignReport(const std::string &path)
             }
             report.manifest = manifest;
         } else {
-            parser.fail("trailer",
-                        "trailing garbage '" + trailer + "'");
+            parser.fail("trailer", "trailing garbage '" +
+                                       std::string(trailer) + "'");
         }
     }
     return report;

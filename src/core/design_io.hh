@@ -38,8 +38,10 @@ void saveDesign(const std::string &path, const MnocDesign &design,
                 const RunManifest *manifest = nullptr);
 
 /**
- * Read a design written by saveDesign().
- * @throws FatalError on malformed input.
+ * Read a design written by saveDesign().  The file is read whole in
+ * one sized read, so it must be a regular file (not a pipe).
+ * @throws FatalError on malformed input, naming "path:line" and the
+ *         field.
  */
 MnocDesign loadDesign(const std::string &path);
 

@@ -226,7 +226,7 @@ MnocPowerModel::buildLedger(const MnocDesign &design,
     std::vector<noc::EpochCell> cells;
     for (std::size_t epoch = 0; reader.nextEpoch(cells); ++epoch) {
         if (thread_to_core)
-            cells = sim::mapEpochCells(cells, *thread_to_core);
+            sim::mapEpochCells(cells, *thread_to_core);
         for (const noc::EpochCell &cell : cells)
             plan.accrue(ledger, cell.src, cell.dst, cell.flits, epoch);
         if (observe)

@@ -516,7 +516,7 @@ runAdaptiveController(const core::Designer &designer,
         panicIf(!reader.nextEpoch(cells),
                 "trace ended before its declared epoch count");
         if (thread_to_core != nullptr)
-            cells = sim::mapEpochCells(cells, *thread_to_core);
+            sim::mapEpochCells(cells, *thread_to_core);
         controller.observe(e, cells);
     }
     return controller.finish();

@@ -47,16 +47,13 @@ checkCoreMapping(const std::vector<int> &thread_to_core, int n)
     }
 }
 
-std::vector<noc::EpochCell>
-mapEpochCells(const std::vector<noc::EpochCell> &cells,
+void
+mapEpochCells(std::vector<noc::EpochCell> &cells,
               const std::vector<int> &thread_to_core)
 {
-    std::vector<noc::EpochCell> mapped;
-    mapped.reserve(cells.size());
-    for (noc::EpochCell cell : cells) {
+    for (noc::EpochCell &cell : cells) {
         cell.src = thread_to_core[static_cast<std::size_t>(cell.src)];
         cell.dst = thread_to_core[static_cast<std::size_t>(cell.dst)];
-        mapped.push_back(cell);
     }
     // Re-canonicalize: the permutation scrambles (src, dst) order,
     // and downstream byte-identity depends on it.  Keys are unique,
@@ -64,9 +61,8 @@ mapEpochCells(const std::vector<noc::EpochCell> &cells,
     auto by_endpoints = [](const noc::EpochCell &a, const noc::EpochCell &b) {
         return std::tie(a.src, a.dst) < std::tie(b.src, b.dst);
     };
-    if (!std::is_sorted(mapped.begin(), mapped.end(), by_endpoints))
-        std::sort(mapped.begin(), mapped.end(), by_endpoints);
-    return mapped;
+    if (!std::is_sorted(cells.begin(), cells.end(), by_endpoints))
+        std::sort(cells.begin(), cells.end(), by_endpoints);
 }
 
 Trace
@@ -90,10 +86,9 @@ mapTrace(const Trace &trace, const std::vector<int> &thread_to_core)
             out.flits(sc, dc) += trace.flits(s, d);
         }
     }
-    out.epochs.messagesPerEpoch = trace.epochs.messagesPerEpoch;
-    for (const auto &cells : trace.epochs.epochs)
-        out.epochs.epochs.push_back(
-            mapEpochCells(cells, thread_to_core));
+    out.epochs = trace.epochs;
+    for (auto &cells : out.epochs.epochs)
+        mapEpochCells(cells, thread_to_core);
     return out;
 }
 

@@ -79,14 +79,14 @@ Trace loadTrace(const std::string &path);
 void checkCoreMapping(const std::vector<int> &thread_to_core, int n);
 
 /**
- * Re-express one epoch's cells in core coordinates under
- * @p thread_to_core (already validated) and re-sort them into the
- * canonical (src, dst) order.  The per-epoch kernel of mapTrace(),
- * exposed so streamed consumers can map epochs one batch at a time.
+ * Re-express one epoch's @p cells in core coordinates under
+ * @p thread_to_core (already validated), in place, and re-sort them
+ * into the canonical (src, dst) order.  The per-epoch kernel of
+ * mapTrace(), exposed so streamed consumers can map each epoch inside
+ * the reader's vector.
  */
-std::vector<noc::EpochCell>
-mapEpochCells(const std::vector<noc::EpochCell> &cells,
-              const std::vector<int> &thread_to_core);
+void mapEpochCells(std::vector<noc::EpochCell> &cells,
+                   const std::vector<int> &thread_to_core);
 
 /**
  * Re-express a thread-granularity trace (captured with the identity

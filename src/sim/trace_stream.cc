@@ -1,6 +1,7 @@
 #include "sim/trace_stream.hh"
 
 #include <charconv>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string_view>
@@ -20,6 +21,12 @@ namespace mnoc::sim {
  * next() has returned false), which is exactly what a "<kind> record
  * at byte N" message must report for malformed and truncated records
  * respectively.
+ *
+ * The file is read in blocks of kBlockBytes and each LF found with
+ * memchr, so a line is a view into the block, never a copy.  The
+ * block grows only for a line longer than itself, and the trace is
+ * never held whole.  A last line without an LF is still a line, and
+ * a CR stays in its line for the record parsers to reject.
  */
 class LineScanner
 {
@@ -31,11 +38,12 @@ class LineScanner
     /** Advance to the next line; false at end of file. */
     bool next();
 
-    const std::string &line() const { return line_; }
+    /** The current line without its LF; valid until next(). */
+    std::string_view line() const { return line_; }
     const std::string &path() const { return path_; }
 
-    /** Fatal "path:line: why [kind record at byte N]" for the
-     *  current line. */
+    /** Fatal "path:line: why: <the line> [kind record at byte N]"
+     *  for the current line. */
     [[noreturn]] void fail(const std::string &kind,
                            const std::string &why) const;
 
@@ -49,9 +57,19 @@ class LineScanner
     bool bad() const { return in_.bad(); }
 
   private:
+    static constexpr std::size_t kBlockBytes = 64 * 1024;
+
+    /** Move the unscanned tail to the front of the block and read
+     *  behind it, doubling the block when the tail fills it. */
+    void refill();
+
     std::string path_;
     std::ifstream in_;
-    std::string line_;
+    std::vector<char> block_;
+    std::size_t begin_ = 0; ///< first unscanned byte of block_
+    std::size_t end_ = 0;   ///< end of the bytes read into block_
+    bool eof_ = false;
+    std::string_view line_;
     int lineno_ = 0;
     std::size_t lineOffset_ = 0;
     std::size_t offset_ = 0;
@@ -153,8 +171,7 @@ parseHeader(LineScanner &sc, TraceHeader &header)
     {
         FieldCursor f(sc.line());
         if (!(f.keyword("mnoc-trace") && f.keyword("3") && f.done()))
-            sc.fail("header",
-                    "unrecognized trace file header: " + sc.line());
+            sc.fail("header", "unrecognized trace file header");
     }
 
     if (!sc.next())
@@ -171,8 +188,7 @@ parseHeader(LineScanner &sc, TraceHeader &header)
         bool ok = f.number(header.numNodes) &&
                   f.number(header.totalTicks) && f.done();
         if (!ok || header.numNodes <= 0)
-            sc.fail("dimensions",
-                    "malformed trace dimensions: " + sc.line());
+            sc.fail("dimensions", "malformed trace dimensions");
     }
 
     if (!sc.next())
@@ -181,15 +197,13 @@ parseHeader(LineScanner &sc, TraceHeader &header)
     {
         FieldCursor f(sc.line());
         if (!(f.keyword("manifest") && f.number(count) && f.done()))
-            sc.fail("manifest-header",
-                    "expected 'manifest <n>', got: " + sc.line());
+            sc.fail("manifest-header", "expected 'manifest <n>', got");
     }
     for (std::size_t i = 0; i < count; ++i) {
         if (!sc.next())
             sc.failTruncated("manifest-entry", "truncated manifest block");
-        if (!parseManifestEntry(sc.line(), header.manifest))
-            sc.fail("manifest-entry",
-                    "malformed manifest entry: " + sc.line());
+        if (!parseManifestEntry(std::string(sc.line()), header.manifest))
+            sc.fail("manifest-entry", "malformed manifest entry");
     }
 
     if (!sc.next())
@@ -197,8 +211,7 @@ parseHeader(LineScanner &sc, TraceHeader &header)
     FieldCursor f(sc.line());
     if (!(f.keyword("epochs") && f.number(header.numEpochs) &&
           f.number(header.messagesPerEpoch) && f.done()))
-        sc.fail("epochs-header",
-                "expected 'epochs <n> <msgs>', got: " + sc.line());
+        sc.fail("epochs-header", "expected 'epochs <n> <msgs>', got");
 }
 
 /** Parse one "epoch <c>" block from @p sc into @p cells. */
@@ -211,8 +224,7 @@ parseEpochBlock(LineScanner &sc, int num_nodes,
     FieldCursor head(sc.line());
     std::size_t cell_count = 0;
     if (!(head.keyword("epoch") && head.number(cell_count) && head.done()))
-        sc.fail("epoch-header",
-                "expected 'epoch <cells>', got: " + sc.line());
+        sc.fail("epoch-header", "expected 'epoch <cells>', got");
     cells.clear();
     cells.reserve(cell_count);
     for (std::size_t c = 0; c < cell_count; ++c) {
@@ -224,10 +236,9 @@ parseEpochBlock(LineScanner &sc, int num_nodes,
               f.number(cell.packets) && f.number(cell.flits) && f.done()))
             sc.fail("epoch-cell",
                     "malformed epoch cell (expected 'src dst packets "
-                    "flits'): " + sc.line());
+                    "flits')");
         if (cell.src >= num_nodes || cell.dst >= num_nodes)
-            sc.fail("epoch-cell",
-                    "epoch cell endpoint out of range: " + sc.line());
+            sc.fail("epoch-cell", "epoch cell endpoint out of range");
         cells.push_back(cell);
     }
 }
@@ -337,14 +348,15 @@ writeTriplets(std::ostream &out, const CountMatrix &packets,
 
 } // namespace
 
-LineScanner::LineScanner(const std::string &path) : path_(path)
+LineScanner::LineScanner(const std::string &path)
+    : path_(path), block_(kBlockBytes)
 {
     // An ifstream opens a directory without complaint and then reads
     // nothing, which would surface as a misleading truncated header.
     std::error_code ec;
     if (std::filesystem::is_directory(path, ec))
         fatal("is a directory, not a trace file: " + path);
-    in_.open(path);
+    in_.open(path, std::ios::binary);
     if (!in_.is_open())
         fatal("cannot open trace file: " + path);
 }
@@ -353,18 +365,57 @@ bool
 LineScanner::next()
 {
     lineOffset_ = offset_;
-    if (!std::getline(in_, line_))
-        return false;
+    for (;;) {
+        const char *base = block_.data();
+        const void *lf =
+            std::memchr(base + begin_, '\n', end_ - begin_);
+        if (lf != nullptr) {
+            auto stop = static_cast<std::size_t>(
+                static_cast<const char *>(lf) - base);
+            line_ = std::string_view(base + begin_, stop - begin_);
+            begin_ = stop + 1;
+            break;
+        }
+        if (eof_) {
+            if (begin_ == end_) {
+                line_ = {};
+                return false;
+            }
+            line_ = std::string_view(base + begin_, end_ - begin_);
+            begin_ = end_;
+            break;
+        }
+        refill();
+    }
     ++lineno_;
+    // A last line without an LF still counts one byte past it.
     offset_ += line_.size() + 1;
     return true;
+}
+
+void
+LineScanner::refill()
+{
+    std::size_t tail = end_ - begin_;
+    std::memmove(block_.data(), block_.data() + begin_, tail);
+    begin_ = 0;
+    end_ = tail;
+    if (end_ == block_.size())
+        block_.resize(2 * block_.size());
+    auto want = static_cast<std::streamsize>(block_.size() - end_);
+    // A short read is the end of the file (or an I/O error, which
+    // bad() reports).
+    if (!in_.read(block_.data() + end_, want))
+        eof_ = true;
+    end_ += static_cast<std::size_t>(in_.gcount());
 }
 
 void
 LineScanner::fail(const std::string &kind,
                   const std::string &why) const
 {
-    parseFail(path_, lineno_, lineOffset_, kind, why);
+    parseFail(path_, lineno_, lineOffset_, kind,
+              why + ": " + std::string(line_));
 }
 
 void
@@ -435,13 +486,11 @@ TraceReader::nextMessages(std::vector<TraceMessage> &batch,
               f.number(msg.packets) && f.number(msg.flits)))
             sc.fail("triplet",
                     "malformed trace triplet (expected 'src dst "
-                    "packets flits'): " + sc.line());
+                    "packets flits')");
         if (!f.done())
-            sc.fail("triplet",
-                    "trailing garbage after triplet: " + sc.line());
+            sc.fail("triplet", "trailing garbage after triplet");
         if (msg.src >= header_.numNodes || msg.dst >= header_.numNodes)
-            sc.fail("triplet",
-                    "trace endpoint out of range: " + sc.line());
+            sc.fail("triplet", "trace endpoint out of range");
         batch.push_back(msg);
         pending_ = sc.next();
     }

@@ -324,6 +324,35 @@ TEST(SpanJsonTest, EveryTruncationIsFatalNamingPathAndByte)
               3u);
 }
 
+TEST(SpanJsonTest, BytesAfterTheRootObjectAreFatalNamingTheirOffset)
+{
+    // Regression: a complete span file followed by junk profiled
+    // without a diagnostic.  Whitespace may follow the root object;
+    // any other byte fails naming the path and its offset.
+    std::string path = testing::TempDir() + "span_trailing.json";
+    writeSpanFile(path);
+    std::string bytes = fileBytes(path);
+    std::remove(path.c_str());
+    EXPECT_EQ(parseSpanJson(bytes + " \n\t\r\n", path).size(), 3u);
+    for (const std::string &tail :
+         {std::string("TRAILING JUNK"), std::string("\n}"),
+          std::string("\n]"), std::string(" ,"), std::string("\n0"),
+          std::string("\n{\"traceEvents\": []}")}) {
+        SCOPED_TRACE(tail);
+        std::size_t at = bytes.size() + tail.find_first_not_of(" \n");
+        try {
+            parseSpanJson(bytes + tail, path);
+            ADD_FAILURE() << "bytes after the root object parsed";
+        } catch (const FatalError &error) {
+            std::string what = error.what();
+            EXPECT_NE(what.find(path), std::string::npos) << what;
+            EXPECT_NE(what.find("at byte " + std::to_string(at)),
+                      std::string::npos)
+                << what;
+        }
+    }
+}
+
 TEST(SpanJsonTest, UnknownSectionIsNamedWithItsOffset)
 {
     std::string text = "{\"traceEvents\": [], \"future\": {}}";

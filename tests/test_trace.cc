@@ -604,4 +604,115 @@ TEST(Trace, LoadRejectsEveryLexicalViolation)
     expectRejected(last, "triplet", "15 14 29 45\r");
 }
 
+/** The trace scanner's read block: the tests below put records
+ *  across its boundaries. */
+constexpr std::size_t kScanBlock = 64 * 1024;
+
+TEST(Trace, CellAcrossABlockBoundaryKeepsItsOffset)
+{
+    // An epoch cell whose bytes straddle the first block boundary is
+    // one record: intact it loads, damaged past the boundary it is
+    // named by the line and byte where it starts.
+    const std::string cell = "0 1 4 8\n";
+    const std::size_t count = 10000;
+    auto headFor = [&](std::size_t name_length) {
+        return "mnoc-trace 3\n" + std::string(name_length, 'w') +
+               "\nn\n2 10\nmanifest 0\nepochs 1 8\nepoch " +
+               std::to_string(count) + "\n";
+    };
+    // Pad the workload name so a cell starts 3 bytes before the
+    // boundary.
+    std::size_t name_length = 1;
+    while ((kScanBlock - headFor(name_length).size()) % cell.size() != 3)
+        ++name_length;
+    std::string head = headFor(name_length);
+    std::size_t index = (kScanBlock - head.size()) / cell.size();
+    std::size_t offset = head.size() + index * cell.size();
+    ASSERT_LT(offset, kScanBlock);
+    ASSERT_GT(offset + cell.size(), kScanBlock);
+
+    std::string body = head;
+    for (std::size_t c = 0; c < count; ++c)
+        body += cell;
+    body += "0 1 40000 80000\n";
+    Trace loaded = loadTrace(writeFixture("mnoc_trace_block.txt", body));
+    ASSERT_EQ(loaded.epochs.epochs.size(), 1u);
+    ASSERT_EQ(loaded.epochs.epochs[0].size(), count);
+    EXPECT_EQ(loaded.epochs.epochs[0][index].flits, 8u);
+    EXPECT_EQ(loaded.flits(0, 1), 80000u);
+
+    body.replace(offset, cell.size(), "0 1 4 +\n");
+    expectLoadFailure(writeFixture("mnoc_trace_block.txt", body),
+                      static_cast<int>(8 + index),
+                      "malformed epoch cell (expected 'src dst packets "
+                      "flits'): 0 1 4 + [epoch-cell record at byte " +
+                          std::to_string(offset) + "]");
+    std::remove((testing::TempDir() + "mnoc_trace_block.txt").c_str());
+}
+
+TEST(Trace, LineLongerThanABlockLoadsWhole)
+{
+    // A workload name three blocks long grows the scanner's block;
+    // it loads whole, and the records after it keep their offsets.
+    Trace original = sampleTraceWithEpochs();
+    original.workloadName = std::string(3 * kScanBlock + 17, 'x');
+    std::string path = testing::TempDir() + "mnoc_trace_long.txt";
+    saveTrace(path, original);
+    Trace loaded = loadTrace(path);
+    EXPECT_EQ(loaded.workloadName, original.workloadName);
+    EXPECT_EQ(loaded.networkName, original.networkName);
+    EXPECT_EQ(loaded.epochs.epochs.size(), 2u);
+    EXPECT_TRUE(loaded.flits == original.flits);
+
+    std::string saved = fileBytes(path);
+    std::size_t at = saved.find("\n0 1 6 18\n");
+    ASSERT_NE(at, std::string::npos);
+    int line = 2 + static_cast<int>(std::count(
+                       saved.begin(), saved.begin() + static_cast<long>(at),
+                       '\n'));
+    std::size_t offset = 0;
+    std::string body = replaceLine(saved, line, "0 1 6 18 junk", offset);
+    EXPECT_EQ(offset, at + 1);
+    EXPECT_GT(offset, 3 * kScanBlock);
+    expectLoadFailure(writeFixture("mnoc_trace_long.txt", body), line,
+                      "epoch-cell record at byte " +
+                          std::to_string(offset) + "]");
+}
+
+TEST(Trace, LastLineWithoutAnLfIsStillALine)
+{
+    // The golden fixture without its final LF loads the same trace.
+    std::string golden = fileBytes(std::string(MNOC_TEST_DATA_DIR) +
+                                   "/golden_epoch_16.trace");
+    ASSERT_EQ(golden.back(), '\n');
+    Trace want = loadTrace(std::string(MNOC_TEST_DATA_DIR) +
+                           "/golden_epoch_16.trace");
+    std::string path = writeFixture("mnoc_trace_nolf.txt",
+                                     golden.substr(0, golden.size() - 1));
+    Trace got = loadTrace(path);
+    std::remove(path.c_str());
+    EXPECT_TRUE(got.packets == want.packets);
+    EXPECT_TRUE(got.flits == want.flits);
+    ASSERT_EQ(got.epochs.epochs.size(), want.epochs.epochs.size());
+    for (std::size_t e = 0; e < want.epochs.epochs.size(); ++e)
+        EXPECT_EQ(got.epochs.epochs[e].size(),
+                  want.epochs.epochs[e].size());
+
+    // An epoch block that ends on such a line is a truncation named
+    // at the next line; its offset counts the missing LF, one byte
+    // past the end of the file.
+    std::string body = "mnoc-trace 3\nw\nn\n2 10\nmanifest 0\n"
+                       "epochs 1 8\nepoch 2\n0 1 4 8";
+    expectLoadFailure(writeFixture("mnoc_trace_nolf.txt", body), 9,
+                      "truncated epoch cell list [epoch-cell record at "
+                      "byte " +
+                          std::to_string(body.size() + 1) + "]");
+}
+
+TEST(Trace, EmptyFileIsATruncatedHeaderAtByteZero)
+{
+    expectLoadFailure(writeFixture("mnoc_trace_empty.txt", ""), 1,
+                      "empty trace file [header record at byte 0]");
+}
+
 } // namespace

@@ -2,22 +2,26 @@
  * @file
  * Tests of the streaming trace layer (sim/trace_stream.hh): the
  * ledger build must match a serial reference fold cell for cell from
- * both reader sources (in memory, file), the
- * in-memory reader must serve what a reader over the saved file
- * does, the build must reject a non-permutation map and a drained
- * reader, the incremental TraceWriter must emit the same bytes as
- * saveTrace() and leave no spool behind, a truncated final epoch must
- * fail naming the record kind and byte offset, a directory must be
- * named as one, and the recorder's epoch sink must see exactly the
- * epochs the in-memory path accumulates.
+ * both reader sources (in memory, file), a permuted build must match
+ * the ledger of the mapped trace, the in-memory reader must serve
+ * what a reader over the saved file does, the build must reject a
+ * non-permutation map and a drained reader, the incremental
+ * TraceWriter must emit the same bytes as saveTrace() and leave no
+ * spool behind, a truncated final epoch must fail naming the record
+ * kind and byte offset, a directory must be named as one, and the
+ * recorder's epoch sink must see exactly the epochs the in-memory
+ * path accumulates.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <sstream>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -282,6 +286,63 @@ TEST(TraceStream, InMemoryReaderServesWhatTheSavedFileDoes)
             EXPECT_EQ(got[i].flits, want[i].flits);
         }
     }
+}
+
+TEST(TraceStream, PermutedBuildMatchesTheMappedTraceLedger)
+{
+    // The build maps each epoch inside the reader's vector and
+    // re-sorts it; under a non-identity permutation that must hand on
+    // and price exactly what the mapTrace()-mapped trace does, from a
+    // file and from memory.
+    auto trace = epochTrace(24, 12);
+    optics::SerpentineLayout layout(16, Meters(0.05));
+    optics::DeviceParams params;
+    optics::OpticalCrossbar xbar(layout, params);
+    MnocPowerModel model(xbar, PowerParams{});
+    auto design = model.designUniform(distanceBasedTopology(16, 2));
+
+    std::vector<int> mapping = identityMapping(16);
+    Prng rng(11);
+    for (std::size_t i = mapping.size() - 1; i > 0; --i)
+        std::swap(mapping[i], mapping[rng.below(i + 1)]);
+    ASSERT_NE(mapping, identityMapping(16));
+    sim::Trace mapped = sim::mapTrace(trace, mapping);
+    auto reference = referenceLedger(model, design, mapped);
+    sim::TraceReader mapped_reader(mapped);
+    expectSameLedger(reference, model.buildLedger(design, mapped_reader));
+
+    std::string file = scratchPath("permuted.trace");
+    sim::saveTrace(file, trace);
+    sim::TraceReader memory(trace);
+    sim::TraceReader saved(file);
+    for (sim::TraceReader *reader : {&memory, &saved}) {
+        SCOPED_TRACE(reader == &memory ? "memory" : "file");
+        // The observer sees each epoch re-sorted into (src, dst) order,
+        // exactly as mapTrace() stores it.
+        std::size_t observed = 0;
+        auto observe = [&](std::size_t epoch,
+                           const std::vector<noc::EpochCell> &cells) {
+            const auto &want = mapped.epochs.epochs[epoch];
+            ASSERT_EQ(cells.size(), want.size()) << "epoch " << epoch;
+            EXPECT_TRUE(std::is_sorted(
+                cells.begin(), cells.end(),
+                [](const noc::EpochCell &a, const noc::EpochCell &b) {
+                    return std::tie(a.src, a.dst) < std::tie(b.src, b.dst);
+                }))
+                << "epoch " << epoch;
+            for (std::size_t c = 0; c < want.size(); ++c) {
+                EXPECT_EQ(cells[c].src, want[c].src);
+                EXPECT_EQ(cells[c].dst, want[c].dst);
+                EXPECT_EQ(cells[c].packets, want[c].packets);
+                EXPECT_EQ(cells[c].flits, want[c].flits);
+            }
+            ++observed;
+        };
+        expectSameLedger(reference, model.buildLedger(design, *reader,
+                                                      &mapping, observe));
+        EXPECT_EQ(observed, mapped.epochs.epochs.size());
+    }
+    std::remove(file.c_str());
 }
 
 TEST(TraceStream, BuildRejectsANonPermutationMap)
