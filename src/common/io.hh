@@ -1,8 +1,11 @@
 /**
  * @file
- * Checked file output: every artifact writer in the tree goes through
+ * Checked file I/O.  Every artifact writer in the tree goes through
  * FileWriter, the single place allowed to own a raw std::ofstream
- * (enforced by the mnoc-analyze raw-ofstream rule).
+ * (enforced by the mnoc-analyze raw-ofstream rule); the loaders that
+ * take a whole file in memory (designs, journals, span files, the
+ * analyzer's sources and compilation database) read it through
+ * readWholeFile().
  *
  * The point is failure visibility.  A plain ofstream swallows write
  * errors -- a full disk or revoked permissions produce a silently
@@ -12,6 +15,9 @@
  * every failure is a fatal() naming the path.  The destructor never
  * throws; an unclosed writer that failed is reported through warn()
  * so callers that care must call close() themselves.
+ *
+ * readWholeFile() is the read-side twin: one sized read of a regular
+ * file, every failure a fatal() naming the path.
  */
 
 #ifndef MNOC_COMMON_IO_HH
@@ -66,6 +72,16 @@ class FileWriter
     std::ofstream out_;
     bool closed_ = false;
 };
+
+/**
+ * The bytes of the regular file @p path, in one sized read.
+ * @param noun What the file is, for the messages ("design",
+ *        "journal", ...): "cannot open <noun> file: <path>", "not a
+ *        regular file, cannot load it as a <noun>: <path>".
+ * @throws FatalError when the file cannot be opened, is not a
+ *         regular file (a directory, a pipe), or cannot be read.
+ */
+std::string readWholeFile(const std::string &path, const std::string &noun);
 
 } // namespace mnoc
 

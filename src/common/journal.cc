@@ -2,7 +2,6 @@
 
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <iomanip>
 #include <map>
 #include <sstream>
@@ -101,28 +100,6 @@ appendRecord(std::string &out, const JournalRecord &rec)
         appendU64(out, static_cast<std::uint64_t>(rec.ints[i]));
     for (std::size_t i = 0; i < JournalRecord::kMaxReals; ++i)
         appendF64(out, rec.reals[i]);
-}
-
-std::string
-journalHeader(const std::string &manifest_json)
-{
-    std::string out;
-    out.append(kHeaderMagic, sizeof(kHeaderMagic));
-    appendU32(out, kJournalVersion);
-    fatalIf(manifest_json.size() > (std::uint32_t(1) << 24),
-            "journal manifest stamp is implausibly large");
-    appendU32(out, static_cast<std::uint32_t>(manifest_json.size()));
-    out.append(manifest_json);
-    return out;
-}
-
-std::string
-journalFooter(std::uint64_t count)
-{
-    std::string out;
-    out.append(kEndMagic, sizeof(kEndMagic));
-    appendU64(out, count);
-    return out;
 }
 
 /** Field names for the fixed int/real slots of each kind (JSONL keys
@@ -264,11 +241,18 @@ std::string
 Journal::toBinary() const
 {
     std::lock_guard<std::mutex> guard(mutex_);
-    std::string out = journalHeader(manifestJson_);
+    std::string out;
+    out.append(kHeaderMagic, sizeof(kHeaderMagic));
+    appendU32(out, kJournalVersion);
+    fatalIf(manifestJson_.size() > (std::uint32_t(1) << 24),
+            "journal manifest stamp is implausibly large");
+    appendU32(out, static_cast<std::uint32_t>(manifestJson_.size()));
+    out.append(manifestJson_);
     out.reserve(out.size() + records_.size() * kJournalRecordBytes + 16);
     for (const JournalRecord &rec : records_)
         appendRecord(out, rec);
-    out += journalFooter(records_.size());
+    out.append(kEndMagic, sizeof(kEndMagic));
+    appendU64(out, records_.size());
     return out;
 }
 
@@ -305,50 +289,10 @@ Journal::reset()
     manifestJson_.clear();
 }
 
-JournalWriter::JournalWriter(const std::string &path,
-                             const std::string &manifest_json)
-    : path_(path), buffer_(journalHeader(manifest_json))
-{
-}
-
-JournalWriter::~JournalWriter()
-{
-    if (!closed_)
-        warn("journal writer for '" + path_ +
-             "' destroyed without close(); journal not written");
-}
-
-void
-JournalWriter::append(const JournalRecord &rec)
-{
-    if (closed_)
-        panic("append to closed journal writer '" + path_ + "'");
-    appendRecord(buffer_, rec);
-    ++count_;
-}
-
-void
-JournalWriter::close()
-{
-    if (closed_)
-        panic("double close of journal writer '" + path_ + "'");
-    buffer_ += journalFooter(count_);
-    FileWriter writer(path_, /*binary=*/true);
-    writer.stream().write(buffer_.data(),
-                          static_cast<std::streamsize>(buffer_.size()));
-    writer.failIfBad();
-    writer.close();
-    closed_ = true;
-}
-
 JournalFile
 loadJournal(const std::string &path)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        fatal("cannot open journal '" + path + "'");
-    std::string bytes((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
+    const std::string bytes = readWholeFile(path, "journal");
 
     auto truncated = [&](const std::string &what, std::size_t at) {
         fatal(path + ": truncated journal: missing " + what + " at byte " +

@@ -163,31 +163,6 @@ class Journal
     std::string manifestJson_;
 };
 
-/** Incremental binary journal writer for rendering pipelines that
- *  stream records without staging them in a Journal.  Must be
- *  close()d; the destructor only warns (mnoc-analyze's
- *  unclosed-writer rule covers this type). */
-class JournalWriter
-{
-  public:
-    JournalWriter(const std::string &path, const std::string &manifest_json);
-    ~JournalWriter();
-
-    JournalWriter(const JournalWriter &) = delete;
-    JournalWriter &operator=(const JournalWriter &) = delete;
-
-    void append(const JournalRecord &rec);
-
-    /** Write the end marker and flush; fatal on I/O failure. */
-    void close();
-
-  private:
-    std::string path_;
-    std::string buffer_;
-    std::uint64_t count_ = 0;
-    bool closed_ = false;
-};
-
 /** A journal loaded back from disk. */
 struct JournalFile
 {

@@ -164,6 +164,13 @@ warnUnknownKnobs()
     }
 }
 
+std::atomic<bool> &
+ledgerFlag()
+{
+    static std::atomic<bool> flag(readKnob("MNOC_LEDGER").enabled);
+    return flag;
+}
+
 } // namespace
 
 std::span<const KnobSpec>
@@ -200,6 +207,56 @@ readKnob(const char *name)
         !scanned.exchange(true, std::memory_order_relaxed))
         warnUnknownKnobs();
     return parseKnob(name, std::getenv(name));
+}
+
+bool
+ledgerEnabled()
+{
+    return ledgerFlag().load(std::memory_order_relaxed);
+}
+
+void
+setLedgerEnabled(bool on)
+{
+    ledgerFlag().store(on, std::memory_order_relaxed);
+}
+
+std::uint64_t
+ledgerEpochMessages()
+{
+    static auto cached = static_cast<std::uint64_t>(
+        readKnob("MNOC_EPOCH_MSGS").number);
+    return cached;
+}
+
+bool
+faultsEnabled()
+{
+    static bool cached = readKnob("MNOC_FAULTS").enabled;
+    return cached;
+}
+
+std::uint64_t
+faultSeed()
+{
+    static auto cached = static_cast<std::uint64_t>(
+        readKnob("MNOC_FAULT_SEED").number);
+    return cached;
+}
+
+bool
+adaptEnabled()
+{
+    static bool cached = readKnob("MNOC_ADAPT").enabled;
+    return cached;
+}
+
+std::uint64_t
+adaptWindow()
+{
+    static auto cached = static_cast<std::uint64_t>(
+        readKnob("MNOC_ADAPT_WINDOW").number);
+    return cached;
 }
 
 } // namespace mnoc

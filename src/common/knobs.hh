@@ -7,15 +7,17 @@
  * result-class knobs that are set, and never the execution or
  * observability ones, so artifact bytes do not depend on them.
  *
- * readKnob() parses on every call (hot paths cache the result), so a
- * re-read after setenv() sees the new value.  A malformed value is a
- * fatal error naming the knob and the value: a mistyped knob must
- * stop the run, not quietly reconfigure it.
+ * readKnob() parses on every call, so a re-read after setenv() sees
+ * the new value; the runtime knobs' accessors below (ledgerEnabled()
+ * and its siblings) read once and cache the result for hot paths.
+ * A malformed value is a fatal error naming the knob and the value:
+ * a mistyped knob must stop the run, not quietly reconfigure it.
  */
 
 #ifndef MNOC_COMMON_KNOBS_HH
 #define MNOC_COMMON_KNOBS_HH
 
+#include <cstdint>
 #include <span>
 #include <string>
 
@@ -81,6 +83,33 @@ KnobValue parseKnob(const char *name, const char *text);
  *  the table, so a mistyped name does not silently leave a feature
  *  off. */
 KnobValue readKnob(const char *name);
+
+/** True when the energy-attribution ledger should be collected
+ *  (MNOC_LEDGER; overridable in tests). */
+bool ledgerEnabled();
+
+/** Force ledger collection on/off, overriding MNOC_LEDGER. */
+void setLedgerEnabled(bool on);
+
+/** Messages per attribution epoch (MNOC_EPOCH_MSGS, default 1024). */
+std::uint64_t ledgerEpochMessages();
+
+/** True when the runtime fault-injection engine should run
+ *  (MNOC_FAULTS). */
+bool faultsEnabled();
+
+/** Seed of the runtime fault timeline (MNOC_FAULT_SEED, default
+ *  1). */
+std::uint64_t faultSeed();
+
+/** True when the traffic-adaptive controller should fold its
+ *  static-vs-adaptive comparison into `mnocpt report`
+ *  (MNOC_ADAPT). */
+bool adaptEnabled();
+
+/** Trailing traffic window of the adaptive controller, in epochs
+ *  (MNOC_ADAPT_WINDOW, default 32). */
+std::uint64_t adaptWindow();
 
 } // namespace mnoc
 

@@ -22,13 +22,6 @@ enabledFlag()
 
 std::atomic<int> next_shard_slot{0};
 
-std::atomic<bool> &
-ledgerFlag()
-{
-    static std::atomic<bool> flag(readKnob("MNOC_LEDGER").enabled);
-    return flag;
-}
-
 /** Backstop against a corrupt epoch index allocating the machine
  *  away: 2^24 epochs of 8-byte slots is already a 128 MiB series. */
 constexpr std::size_t kMaxSeriesSlots = std::size_t{1} << 24;
@@ -194,56 +187,6 @@ Series::reset()
         std::lock_guard<std::mutex> lock(shard.mutex);
         shard.slots.clear();
     }
-}
-
-bool
-ledgerEnabled()
-{
-    return ledgerFlag().load(std::memory_order_relaxed);
-}
-
-void
-setLedgerEnabled(bool on)
-{
-    ledgerFlag().store(on, std::memory_order_relaxed);
-}
-
-std::uint64_t
-ledgerEpochMessages()
-{
-    static auto cached = static_cast<std::uint64_t>(
-        readKnob("MNOC_EPOCH_MSGS").number);
-    return cached;
-}
-
-bool
-faultsEnabled()
-{
-    static bool cached = readKnob("MNOC_FAULTS").enabled;
-    return cached;
-}
-
-std::uint64_t
-faultSeed()
-{
-    static auto cached = static_cast<std::uint64_t>(
-        readKnob("MNOC_FAULT_SEED").number);
-    return cached;
-}
-
-bool
-adaptEnabled()
-{
-    static bool cached = readKnob("MNOC_ADAPT").enabled;
-    return cached;
-}
-
-std::uint64_t
-adaptWindow()
-{
-    static auto cached = static_cast<std::uint64_t>(
-        readKnob("MNOC_ADAPT_WINDOW").number);
-    return cached;
 }
 
 MetricsRegistry &

@@ -178,34 +178,6 @@ class Series
     std::array<Shard, kMetricShards> shards_;
 };
 
-/** True when the energy-attribution ledger should be collected
- *  (MNOC_LEDGER; overridable in tests).  The knob accessors below
- *  read common/knobs.hh once and cache the value. */
-bool ledgerEnabled();
-
-/** Force ledger collection on/off, overriding MNOC_LEDGER. */
-void setLedgerEnabled(bool on);
-
-/** Messages per attribution epoch (MNOC_EPOCH_MSGS, default 1024). */
-std::uint64_t ledgerEpochMessages();
-
-/** True when the runtime fault-injection engine should run
- *  (MNOC_FAULTS). */
-bool faultsEnabled();
-
-/** Seed of the runtime fault timeline (MNOC_FAULT_SEED, default
- *  1). */
-std::uint64_t faultSeed();
-
-/** True when the traffic-adaptive controller should fold its
- *  static-vs-adaptive comparison into `mnocpt report`
- *  (MNOC_ADAPT). */
-bool adaptEnabled();
-
-/** Trailing traffic window of the adaptive controller, in epochs
- *  (MNOC_ADAPT_WINDOW, default 32). */
-std::uint64_t adaptWindow();
-
 /**
  * Process-wide registry of named metrics.  Registration is
  * mutex-guarded and handles are stable for the registry's lifetime,

@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <climits>
+#include <cstdint>
 #include <cstdlib>
 #include <map>
+#include <optional>
 #include <tuple>
 
 #include "common/io.hh"
@@ -155,79 +158,51 @@ SpanRecorder::writeJson(const std::string &path) const
 
 namespace {
 
-/** Locate the value after `"key":` inside one event object; returns
- *  npos when the key is absent. */
-std::size_t
-valuePos(const std::string &obj, const std::string &key)
+/** Typed reads of span-event members: a member present with the
+ *  wrong type or out of range is fatal, naming its byte. */
+struct SpanFields
 {
-    std::size_t at = obj.find("\"" + key + "\"");
-    if (at == std::string::npos)
-        return at;
-    at = obj.find(':', at + key.size() + 2);
-    if (at == std::string::npos)
-        return at;
-    ++at;
-    while (at < obj.size() &&
-           (obj[at] == ' ' || obj[at] == '\t' || obj[at] == '\n'))
-        ++at;
-    return at;
-}
+    const std::string &where;
 
-/** Extract a string field, undoing the common JSON escapes. */
-std::string
-extractString(const std::string &obj, const std::string &key)
-{
-    std::size_t at = valuePos(obj, key);
-    if (at == std::string::npos || at >= obj.size() ||
-        obj[at] != '"')
-        return "";
-    std::string out;
-    for (std::size_t i = at + 1; i < obj.size(); ++i) {
-        char c = obj[i];
-        if (c == '"')
-            break;
-        if (c == '\\' && i + 1 < obj.size()) {
-            char next = obj[++i];
-            switch (next) {
-              case 'n': out += '\n'; break;
-              case 't': out += '\t'; break;
-              case 'r': out += '\r'; break;
-              default: out += next; break;
-            }
-            continue;
-        }
-        out += c;
+    [[noreturn]] void
+    fail(const char *key, const JsonValue &value,
+         const std::string &what) const
+    {
+        fatal(where + ": span event field \"" + key + "\" at byte " +
+              std::to_string(value.offset) + " " + what);
     }
-    return out;
-}
 
-/** Extract a non-negative integer field; @p found reports whether
- *  the key was present with a numeric value. */
-std::uint64_t
-extractUint(const std::string &obj, const std::string &key,
-            bool &found)
-{
-    found = false;
-    std::size_t at = valuePos(obj, key);
-    if (at == std::string::npos)
-        return 0;
-    std::uint64_t out = 0;
-    bool any = false;
-    for (std::size_t i = at; i < obj.size(); ++i) {
-        char c = obj[i];
-        if (c < '0' || c > '9') {
-            if (c == '.') // fractional microseconds: truncate
-                break;
-            if (!any)
-                return 0;
-            break;
-        }
-        out = out * 10 + static_cast<std::uint64_t>(c - '0');
-        any = true;
+    /** A string field; "" when absent. */
+    std::string
+    text(const JsonValue &event, const char *key) const
+    {
+        const JsonValue *value = event.field(key);
+        if (value == nullptr)
+            return "";
+        if (value->kind != JsonValue::Kind::String)
+            fail(key, *value, "is not a string");
+        return value->text;
     }
-    found = any;
-    return out;
-}
+
+    /** A non-negative number field, any fraction truncated; empty
+     *  when absent. */
+    std::optional<std::uint64_t>
+    count(const JsonValue &event, const char *key,
+          std::uint64_t max) const
+    {
+        const JsonValue *value = event.field(key);
+        if (value == nullptr)
+            return std::nullopt;
+        if (value->kind != JsonValue::Kind::Number)
+            fail(key, *value, "is not a number");
+        if (value->number < 0.0)
+            fail(key, *value, "is negative");
+        std::optional<std::uint64_t> out = value->truncatedUint();
+        if (!out || *out > max)
+            fail(key, *value, "is out of range");
+        return out;
+    }
+};
 
 } // namespace
 
@@ -235,109 +210,51 @@ std::vector<SpanEvent>
 parseSpanJson(const std::string &text, const std::string &path)
 {
     const std::string where = path.empty() ? "span input" : path;
+    JsonValue root = parseJson(text, where);
+    if (root.kind != JsonValue::Kind::Object)
+        fatal(where + ": span file root at byte " +
+              std::to_string(root.offset) + " is not an object");
 
-    // Walk the document, collecting the depth-2 objects (the events
-    // inside the traceEvents array) while respecting strings so a
-    // brace inside a span name cannot derail the scan.  Top-level
-    // keys are tracked so an unknown trailer section from a newer
-    // writer is named with its byte offset rather than silently
-    // consumed (or worse, its nested objects mistaken for events).
+    // Unknown root sections -- trailers from newer writers -- are
+    // named with their byte offset rather than silently skipped.
+    const SpanFields fields{where};
     std::vector<SpanEvent> out;
-    int depth = 0;
-    bool rooted = false;
     bool has_events = false;
-    bool in_events = false;
-    bool in_string = false;
-    bool escaped = false;
-    std::size_t start = 0;
-    std::size_t string_start = 0;
-    int string_depth = 0;
-    std::string section;
-    for (std::size_t i = 0; i < text.size(); ++i) {
-        char c = text[i];
-        if (in_string) {
-            if (escaped)
-                escaped = false;
-            else if (c == '\\')
-                escaped = true;
-            else if (c == '"') {
-                in_string = false;
-                if (string_depth == 1) {
-                    // A root-level string followed by ':' names a
-                    // section of the document.
-                    std::size_t after = i + 1;
-                    while (after < text.size() &&
-                           (text[after] == ' ' ||
-                            text[after] == '\n' ||
-                            text[after] == '\t' ||
-                            text[after] == '\r'))
-                        ++after;
-                    if (after < text.size() && text[after] == ':') {
-                        section = text.substr(
-                            string_start + 1, i - string_start - 1);
-                        has_events |= section == "traceEvents";
-                        if (section != "traceEvents" &&
-                            section != "displayTimeUnit")
-                            fatal(where + ": unknown span-file "
-                                          "section \"" +
-                                  section + "\" at byte " +
-                                  std::to_string(string_start));
-                    }
-                }
-            }
+    for (const JsonMember &section : root.members) {
+        if (section.key == "displayTimeUnit")
             continue;
-        }
-        // Nothing but whitespace may follow the root object.
-        if (rooted && depth == 0 && c != ' ' && c != '\n' &&
-            c != '\t' && c != '\r')
-            fatal(where + ": unexpected byte after the root object "
-                          "at byte " +
-                  std::to_string(i));
-        if (c == '"') {
-            in_string = true;
-            string_start = i;
-            string_depth = depth;
-        } else if (c == '[' || c == ']') {
-            if (depth == 1 && section == "traceEvents")
-                in_events = c == '[';
-        } else if (c == '{') {
-            rooted = true;
-            if (++depth == 2)
-                start = i;
-        } else if (c == '}') {
-            if (depth-- != 2 || section != "traceEvents")
-                continue;
-            std::string obj = text.substr(start, i - start + 1);
-            std::string ph = extractString(obj, "ph");
+        if (section.key != "traceEvents")
+            fatal(where + ": unknown span-file section \"" +
+                  section.key + "\" at byte " +
+                  std::to_string(section.keyOffset));
+        if (section.value.kind != JsonValue::Kind::Array)
+            fatal(where + ": traceEvents at byte " +
+                  std::to_string(section.value.offset) +
+                  " is not an array");
+        has_events = true;
+        for (const JsonValue &event : section.value.items) {
+            if (event.kind != JsonValue::Kind::Object)
+                fatal(where + ": trace event at byte " +
+                      std::to_string(event.offset) +
+                      " is not an object");
+            // Only complete events carry a duration.
+            std::string ph = fields.text(event, "ph");
             if (!ph.empty() && ph != "X")
-                continue; // only complete events carry a duration
-            bool has_ts = false, has_dur = false, has_tid = false;
-            SpanEvent event;
-            event.startUs = extractUint(obj, "ts", has_ts);
-            event.durationUs = extractUint(obj, "dur", has_dur);
-            event.tid = static_cast<int>(
-                extractUint(obj, "tid", has_tid));
-            if (!has_ts || !has_dur)
                 continue;
-            event.name = extractString(obj, "name");
-            event.category = extractString(obj, "cat");
-            if (event.name.empty())
+            SpanEvent span;
+            span.name = fields.text(event, "name");
+            span.category = fields.text(event, "cat");
+            auto ts = fields.count(event, "ts", UINT64_MAX);
+            auto dur = fields.count(event, "dur", UINT64_MAX);
+            auto tid = fields.count(event, "tid", INT_MAX);
+            if (span.name.empty() || !ts || !dur)
                 continue;
-            out.push_back(std::move(event));
+            span.startUs = *ts;
+            span.durationUs = *dur;
+            span.tid = static_cast<int>(tid.value_or(0));
+            out.push_back(std::move(span));
         }
     }
-
-    // A document cut short -- a crashed writer, a partial copy --
-    // must not pass for a smaller profile.
-    const char *cut = in_string ? "inside a string"
-                      : in_events
-                          ? "with the traceEvents array still open"
-                      : depth > 0 ? "with the root object still open"
-                      : !rooted   ? "before its root object"
-                                  : nullptr;
-    if (cut != nullptr)
-        fatal(where + ": span file ends at byte " +
-              std::to_string(text.size()) + " " + cut);
     if (!has_events)
         fatal(where + ": span file has no traceEvents array");
     return out;

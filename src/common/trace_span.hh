@@ -99,22 +99,30 @@ class SpanRecorder
 /**
  * Parse Chrome trace-event JSON back into SpanEvents (`mnocpt
  * profile` reads files written by SpanRecorder::writeJson or any
- * other ph="X" producer).  A tolerant extractor, not a full JSON
- * parser: it collects the complete-event objects inside the
- * traceEvents array and reads their name/cat/tid/ts/dur fields,
- * skipping events without a duration (counter/instant overlays such
- * as the `mnocpt explain` output compose cleanly).
+ * other ph="X" producer).  The text is read by parseJson()
+ * (common/json.hh), so it must be one RFC 8259 document; the span
+ * grammar on top of it is:
  *
- * Unknown top-level sections -- trailers from newer writers -- are
- * named, with their byte offset, in the same diagnostic style as the
- * TraceReader, instead of being silently consumed.
+ *   - the root is an object whose keys are "traceEvents" (an array
+ *     of objects) and "displayTimeUnit" (any value); "traceEvents"
+ *     is required, and any other key -- a trailer from a newer
+ *     writer -- is an error naming the key and its byte offset;
+ *   - an event whose "ph" is absent or "X" is a span: its "name",
+ *     "cat" and "ph" must be strings when present, and its "ts",
+ *     "dur" and "tid" non-negative numbers ("tid" at most INT_MAX),
+ *     any fraction truncated; other members ("args", "pid", ...)
+ *     are ignored;
+ *   - an event with another "ph" (counter and instant overlays such
+ *     as the `mnocpt explain` output), or with no name, "ts" or
+ *     "dur", is skipped.
  *
  * @param path File name used in diagnostics ("span input" when
  *        empty).
- * @throws FatalError when @p text contains no traceEvents array,
- *         carries an unknown top-level section, or ends early --
- *         inside a string, or with the traceEvents array or the root
- *         object still open -- naming the byte offset where it ends.
+ * @throws FatalError naming the path and a byte offset on malformed
+ *         JSON (a cut file, bytes after the root object, ...), an
+ *         unknown root section, a value of the wrong type, or a
+ *         negative or out-of-range number; naming the path on a
+ *         document without a traceEvents array.
  */
 std::vector<SpanEvent> parseSpanJson(const std::string &text,
                                      const std::string &path = "");

@@ -2,7 +2,6 @@
 
 #include <charconv>
 #include <cmath>
-#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -389,38 +388,11 @@ readResilience(Parser &parser)
 
 } // namespace
 
-namespace {
-
-/** The bytes of the design file @p path, in one sized read. */
-std::string
-readDesignFile(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in.is_open())
-        fatal("cannot open design file: " + path);
-    // A directory opens without complaint and has no byte size, and a
-    // pipe has no size at all.
-    std::error_code ec;
-    if (!std::filesystem::is_regular_file(path, ec))
-        fatal("not a regular file, cannot load it as a design: " + path);
-    in.seekg(0, std::ios::end);
-    std::streamoff size = in.tellg();
-    in.seekg(0, std::ios::beg);
-    if (size < 0 || !in)
-        fatal("cannot size design file: " + path);
-    std::string bytes(static_cast<std::size_t>(size), '\0');
-    if (!in.read(bytes.data(), size))
-        fatal("I/O error reading design file: " + path);
-    return bytes;
-}
-
-} // namespace
-
 DesignReport
 loadDesignReport(const std::string &path)
 {
     TraceSpan span("loadDesign", "io");
-    const std::string bytes = readDesignFile(path);
+    const std::string bytes = readWholeFile(path, "design");
     Parser parser(bytes, path);
 
     std::string_view magic = parser.token("header");

@@ -9,9 +9,9 @@
 #include "common/csv.hh"
 #include "common/io.hh"
 #include "common/journal.hh"
+#include "common/knobs.hh"
 #include "common/log.hh"
 #include "common/manifest.hh"
-#include "common/metrics.hh"
 #include "common/pgm.hh"
 #include "common/prng.hh"
 #include "common/table.hh"

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/journal.hh"
+#include "common/knobs.hh"
 #include "common/log.hh"
 #include "common/metrics.hh"
 #include "common/trace_span.hh"

@@ -222,6 +222,20 @@ if "$MNOCPT" explain --journal "$DIR/jbad.mjrn" \
 then exit 1; fi
 grep -q "truncated journal" "$DIR/err_journal.txt"
 
+# A directory given as a span file or as a journal fails naming the
+# path (a directory opens as a stream and reads as zero bytes, or as
+# an I/O error that names no file).
+mkdir -p "$DIR/spans_dir" "$DIR/journal_dir"
+if "$MNOCPT" profile --spans "$DIR/spans_dir" 2>"$DIR/err_spans_dir.txt"
+then exit 1; fi
+grep -q "not a regular file, cannot load it as a span: $DIR/spans_dir" \
+    "$DIR/err_spans_dir.txt"
+if "$MNOCPT" explain --journal "$DIR/journal_dir" --dir "$DIR/explain_dir" \
+    2>"$DIR/err_journal_dir.txt"
+then exit 1; fi
+grep -q "not a regular file, cannot load it as a journal: $DIR/journal_dir" \
+    "$DIR/err_journal_dir.txt"
+
 # Unknown subcommands and missing/malformed options must fail cleanly,
 # with a diagnostic that names the offender.
 if "$MNOCPT" frobnicate 2>"$DIR/err_verb.txt"; then exit 1; fi

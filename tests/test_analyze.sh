@@ -1,14 +1,16 @@
 #!/bin/sh
 # Self-test for tools/analyze (mnoc-analyze), run as a ctest.
 #
-# Four parts:
+# Five parts:
 #   1. the real tree must analyze clean against the checked-in
 #      baseline (exit 0) using the build's compile_commands.json,
 #      and the analysis must cover every first-party source file;
 #   2. the fixture tree in tests/analyze_fixtures/tree/ must trip
 #      every rule exactly where seeded, and no ok_* file may appear;
 #   3. the SARIF export must be structurally valid 2.1.0;
-#   4. the findings must be byte-identical for MNOC_THREADS=1 and 8.
+#   4. the findings must be byte-identical for MNOC_THREADS=1 and 8;
+#   5. a malformed compilation database must end in a fatal naming
+#      the database and a byte offset, never in a signal.
 #
 # Usage: test_analyze.sh <mnoc-analyze> <compile_commands.json> <repo-root>
 set -eu
@@ -74,7 +76,6 @@ bad_shared_prng.cc:12: \[shared-prng\]
 bad_discarded_result.cc:10: \[discarded-result\]
 bad_discarded_journal.cc:10: \[discarded-result\]
 bad_unclosed_writer.cc:10: \[unclosed-writer\]
-bad_unclosed_journal.cc:10: \[unclosed-writer\]
 bad_raw_ofstream.cc:9: \[raw-ofstream\]
 bad_raw_getenv.cc:9: \[raw-getenv\]
 bad_check_message.cc:9: \[check-message\]
@@ -145,5 +146,32 @@ cmp -s "$scratch/t1.txt" "$scratch/t8.txt" || {
 }
 [ -s "$scratch/t1.txt" ] || fail "thread-determinism run was empty"
 
+# --- 5. Malformed databases are diagnosed, not crashed on. ---------
+# 200 000 nested '[' overflowed the stack of the analyzer's former
+# recursive reader (SIGSEGV); the reader caps nesting instead.
+bad_db() {
+    name=$1
+    "$analyze" --root "$fixtures" --compile-commands "$scratch/$name" \
+        > /dev/null 2> "$scratch/$name.err" && status=0 || status=$?
+    [ "$status" -eq 2 ] || {
+        cat "$scratch/$name.err" >&2
+        fail "$name: exit status $status, expected the fatal exit 2"
+    }
+    grep -q "$scratch/$name: malformed JSON at byte [0-9]" \
+        "$scratch/$name.err" || {
+        cat "$scratch/$name.err" >&2
+        fail "$name: the diagnostic names no database and byte"
+    }
+}
+awk 'BEGIN { for (i = 0; i < 200000; ++i) printf "["; print "" }' \
+    > "$scratch/deep.json"
+bad_db deep.json
+printf '[tttt]\n' > "$scratch/literal.json"
+bad_db literal.json
+printf '[{"directory": "/w", "file": "a.cc", "command": "c++ a.cc"},' \
+    > "$scratch/truncated.json"
+bad_db truncated.json
+
 echo "test_analyze: PASS (tree clean and fully covered, fixtures" \
-     "flagged, SARIF valid, thread-count deterministic)"
+     "flagged, SARIF valid, thread-count deterministic, malformed" \
+     "databases diagnosed)"

@@ -1,26 +1,32 @@
 /**
  * @file
  * Unit tests for the common substrate: units, matrices, stats, CSV,
- * PGM and table output.  The binary replaces the global operator new
- * with a counting one, so a test can assert that a hot path does not
- * allocate.
+ * PGM and table output, whole-file reads, and the JSON reader (with
+ * the compilation database it reads).  The binary replaces the
+ * global operator new with a counting one, so a test can assert that
+ * a hot path does not allocate.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <new>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
 #include <type_traits>
+#include <utility>
+#include <vector>
 
 #include "common/csv.hh"
 #include "common/io.hh"
+#include "common/json.hh"
 #include "common/knobs.hh"
 #include "common/log.hh"
 #include "common/matrix.hh"
@@ -30,6 +36,7 @@
 #include "common/table.hh"
 #include "common/units.hh"
 #include "core/energy_ledger.hh"
+#include "tools/analyze/compile_db.hh"
 
 namespace {
 
@@ -300,6 +307,284 @@ TEST(Io, FileWriterCloseDetectsFullDisk)
         EXPECT_NE(what.find("disk full"), std::string::npos) << what;
         EXPECT_NE(what.find("/dev/full"), std::string::npos) << what;
     }
+}
+
+TEST(Io, ReadWholeFileNamesThePathOfWhatItCannotLoad)
+{
+    std::string path = testing::TempDir() + "read_whole_file.bin";
+    std::string bytes("a\0b\nc", 5);
+    {
+        FileWriter writer(path, /*binary=*/true);
+        writer.stream() << bytes;
+        writer.close();
+    }
+    EXPECT_EQ(readWholeFile(path, "sample"), bytes);
+    std::remove(path.c_str());
+
+    auto expectFatal = [](const std::string &target,
+                          const std::string &message) {
+        try {
+            readWholeFile(target, "sample");
+            ADD_FAILURE() << "read " << target;
+        } catch (const FatalError &error) {
+            EXPECT_EQ(std::string(error.what()), "fatal: " + message + target);
+        }
+    };
+    expectFatal(path, "cannot open sample file: ");
+    // A directory opens as an ifstream; it must not read as empty.
+    expectFatal(testing::TempDir(),
+                "not a regular file, cannot load it as a sample: ");
+}
+
+/** The diagnostic parseJson() raises on @p text, or "" when it
+ *  parses. */
+std::string
+jsonError(const std::string &text)
+{
+    try {
+        parseJson(text, "doc.json");
+    } catch (const FatalError &error) {
+        return error.what();
+    }
+    return "";
+}
+
+TEST(Json, RejectsWhatRfc8259Rejects)
+{
+    struct Row
+    {
+        std::string text;
+        std::size_t byte;
+        const char *what;
+    };
+    const std::string deep = std::string(kJsonMaxDepth + 1, '[');
+    const std::vector<Row> rows = {
+        {"+1", 0, "expected a value"},
+        {"01", 0, "number with a leading zero"},
+        {"[-007]", 2, "number with a leading zero"},
+        {"0x10", 1, "unexpected byte after the root value"},
+        {"NaN", 0, "expected a value"},
+        {"[Infinity]", 1, "expected a value"},
+        {"1.", 2, "expected a digit after the decimal point"},
+        {".5", 0, "expected a value"},
+        {"1e+", 3, "expected a digit in the exponent"},
+        {"-", 1, "expected a digit"},
+        {"1e999", 0, "number out of the range of a double"},
+        {"tru", 0, "expected a value"},
+        {"[tttt]", 1, "expected a value"},
+        {"nul", 0, "expected a value"},
+        {"True", 0, "expected a value"},
+        {"\"a\x01" "b\"", 2, "raw control character in a string"},
+        {"\"tab\there\"", 4, "raw control character in a string"},
+        {"\"\\ud800\"", 1, "lone high surrogate"},
+        {"\"\\ud800\\u0041\"", 1, "lone high surrogate"},
+        {"\"\\udc00\"", 1, "lone low surrogate"},
+        {"\"\\u12g4\"", 3, "expected four hex digits in a \\u escape"},
+        {"\"\\x\"", 1, "invalid escape"},
+        {"\"\\u12", 5, "unexpected end of input inside a string"},
+        {"\"open", 5, "unexpected end of input inside a string"},
+        {"[1,]", 3, "expected a value"},
+        {"[1 2]", 3, "expected ',' or ']'"},
+        {"{\"a\": 1 \"b\": 2}", 8, "expected ',' or '}'"},
+        {"{\"a\": 1,}", 8, "expected a member key"},
+        {"{\"a\" 1}", 5, "expected ':'"},
+        {"{1: 2}", 1, "expected a member key"},
+        {"{} x", 3, "unexpected byte after the root value"},
+        {"[] []", 3, "unexpected byte after the root value"},
+        {"", 0, "unexpected end of input"},
+        {"  \n", 3, "unexpected end of input"},
+        {"[", 1, "unexpected end of input"},
+        {deep, kJsonMaxDepth, "nesting deeper than 256 levels"},
+    };
+    for (const Row &row : rows) {
+        SCOPED_TRACE(row.text.substr(0, 40));
+        EXPECT_EQ(jsonError(row.text),
+                  "fatal: doc.json: malformed JSON at byte " +
+                      std::to_string(row.byte) + ": " + row.what);
+    }
+}
+
+TEST(Json, DeepNestingIsADiagnosticNotAStackOverflow)
+{
+    for (const char *open : {"[", "{\"k\": "}) {
+        std::string text;
+        for (int i = 0; i < 200000; ++i)
+            text += open;
+        EXPECT_NE(jsonError(text).find("nesting deeper than"),
+                  std::string::npos);
+    }
+    // The cap itself parses.
+    std::string at_cap = std::string(kJsonMaxDepth, '[') +
+                         std::string(kJsonMaxDepth, ']');
+    EXPECT_EQ(jsonError(at_cap), "");
+}
+
+TEST(Json, StringsDecodeToUtf8)
+{
+    auto string = [](const std::string &text) {
+        JsonValue value = parseJson(text, "doc.json");
+        EXPECT_EQ(value.kind, JsonValue::Kind::String);
+        return value.text;
+    };
+    EXPECT_EQ(string("\"caf\\u00e9\""), "caf\xc3\xa9");
+    EXPECT_EQ(string("\"caf\xc3\xa9\""), "caf\xc3\xa9");
+    EXPECT_EQ(string("\"\\u20AC\""), "\xe2\x82\xac");
+    // A surrogate pair is one character, four UTF-8 bytes.
+    EXPECT_EQ(string("\"\\ud83d\\ude00\""), "\xf0\x9f\x98\x80");
+    EXPECT_EQ(string("\"\\u0000\""), std::string(1, '\0'));
+    EXPECT_EQ(string("\"\\\"\\\\\\/\\b\\f\\n\\r\\t\""),
+              "\"\\/\b\f\n\r\t");
+}
+
+TEST(Json, NumbersAndLiterals)
+{
+    JsonValue doc = parseJson(
+        "[0, -0, 2e3, 1.5E-2, 9007199254740993, 18446744073709551615,"
+        " 18446744073709551616, -1, 7.9, true, false, null]",
+        "doc.json");
+    ASSERT_EQ(doc.items.size(), 12u);
+    const auto &v = doc.items;
+    EXPECT_EQ(v[2].number, 2000.0);
+    EXPECT_EQ(v[3].number, 0.015);
+    EXPECT_EQ(v[3].text, "1.5E-2");
+    EXPECT_EQ(v[0].truncatedUint(), 0u);
+    EXPECT_EQ(v[1].truncatedUint(), 0u);
+    EXPECT_EQ(v[2].truncatedUint(), 2000u);
+    // Integer tokens are exact, even past 2^53.
+    EXPECT_EQ(v[4].truncatedUint(), 9007199254740993u);
+    EXPECT_EQ(v[5].truncatedUint(), UINT64_MAX);
+    EXPECT_EQ(v[6].truncatedUint(), std::nullopt);
+    EXPECT_EQ(v[7].truncatedUint(), std::nullopt);
+    EXPECT_EQ(v[8].truncatedUint(), 7u);
+    EXPECT_EQ(v[9].kind, JsonValue::Kind::Bool);
+    EXPECT_TRUE(v[9].boolean);
+    EXPECT_EQ(v[10].kind, JsonValue::Kind::Bool);
+    EXPECT_FALSE(v[10].boolean);
+    EXPECT_EQ(v[11].kind, JsonValue::Kind::Null);
+    EXPECT_EQ(v[9].truncatedUint(), std::nullopt);
+}
+
+TEST(Json, ValuesAndKeysRecordTheirByteOffsets)
+{
+    const std::string text = " {\"a\": [1, \"x\"], \"b\": {}, \"a\": 2}";
+    JsonValue doc = parseJson(text, "doc.json");
+    ASSERT_EQ(doc.kind, JsonValue::Kind::Object);
+    EXPECT_EQ(doc.offset, 1u);
+    ASSERT_EQ(doc.members.size(), 3u);
+    EXPECT_EQ(doc.members[0].keyOffset, 2u);
+    EXPECT_EQ(doc.members[0].value.offset, 7u);
+    EXPECT_EQ(doc.members[0].value.items[1].offset, 11u);
+    EXPECT_EQ(doc.members[1].keyOffset, 17u);
+    EXPECT_EQ(doc.members[1].value.offset, 22u);
+    // Duplicate keys are kept; field() finds the first.
+    EXPECT_EQ(doc.members[2].key, "a");
+    EXPECT_EQ(doc.field("a")->kind, JsonValue::Kind::Array);
+    EXPECT_EQ(doc.field("c"), nullptr);
+}
+
+/** Write @p bytes to @p path. */
+void
+writeBytes(const std::string &path, const std::string &bytes)
+{
+    FileWriter writer(path, /*binary=*/true);
+    writer.stream() << bytes;
+    writer.close();
+}
+
+/** Load the compilation database @p bytes; "" when it loads, else
+ *  the FatalError's message (any other exception fails the test). */
+std::string
+compileDbError(const std::string &path, const std::string &bytes)
+{
+    writeBytes(path, bytes);
+    try {
+        analyze::loadCompileDb(path);
+    } catch (const FatalError &error) {
+        return error.what();
+    }
+    return "";
+}
+
+const char kThreeEntryDb[] = R"([
+  {"directory": "/work/build", "file": "../src/a.cc",
+   "command": "c++ -I/work/src -isystem /ext/inc -c ../src/a.cc"},
+  {"directory": "/work/build", "file": "/work/src/b.cc",
+   "arguments": ["c++", "-I", "gen", "-c", "/work/src/b.cc"]},
+  {"directory": "/work", "file": "tools/c.cc", "output": "c.o",
+   "command": "c++ \"-Iquoted dir\" -c tools/c.cc"}
+]
+)";
+
+TEST(CompileDb, ReadsBothInvocationEncodings)
+{
+    std::string path = testing::TempDir() + "compile_db_ok.json";
+    writeBytes(path, kThreeEntryDb);
+    auto db = analyze::loadCompileDb(path);
+    std::remove(path.c_str());
+    ASSERT_EQ(db.size(), 3u);
+    EXPECT_EQ(db[0].file, "/work/src/a.cc");
+    EXPECT_EQ(db[0].includeDirs,
+              (std::vector<std::string>{"/work/src", "/ext/inc"}));
+    EXPECT_EQ(db[1].file, "/work/src/b.cc");
+    EXPECT_EQ(db[1].includeDirs,
+              std::vector<std::string>{"/work/build/gen"});
+    EXPECT_EQ(db[2].file, "/work/tools/c.cc");
+    EXPECT_EQ(db[2].includeDirs,
+              std::vector<std::string>{"/work/quoted dir"});
+}
+
+TEST(CompileDb, MalformedDatabasesNameTheirByte)
+{
+    std::string path = testing::TempDir() + "compile_db_bad.json";
+    const std::vector<std::pair<std::string, std::string>> rows = {
+        // 200 000 nested '[' overflowed the stack of the old reader.
+        {std::string(200000, '['), "malformed JSON at byte 256: "
+                                   "nesting deeper than 256 levels"},
+        {"[tttt]", "malformed JSON at byte 1: expected a value"},
+        {"[{\"directory\": \"/w\", \"file\": \"a.cc\"",
+         "malformed JSON at byte 35: unexpected end of input"},
+        {"{}", "compilation database must be a JSON array at byte 0"},
+        {"[1]", "database entry is not an object at byte 1"},
+        {"[{\"directory\": \"/w\"}]",
+         "entry lacks a string \"file\" at byte 1"},
+        {"[{\"file\": \"a.cc\", \"directory\": 3}]",
+         "entry lacks a string \"directory\" at byte 1"},
+        {"[{\"file\": \"a.cc\", \"directory\": \"/w\"}]",
+         "entry for /w/a.cc has neither \"command\" nor \"arguments\" "
+         "at byte 1"},
+    };
+    for (const auto &[text, what] : rows) {
+        SCOPED_TRACE(text.substr(0, 40));
+        EXPECT_EQ(compileDbError(path, text), "fatal: " + path + ": " + what);
+    }
+    std::remove(path.c_str());
+}
+
+TEST(CompileDb, EveryPrefixAndByteFlipLoadsOrNamesPathAndByte)
+{
+    std::string path = testing::TempDir() + "compile_db_fuzz.json";
+    const std::string db = kThreeEntryDb;
+    auto check = [&](const std::string &bytes) {
+        std::string what = compileDbError(path, bytes);
+        if (what.empty())
+            return;
+        EXPECT_EQ(what.rfind("fatal: " + path + ": ", 0), 0u) << what;
+        EXPECT_NE(what.find(" at byte "), std::string::npos) << what;
+    };
+    for (std::size_t length = 0; length < db.size(); ++length) {
+        SCOPED_TRACE("prefix of " + std::to_string(length) + " bytes");
+        check(db.substr(0, length));
+    }
+    for (std::size_t at = 0; at < db.size(); ++at) {
+        for (int bit = 0; bit < 8; ++bit) {
+            SCOPED_TRACE("byte " + std::to_string(at) + " bit " +
+                         std::to_string(bit));
+            std::string flipped = db;
+            flipped[at] = static_cast<char>(flipped[at] ^ (1 << bit));
+            check(flipped);
+        }
+    }
+    std::remove(path.c_str());
 }
 
 TEST(Matrix, BasicAccessAndTotals)

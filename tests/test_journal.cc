@@ -1,13 +1,13 @@
 /**
  * @file
  * Tests of the epoch-anchored decision journal (common/journal.hh):
- * the binary format must round-trip (streaming writer included), a
- * zero-event journal must load and render, loadJournal must name the
- * record kind and byte offset on truncation and corruption, an
- * adaptive run's journal bytes must repeat run over run, and the
- * 256-node phase-splice fixture must keep the journal
- * and every `mnocpt explain` render byte-identical to the committed
- * goldens (regenerate with MNOC_REGEN_GOLDEN=1, see below).
+ * the binary format must round-trip, a zero-event journal must load
+ * and render, loadJournal must name the record kind and byte offset
+ * on truncation and corruption, an adaptive run's journal bytes must
+ * repeat run over run, the 256-node phase-splice fixture must keep
+ * the journal and every `mnocpt explain` render byte-identical to
+ * the committed goldens (regenerate with MNOC_REGEN_GOLDEN=1, see
+ * below), and the Chrome-trace overlay must profile to no spans.
  */
 
 #include <gtest/gtest.h>
@@ -24,6 +24,7 @@
 #include "common/journal.hh"
 #include "common/log.hh"
 #include "common/manifest.hh"
+#include "common/trace_span.hh"
 #include "core/designer.hh"
 #include "core/energy_ledger.hh"
 #include "runtime/adaptive_controller.hh"
@@ -158,28 +159,6 @@ TEST(Journal, BinaryRoundTripsEveryKind)
         EXPECT_EQ(a.reals, b.reals);
     }
     std::remove(path.c_str());
-}
-
-TEST(Journal, StreamingWriterMatchesStagedJournal)
-{
-    JournalScope scope;
-    auto &journal = Journal::global();
-    journal.setManifest("{\"seed\": 11}");
-    for (const JournalRecord &rec : sampleRecords())
-        journal.record(rec);
-
-    std::string staged = scratchPath("journal_staged.mjrn");
-    journal.writeFile(staged);
-
-    std::string streamed = scratchPath("journal_streamed.mjrn");
-    JournalWriter writer(streamed, "{\"seed\": 11}");
-    for (const JournalRecord &rec : sampleRecords())
-        writer.append(rec);
-    writer.close();
-
-    EXPECT_EQ(fileBytes(staged), fileBytes(streamed));
-    std::remove(staged.c_str());
-    std::remove(streamed.c_str());
 }
 
 TEST(Journal, ZeroEventJournalLoadsAndRenders)
@@ -392,6 +371,34 @@ TEST(Journal, GoldenExplainRendersStayByteIdentical)
               fileBytes(goldenDir() + "/explain_trace.json"));
     EXPECT_EQ(journalToJsonl(file),
               fileBytes(goldenDir() + "/journal.jsonl"));
+}
+
+TEST(Journal, ExplainTraceOverlayProfilesToNoSpans)
+{
+    // The overlay's counter and instant events carry no duration, so
+    // `mnocpt profile` must read the whole file and skip them all.
+    std::string golden = goldenDir() + "/splice_256.mjrn";
+    ASSERT_TRUE(std::filesystem::exists(golden))
+        << "missing fixture " << golden;
+    std::string overlay = renderExplainTrace(loadJournal(golden));
+    ASSERT_NE(overlay.find("\"ph\": \"C\""), std::string::npos);
+    ASSERT_NE(overlay.find("\"ph\": \"i\""), std::string::npos);
+    EXPECT_TRUE(
+        profileSpans(parseSpanJson(overlay, "overlay.json")).empty());
+}
+
+TEST(Journal, LoadingADirectoryNamesThePath)
+{
+    std::string dir = testing::TempDir();
+    try {
+        auto file = loadJournal(dir);
+        FAIL() << "a directory loaded as a journal";
+    } catch (const FatalError &error) {
+        EXPECT_EQ(std::string(error.what()),
+                  "fatal: not a regular file, cannot load it as a "
+                  "journal: " +
+                      dir);
+    }
 }
 
 } // namespace

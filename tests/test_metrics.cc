@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -365,6 +366,149 @@ TEST(SpanJsonTest, UnknownSectionIsNamedWithItsOffset)
                             "\"future\" at byte 20"),
                   std::string::npos)
             << error.what();
+    }
+}
+
+/** The FatalError message of parsing @p text as "spans.json", or ""
+ *  when it parses. */
+std::string
+spanError(const std::string &text)
+{
+    try {
+        parseSpanJson(text, "spans.json");
+    } catch (const FatalError &error) {
+        return error.what();
+    }
+    return "";
+}
+
+/** @p events wrapped in a span document. */
+std::string
+spanDoc(const std::string &events)
+{
+    return "{\"traceEvents\": [" + events + "]}";
+}
+
+TEST(SpanJsonTest, EventFieldsAreReadAsJsonValues)
+{
+    // Each row was misread by the key extractor the JSON reader
+    // replaced: a nested "dur", a span named "dur", an exponent, a
+    // \u escape.
+    struct Row
+    {
+        std::string event;
+        std::string name;
+        std::uint64_t ts;
+        std::uint64_t dur;
+    };
+    const std::vector<Row> rows = {
+        {"{\"name\": \"a\", \"ph\": \"X\", \"ts\": 0, "
+         "\"args\": {\"dur\": 1}, \"dur\": 300}",
+         "a", 0, 300},
+        {"{\"name\": \"dur\", \"ph\": \"X\", \"ts\": 5, \"dur\": 7}",
+         "dur", 5, 7},
+        {"{\"name\": \"b\", \"ts\": 1.9, \"dur\": 2e3}", "b", 1, 2000},
+        {"{\"name\": \"caf\\u00e9\", \"ts\": 4, \"dur\": 1}",
+         "caf\xc3\xa9", 4, 1},
+        {"{\"name\": \"max\", \"ts\": 18446744073709551615, "
+         "\"dur\": 0}",
+         "max", UINT64_MAX, 0},
+    };
+    for (const Row &row : rows) {
+        SCOPED_TRACE(row.event);
+        auto events = parseSpanJson(spanDoc(row.event), "spans.json");
+        EXPECT_EQ(events.size(), 1u);
+        if (events.size() != 1)
+            continue;
+        EXPECT_EQ(events[0].name, row.name);
+        EXPECT_EQ(events[0].startUs, row.ts);
+        EXPECT_EQ(events[0].durationUs, row.dur);
+    }
+}
+
+TEST(SpanJsonTest, MalformedFieldsAreFatalNamingTheirByte)
+{
+    // Rows 1-2 were accepted by the key extractor: a bare `tru`, and
+    // a ts above 2^64 that wrapped to 1.
+    const std::string lead = "{\"traceEvents\": [{\"name\": \"a\", ";
+    const std::size_t at = lead.size();
+    const std::vector<std::pair<std::string, std::string>> rows = {
+        {"\"ts\": 1, \"dur\": 2, \"flag\": tru}",
+         "malformed JSON at byte " + std::to_string(at + 27) +
+             ": expected a value"},
+        {"\"ts\": 18446744073709551617, \"dur\": 1}",
+         "span event field \"ts\" at byte " + std::to_string(at + 6) +
+             " is out of range"},
+        {"\"ts\": -5, \"dur\": 1}",
+         "span event field \"ts\" at byte " + std::to_string(at + 6) +
+             " is negative"},
+        {"\"ts\": 1, \"dur\": \"7\"}",
+         "span event field \"dur\" at byte " + std::to_string(at + 16) +
+             " is not a number"},
+        {"\"ts\": 1, \"dur\": 1, \"tid\": 2147483648}",
+         "span event field \"tid\" at byte " + std::to_string(at + 26) +
+             " is out of range"},
+        {"\"ts\": 1, \"dur\": 1, \"cat\": 3}",
+         "span event field \"cat\" at byte " + std::to_string(at + 26) +
+             " is not a string"},
+    };
+    for (const auto &[fields, what] : rows) {
+        SCOPED_TRACE(fields);
+        EXPECT_EQ(spanError(lead + fields + "]}"),
+                  "fatal: spans.json: " + what);
+    }
+    EXPECT_EQ(spanError("{\"traceEvents\": [7]}"),
+              "fatal: spans.json: trace event at byte 17 is not an "
+              "object");
+    EXPECT_EQ(spanError("{\"traceEvents\": {}}"),
+              "fatal: spans.json: traceEvents at byte 16 is not an "
+              "array");
+    EXPECT_EQ(spanError("[]"),
+              "fatal: spans.json: span file root at byte 0 is not an "
+              "object");
+    EXPECT_EQ(spanError("{\"displayTimeUnit\": \"ms\"}"),
+              "fatal: spans.json: span file has no traceEvents array");
+}
+
+TEST(SpanJsonTest, SkipsEventsThatAreNotCompleteSpans)
+{
+    std::string text = spanDoc(
+        "{\"name\": \"counter\", \"ph\": \"C\", \"ts\": 1, "
+        "\"args\": {\"dur\": 5}},"
+        "{\"name\": \"\", \"ts\": 1, \"dur\": 1},"
+        "{\"ts\": 1, \"dur\": 1},"
+        "{\"name\": \"no_ts\", \"dur\": 1},"
+        "{\"name\": \"no_dur\", \"ts\": 1},"
+        "{\"name\": \"kept\", \"cat\": \"c\", \"tid\": 3, \"ts\": 2, "
+        "\"dur\": 4, \"pid\": 9}");
+    auto events = parseSpanJson(text, "spans.json");
+    ASSERT_EQ(events.size(), 1u);
+    EXPECT_EQ(events[0].name, "kept");
+    EXPECT_EQ(events[0].category, "c");
+    EXPECT_EQ(events[0].tid, 3);
+}
+
+TEST(SpanJsonTest, EveryByteFlipLoadsOrIsFatalNamingPathAndByte)
+{
+    std::string path = testing::TempDir() + "span_flipped.json";
+    writeSpanFile(path);
+    std::string bytes = fileBytes(path);
+    std::remove(path.c_str());
+    for (std::size_t at = 0; at < bytes.size(); ++at) {
+        for (int bit = 0; bit < 8; ++bit) {
+            std::string flipped = bytes;
+            flipped[at] = static_cast<char>(flipped[at] ^ (1 << bit));
+            try {
+                parseSpanJson(flipped, path);
+            } catch (const FatalError &error) {
+                std::string what = error.what();
+                SCOPED_TRACE("byte " + std::to_string(at) + " bit " +
+                             std::to_string(bit));
+                EXPECT_NE(what.find(path), std::string::npos) << what;
+                EXPECT_NE(what.find("byte"), std::string::npos)
+                    << what;
+            }
+        }
     }
 }
 

@@ -19,7 +19,7 @@
 #include <string>
 #include <vector>
 
-#include "common/metrics.hh"
+#include "common/knobs.hh"
 #include "noc/mnoc_network.hh"
 #include "sim/simulator.hh"
 #include "workloads/registry.hh"

@@ -6,8 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/knobs.hh"
 #include "common/log.hh"
-#include "common/metrics.hh"
 #include "noc/mnoc_network.hh"
 #include "sim/simulator.hh"
 #include "workloads/synthetic.hh"

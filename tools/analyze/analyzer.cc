@@ -5,9 +5,9 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
-#include <sstream>
 #include <tuple>
 
+#include "common/io.hh"
 #include "common/log.hh"
 #include "common/thread_pool.hh"
 #include "tools/analyze/compile_db.hh"
@@ -18,19 +18,6 @@ namespace mnoc::analyze {
 namespace {
 
 namespace fs = std::filesystem;
-
-std::string
-readFile(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        fatal("cannot open source file: " + path);
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    if (in.bad())
-        fatal("read error on " + path);
-    return buffer.str();
-}
 
 /** Root-relative form of @p abs, or "" when outside @p root. */
 std::string
@@ -162,7 +149,7 @@ runAnalysis(const AnalyzerConfig &config)
             [&](long long i) {
                 const auto &[rel, abs] =
                     pending[static_cast<std::size_t>(i)];
-                std::string text = readFile(abs);
+                std::string text = readWholeFile(abs, "source");
                 LexedFile lexed = lexSource(text);
                 FileSlot &slot =
                     slots[static_cast<std::size_t>(i)];

@@ -6,10 +6,10 @@
  * database, so the analyzed tree is exactly the tree the compiler
  * sees -- no hand-maintained file lists.
  *
- * Only the subset of JSON the database uses is parsed (objects,
- * arrays, strings; numbers and keywords are skipped), and both
- * encodings of the compiler invocation are understood: a single
- * "command" string and an "arguments" array.
+ * The file is read by the tree's one JSON reader, parseJson()
+ * (common/json.hh), and both encodings of the compiler invocation
+ * are understood: a single "command" string and an "arguments"
+ * array.
  */
 
 #ifndef MNOC_TOOLS_ANALYZE_COMPILE_DB_HH
@@ -30,8 +30,9 @@ struct CompileCommand
 
 /**
  * Parse the database at @p path.
- * @throws FatalError on unreadable files or malformed JSON, naming
- *         the file (and byte offset for syntax errors).
+ * @throws FatalError naming the file: when it cannot be read, and,
+ *         with a byte offset, on malformed JSON or an entry without
+ *         a string "file", a string "directory", or a command.
  */
 std::vector<CompileCommand>
 loadCompileDb(const std::string &path);

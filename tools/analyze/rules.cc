@@ -94,8 +94,7 @@ const std::vector<RuleInfo> kCatalog = {
     {"shared-prng", "determinism", "error",
      "Prng shared by reference across ThreadPool tasks"},
     {"unclosed-writer", "error-handling", "warning",
-     "FileWriter/JournalWriter is never close()d on the checked "
-     "path"},
+     "FileWriter is never close()d on the checked path"},
     {"unit-param", "unit-safety", "error",
      "double parameter or field with a unit-suffixed name in a "
      "header"},
@@ -687,19 +686,11 @@ class FileChecker
     checkUnclosedWriter()
     {
         if (category_ == "tests" ||
-            pathIsOneOf({"src/common/io.hh", "src/common/io.cc",
-                         "src/common/journal.hh",
-                         "src/common/journal.cc"}))
+            pathIsOneOf({"src/common/io.hh", "src/common/io.cc"}))
             return;
         for (std::size_t i = 0; i + 2 < toks_.size(); ++i) {
-            if (toks_[i].kind != TokKind::Identifier)
-                continue;
-            std::string writer_type;
-            if (endsWithWord(toks_[i].text, "FileWriter"))
-                writer_type = "FileWriter";
-            else if (endsWithWord(toks_[i].text, "JournalWriter"))
-                writer_type = "JournalWriter";
-            else
+            if (toks_[i].kind != TokKind::Identifier ||
+                !endsWithWord(toks_[i].text, "FileWriter"))
                 continue;
             const Token &name = toks_[i + 1];
             if (name.kind != TokKind::Identifier ||
@@ -717,7 +708,7 @@ class FileChecker
                 }
             if (!closed)
                 add(name.line, "unclosed-writer",
-                    writer_type + " '" + name.text +
+                    "FileWriter '" + name.text +
                         "' is never close()d; its destructor only "
                         "warn()s, so a full disk would truncate "
                         "the artifact silently");

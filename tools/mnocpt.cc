@@ -65,7 +65,6 @@
 #include <cmath>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <iomanip>
 #include <iostream>
 #include <map>
@@ -78,6 +77,7 @@
 #include "common/csv.hh"
 #include "common/io.hh"
 #include "common/journal.hh"
+#include "common/knobs.hh"
 #include "common/log.hh"
 #include "common/manifest.hh"
 #include "common/metrics.hh"
@@ -620,15 +620,7 @@ int
 cmdProfile(const Args &args)
 {
     std::string path = args.get("spans");
-    std::ifstream in(path);
-    if (!in.is_open())
-        fatal("cannot open span file: " + path);
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    if (in.bad())
-        fatal("I/O error reading span file: " + path);
-
-    auto events = parseSpanJson(buffer.str(), path);
+    auto events = parseSpanJson(readWholeFile(path, "span"), path);
     auto rows = profileSpans(std::move(events));
 
     int top = args.getCount("top", 0);
