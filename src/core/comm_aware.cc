@@ -49,13 +49,20 @@ struct SortedDests
             return static_cast<int>(std::floor(
                 std::log(max_flow / f) / std::log(band_factor)));
         };
+        std::vector<int> band(static_cast<std::size_t>(n), 0);
+        std::vector<double> atten(static_cast<std::size_t>(n), 0.0);
+        for (int d : order) {
+            band[static_cast<std::size_t>(d)] = band_of(d);
+            atten[static_cast<std::size_t>(d)] =
+                chain.tapAttenuation(d).value();
+        }
 
         std::sort(order.begin(), order.end(), [&](int a, int b) {
+            auto ia = static_cast<std::size_t>(a);
+            auto ib = static_cast<std::size_t>(b);
             if (band_factor > 1.0) {
-                int ba = band_of(a);
-                int bb = band_of(b);
-                if (ba != bb)
-                    return ba < bb;
+                if (band[ia] != band[ib])
+                    return band[ia] < band[ib];
             } else {
                 double fa = flow(source, a);
                 double fb = flow(source, b);
@@ -64,10 +71,8 @@ struct SortedDests
             }
             // Within a band (or on exact ties): cheaper destinations
             // first, so close nodes pack into low modes.
-            LinearFactor aa = chain.tapAttenuation(a);
-            LinearFactor ab = chain.tapAttenuation(b);
-            if (aa != ab)
-                return aa < ab;
+            if (atten[ia] != atten[ib])
+                return atten[ia] < atten[ib];
             return a < b;
         });
 
@@ -75,7 +80,8 @@ struct SortedDests
         flowPrefix.assign(order.size() + 1, 0.0);
         for (std::size_t k = 0; k < order.size(); ++k) {
             attenPrefix[k + 1] =
-                attenPrefix[k] + chain.tapAttenuation(order[k]).value();
+                attenPrefix[k] +
+                atten[static_cast<std::size_t>(order[k])];
             // With no design traffic at all, fall back to uniform
             // per-destination weight (every destination equally likely).
             double f = any_flow ? flow(source, order[k]) : 1.0;
@@ -89,12 +95,16 @@ struct SortedDests
      * Expected-power objective of the contiguous partition whose mode
      * boundaries are @p bounds (bounds[m] = first sorted index of mode
      * m+1; bounds.size() == numModes-1).  Returns objective/pmin.
+     * Solves in a scratch buffer kept across calls: the sweep
+     * evaluates thousands of partitions per source.
      */
     double
     evaluate(const std::vector<int> &bounds) const
     {
         std::size_t m = bounds.size() + 1;
-        std::vector<double> cost(m), weight(m);
+        scratch.resize(3 * m);
+        double *cost = scratch.data();
+        double *weight = cost + m;
         int prev = 0;
         for (std::size_t i = 0; i < m; ++i) {
             int end = i + 1 < m ? bounds[i] : count();
@@ -102,8 +112,13 @@ struct SortedDests
             weight[i] = flowPrefix[end] - flowPrefix[prev];
             prev = end;
         }
-        return optics::optimizeAlphaVector(cost, weight).objective;
+        return optics::solveAlpha(cost, weight, m,
+                                  optics::kDefaultMinAlpha, weight + m);
     }
+
+  private:
+    /** evaluate()'s cost, weight and alpha rows. */
+    mutable std::vector<double> scratch;
 };
 
 /** Built-in candidate fractions for M >= 3 (paper Section 4.3). */

@@ -2,7 +2,6 @@
 
 #include <charconv>
 #include <cmath>
-#include <fstream>
 #include <limits>
 #include <sstream>
 #include <string_view>
@@ -517,9 +516,7 @@ driveTable(const MnocDesign &design, int source)
 std::vector<int>
 loadMapping(const std::string &path, int cores)
 {
-    std::ifstream in(path);
-    if (!in.is_open())
-        fatal("cannot open mapping file: " + path);
+    std::istringstream in(readWholeFile(path, "mapping"));
     std::vector<int> map;
     std::vector<int> line_of(static_cast<std::size_t>(cores), 0);
     std::string text;

@@ -18,8 +18,7 @@ EnergyLedger::EnergyLedger(int num_sources, int num_modes,
             "ledger dimensions must be positive");
     panicIf(duration_seconds <= 0.0,
             "ledger duration must be positive");
-    cells_.resize(static_cast<std::size_t>(num_sources) *
-                  static_cast<std::size_t>(num_modes) * num_epochs);
+    blocks_.resize(num_epochs);
     losses_.resize(static_cast<std::size_t>(num_sources) *
                    static_cast<std::size_t>(num_modes));
     reconfig_.resize(num_epochs, 0.0);
@@ -58,8 +57,7 @@ EnergyLedger::index(int source, int mode, std::size_t epoch) const
     panicIf(mode < 0 || mode >= numModes_,
             "ledger mode out of range");
     panicIf(epoch >= numEpochs_, "ledger epoch out of range");
-    return (epoch * static_cast<std::size_t>(numSources_) +
-            static_cast<std::size_t>(source)) *
+    return static_cast<std::size_t>(source) *
                static_cast<std::size_t>(numModes_) +
            static_cast<std::size_t>(mode);
 }
@@ -67,13 +65,38 @@ EnergyLedger::index(int source, int mode, std::size_t epoch) const
 LedgerCell &
 EnergyLedger::cell(int source, int mode, std::size_t epoch)
 {
-    return cells_[index(source, mode, epoch)];
+    std::size_t slot = index(source, mode, epoch);
+    std::unique_ptr<LedgerCell[]> &block = blocks_[epoch];
+    if (!block)
+        block = std::make_unique<LedgerCell[]>(
+            static_cast<std::size_t>(numSources_) *
+            static_cast<std::size_t>(numModes_));
+    return block[slot];
 }
 
 const LedgerCell &
 EnergyLedger::cell(int source, int mode, std::size_t epoch) const
 {
-    return cells_[index(source, mode, epoch)];
+    static const LedgerCell kUnaccrued;
+    std::size_t slot = index(source, mode, epoch);
+    const std::unique_ptr<LedgerCell[]> &block = blocks_[epoch];
+    return block ? block[slot] : kUnaccrued;
+}
+
+bool
+EnergyLedger::holdsEpoch(std::size_t epoch) const
+{
+    panicIf(epoch >= numEpochs_, "ledger epoch out of range");
+    return blocks_[epoch] != nullptr;
+}
+
+std::size_t
+EnergyLedger::heldEpochs() const
+{
+    std::size_t held = 0;
+    for (const auto &block : blocks_)
+        held += block ? 1 : 0;
+    return held;
 }
 
 const optics::ChainLossBreakdown &

@@ -18,9 +18,16 @@
  * byte-identical at any MNOC_THREADS and whichever source (file or
  * in-memory trace) the reader serves.
  *
- * Layout and fold order: cells are stored epoch-major, at
- * (epoch * numSources + source) * numModes + mode, so one epoch's
- * accruals land in one contiguous block.  Every fold fixes its own
+ * Layout and fold order: cells are stored epoch-major, one block of
+ * numSources * numModes cells per epoch at source * numModes + mode,
+ * so one epoch's accruals land in one contiguous block.  A block is
+ * allocated on the epoch's first mutable cell() access; an epoch that
+ * was never accrued holds no block and reads as zero through the
+ * const cell().  That is exact in every fold: a zero cell adds +0.0,
+ * and no accumulator holds -0.0.  The adaptive controller's ledger
+ * relies on it to store only the epochs run under a retarget.  Blocks
+ * are separate allocations, so the ledger never holds two copies of
+ * its cells while it grows.  Every fold fixes its own
  * order, independent of the storage order: a per-epoch fold
  * (epochAttributedEnergy, sourceEpochPower, the ledger.epoch_flits
  * series, the report's epochs.csv) runs in (source, mode) order
@@ -34,6 +41,7 @@
 #define MNOC_CORE_ENERGY_LEDGER_HH
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "core/power_model.hh"
@@ -63,7 +71,7 @@ struct LedgerCell
 };
 
 /**
- * Dense (source, mode, epoch) energy attribution for one evaluated
+ * (source, mode, epoch) energy attribution for one evaluated
  * trace, plus the per-(source, mode) optical loss breakdown at that
  * mode's injected power.  Traces captured without MNOC_LEDGER have
  * no epoch buckets; the ledger then holds a single epoch covering
@@ -84,9 +92,17 @@ class EnergyLedger
      *  of an epoch-free trace). */
     std::uint64_t messagesPerEpoch() const { return epochMsgs_; }
 
+    /** The cell, allocating its epoch's block on first access. */
     LedgerCell &cell(int source, int mode, std::size_t epoch);
+    /** The cell; all zero when its epoch holds no block. */
     const LedgerCell &cell(int source, int mode,
                            std::size_t epoch) const;
+
+    /** Whether @p epoch's block has been allocated. */
+    bool holdsEpoch(std::size_t epoch) const;
+
+    /** Number of epochs whose block has been allocated. */
+    std::size_t heldEpochs() const;
 
     /** Optical loss breakdown for @p source transmitting in
      *  @p mode, computed at that mode's injected power. */
@@ -131,8 +147,8 @@ class EnergyLedger
   private:
     friend class MnocPowerModel;
 
-    /** Epoch-major slot of a cell; panics on any index out of
-     *  range. */
+    /** Slot of a (source, mode) cell within its epoch's block;
+     *  panics on any index out of range. */
     std::size_t index(int source, int mode, std::size_t epoch) const;
 
     int numSources_;
@@ -140,8 +156,9 @@ class EnergyLedger
     std::size_t numEpochs_;
     double duration_;
     std::uint64_t epochMsgs_ = 0;
-    /** Indexed [(epoch * numSources + source) * numModes + mode]. */
-    std::vector<LedgerCell> cells_;
+    /** One block per epoch, indexed [source * numModes + mode];
+     *  null until the epoch is first accrued. */
+    std::vector<std::unique_ptr<LedgerCell[]>> blocks_;
     /** Indexed [source * numModes + mode]. */
     std::vector<optics::ChainLossBreakdown> losses_;
     /** Per-epoch reconfiguration-cost cells, in joules. */

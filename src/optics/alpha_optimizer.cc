@@ -11,13 +11,12 @@ namespace {
 
 /** Objective (sum C a)(sum w / a); assumes positive alphas. */
 double
-alphaObjective(const std::vector<double> &cost,
-               const std::vector<double> &weights,
-               const std::vector<double> &alpha)
+alphaObjective(const double *cost, const double *weights,
+               const double *alpha, std::size_t m)
 {
     double c = 0.0;
     double inv = 0.0;
-    for (std::size_t i = 0; i < alpha.size(); ++i) {
+    for (std::size_t i = 0; i < m; ++i) {
         c += cost[i] * alpha[i];
         inv += weights[i] / alpha[i];
     }
@@ -25,6 +24,135 @@ alphaObjective(const std::vector<double> &cost,
 }
 
 } // namespace
+
+double
+solveAlpha(const double *cost, const double *raw_weights, std::size_t m,
+           double min_alpha, double *alpha)
+{
+    fatalIf(m == 0, "need at least one mode");
+    fatalIf(min_alpha <= 0.0 || min_alpha > 1.0,
+            "min_alpha must lie in (0, 1]");
+
+    // Four m-entry scratch rows: normalized weights, the grid's best
+    // (or the analytic seed's targets), and the descent's cached
+    // C_j alpha_j and w_j / alpha_j terms.
+    constexpr std::size_t kStackModes = 8;
+    double stack[4 * kStackModes] = {};
+    std::vector<double> heap;
+    double *scratch = stack;
+    if (m > kStackModes) {
+        heap.resize(4 * m);
+        scratch = heap.data();
+    }
+    double *weights = scratch;
+    double *best = scratch + m;
+    double *cost_term = scratch + 2 * m;
+    double *inv_term = scratch + 3 * m;
+
+    double wsum = 0.0;
+    for (std::size_t i = 0; i < m; ++i) {
+        fatalIf(raw_weights[i] < 0.0, "mode weights must be non-negative");
+        wsum += raw_weights[i];
+    }
+    fatalIf(wsum <= 0.0, "mode weights must not all be zero");
+    for (std::size_t i = 0; i < m; ++i)
+        weights[i] = raw_weights[i] / wsum;
+
+    std::fill(alpha, alpha + m, 1.0);
+    if (m == 1)
+        return alphaObjective(cost, weights, alpha, m);
+
+    if (m <= 8) {
+        // Coarse monotone grid seed (the paper's Appendix A method).
+        std::copy(alpha, alpha + m, best);
+        double best_obj = alphaObjective(cost, weights, alpha, m);
+        const double step = 0.25;
+        auto recurse = [&](auto &&self, std::size_t index) -> void {
+            if (index == m) {
+                double obj = alphaObjective(cost, weights, alpha, m);
+                if (obj < best_obj) {
+                    best_obj = obj;
+                    std::copy(alpha, alpha + m, best);
+                }
+                return;
+            }
+            for (double a = step; a <= alpha[index - 1] + 1e-12;
+                 a += step) {
+                alpha[index] = std::clamp(a, min_alpha, alpha[index - 1]);
+                self(self, index + 1);
+            }
+        };
+        recurse(recurse, 1);
+        std::copy(best, best + m, alpha);
+    } else {
+        // Analytic seed for large M (per-destination-mode designs):
+        // the unconstrained stationary point is alpha_i proportional
+        // to sqrt(w_i / c_i); zero-weight modes want the floor (they
+        // cost provisioning but carry no traffic).  Normalize to
+        // alpha_0 = 1 and project onto the monotone cone: a backward
+        // running max keeps later must-be-high modes feasible, a
+        // forward running min enforces non-increase.
+        double base = (cost[0] > 0.0 && weights[0] > 0.0)
+                          ? std::sqrt(weights[0] / cost[0])
+                          : 1.0;
+        double *desired = best;
+        std::fill(desired, desired + m, min_alpha);
+        desired[0] = 1.0;
+        for (std::size_t i = 1; i < m; ++i) {
+            if (cost[i] > 0.0 && weights[i] > 0.0)
+                desired[i] = std::clamp(
+                    std::sqrt(weights[i] / cost[i]) / base, min_alpha,
+                    1.0);
+        }
+        for (std::size_t i = m - 1; i-- > 0;)
+            desired[i] = std::max(desired[i], desired[i + 1]);
+        alpha[0] = 1.0;
+        for (std::size_t i = 1; i < m; ++i)
+            alpha[i] = std::min(desired[i], alpha[i - 1]);
+    }
+
+    // Closed-form coordinate descent.  The C_j alpha_j and
+    // w_j / alpha_j terms are cached and only entry i is refreshed
+    // after alpha_i moves: the sums over j != i add the very doubles
+    // a recomputation would, in the same j order.
+    for (std::size_t j = 0; j < m; ++j) {
+        cost_term[j] = cost[j] * alpha[j];
+        inv_term[j] = weights[j] / alpha[j];
+    }
+    int max_iterations = m > 32 ? 60 : 200;
+    for (int iter = 0; iter < max_iterations; ++iter) {
+        double moved = 0.0;
+        for (std::size_t i = 1; i < m; ++i) {
+            double other_cost = 0.0;
+            double other_inv = 0.0;
+            for (std::size_t j = 0; j < m; ++j) {
+                if (j == i)
+                    continue;
+                other_cost += cost_term[j];
+                other_inv += inv_term[j];
+            }
+            double hi = alpha[i - 1];
+            double lo = i + 1 < m ? alpha[i + 1] : min_alpha;
+            double candidate;
+            if (cost[i] > 0.0 && other_inv > 0.0) {
+                candidate = std::sqrt(other_cost * weights[i] /
+                                      (cost[i] * other_inv));
+            } else if (weights[i] == 0.0) {
+                candidate = lo;
+            } else {
+                candidate = hi;
+            }
+            candidate = std::clamp(candidate, lo, hi);
+            moved += std::fabs(candidate - alpha[i]);
+            alpha[i] = candidate;
+            cost_term[i] = cost[i] * candidate;
+            inv_term[i] = weights[i] / candidate;
+        }
+        if (moved < 1e-12)
+            break;
+    }
+    return alphaObjective(cost, weights, alpha, m);
+}
 
 AlphaSolution
 optimizeAlphaVector(const std::vector<double> &mode_cost,
@@ -35,111 +163,10 @@ optimizeAlphaVector(const std::vector<double> &mode_cost,
     fatalIf(m == 0, "need at least one mode");
     fatalIf(raw_weights.size() != m,
             "mode cost and weight vectors must agree in size");
-    fatalIf(min_alpha <= 0.0 || min_alpha > 1.0,
-            "min_alpha must lie in (0, 1]");
-    const double minAlphaValue = min_alpha;
-
-    std::vector<double> weights = raw_weights;
-    double wsum = 0.0;
-    for (double w : weights) {
-        fatalIf(w < 0.0, "mode weights must be non-negative");
-        wsum += w;
-    }
-    fatalIf(wsum <= 0.0, "mode weights must not all be zero");
-    for (double &w : weights)
-        w /= wsum;
-
     AlphaSolution out;
-    out.alpha.assign(m, 1.0);
-    if (m == 1) {
-        out.objective = alphaObjective(mode_cost, weights, out.alpha);
-        return out;
-    }
-
-    std::vector<double> alpha(m, 1.0);
-    if (m <= 8) {
-        // Coarse monotone grid seed (the paper's Appendix A method).
-        std::vector<double> best = alpha;
-        double best_obj = alphaObjective(mode_cost, weights, alpha);
-        const double step = 0.25;
-        auto recurse = [&](auto &&self, std::size_t index) -> void {
-            if (index == m) {
-                double obj = alphaObjective(mode_cost, weights, alpha);
-                if (obj < best_obj) {
-                    best_obj = obj;
-                    best = alpha;
-                }
-                return;
-            }
-            for (double a = step; a <= alpha[index - 1] + 1e-12;
-                 a += step) {
-                alpha[index] =
-                    std::clamp(a, minAlphaValue, alpha[index - 1]);
-                self(self, index + 1);
-            }
-        };
-        recurse(recurse, 1);
-        alpha = best;
-    } else {
-        // Analytic seed for large M (per-destination-mode designs):
-        // the unconstrained stationary point is alpha_i proportional
-        // to sqrt(w_i / c_i); zero-weight modes want the floor (they
-        // cost provisioning but carry no traffic).  Normalize to
-        // alpha_0 = 1 and project onto the monotone cone: a backward
-        // running max keeps later must-be-high modes feasible, a
-        // forward running min enforces non-increase.
-        double base = (mode_cost[0] > 0.0 && weights[0] > 0.0)
-                          ? std::sqrt(weights[0] / mode_cost[0])
-                          : 1.0;
-        std::vector<double> desired(m, minAlphaValue);
-        desired[0] = 1.0;
-        for (std::size_t i = 1; i < m; ++i) {
-            if (mode_cost[i] > 0.0 && weights[i] > 0.0)
-                desired[i] = std::clamp(
-                    std::sqrt(weights[i] / mode_cost[i]) / base,
-                    minAlphaValue, 1.0);
-        }
-        for (std::size_t i = m - 1; i-- > 0;)
-            desired[i] = std::max(desired[i], desired[i + 1]);
-        alpha[0] = 1.0;
-        for (std::size_t i = 1; i < m; ++i)
-            alpha[i] = std::min(desired[i], alpha[i - 1]);
-    }
-
-    // Closed-form coordinate descent.
-    int max_iterations = m > 32 ? 60 : 200;
-    for (int iter = 0; iter < max_iterations; ++iter) {
-        double moved = 0.0;
-        for (std::size_t i = 1; i < m; ++i) {
-            double other_cost = 0.0;
-            double other_inv = 0.0;
-            for (std::size_t j = 0; j < m; ++j) {
-                if (j == i)
-                    continue;
-                other_cost += mode_cost[j] * alpha[j];
-                other_inv += weights[j] / alpha[j];
-            }
-            double hi = alpha[i - 1];
-            double lo = i + 1 < m ? alpha[i + 1] : minAlphaValue;
-            double candidate;
-            if (mode_cost[i] > 0.0 && other_inv > 0.0) {
-                candidate = std::sqrt(other_cost * weights[i] /
-                                      (mode_cost[i] * other_inv));
-            } else if (weights[i] == 0.0) {
-                candidate = lo;
-            } else {
-                candidate = hi;
-            }
-            candidate = std::clamp(candidate, lo, hi);
-            moved += std::fabs(candidate - alpha[i]);
-            alpha[i] = candidate;
-        }
-        if (moved < 1e-12)
-            break;
-    }
-
-    out.alpha = alpha;
-    out.objective = alphaObjective(mode_cost, weights, alpha);
+    out.alpha.resize(m);
+    out.objective = solveAlpha(mode_cost.data(), raw_weights.data(), m,
+                               min_alpha, out.alpha.data());
     return out;
 }
 

@@ -18,6 +18,7 @@
 #ifndef MNOC_OPTICS_ALPHA_OPTIMIZER_HH
 #define MNOC_OPTICS_ALPHA_OPTIMIZER_HH
 
+#include <cstddef>
 #include <vector>
 
 #include "optics/splitter_chain.hh"
@@ -34,6 +35,10 @@ struct AlphaSolution
     double objective = 0.0;
 };
 
+/** Default floor on every alpha: the paper's Appendix A grid minimum,
+ *  a 10x drive-current range (see optimizeAlphaVector()). */
+inline constexpr double kDefaultMinAlpha = 0.1;
+
 /**
  * Minimize (sum_m C_m alpha_m)(sum_m w_m / alpha_m) over non-increasing
  * alpha vectors with alpha[0] = 1, by closed-form coordinate descent
@@ -49,7 +54,21 @@ struct AlphaSolution
  */
 AlphaSolution optimizeAlphaVector(const std::vector<double> &mode_cost,
                                   const std::vector<double> &weights,
-                                  double min_alpha = 0.1);
+                                  double min_alpha = kDefaultMinAlpha);
+
+/**
+ * optimizeAlphaVector()'s kernel over raw arrays, for callers that
+ * solve many small instances (the comm-aware partition sweep): no
+ * heap allocation for @p m <= 8.  Same arithmetic, bit for bit.
+ *
+ * @param cost The m per-mode summed tap attenuations C_m.
+ * @param weights The m per-mode traffic weights (normalized
+ *        internally; non-negative, not all zero).
+ * @param alpha Receives the m optimal alphas.
+ * @return The objective at @p alpha.
+ */
+double solveAlpha(const double *cost, const double *weights,
+                  std::size_t m, double min_alpha, double *alpha);
 
 /** A complete multi-mode design for one source waveguide. */
 struct MultiModeDesign
@@ -86,7 +105,7 @@ class AlphaOptimizer
     AlphaOptimizer(const SplitterChain &chain,
                    std::vector<int> mode_of_dest,
                    std::vector<double> mode_weights, WattPower pmin,
-                   double min_alpha = 0.1);
+                   double min_alpha = kDefaultMinAlpha);
 
     /** Number of power modes M. */
     int numModes() const { return static_cast<int>(weights_.size()); }

@@ -223,6 +223,7 @@ AdaptiveController::retarget(std::size_t epoch)
         if (slot < 0)
             return;
     }
+    TraceSpan span("AdaptiveController::retarget", "runtime");
     const core::MnocPowerModel &model = designer_.model();
     FlowMatrix flow(static_cast<std::size_t>(numNodes_),
                     static_cast<std::size_t>(numNodes_), 0.0);
@@ -284,15 +285,23 @@ AdaptiveController::observe(std::size_t e,
     epoch.activeDesign = active_;
 
     // Causality: epoch e ran under the design active entering it;
-    // its traffic is only observed now, at the boundary.
-    const core::AccrualPlan &active_plan =
-        plans_[static_cast<std::size_t>(active_)];
-    if (ledger_ != nullptr)
-        for (const noc::EpochCell &cell : cells)
-            active_plan.accrue(*ledger_, cell.src, cell.dst, cell.flits,
-                               e);
+    // its traffic is only observed now, at the boundary.  Under the
+    // static design the epoch's cells and price are the static
+    // ledger's, bit for bit (same plan, same cells, same order), so
+    // the adaptive ledger records only epochs run under a retarget
+    // and reconcileAdaptive() reads the rest from the static ledger.
     epoch.staticEnergy = priceEpoch(plans_[0], cells);
-    epoch.adaptiveEnergy = priceEpoch(active_plan, cells);
+    if (active_ == 0) {
+        epoch.adaptiveEnergy = epoch.staticEnergy;
+    } else {
+        const core::AccrualPlan &active_plan =
+            plans_[static_cast<std::size_t>(active_)];
+        if (ledger_ != nullptr)
+            for (const noc::EpochCell &cell : cells)
+                active_plan.accrue(*ledger_, cell.src, cell.dst,
+                                   cell.flits, e);
+        epoch.adaptiveEnergy = priceEpoch(active_plan, cells);
+    }
 
     // Push the epoch, binned for every live candidate; a full
     // window hands its oldest entry's buffers to the newest.
@@ -493,9 +502,13 @@ AdaptiveController::finish()
 
     // The run's losses are attributed under the design it finished
     // with -- the one a deployed die would be driving.
-    if (ledger_ != nullptr)
+    if (ledger_ != nullptr) {
         designer_.model().attachLosses(
             candidates_[static_cast<std::size_t>(active_)], *ledger_);
+        MetricsRegistry::global()
+            .counter("runtime.adaptive_ledger_epochs")
+            .add(ledger_->heldEpochs());
+    }
     return std::move(log_);
 }
 
@@ -530,19 +543,38 @@ reconcileAdaptive(const core::EnergyLedger &static_ledger,
     panicIf(static_ledger.numEpochs() !=
                     adaptive_ledger.numEpochs() ||
                 static_ledger.numSources() !=
-                    adaptive_ledger.numSources(),
+                    adaptive_ledger.numSources() ||
+                static_ledger.numModes() != adaptive_ledger.numModes(),
             "static and adaptive ledgers cover different runs");
     panicIf(log.epochs.size() != adaptive_ledger.numEpochs(),
             "adaptive log and ledger disagree on epoch count");
 
+    // The adaptive run's cells: the adaptive ledger's for epochs run
+    // under a retarget, the static ledger's for the rest, which the
+    // controller never accrued.
+    std::size_t num_epochs = static_ledger.numEpochs();
+    std::vector<const core::EnergyLedger *> ran(num_epochs);
+    for (std::size_t e = 0; e < num_epochs; ++e) {
+        bool retarget = log.epochs[e].activeDesign != 0;
+        panicIf(!retarget && adaptive_ledger.holdsEpoch(e),
+                "adaptive ledger accrued an epoch run under the static "
+                "design");
+        ran[e] = retarget ? &adaptive_ledger : &static_ledger;
+    }
+
     AdaptiveComparison out;
     out.staticEnergy = static_ledger.totalEnergy();
-    out.adaptiveEnergy = adaptive_ledger.totalEnergy();
+    // totalEnergy()'s (source, mode, epoch) order over the merged
+    // cells.
+    for (int s = 0; s < adaptive_ledger.numSources(); ++s)
+        for (int m = 0; m < adaptive_ledger.numModes(); ++m)
+            for (std::size_t e = 0; e < num_epochs; ++e)
+                out.adaptiveEnergy += ran[e]->cell(s, m, e).totalEnergy();
     out.reconfigEnergy = adaptive_ledger.totalReconfigEnergy();
-    for (std::size_t e = 0; e < static_ledger.numEpochs(); ++e) {
+    out.adaptiveEnergy += out.reconfigEnergy;
+    for (std::size_t e = 0; e < num_epochs; ++e) {
         double static_cell = static_ledger.epochAttributedEnergy(e);
-        double adaptive_cell =
-            adaptive_ledger.epochAttributedEnergy(e);
+        double adaptive_cell = ran[e]->epochAttributedEnergy(e);
         out.savings += static_cell - adaptive_cell;
         if (journalEnabled()) {
             // Residual between what the ledger attributed to the

@@ -239,7 +239,8 @@ struct AdaptiveComparison
 {
     /** Static ledger total, reconfiguration included. */
     double staticEnergy = 0.0;
-    /** Adaptive ledger total, reconfiguration included. */
+    /** Adaptive run total over the merged cells, reconfiguration
+     *  included. */
     double adaptiveEnergy = 0.0;
     /** Sum over epochs of (static - adaptive) attributed cell
      *  energy; positive when adaptation saved energy before
@@ -269,12 +270,16 @@ class AdaptiveController
      * @param policy Rule-table knobs (validated).
      * @param header Header of the trace to be stepped; fatal if it
      *        disagrees with the design or has no epoch buckets.
-     * @param adaptive_ledger Optional ledger receiving the adaptive
-     *        attribution: each epoch accrues under the design active
-     *        entering it, switches charge reconfig cells, and
-     *        finish() attaches the final active design's loss
-     *        breakdowns.  Must match the trace's dimensions and the
-     *        candidate mode count, and outlive the controller.
+     * @param adaptive_ledger Optional ledger receiving where the
+     *        adaptive run departs from the static one: an epoch
+     *        entered under a retarget candidate accrues under it, an
+     *        epoch entered under the static design accrues nothing
+     *        (its cells are the static ledger's, which
+     *        reconcileAdaptive() reads instead), switches charge
+     *        reconfig cells, and finish() attaches the final active
+     *        design's loss breakdowns.  Must match the trace's
+     *        dimensions and the candidate mode count, and outlive the
+     *        controller.
      */
     AdaptiveController(const core::Designer &designer,
                        const core::MnocDesign &static_design,
@@ -289,8 +294,9 @@ class AdaptiveController
 
     /**
      * Step over epoch @p epoch at its closing boundary: accrue it
-     * under the active design, then apply rules P, R and S, candidate
-     * expiry and the epoch's journal records and metric series.
+     * under the active design when that is a retarget, then apply
+     * rules P, R and S, candidate expiry and the epoch's journal
+     * records and metric series.
      * @p cells are the epoch's cells in core coordinates.  Epochs
      * must arrive as 0, 1, 2, ...; anything else is a panic.
      */
@@ -381,8 +387,15 @@ AdaptiveLog runAdaptiveController(
 
 /**
  * Reconcile a static and an adaptive ledger built over the same
- * trace: savings is the per-epoch attributed-energy difference, and
- * the identity
+ * trace with the same static design.  The adaptive run's cells are a
+ * merged view: the adaptive ledger's for epochs whose log entry ran
+ * under a retarget (activeDesign != 0), the static ledger's for the
+ * rest; an adaptive ledger holding a block for a static epoch is a
+ * panic.  adaptiveEnergy folds the merged cells in (source, mode,
+ * epoch) order plus the adaptive ledger's reconfiguration energy, as
+ * EnergyLedger::totalEnergy() folds one ledger.  savings is the
+ * per-epoch attributed-energy difference, each epoch folded in
+ * (source, mode) order, and the identity
  *
  *   adaptiveEnergy = staticEnergy - savings + reconfigEnergy
  *                    - staticReconfigEnergy

@@ -307,6 +307,15 @@ then exit 1; fi
 grep -q "twice.map:2: field 'core': core 0 is used twice" \
     "$DIR/err_twice.txt"
 
+# A directory given as a mapping fails naming the path (a directory
+# opens as a stream and reads as a mapping of zero cores).
+mkdir -p "$DIR/map_dir"
+if "$MNOCPT" evaluate --design "$DIR/t.design" --trace "$DIR/t.trace" \
+    --map "$DIR/map_dir" 2>"$DIR/err_map_dir.txt"
+then exit 1; fi
+grep -q "not a regular file, cannot load it as a mapping: $DIR/map_dir" \
+    "$DIR/err_map_dir.txt"
+
 # An unreadable design (a directory, here) fails with the path.
 mkdir -p "$DIR/not_a_file.design"
 if "$MNOCPT" budget --design "$DIR/not_a_file.design" \

@@ -5,7 +5,9 @@
  * signature shift and reject bad knobs, the controller must retarget
  * and switch on a synthetic two-phase trace, the whole run --
  * decisions, log, ledger -- must replay bit for bit,
- * the static-vs-adaptive reconciliation identity must hold, the
+ * the static-vs-adaptive reconciliation identity must hold over a
+ * merged view while the adaptive ledger stores only the epochs run
+ * under a retarget, with every comparison field bit-pinned, the
  * stepper riding the static ledger build must match the two-pass
  * path bit for bit and refuse epochs out of order, an epoch-free
  * trace must be fatal, a full candidate pool must evict its oldest
@@ -301,9 +303,42 @@ TEST(AdaptivePolicy, ValidateRejectsBadKnobs)
     EXPECT_THROW(bad.validate(), FatalError);
 }
 
-TEST(Adaptive, ControllerAdaptsToThePhaseChange)
+/**
+ * The adaptive run's total as reconcileAdaptive() folds it: the
+ * adaptive ledger's cells for epochs run under a retarget, the static
+ * ledger's for the rest, in (source, mode, epoch) order, plus the
+ * adaptive ledger's reconfiguration energy.
+ */
+double
+mergedTotal(const EnergyLedger &static_ledger,
+            const EnergyLedger &adaptive_ledger,
+            const runtime::AdaptiveLog &log)
 {
-    AdaptiveFixture fx;
+    double total = 0.0;
+    for (int s = 0; s < adaptive_ledger.numSources(); ++s)
+        for (int m = 0; m < adaptive_ledger.numModes(); ++m)
+            for (std::size_t e = 0; e < adaptive_ledger.numEpochs(); ++e) {
+                const EnergyLedger &ran = log.epochs[e].activeDesign != 0
+                                              ? adaptive_ledger
+                                              : static_ledger;
+                total += ran.cell(s, m, e).totalEnergy();
+            }
+    return total + adaptive_ledger.totalReconfigEnergy();
+}
+
+/** The two-phase switching fixture: 32 ring epochs, then 32
+ *  diameter epochs, with the static ledger, the adaptive ledger and
+ *  the run record. */
+struct SwitchingRun
+{
+    EnergyLedger staticLedger;
+    EnergyLedger adaptiveLedger;
+    runtime::AdaptiveLog log;
+};
+
+SwitchingRun
+runSwitchingFixture(const AdaptiveFixture &fx)
+{
     auto design = fx.design();
     auto trace = twoPhaseTrace(32, 32);
     std::string file = scratchPath("adaptive_two_phase.trace");
@@ -321,8 +356,19 @@ TEST(Adaptive, ControllerAdaptsToThePhaseChange)
     auto log = runtime::runAdaptiveController(
         fx.designer, design, fx.policy(), reader, &mapping,
         &adaptive_ledger);
+    return {std::move(static_ledger), std::move(adaptive_ledger),
+            std::move(log)};
+}
 
-    ASSERT_EQ(log.epochs.size(), trace.epochs.epochs.size());
+TEST(Adaptive, ControllerAdaptsToThePhaseChange)
+{
+    AdaptiveFixture fx;
+    auto run = runSwitchingFixture(fx);
+    EnergyLedger &static_ledger = run.staticLedger;
+    const EnergyLedger &adaptive_ledger = run.adaptiveLedger;
+    const runtime::AdaptiveLog &log = run.log;
+
+    ASSERT_EQ(log.epochs.size(), 64u);
     using runtime::AdaptiveActionKind;
     // Exactly one phase change, at the splice epoch.
     EXPECT_EQ(log.countActions(AdaptiveActionKind::PhaseChange), 1);
@@ -369,7 +415,9 @@ TEST(Adaptive, ControllerAdaptsToThePhaseChange)
     auto cmp = runtime::reconcileAdaptive(static_ledger,
                                           adaptive_ledger, log);
     EXPECT_EQ(cmp.staticEnergy, static_ledger.totalEnergy());
-    EXPECT_EQ(cmp.adaptiveEnergy, adaptive_ledger.totalEnergy());
+    double adaptive_total =
+        mergedTotal(static_ledger, adaptive_ledger, log);
+    EXPECT_EQ(cmp.adaptiveEnergy, adaptive_total);
     EXPECT_EQ(cmp.reconfigEnergy, booked);
     EXPECT_GT(cmp.savings, 0.0);
     EXPECT_GT(cmp.netSavings, 0.0);
@@ -378,10 +426,16 @@ TEST(Adaptive, ControllerAdaptsToThePhaseChange)
 
     // A tampered static cell large enough to absorb every other cell
     // in rounding breaks the identity: the expected adaptive total
-    // collapses to the booked reconfiguration energy.  The panic must
-    // name both totals in significant digits -- run energies are nJ
-    // to uJ, which fixed six-decimal formatting prints as 0.000000.
-    static_ledger.cell(0, 0, 0).sourceEnergy = 1e12;
+    // collapses to the booked reconfiguration energy.  The cell sits
+    // in an epoch run under a retarget, whose adaptive cells are the
+    // adaptive ledger's; in a static epoch both totals would read
+    // it.  The panic must name both totals in significant digits --
+    // run energies are nJ to uJ, which fixed six-decimal formatting
+    // prints as 0.000000.
+    std::size_t retarget_epoch = 0;
+    while (log.epochs[retarget_epoch].activeDesign == 0)
+        ++retarget_epoch;
+    static_ledger.cell(0, 0, retarget_epoch).sourceEnergy = 1e12;
     std::string what;
     try {
         runtime::reconcileAdaptive(static_ledger, adaptive_ledger, log);
@@ -393,10 +447,60 @@ TEST(Adaptive, ControllerAdaptsToThePhaseChange)
         what, m,
         std::regex("adaptive total (\\S+) J, expected (\\S+) J$")))
         << what;
-    EXPECT_NEAR(std::stod(m[1].str()), adaptive_ledger.totalEnergy(),
-                1e-9 * adaptive_ledger.totalEnergy())
+    EXPECT_NEAR(std::stod(m[1].str()), adaptive_total,
+                1e-9 * adaptive_total)
         << what;
     EXPECT_NEAR(std::stod(m[2].str()), booked, 1e-9 * booked) << what;
+}
+
+TEST(Adaptive, AdaptiveLedgerHoldsOnlyRetargetEpochs)
+{
+    // The adaptive ledger records where the run departs from the
+    // static one: a block for every epoch run under a retarget, none
+    // for an epoch run under the static design.
+    AdaptiveFixture fx;
+    auto run = runSwitchingFixture(fx);
+    std::size_t retarget_epochs = 0;
+    for (std::size_t e = 0; e < run.log.epochs.size(); ++e) {
+        bool retarget = run.log.epochs[e].activeDesign != 0;
+        retarget_epochs += retarget ? 1 : 0;
+        EXPECT_EQ(run.adaptiveLedger.holdsEpoch(e), retarget)
+            << "epoch " << e;
+        // Under the static design the adaptive price is the static
+        // one, bit for bit.
+        if (!retarget) {
+            EXPECT_EQ(run.log.epochs[e].adaptiveEnergy,
+                      run.log.epochs[e].staticEnergy)
+                << "epoch " << e;
+        }
+    }
+    EXPECT_GT(retarget_epochs, 0u);
+    EXPECT_LT(retarget_epochs, run.log.epochs.size());
+    EXPECT_EQ(run.adaptiveLedger.heldEpochs(), retarget_epochs);
+
+    // A block for a static epoch is a panic.
+    EnergyLedger stray(kNodes, 2, run.staticLedger.numEpochs(),
+                       run.staticLedger.durationSeconds());
+    stray.cell(0, 0, 0).flits = 1;
+    EXPECT_THROW(runtime::reconcileAdaptive(run.staticLedger, stray,
+                                            run.log),
+                 PanicError);
+}
+
+TEST(Adaptive, ComparisonKeepsItsBits)
+{
+    // Every reconciliation field of the switching fixture, pinned as
+    // it was when the adaptive ledger held every epoch: recording
+    // only the retarget epochs moves no bit.
+    AdaptiveFixture fx;
+    auto run = runSwitchingFixture(fx);
+    auto cmp = runtime::reconcileAdaptive(run.staticLedger,
+                                          run.adaptiveLedger, run.log);
+    EXPECT_EQ(cmp.staticEnergy, 0x1.98ad2e58f9b29p-24);
+    EXPECT_EQ(cmp.adaptiveEnergy, 0x1.4445df49801adp-24);
+    EXPECT_EQ(cmp.savings, 0x1.bf90bba5454fep-26);
+    EXPECT_EQ(cmp.reconfigEnergy, 0x1.b7cdfd9d7bdbbp-28);
+    EXPECT_EQ(cmp.netSavings, 0x1.519d3c3de65fp-26);
 }
 
 TEST(Adaptive, RunIsRepeatable)

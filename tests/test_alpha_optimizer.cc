@@ -6,10 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "common/log.hh"
+#include "common/prng.hh"
 #include "optics/alpha_optimizer.hh"
 
 namespace {
@@ -256,6 +259,48 @@ TEST(OptimizeAlphaVector, UniformEverythingStaysBroadcast)
     auto sol = optimizeAlphaVector({100.0}, {1.0});
     EXPECT_DOUBLE_EQ(sol.alpha[0], 1.0);
     EXPECT_NEAR(sol.objective, 100.0, 1e-12);
+}
+
+/** FNV-1a 64 of a double's bit pattern, folded into @p hash. */
+void
+fnvAdd(std::uint64_t &hash, double value)
+{
+    auto word = std::bit_cast<std::uint64_t>(value);
+    for (int byte = 0; byte < 8; ++byte) {
+        hash ^= (word >> (8 * byte)) & 0xffu;
+        hash *= 0x100000001b3ULL;
+    }
+}
+
+TEST(OptimizeAlphaVector, SeededTableKeepsEveryBit)
+{
+    // 2 000 seeded instances over M = 2..8, 16 and 64, with zero-cost
+    // and zero-weight modes and two drive-range floors: every alpha
+    // and objective must keep its bit pattern.  A change of the
+    // solver's arithmetic (its association order, a cached term that
+    // is not the recomputed double) moves the digest.
+    const std::size_t kModes[] = {2, 3, 4, 5, 6, 7, 8, 16, 64};
+    Prng rng(20261019);
+    std::uint64_t hash = 0xcbf29ce484222325ULL;
+    for (int i = 0; i < 2000; ++i) {
+        std::size_t m = kModes[static_cast<std::size_t>(i) % 9];
+        std::vector<double> cost(m), weights(m);
+        double wsum = 0.0;
+        for (std::size_t j = 0; j < m; ++j) {
+            cost[j] = rng.chance(0.1) ? 0.0 : 0.01 + 10.0 * rng.uniform();
+            weights[j] = rng.chance(0.15) ? 0.0 : rng.uniform();
+            wsum += weights[j];
+        }
+        if (wsum == 0.0)
+            weights[m - 1] = 1.0;
+        double min_alpha = i % 3 == 0 ? 0.01 : 0.1;
+        auto sol = optimizeAlphaVector(cost, weights, min_alpha);
+        ASSERT_EQ(sol.alpha.size(), m);
+        for (double a : sol.alpha)
+            fnvAdd(hash, a);
+        fnvAdd(hash, sol.objective);
+    }
+    EXPECT_EQ(hash, 0xf759ac1dbd1adb86ULL) << std::hex << hash;
 }
 
 /** Weight sweeps: the optimizer's output is always feasible. */

@@ -10,7 +10,8 @@
 #   3. the SARIF export must be structurally valid 2.1.0;
 #   4. the findings must be byte-identical for MNOC_THREADS=1 and 8;
 #   5. a malformed compilation database must end in a fatal naming
-#      the database and a byte offset, never in a signal.
+#      the database and a byte offset, never in a signal, and a
+#      directory given as the baseline must end in a fatal naming it.
 #
 # Usage: test_analyze.sh <mnoc-analyze> <compile_commands.json> <repo-root>
 set -eu
@@ -172,6 +173,22 @@ printf '[{"directory": "/w", "file": "a.cc", "command": "c++ a.cc"},' \
     > "$scratch/truncated.json"
 bad_db truncated.json
 
+# A directory opens as a stream and fails only at the first read; it
+# must be refused as not a regular file, naming the path.
+mkdir "$scratch/baseline_dir"
+"$analyze" --root "$fixtures" --baseline "$scratch/baseline_dir" \
+    $fixture_files > /dev/null 2> "$scratch/baseline_dir.err" &&
+    status=0 || status=$?
+[ "$status" -eq 2 ] || {
+    cat "$scratch/baseline_dir.err" >&2
+    fail "baseline directory: exit status $status, expected the fatal exit 2"
+}
+refused="not a regular file, cannot load it as a baseline"
+grep -q "$refused: $scratch/baseline_dir" "$scratch/baseline_dir.err" || {
+    cat "$scratch/baseline_dir.err" >&2
+    fail "baseline directory: the diagnostic names no path"
+}
+
 echo "test_analyze: PASS (tree clean and fully covered, fixtures" \
      "flagged, SARIF valid, thread-count deterministic, malformed" \
-     "databases diagnosed)"
+     "databases and a directory baseline diagnosed)"

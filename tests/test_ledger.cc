@@ -2,12 +2,13 @@
  * @file
  * Tests of the energy-attribution ledger (core/energy_ledger.hh):
  * loss-breakdown power conservation, agreement with the power model,
- * epoch bucketing, the synthetic epoch for epoch-free traces, and
- * the metrics trail the build leaves behind.
+ * epoch bucketing, the synthetic epoch for epoch-free traces, lazy
+ * epoch blocks, and the metrics trail the build leaves behind.
  */
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <string>
 
@@ -190,6 +191,36 @@ TEST(EnergyLedger, IndexValidationPanics)
     EXPECT_THROW(ledger.loss(0, 1), PanicError);
     EXPECT_THROW(EnergyLedger(0, 1, 1, 1.0), PanicError);
     EXPECT_THROW(EnergyLedger(1, 1, 1, 0.0), PanicError);
+}
+
+TEST(EnergyLedger, UnaccruedEpochReadsAsZeroAndHoldsNoBlock)
+{
+    EnergyLedger ledger(4, 2, 3, 1.0e-3);
+    const EnergyLedger &view = ledger;
+    EXPECT_EQ(ledger.heldEpochs(), 0u);
+
+    // Reads through the const cell() allocate nothing.
+    const LedgerCell &unaccrued = view.cell(3, 1, 1);
+    EXPECT_EQ(unaccrued.flits, 0u);
+    EXPECT_EQ(unaccrued.totalEnergy(), 0.0);
+    EXPECT_EQ(view.totalEnergy(), 0.0);
+    EXPECT_FALSE(std::signbit(view.epochAttributedEnergy(1)));
+    EXPECT_EQ(ledger.heldEpochs(), 0u);
+
+    // The first mutable access allocates its epoch's block alone.
+    ledger.cell(2, 1, 2).sourceEnergy = 5e-9;
+    EXPECT_FALSE(ledger.holdsEpoch(0));
+    EXPECT_FALSE(ledger.holdsEpoch(1));
+    EXPECT_TRUE(ledger.holdsEpoch(2));
+    EXPECT_EQ(ledger.heldEpochs(), 1u);
+    EXPECT_EQ(view.cell(0, 0, 2).sourceEnergy, 0.0);
+    EXPECT_EQ(view.epochAttributedEnergy(2), 5e-9);
+    EXPECT_EQ(view.totalEnergy(), 5e-9);
+    EXPECT_THROW(ledger.holdsEpoch(3), PanicError);
+
+    // Reconfiguration cells sit beside the blocks.
+    ledger.addReconfigEnergy(0, 1e-9);
+    EXPECT_FALSE(ledger.holdsEpoch(0));
 }
 
 TEST(EnergyLedger, BuildLeavesMetricsTrail)

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cstddef>
 #include <filesystem>
-#include <fstream>
 #include <map>
+#include <sstream>
 #include <tuple>
 
 #include "common/io.hh"
@@ -55,9 +55,7 @@ struct FileSlot
 Baseline
 loadBaseline(const std::string &path)
 {
-    std::ifstream in(path);
-    if (!in)
-        fatal("cannot open baseline: " + path);
+    std::istringstream in(readWholeFile(path, "baseline"));
 
     Baseline out;
     std::string raw;
@@ -87,8 +85,6 @@ loadBaseline(const std::string &path)
                   rule + "'");
         out.emplace(file, rule);
     }
-    if (in.bad())
-        fatal("read error on " + path);
     return out;
 }
 
