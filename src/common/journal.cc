@@ -1,6 +1,5 @@
 #include "common/journal.hh"
 
-#include <cstdlib>
 #include <cstring>
 #include <iomanip>
 #include <map>
@@ -18,18 +17,8 @@ namespace {
 constexpr char kHeaderMagic[8] = {'M', 'N', 'O', 'C', 'J', 'R', 'N', 'L'};
 constexpr char kEndMagic[8] = {'M', 'N', 'O', 'C', 'J', 'E', 'N', 'D'};
 
-std::atomic<bool> &
-enabledFlag()
-{
-    static std::atomic<bool> flag(readKnob("MNOC_JOURNAL").enabled);
-    return flag;
-}
-
-void
-exportGlobalAtExit()
-{
-    Journal::global().writeFile(Journal::exportPath());
-}
+constinit CollectorSwitch journal_switch("MNOC_JOURNAL",
+                                         "mnoc_journal.mjrn");
 
 /** Deterministic human rendering of a real (explain narrative and
  *  timeline CSV; JSONL uses jsonNumber instead). */
@@ -193,7 +182,7 @@ JournalRecord::addReal(double v)
 bool
 journalEnabled()
 {
-    return enabledFlag().load(std::memory_order_relaxed);
+    return journal_switch.enabled();
 }
 
 Journal &
@@ -201,8 +190,8 @@ Journal::global()
 {
     static Journal *instance = [] {
         auto *journal = new Journal();
-        if (!exportPath().empty())
-            std::atexit(exportGlobalAtExit);
+        journal_switch.exportAtExit(
+            [] { global().writeFile(exportPath()); });
         return journal;
     }();
     return *instance;
@@ -211,16 +200,13 @@ Journal::global()
 std::string
 Journal::exportPath()
 {
-    KnobValue knob = readKnob("MNOC_JOURNAL");
-    if (!knob.enabled)
-        return "";
-    return knob.text.empty() ? "mnoc_journal.mjrn" : knob.text;
+    return journal_switch.exportPath();
 }
 
 void
 Journal::setEnabled(bool on)
 {
-    enabledFlag().store(on, std::memory_order_relaxed);
+    journal_switch.setEnabled(on);
 }
 
 void

@@ -3,8 +3,8 @@
  * Epoch-anchored decision journal (the runtime flight recorder).
  *
  * The adaptive and degradation controllers make their decisions at
- * epoch boundaries, in serial sections of otherwise parallel runs.
- * The journal records those decisions -- phase-detector signatures,
+ * epoch boundaries, in the serial epoch loop of the replay.  The
+ * journal records those decisions -- phase-detector signatures,
  * candidate pricing, switches, trims, fault firings, and per-epoch
  * ledger reconciliation residuals -- as an append-only sequence of
  * fixed-width records so a run can be audited after the fact with
@@ -16,11 +16,16 @@
  * energy ledger.  Journal code never reads wall clocks: records are
  * anchored to epoch indices, not timestamps.
  *
+ * Enablement: the MNOC_JOURNAL knob, through a CollectorSwitch
+ * (common/knobs.hh): "1" records and writes "mnoc_journal.mjrn" at
+ * process exit; any other non-"0" value records and writes to that
+ * path.
+ *
  * Cost contract: with MNOC_JOURNAL unset the only per-event cost is
  * one relaxed atomic load behind journalEnabled() -- no allocation,
  * no lock, no record construction (call sites build the record inside
- * the enabled branch).  The journal_overhead section of bench_parallel
- * pins this.
+ * the enabled branch).  BM_AdaptiveRunJournal (bench/micro_kernels.cc)
+ * times an adaptive run with the journal off and on.
  *
  * Binary format (little-endian, fixed width):
  *
@@ -44,7 +49,6 @@
 #define MNOC_COMMON_JOURNAL_HH
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <mutex>
 #include <string>
@@ -120,9 +124,9 @@ bool journalEnabled();
 class Journal
 {
   public:
-    /** The shared journal.  First use arms an atexit hook that writes
-     *  the binary journal to exportPath() when MNOC_JOURNAL names a
-     *  destination. */
+    /** The shared journal (never destroyed).  First use arms an
+     *  at-exit export of the binary journal to exportPath() when
+     *  MNOC_JOURNAL is on. */
     static Journal &global();
 
     /** Export destination: MNOC_JOURNAL's path, or the default

@@ -209,6 +209,42 @@ readKnob(const char *name)
     return parseKnob(name, std::getenv(name));
 }
 
+int
+CollectorSwitch::readKnobState() const
+{
+    int state = readKnob(knob_).enabled ? kOn : kOff;
+    int expected = kUnread;
+    // A setEnabled() that ran meanwhile wins over the knob.
+    if (!state_.compare_exchange_strong(expected, state,
+                                        std::memory_order_relaxed))
+        return expected;
+    return state;
+}
+
+void
+CollectorSwitch::setEnabled(bool on)
+{
+    state_.store(on ? kOn : kOff, std::memory_order_relaxed);
+}
+
+std::string
+CollectorSwitch::exportPath() const
+{
+    KnobValue knob = readKnob(knob_);
+    if (!knob.enabled)
+        return "";
+    if (!knob.text.empty())
+        return knob.text;
+    return defaultFile_ != nullptr ? defaultFile_ : "";
+}
+
+void
+CollectorSwitch::exportAtExit(void (*write)()) const
+{
+    if (!exportPath().empty())
+        std::atexit(write);
+}
+
 bool
 ledgerEnabled()
 {

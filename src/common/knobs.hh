@@ -9,7 +9,9 @@
  *
  * readKnob() parses on every call, so a re-read after setenv() sees
  * the new value; the runtime knobs' accessors below (ledgerEnabled()
- * and its siblings) read once and cache the result for hot paths.
+ * and its siblings) read once and cache the result for hot paths, and
+ * so does CollectorSwitch, the one on/off switch and at-exit export
+ * of the three observability collectors.
  * A malformed value is a fatal error naming the knob and the value:
  * a mistyped knob must stop the run, not quietly reconfigure it.
  */
@@ -17,6 +19,7 @@
 #ifndef MNOC_COMMON_KNOBS_HH
 #define MNOC_COMMON_KNOBS_HH
 
+#include <atomic>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -83,6 +86,68 @@ KnobValue parseKnob(const char *name, const char *text);
  *  the table, so a mistyped name does not silently leave a feature
  *  off. */
 KnobValue readKnob(const char *name);
+
+/**
+ * The switch of one observability collector -- the metrics registry,
+ * the span recorder or the decision journal -- read from its PathFlag
+ * knob: unset, empty or "0" leaves the collector off; "1" turns it on
+ * and exports to the collector's default file, if it has one; any
+ * other value turns it on and exports to that path.
+ *
+ * Each collector holds one as a constinit global, so enabled() is
+ * safe from any thread and any static initializer: the first call
+ * reads the knob, unless setEnabled() came first, and every later
+ * call is one relaxed atomic load.
+ */
+class CollectorSwitch
+{
+  public:
+    /** @p knob names a PathFlag row of the knob table; @p default_file
+     *  is where the value "1" exports (nullptr: "1" collects without
+     *  exporting). */
+    constexpr CollectorSwitch(const char *knob, const char *default_file)
+        : knob_(knob), defaultFile_(default_file)
+    {}
+
+    CollectorSwitch(const CollectorSwitch &) = delete;
+    CollectorSwitch &operator=(const CollectorSwitch &) = delete;
+
+    /** True while the collector records. */
+    bool
+    enabled() const
+    {
+        int state = state_.load(std::memory_order_relaxed);
+        if (state == kUnread) [[unlikely]]
+            state = readKnobState();
+        return state == kOn;
+    }
+
+    /** Force recording on or off, overriding the knob. */
+    void setEnabled(bool on);
+
+    /** The export path the knob names ("" when it names none);
+     *  re-reads the knob. */
+    std::string exportPath() const;
+
+    /** When exportPath() is non-empty, run @p write at process exit;
+     *  @p write exports the collector to exportPath().  A collector
+     *  arms this once, when its never-destroyed global instance is
+     *  created. */
+    void exportAtExit(void (*write)()) const;
+
+  private:
+    static constexpr int kUnread = 0;
+    static constexpr int kOff = 1;
+    static constexpr int kOn = 2;
+
+    /** Settle the state from the knob unless setEnabled() got there
+     *  first; returns the settled state. */
+    int readKnobState() const;
+
+    const char *knob_;
+    const char *defaultFile_;
+    mutable std::atomic<int> state_{kUnread};
+};
 
 /** True when the energy-attribution ledger should be collected
  *  (MNOC_LEDGER; overridable in tests). */

@@ -1,6 +1,5 @@
 #include "common/metrics.hh"
 
-#include <cstdlib>
 #include <limits>
 
 #include "common/io.hh"
@@ -13,56 +12,18 @@ namespace mnoc {
 
 namespace {
 
-std::atomic<bool> &
-enabledFlag()
-{
-    static std::atomic<bool> flag(readKnob("MNOC_METRICS").enabled);
-    return flag;
-}
-
-std::atomic<int> next_shard_slot{0};
+constinit CollectorSwitch metrics_switch("MNOC_METRICS", nullptr);
 
 /** Backstop against a corrupt epoch index allocating the machine
  *  away: 2^24 epochs of 8-byte slots is already a 128 MiB series. */
 constexpr std::size_t kMaxSeriesSlots = std::size_t{1} << 24;
 
-void
-exportGlobalAtExit()
-{
-    MetricsRegistry::global().writeJson(
-        MetricsRegistry::exportPath());
-}
-
 } // namespace
-
-int
-metricShardSlot()
-{
-    thread_local int slot =
-        next_shard_slot.fetch_add(1, std::memory_order_relaxed);
-    return slot & (kMetricShards - 1);
-}
 
 bool
 metricsEnabled()
 {
-    return enabledFlag().load(std::memory_order_relaxed);
-}
-
-std::uint64_t
-Counter::value() const
-{
-    std::uint64_t total = 0;
-    for (const Shard &shard : shards_)
-        total += shard.count.load(std::memory_order_relaxed);
-    return total;
-}
-
-void
-Counter::reset()
-{
-    for (Shard &shard : shards_)
-        shard.count.store(0, std::memory_order_relaxed);
+    return metrics_switch.enabled();
 }
 
 Histogram::Histogram(std::string name, std::vector<double> edges)
@@ -158,35 +119,24 @@ Series::add(std::size_t index, std::uint64_t n)
     if (index >= kMaxSeriesSlots)
         fatal("series '" + name_ + "' index out of range: " +
               std::to_string(index));
-    auto slot = static_cast<std::size_t>(metricShardSlot());
-    Shard &shard = shards_[slot];
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    if (shard.slots.size() <= index)
-        shard.slots.resize(index + 1, 0);
-    shard.slots[index] += n;
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (slots_.size() <= index)
+        slots_.resize(index + 1, 0);
+    slots_[index] += n;
 }
 
 std::vector<std::uint64_t>
 Series::values() const
 {
-    std::vector<std::uint64_t> merged;
-    for (const Shard &shard : shards_) {
-        std::lock_guard<std::mutex> lock(shard.mutex);
-        if (merged.size() < shard.slots.size())
-            merged.resize(shard.slots.size(), 0);
-        for (std::size_t i = 0; i < shard.slots.size(); ++i)
-            merged[i] += shard.slots[i];
-    }
-    return merged;
+    std::lock_guard<std::mutex> lock(mutex_);
+    return slots_;
 }
 
 void
 Series::reset()
 {
-    for (Shard &shard : shards_) {
-        std::lock_guard<std::mutex> lock(shard.mutex);
-        shard.slots.clear();
-    }
+    std::lock_guard<std::mutex> lock(mutex_);
+    slots_.clear();
 }
 
 MetricsRegistry &
@@ -194,8 +144,8 @@ MetricsRegistry::global()
 {
     static MetricsRegistry *instance = [] {
         auto *registry = new MetricsRegistry();
-        if (!exportPath().empty())
-            std::atexit(exportGlobalAtExit);
+        metrics_switch.exportAtExit(
+            [] { global().writeJson(exportPath()); });
         return registry;
     }();
     return *instance;
@@ -204,13 +154,13 @@ MetricsRegistry::global()
 void
 MetricsRegistry::setEnabled(bool on)
 {
-    enabledFlag().store(on, std::memory_order_relaxed);
+    metrics_switch.setEnabled(on);
 }
 
 std::string
 MetricsRegistry::exportPath()
 {
-    return readKnob("MNOC_METRICS").text;
+    return metrics_switch.exportPath();
 }
 
 Counter &
@@ -222,19 +172,6 @@ MetricsRegistry::counter(const std::string &name)
         it = counters_
                  .emplace(name, std::unique_ptr<Counter>(
                                     new Counter(name)))
-                 .first;
-    return *it->second;
-}
-
-Gauge &
-MetricsRegistry::gauge(const std::string &name)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = gauges_.find(name);
-    if (it == gauges_.end())
-        it = gauges_
-                 .emplace(name,
-                          std::unique_ptr<Gauge>(new Gauge(name)))
                  .first;
     return *it->second;
 }
@@ -273,7 +210,7 @@ std::string
 MetricsRegistry::toJson() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    std::string out = "{\n  \"schema\": \"mnoc-metrics-v2\",\n";
+    std::string out = "{\n  \"schema\": \"mnoc-metrics-v3\",\n";
     // Provenance: stable within a process, so it never perturbs the
     // bit-identity comparison across pool sizes.
     out += "  \"manifest\": " + manifestJson(currentManifest()) +
@@ -288,16 +225,6 @@ MetricsRegistry::toJson() const
         sep = ",";
     }
     out += counters_.empty() ? "},\n" : "\n  },\n";
-
-    out += "  \"gauges\": {";
-    sep = "";
-    for (const auto &[name, gauge] : gauges_) {
-        out += sep;
-        out += "\n    \"" + escapeJson(name) +
-               "\": " + std::to_string(gauge->value());
-        sep = ",";
-    }
-    out += gauges_.empty() ? "},\n" : "\n  },\n";
 
     out += "  \"histograms\": {";
     sep = "";
@@ -362,8 +289,6 @@ MetricsRegistry::printText(std::ostream &out) const
     std::lock_guard<std::mutex> lock(mutex_);
     for (const auto &[name, counter] : counters_)
         out << name << " " << counter->value() << "\n";
-    for (const auto &[name, gauge] : gauges_)
-        out << name << " " << gauge->value() << "\n";
     for (const auto &[name, hist] : histograms_) {
         out << name << " count " << hist->totalCount();
         if (hist->totalCount() > 0)
@@ -387,8 +312,6 @@ MetricsRegistry::reset()
     std::lock_guard<std::mutex> lock(mutex_);
     for (auto &[name, counter] : counters_)
         counter->reset();
-    for (auto &[name, gauge] : gauges_)
-        gauge->reset();
     for (auto &[name, hist] : histograms_)
         hist->reset();
     for (auto &[name, s] : series_)

@@ -1,30 +1,31 @@
 /**
  * @file
- * Deterministic, thread-pool-aware metrics registry: named counters,
- * gauges, and fixed-bucket histograms that parallel code can update
- * from inside ThreadPool tasks without breaking the bit-identity
- * contract of DESIGN.md §9.
+ * Deterministic metrics registry: named counters, fixed-bucket
+ * histograms and per-epoch series that pool tasks may update without
+ * breaking the bit-identity contract of DESIGN.md §9.
  *
  * Determinism rule (DESIGN.md §10): everything recorded from a
- * parallel region must be order-independent.  Counters and histogram
- * bucket tallies are unsigned integers combined by addition; the
- * histogram min/max fold is commutative; nothing else (no
- * floating-point sums, no "last writer wins" fields) may be touched
- * concurrently.  Each counter is sharded into cache-line-padded
- * per-worker slots and merged in slot order on read, so the exported
- * registry is bit-identical at any thread count.
+ * parallel region must be order-independent.  Counters, histogram
+ * bucket tallies and series slots are unsigned integers combined by
+ * addition, and the histogram min/max fold is commutative, so the
+ * exported registry is bit-identical at any thread count; nothing
+ * else (no floating-point sums, no "last writer wins" values) is
+ * recorded.  The replay path is serial; the concurrent writers are
+ * the QAP restarts and the yield draws (counters and the yield
+ * histograms), each recording once per pool task, so a counter is
+ * one relaxed atomic and a series one mutex-guarded vector.
  *
- * Enablement: the MNOC_METRICS environment variable.  Unset, empty,
- * or "0" disables recording (add()/observe()/set() reduce to one
- * predictable branch -- see bench/micro_kernels.cc); "1" enables
- * collection; any other value enables collection *and* writes the
- * registry JSON to that path at process exit.
+ * Enablement: the MNOC_METRICS knob, through a CollectorSwitch
+ * (common/knobs.hh).  Unset, empty, or "0" disables recording
+ * (add()/observe() reduce to one predictable branch -- see
+ * bench/micro_kernels.cc); "1" enables collection; any other value
+ * enables collection *and* writes the registry JSON to that path at
+ * process exit.
  */
 
 #ifndef MNOC_COMMON_METRICS_HH
 #define MNOC_COMMON_METRICS_HH
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <map>
@@ -36,20 +37,13 @@
 
 namespace mnoc {
 
-/** Shard count for striped tallies; power of two, sized so a full
- *  pool of workers rarely collides on one cache line. */
-constexpr int kMetricShards = 16;
-
-/** Stable small slot index for the calling thread, used to pick a
- *  metric shard (assigned on first use, in registration order). */
-int metricShardSlot();
-
-/** True when the registry records; cached from MNOC_METRICS and
- *  overridable (tests, `mnocpt stats`). */
+/** True when the registry records: MNOC_METRICS, overridable
+ *  (tests, `mnocpt stats`). */
 bool metricsEnabled();
 
 /** Monotonically increasing unsigned tally, safe to bump from
- *  concurrent pool tasks (sharded; merged in slot order). */
+ *  concurrent pool tasks (one relaxed atomic: integer adds commute,
+ *  so any interleaving yields the same total). */
 class Counter
 {
   public:
@@ -57,56 +51,23 @@ class Counter
     void
     add(std::uint64_t n = 1)
     {
-        if (!metricsEnabled())
-            return;
-        auto slot = static_cast<std::size_t>(metricShardSlot());
-        shards_[slot].count.fetch_add(n, std::memory_order_relaxed);
+        if (metricsEnabled())
+            count_.fetch_add(n, std::memory_order_relaxed);
     }
 
-    /** Slot-order sum of the shards (deterministic: integer adds
-     *  commute, so any interleaving yields the same total). */
-    std::uint64_t value() const;
+    std::uint64_t
+    value() const
+    {
+        return count_.load(std::memory_order_relaxed);
+    }
 
   private:
     friend class MetricsRegistry;
     explicit Counter(std::string name) : name_(std::move(name)) {}
-    void reset();
-
-    struct Shard
-    {
-        alignas(64) std::atomic<std::uint64_t> count{0};
-    };
+    void reset() { count_.store(0, std::memory_order_relaxed); }
 
     std::string name_;
-    std::array<Shard, kMetricShards> shards_;
-};
-
-/** Last-writer-wins signed value; only meaningful when set from
- *  serial sections (a concurrent set would be order-dependent). */
-class Gauge
-{
-  public:
-    void
-    set(std::int64_t value)
-    {
-        if (!metricsEnabled())
-            return;
-        value_.store(value, std::memory_order_relaxed);
-    }
-
-    std::int64_t
-    value() const
-    {
-        return value_.load(std::memory_order_relaxed);
-    }
-
-  private:
-    friend class MetricsRegistry;
-    explicit Gauge(std::string name) : name_(std::move(name)) {}
-    void reset() { value_.store(0, std::memory_order_relaxed); }
-
-    std::string name_;
-    std::atomic<std::int64_t> value_{0};
+    std::atomic<std::uint64_t> count_{0};
 };
 
 /**
@@ -145,10 +106,8 @@ class Histogram
 
 /**
  * Labeled time-series: an indexed sequence of unsigned tallies (one
- * slot per epoch) that grows on demand.  Each shard owns a
- * mutex-guarded vector; add() locks only the caller's shard, and
- * values() merges shards by slot-wise addition.  Integer adds
- * commute, so the merged series is bit-identical at any thread
+ * slot per epoch) that grows on demand, in one mutex-guarded vector.
+ * Integer adds commute, so the series is bit-identical at any thread
  * count, preserving the DESIGN.md §9 contract for per-epoch data.
  */
 class Series
@@ -159,8 +118,7 @@ class Series
      *  id from allocating unbounded memory. */
     void add(std::size_t index, std::uint64_t n = 1);
 
-    /** Slot-wise sum across shards, sized to the largest index
-     *  touched (deterministic: integer adds commute). */
+    /** The slots, sized to the largest index touched. */
     std::vector<std::uint64_t> values() const;
 
   private:
@@ -168,14 +126,9 @@ class Series
     explicit Series(std::string name) : name_(std::move(name)) {}
     void reset();
 
-    struct Shard
-    {
-        mutable std::mutex mutex;
-        std::vector<std::uint64_t> slots;
-    };
-
     std::string name_;
-    std::array<Shard, kMetricShards> shards_;
+    mutable std::mutex mutex_;
+    std::vector<std::uint64_t> slots_;
 };
 
 /**
@@ -189,7 +142,7 @@ class MetricsRegistry
 {
   public:
     /** The process-wide registry (never destroyed; an MNOC_METRICS
-     *  path registers an at-exit JSON export on first use). */
+     *  path arms an at-exit JSON export on first use). */
     static MetricsRegistry &global();
 
     /** Force recording on/off, overriding MNOC_METRICS. */
@@ -200,9 +153,6 @@ class MetricsRegistry
 
     /** Find-or-create the named counter. */
     Counter &counter(const std::string &name);
-
-    /** Find-or-create the named gauge. */
-    Gauge &gauge(const std::string &name);
 
     /**
      * Find-or-create the named histogram.  @p edges (ascending upper
@@ -215,7 +165,7 @@ class MetricsRegistry
     /** Find-or-create the named time-series. */
     Series &series(const std::string &name);
 
-    /** Deterministic JSON export (schema "mnoc-metrics-v2"):
+    /** Deterministic JSON export (schema "mnoc-metrics-v3"):
      *  sorted names, 17-digit doubles, integer tallies. */
     std::string toJson() const;
 
@@ -234,7 +184,6 @@ class MetricsRegistry
 
     mutable std::mutex mutex_;
     std::map<std::string, std::unique_ptr<Counter>> counters_;
-    std::map<std::string, std::unique_ptr<Gauge>> gauges_;
     std::map<std::string, std::unique_ptr<Histogram>> histograms_;
     std::map<std::string, std::unique_ptr<Series>> series_;
 };

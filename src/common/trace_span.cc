@@ -1,11 +1,9 @@
 #include "common/trace_span.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <climits>
 #include <cstdint>
-#include <cstdlib>
 #include <map>
 #include <optional>
 #include <tuple>
@@ -19,13 +17,8 @@ namespace mnoc {
 
 namespace {
 
-std::atomic<bool> &
-enabledFlag()
-{
-    static std::atomic<bool> flag(
-        readKnob("MNOC_TRACE_SPANS").enabled);
-    return flag;
-}
+constinit CollectorSwitch spans_switch("MNOC_TRACE_SPANS",
+                                       "mnoc_spans.json");
 
 std::uint64_t
 steadyNowUs()
@@ -36,15 +29,7 @@ steadyNowUs()
     return static_cast<std::uint64_t>(us.count());
 }
 
-void
-exportGlobalAtExit()
-{
-    SpanRecorder::global().writeJson(SpanRecorder::exportPath());
-}
-
-/** Per-thread event buffer and id, registered lazily with the
- *  recorder (one mutex acquisition per thread, not per span). */
-thread_local std::vector<SpanEvent> *tl_buffer = nullptr;
+/** The calling thread's span tid; 0 until its first record. */
 thread_local int tl_tid = 0;
 
 } // namespace
@@ -52,7 +37,7 @@ thread_local int tl_tid = 0;
 bool
 spansEnabled()
 {
-    return enabledFlag().load(std::memory_order_relaxed);
+    return spans_switch.enabled();
 }
 
 SpanRecorder::SpanRecorder() : epochUs_(steadyNowUs()) {}
@@ -62,8 +47,8 @@ SpanRecorder::global()
 {
     static SpanRecorder *instance = [] {
         auto *recorder = new SpanRecorder();
-        if (!exportPath().empty())
-            std::atexit(exportGlobalAtExit);
+        spans_switch.exportAtExit(
+            [] { global().writeJson(exportPath()); });
         return recorder;
     }();
     return *instance;
@@ -72,16 +57,13 @@ SpanRecorder::global()
 void
 SpanRecorder::setEnabled(bool on)
 {
-    enabledFlag().store(on, std::memory_order_relaxed);
+    spans_switch.setEnabled(on);
 }
 
 std::string
 SpanRecorder::exportPath()
 {
-    KnobValue knob = readKnob("MNOC_TRACE_SPANS");
-    if (!knob.enabled)
-        return "";
-    return knob.text.empty() ? "mnoc_spans.json" : knob.text;
+    return spans_switch.exportPath();
 }
 
 std::uint64_t
@@ -90,24 +72,14 @@ SpanRecorder::nowUs() const
     return steadyNowUs() - epochUs_;
 }
 
-std::vector<SpanEvent> &
-SpanRecorder::threadBuffer()
-{
-    if (tl_buffer == nullptr) {
-        std::lock_guard<std::mutex> lock(mutex_);
-        buffers_.push_back(std::make_unique<std::vector<SpanEvent>>());
-        tl_tid = static_cast<int>(buffers_.size());
-        tl_buffer = buffers_.back().get();
-    }
-    return *tl_buffer;
-}
-
 void
 SpanRecorder::record(SpanEvent event)
 {
-    std::vector<SpanEvent> &buffer = threadBuffer();
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (tl_tid == 0)
+        tl_tid = ++threads_;
     event.tid = tl_tid;
-    buffer.push_back(std::move(event));
+    events_.push_back(std::move(event));
 }
 
 std::vector<SpanEvent>
@@ -116,8 +88,7 @@ SpanRecorder::events() const
     std::vector<SpanEvent> out;
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        for (const auto &buffer : buffers_)
-            out.insert(out.end(), buffer->begin(), buffer->end());
+        out = events_;
     }
     std::stable_sort(out.begin(), out.end(),
                      [](const SpanEvent &a, const SpanEvent &b) {
@@ -333,8 +304,7 @@ void
 SpanRecorder::reset()
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    for (auto &buffer : buffers_)
-        buffer->clear();
+    events_.clear();
 }
 
 TraceSpan::TraceSpan(std::string name, std::string category)

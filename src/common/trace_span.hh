@@ -11,30 +11,32 @@
  * them back.  The deterministic counterpart is the metrics registry
  * (common/metrics.hh); DESIGN.md §10 draws the line between the two.
  *
- * Enablement: the MNOC_TRACE_SPANS environment variable.  Unset,
- * empty, or "0" disables recording (constructing a TraceSpan is one
- * predictable branch); "1" records and writes "mnoc_spans.json" in
- * the working directory at process exit; any other value records and
- * writes to that path instead.
+ * Enablement: the MNOC_TRACE_SPANS knob, through a CollectorSwitch
+ * (common/knobs.hh).  Unset, empty, or "0" disables recording
+ * (constructing a TraceSpan is one predictable branch); "1" records
+ * and writes "mnoc_spans.json" in the working directory at process
+ * exit; any other value records and writes to that path instead.
  *
- * Thread model: spans append to per-thread buffers registered under
- * a mutex on first use, so recording from ThreadPool workers never
- * contends; the export merges and time-sorts all buffers.
+ * Thread model: spans append to one mutex-guarded buffer.  The
+ * library's spans are recorded from serial code; only the bench
+ * harness records from pool tasks, one span per task, so the lock is
+ * never hot.  A thread's tid is assigned on its first record, 1, 2,
+ * ... in first-record order, and kept for the life of the process;
+ * the export time-sorts the buffer.
  */
 
 #ifndef MNOC_COMMON_TRACE_SPAN_HH
 #define MNOC_COMMON_TRACE_SPAN_HH
 
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
 namespace mnoc {
 
-/** True when span recording is on; cached from MNOC_TRACE_SPANS and
- *  overridable (tests). */
+/** True when span recording is on: MNOC_TRACE_SPANS, overridable
+ *  (tests, perfbench). */
 bool spansEnabled();
 
 /** One completed span (a Chrome "complete" event, ph = "X"). */
@@ -45,8 +47,8 @@ struct SpanEvent
     /** Microseconds since the recorder was created. */
     std::uint64_t startUs = 0;
     std::uint64_t durationUs = 0;
-    /** Small stable id of the recording thread (registration
-     *  order). */
+    /** Small stable id of the recording thread (first-record
+     *  order, from 1). */
     int tid = 0;
 };
 
@@ -54,9 +56,8 @@ struct SpanEvent
 class SpanRecorder
 {
   public:
-    /** The process-wide recorder (never destroyed; an
-     *  MNOC_TRACE_SPANS path registers an at-exit export on first
-     *  use). */
+    /** The process-wide recorder (never destroyed; an enabled
+     *  MNOC_TRACE_SPANS arms an at-exit export on first use). */
     static SpanRecorder &global();
 
     /** Force recording on/off, overriding MNOC_TRACE_SPANS. */
@@ -69,11 +70,11 @@ class SpanRecorder
     /** Microseconds since the recorder was created. */
     std::uint64_t nowUs() const;
 
-    /** Append a completed span to the calling thread's buffer. */
+    /** Append a completed span, stamped with the calling thread's
+     *  tid. */
     void record(SpanEvent event);
 
-    /** All recorded events merged across threads and sorted by
-     *  (start, tid, name). */
+    /** All recorded events sorted by (start, tid, name). */
     std::vector<SpanEvent> events() const;
 
     /** Chrome trace-event JSON ({"traceEvents": [...]}); loadable
@@ -83,17 +84,18 @@ class SpanRecorder
     /** Write toJson() to @p path, failing loudly on I/O errors. */
     void writeJson(const std::string &path) const;
 
-    /** Drop every recorded event (tests). */
+    /** Drop every recorded event (tests, perfbench); threads keep
+     *  their tids. */
     void reset();
 
   private:
     SpanRecorder();
 
-    std::vector<SpanEvent> &threadBuffer();
-
     std::uint64_t epochUs_ = 0;
     mutable std::mutex mutex_;
-    std::vector<std::unique_ptr<std::vector<SpanEvent>>> buffers_;
+    std::vector<SpanEvent> events_;
+    /** Threads that have recorded, so the last tid handed out. */
+    int threads_ = 0;
 };
 
 /**

@@ -204,6 +204,10 @@ MnocPowerModel::attachLosses(const MnocDesign &design,
 void
 MnocPowerModel::recordLedgerMetrics(const EnergyLedger &ledger) const
 {
+    // The per-epoch walk reads every cell; skip it when nothing
+    // records.
+    if (!metricsEnabled())
+        return;
     auto &metrics = MetricsRegistry::global();
     metrics.counter("ledger.builds").add();
     Series &epoch_flits = metrics.series("ledger.epoch_flits");

@@ -184,7 +184,8 @@ class MnocPowerModel
         const std::vector<std::vector<double>> &weights,
         DecibelLoss design_margin) const;
 
-    /** Bump the ledger build counter and the per-epoch flit series. */
+    /** Bump the ledger build counter and the per-epoch flit series;
+     *  nothing, not even the cell walk, while metrics are off. */
     void recordLedgerMetrics(const EnergyLedger &ledger) const;
 
     const optics::OpticalCrossbar &crossbar_;

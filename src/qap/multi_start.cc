@@ -58,7 +58,7 @@ multiStart(const QapInstance &instance, const Permutation &start,
                          deriveSeed(base_seed ^ kShuffleSalt, index));
         results[static_cast<std::size_t>(r)] =
             solve(perm, solver_seed);
-        // Sharded integer add: deterministic total at any thread
+        // Integer add: deterministic total at any thread
         // count (DESIGN.md §10).
         restart_tally.add();
     });

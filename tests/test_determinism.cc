@@ -223,7 +223,7 @@ TEST(Determinism, MultiStartNeverLosesToSingleStart)
 TEST(Determinism, MetricsJsonIsBitIdenticalAcrossPoolSizes)
 {
     // The DESIGN.md §10 contract: the metrics the yield analyzer
-    // records from inside parallelFor (sharded counters, histogram
+    // records from inside parallelFor (counters, histogram
     // tallies) export byte-identically at any pool size.
     YieldFixture fx;
     auto design = fx.design();
@@ -257,7 +257,7 @@ TEST(Determinism, MetricsJsonIsBitIdenticalAcrossPoolSizes)
 TEST(Determinism, LedgerAndSeriesAreBitIdenticalAcrossPoolSizes)
 {
     // The ledger is a pure function of (design, trace), and the
-    // series it feeds uses sharded commutative folds, so both its
+    // series it feeds uses commutative integer folds, so both its
     // canonical rendering and the metrics JSON must export
     // byte-identically whether ledgers are built from a 1-, 2-, or
     // 8-thread pool.

@@ -7,16 +7,22 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <latch>
+#include <map>
+#include <mutex>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "common/json.hh"
+#include "common/knobs.hh"
 #include "common/log.hh"
 #include "common/manifest.hh"
 #include "common/metrics.hh"
@@ -68,15 +74,6 @@ TEST_F(MetricsTest, DisabledCounterRecordsNothing)
     MetricsRegistry::setEnabled(true);
     counter.add(7);
     EXPECT_EQ(counter.value(), 7u);
-}
-
-TEST_F(MetricsTest, GaugeHoldsLastValue)
-{
-    Gauge &gauge = MetricsRegistry::global().gauge("test.gauge");
-    gauge.set(-3);
-    EXPECT_EQ(gauge.value(), -3);
-    gauge.set(12);
-    EXPECT_EQ(gauge.value(), 12);
 }
 
 TEST_F(MetricsTest, HistogramBucketsByUpperBound)
@@ -136,12 +133,11 @@ TEST_F(MetricsTest, JsonIsBitIdenticalAcrossThreadCounts)
             counter.add();
             hist.observe(static_cast<double>(i));
         });
-        registry.gauge("test.identity.gauge").set(7);
         exports.push_back(registry.toJson());
     }
     EXPECT_EQ(exports[0], exports[1]);
     EXPECT_EQ(exports[0], exports[2]);
-    EXPECT_NE(exports[0].find("\"schema\": \"mnoc-metrics-v2\""),
+    EXPECT_NE(exports[0].find("\"schema\": \"mnoc-metrics-v3\""),
               std::string::npos);
 }
 
@@ -253,6 +249,101 @@ TEST(TraceSpanTest, DisabledSpansRecordNothing)
     EXPECT_NE(json.find("\"traceEvents\": ["), std::string::npos);
 }
 
+/** The pool chunk a worker ran in the first round of
+ *  PoolWorkersKeepOneTidEach (-1 on any other thread). */
+thread_local int tl_first_chunk = -1;
+
+TEST(TraceSpanTest, PoolWorkersKeepOneTidEach)
+{
+    // tids are process-wide.  Every other test of this binary records
+    // from the main thread only, so the main thread holds tid 1 and
+    // the four fresh pool workers take 2..5, in the order of their
+    // first records (6..9 on a repeat of this test, and so on).
+    static int earlier_workers = 0;
+    const int first_worker_tid = 2 + earlier_workers;
+    constexpr int kWorkers = 4;
+    earlier_workers += kWorkers;
+    constexpr int kSpansEach = 3;
+    constexpr std::uint64_t kLateUs = 1'000'000'000'000;
+    SpanRecorder &recorder = SpanRecorder::global();
+    SpanRecorder::setEnabled(true);
+    recorder.reset();
+    { TraceSpan span("main", "test"); }
+
+    ThreadPool pool(kWorkers);
+    std::mutex order_mutex;
+    std::vector<int> first_record_order;
+    // Each round holds every chunk until all four run, so each chunk
+    // runs on its own worker.
+    std::latch first_round(kWorkers);
+    pool.parallelFor(kWorkers, [&](long long i) {
+        int chunk = static_cast<int>(i);
+        tl_first_chunk = chunk;
+        first_round.arrive_and_wait();
+        {
+            // The order lock makes the first records' order known.
+            std::lock_guard<std::mutex> lock(order_mutex);
+            { TraceSpan span("first." + std::to_string(chunk), "test"); }
+            first_record_order.push_back(chunk);
+        }
+        // Later records start earlier, and every worker's k-th
+        // record starts at the same time, so the sort must reorder
+        // within a thread and break ties by tid.
+        for (int k = 0; k < kSpansEach; ++k)
+            recorder.record({"worker." + std::to_string(chunk), "test",
+                             kLateUs - 1000 * static_cast<std::uint64_t>(k),
+                             1, 0});
+    });
+
+    auto events = recorder.events();
+    ASSERT_EQ(events.size(),
+              static_cast<std::size_t>(1 + kWorkers * (1 + kSpansEach)));
+    EXPECT_TRUE(std::is_sorted(
+        events.begin(), events.end(),
+        [](const SpanEvent &a, const SpanEvent &b) {
+            return std::tie(a.startUs, a.tid, a.name) <
+                   std::tie(b.startUs, b.tid, b.name);
+        }));
+    std::map<std::string, int> tid_of;
+    for (const SpanEvent &event : events) {
+        if (event.name.compare(0, 7, "worker.") == 0)
+            continue;
+        tid_of[event.name] = event.tid;
+    }
+    EXPECT_EQ(tid_of["main"], 1);
+    ASSERT_EQ(first_record_order.size(), static_cast<std::size_t>(kWorkers));
+    for (int rank = 0; rank < kWorkers; ++rank)
+        EXPECT_EQ(tid_of["first." + std::to_string(
+                             first_record_order[static_cast<std::size_t>(
+                                 rank)])],
+                  first_worker_tid + rank);
+    for (const SpanEvent &event : events) {
+        if (event.name.compare(0, 7, "worker.") != 0)
+            continue;
+        EXPECT_EQ(event.tid, tid_of["first." + event.name.substr(7)])
+            << event.name;
+    }
+
+    // After reset() the same threads record under their old tids.
+    recorder.reset();
+    { TraceSpan span("main.again", "test"); }
+    std::latch second_round(kWorkers);
+    pool.parallelFor(kWorkers, [&](long long) {
+        second_round.arrive_and_wait();
+        TraceSpan span("again." + std::to_string(tl_first_chunk), "test");
+    });
+    events = recorder.events();
+    ASSERT_EQ(events.size(), static_cast<std::size_t>(1 + kWorkers));
+    for (const SpanEvent &event : events) {
+        int expected = event.name == "main.again"
+                           ? 1
+                           : tid_of["first." + event.name.substr(6)];
+        EXPECT_EQ(event.tid, expected) << event.name;
+    }
+    recorder.reset();
+    SpanRecorder::setEnabled(false);
+}
+
 /** Record three spans -- one named with a quote and braces, which
  *  the writer must escape and the parser must not take for
  *  structure -- write them to @p path, and return what the recorder
@@ -281,6 +372,35 @@ fileBytes(const std::string &path)
     std::ostringstream bytes;
     bytes << in.rdbuf();
     return bytes.str();
+}
+
+TEST(CollectorSwitchTest, KnobSetsTheSwitchAndNamesTheExportPath)
+{
+    // "1" exports to the collector's default file, if it has one, and
+    // a path exports there.  The export path re-reads the knob; the
+    // on/off state is read once.
+    setenv("MNOC_JOURNAL", "1", 1);
+    CollectorSwitch with_default("MNOC_JOURNAL", "default.mjrn");
+    CollectorSwitch without_default("MNOC_JOURNAL", nullptr);
+    EXPECT_TRUE(with_default.enabled());
+    EXPECT_TRUE(without_default.enabled());
+    EXPECT_EQ(with_default.exportPath(), "default.mjrn");
+    EXPECT_EQ(without_default.exportPath(), "");
+    setenv("MNOC_JOURNAL", "run.mjrn", 1);
+    EXPECT_EQ(with_default.exportPath(), "run.mjrn");
+    EXPECT_EQ(without_default.exportPath(), "run.mjrn");
+    setenv("MNOC_JOURNAL", "0", 1);
+    EXPECT_TRUE(with_default.enabled());
+    EXPECT_EQ(with_default.exportPath(), "");
+
+    // setEnabled() overrides the knob, also before its first read.
+    setenv("MNOC_JOURNAL", "1", 1);
+    CollectorSwitch forced("MNOC_JOURNAL", nullptr);
+    forced.setEnabled(false);
+    EXPECT_FALSE(forced.enabled());
+    forced.setEnabled(true);
+    EXPECT_TRUE(forced.enabled());
+    unsetenv("MNOC_JOURNAL");
 }
 
 TEST(SpanJsonTest, WrittenFileParsesBack)

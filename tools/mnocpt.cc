@@ -275,17 +275,35 @@ cmdSimulate(const Args &args)
     return 0;
 }
 
+/** The --trace file's flit matrix, the one trace input of `map` and
+ *  `design`, and its header.  Every epoch is parsed and checked, but
+ *  none is kept. */
+FlowMatrix
+readTraceFlits(const Args &args, sim::TraceHeader &header)
+{
+    // Timed under loadTrace's span name: it is these verbs' trace load.
+    TraceSpan span("loadTrace", "io");
+    sim::TraceReader reader(args.get("trace"));
+    header = reader.header();
+    auto n = static_cast<std::size_t>(header.numNodes);
+    CountMatrix packets(n, n, 0);
+    CountMatrix flits(n, n, 0);
+    reader.readMessageMatrix(packets, flits);
+    return toFlowMatrix(flits);
+}
+
 int
 cmdMap(const Args &args)
 {
-    auto trace = sim::loadTrace(args.get("trace"));
-    int cores = static_cast<int>(trace.flits.rows());
+    sim::TraceHeader header;
+    FlowMatrix flow = readTraceFlits(args, header);
+    int cores = header.numNodes;
     Context ctx(cores);
 
     core::MappingParams params;
     params.tabooIterations = args.getCount("iterations", 20000);
-    auto result = ctx.designer.map(toFlowMatrix(trace.flits),
-                                   core::MappingMethod::Taboo, params);
+    auto result =
+        ctx.designer.map(flow, core::MappingMethod::Taboo, params);
 
     FileWriter out(args.get("out"));
     for (int core : result.threadToCore)
@@ -420,16 +438,17 @@ cmdYield(const Args &args)
 int
 cmdDesign(const Args &args)
 {
-    auto trace = sim::loadTrace(args.get("trace"));
-    int cores = static_cast<int>(trace.flits.rows());
+    sim::TraceHeader header;
+    FlowMatrix thread_flow = readTraceFlits(args, header);
+    int cores = header.numNodes;
     Context ctx(cores);
     checkRadix(ctx, cores);
 
     auto mapping = args.has("map")
                        ? core::loadMapping(args.get("map"), cores)
                        : core::identityMapping(cores);
-    sim::Trace mapped = sim::mapTrace(trace, mapping);
-    FlowMatrix flow = toFlowMatrix(mapped.flits);
+    sim::checkCoreMapping(mapping, cores);
+    FlowMatrix flow = permuteFlow(thread_flow, mapping);
 
     core::DesignSpec spec;
     spec.numModes = args.getCount("modes", 2);
@@ -450,7 +469,7 @@ cmdDesign(const Args &args)
     auto topology = ctx.designer.buildTopology(spec, flow);
     // Provenance trailer: who built this design, from what knobs.
     RunManifest manifest = currentManifest(
-        trace.manifest.seed,
+        header.manifest.seed,
         hexDigest(fnv1a64(spec.label() + "|" +
                           std::to_string(cores))));
     if (args.has("yield-target")) {
